@@ -8,10 +8,11 @@ file (``--config``), then explicit command line flags. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -61,8 +62,40 @@ def _parse_seed_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
+def _cut_depth(text: str) -> int:
+    depth = int(text)
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {depth}")
+    return depth
+
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _file_value(action: argparse.Action, text: str):
+    """Parse a config-file value the way its flag parses an argument."""
+    if action.nargs == 0:  # a store_true flag takes a boolean
+        if text.lower() not in _BOOLEANS:
+            raise ValueError(f"expects a boolean, got {text!r}")
+        return _BOOLEANS[text.lower()]
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"must be one of {', '.join(action.choices)}, got {value!r}")
+    return value
+
+
 def _load_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; keys use flag spelling."""
+    """Flat key = value lines; '#' starts a comment.
+
+    The keys are the ``cluster`` flags apart from the paths, spelled without
+    the leading dashes. Returns the parsed values by flag destination.
+    """
+    schema = argparse.ArgumentParser(add_help=False)
+    _add_cluster_flags(schema)
+    actions = {
+        a.option_strings[0][2:]: a for a in schema._actions
+        if a.dest not in ("input", "out", "config")
+    }
     values = {}
     try:
         with open(path) as fh:
@@ -70,86 +103,55 @@ def _load_config_file(path: str) -> dict:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                where = f"{path}:{lineno}"
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-                key, value = line.split("=", 1)
-                key = key.strip()
-                if key not in _ALL_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = value.strip()
+                    raise ConfigError(f"{where}: expected key = value, got {raw!r}")
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in actions:
+                    raise ConfigError(f"{where}: unknown config key {key!r}")
+                try:
+                    values[actions[key].dest] = _file_value(actions[key], value)
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise ConfigError(f"{where}: {key}: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return values
 
 
-_BOOL_KEYS = {"has-header", "id-column"}
-_INT_KEYS = {"seed", "em-max-iter", "max-split-attempts", "patience", "threads", "som-epochs", "cut-depth"}
-_FLOAT_KEYS = {"em-tol", "reg-eps", "threshold"}
-_STR_KEYS = {"cov-mode", "posterior-mode", "gamma-rows", "score-source", "som-grid", "delimiter", "kmeans-init"}
-_ALL_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+def _apply_config_file(args) -> None:
+    """Fill each setting not given as a flag from the ``--config`` file, if any."""
+    if args.config:
+        for dest, value in _load_config_file(args.config).items():
+            if getattr(args, dest, None) is None:
+                setattr(args, dest, value)
 
 
-def _coerce(key: str, value: str):
-    if key in _BOOL_KEYS:
-        lowered = value.lower()
-        if lowered not in ("true", "false", "yes", "no", "1", "0"):
-            raise ConfigError(f"config key {key} expects a boolean, got {value!r}")
-        return lowered in ("true", "yes", "1")
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _STR_KEYS:
-        return value
-    raise ConfigError(f"unknown config key {key!r}")
+# flag destinations that name a PppConfig field differently
+_CONFIG_FIELD = {
+    "seed": "master_seed",
+    "reg_eps": "reg_epsilon",
+    "cov_mode": "covariance_mode",
+    "threshold": "score_threshold",
+}
+_COV_MODES = {"full": "full", "diag": "diagonal"}
 
 
-def _setting(args, file_values: dict, key: str, default=None):
-    """Flag if given, else config file, else default."""
-    attr = key.replace("-", "_")
-    from_flag = getattr(args, attr, None)
-    if from_flag is not None and from_flag is not False:
-        return from_flag
-    if key in file_values:
-        try:
-            return _coerce(key, file_values[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from None
-    return default
-
-
-_COV_MODES = {"full": "full", "diag": "diagonal", "diagonal": "diagonal"}
-
-
-def _build_config(args, file_values: dict) -> PppConfig:
-    grid = _setting(args, file_values, "som-grid")
-    if isinstance(grid, str):
-        grid = _parse_grid(grid)
-    cov = _setting(args, file_values, "cov-mode")
-    if cov is not None:
-        if cov not in _COV_MODES:
-            raise ConfigError(f"cov-mode must be full or diag, got {cov!r}")
-        cov = _COV_MODES[cov]
-    kwargs = dict(
-        master_seed=_setting(args, file_values, "seed", 0),
-        som_grid=grid,
-        som_epochs=_setting(args, file_values, "som-epochs", 5),
-        em_tol=_setting(args, file_values, "em-tol", 1e-6),
-        em_max_iter=_setting(args, file_values, "em-max-iter", 100),
-        reg_epsilon=_setting(args, file_values, "reg-eps"),
-        covariance_mode=cov,
-        max_split_attempts=_setting(args, file_values, "max-split-attempts", 20),
-        patience=_setting(args, file_values, "patience", 5),
-        score_threshold=_setting(args, file_values, "threshold", 0.5),
-        posterior_mode=_setting(args, file_values, "posterior-mode", "competitive"),
-        gamma_rows=_setting(args, file_values, "gamma-rows", "gamma0"),
-        score_source=_setting(args, file_values, "score-source", "normalized"),
-        kmeans_init=_setting(args, file_values, "kmeans-init", "random"),
-    )
+def _build_config(args) -> PppConfig:
+    """A PppConfig from the settings that are set; the others keep their defaults."""
+    names = {f.name for f in fields(PppConfig)}
+    kwargs = {}
+    for dest, value in vars(args).items():
+        name = _CONFIG_FIELD.get(dest, dest)
+        if value is not None and name in names:
+            kwargs[name] = value
+    if "som_grid" in kwargs:
+        kwargs["som_grid"] = _parse_grid(kwargs["som_grid"])
+    if "covariance_mode" in kwargs:
+        kwargs["covariance_mode"] = _COV_MODES[kwargs["covariance_mode"]]
     return PppConfig(**kwargs)
 
 
-def _load_input(args, file_values: dict):
+def _load_input(args):
     path = args.input
     if path is None:
         raise ConfigError("--input is required")
@@ -157,32 +159,34 @@ def _load_input(args, file_values: dict):
         raise FileNotFoundError(f"input file {path} does not exist")
     return load_csv(
         path,
-        has_header=bool(_setting(args, file_values, "has-header", False)),
-        id_column=bool(_setting(args, file_values, "id-column", False)),
-        delimiter=_setting(args, file_values, "delimiter", ","),
+        has_header=bool(args.has_header),
+        id_column=bool(args.id_column),
+        delimiter="," if args.delimiter is None else args.delimiter,
     )
 
 
 def _manifest(command, args, config, out_paths: dict) -> RunManifest:
+    input_path = getattr(args, "input", None)
     return RunManifest(
         command=command,
-        input_path=getattr(args, "input", None),
+        input_path=input_path,
         output_paths={k: str(v) for k, v in out_paths.items()},
         master_seed=config.master_seed if config is not None else 0,
         config=config_to_dict(config) if config is not None else {},
         tool_version=__version__,
         created_utc=datetime.now(timezone.utc).isoformat(),
+        input_sha256=hashlib.sha256(Path(input_path).read_bytes()).hexdigest()
+        if input_path is not None else None,
     )
 
 
 def run_cluster(args) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    matrix = _load_input(args, file_values)
-    config = _build_config(args, file_values)
-    threads = int(_setting(args, file_values, "threads", 1) or 1)
-    cut_depth = _setting(args, file_values, "cut-depth")
+    _apply_config_file(args)
+    matrix = _load_input(args)
+    config = _build_config(args)
+    cut_depth = args.cut_depth
 
-    tree = build_tree(matrix, config, threads=threads)
+    tree = build_tree(matrix, config, threads=args.threads or 1)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,8 +219,8 @@ def run_cluster(args) -> int:
 
 
 def run_synth(args) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    seed = _setting(args, file_values, "seed", 0)
+    _apply_config_file(args)
+    seed = args.seed or 0
     blocks = _parse_grid(args.blocks)
     spec = PlantedSpec.even(
         n_instances=args.instances,
@@ -254,9 +258,9 @@ def run_synth(args) -> int:
 
 
 def run_bench(args) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    matrix = _load_input(args, file_values)
-    config = _build_config(args, file_values)
+    _apply_config_file(args)
+    matrix = _load_input(args)
+    config = _build_config(args)
     seeds = _parse_seed_list(args.seeds)
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
@@ -332,6 +336,14 @@ def _add_common_config_flags(sub) -> None:
                      help="worker threads for tree growth (default 1)")
 
 
+def _add_cluster_flags(sub) -> None:
+    _add_common_input_flags(sub)
+    _add_common_config_flags(sub)
+    sub.add_argument("--out", required=True, help="output directory")
+    sub.add_argument("--cut-depth", type=_cut_depth, default=None,
+                     help="flatten the tree at this depth (default: leaves)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppp",
@@ -341,11 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     cluster = subs.add_parser("cluster", help="cluster the features of a CSV matrix")
-    _add_common_input_flags(cluster)
-    _add_common_config_flags(cluster)
-    cluster.add_argument("--out", required=True, help="output directory")
-    cluster.add_argument("--cut-depth", type=int, default=None,
-                         help="flatten the tree at this depth (default: leaves)")
+    _add_cluster_flags(cluster)
     cluster.set_defaults(func=run_cluster)
 
     synth = subs.add_parser("synth", help="generate a planted block matrix")
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cut = subs.add_parser("cut", help="re-cut a saved tree into flat clusters")
     cut.add_argument("--tree", required=True, help="tree.json from a cluster run")
-    cut.add_argument("--cut-depth", type=int, default=None,
+    cut.add_argument("--cut-depth", type=_cut_depth, default=None,
                      help="frontier depth (default: leaves)")
     cut.add_argument("--out", required=True, help="output CSV path or directory")
     cut.set_defaults(func=run_cut)

@@ -147,6 +147,12 @@ def as_matrix(data) -> np.ndarray:
     return values
 
 
+def sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(n, m) exact squared Euclidean distances from each row of X to each row of Y."""
+    diff = X[:, None, :] - Y[None, :, :]
+    return np.einsum("nmd,nmd->nm", diff, diff)
+
+
 def submatrix(m: DesignMatrix, rows: IndexSet, cols: IndexSet) -> DesignMatrix:
     """Restrict a matrix to the given rows and columns.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -31,7 +31,7 @@ from .gmm import (
     mixture_scores,
 )
 from .kmeans import kmeans_bisect
-from .som import CodebookMatchSet, SomConfig, codebook_match, default_grid, init_som, train_som
+from .som import CodebookMatchSet, SomConfig, codebook_match, default_som_config, init_som, train_som
 
 POSTERIOR_MODES = ("competitive", "paper")
 GAMMA_ROW_MODES = ("gamma0", "all")
@@ -104,20 +104,9 @@ class PppConfig:
 
     def som_config_for(self, n_instances: int, seed: int) -> SomConfig:
         """Concrete SOM settings for a node with ``n_instances`` rows."""
-        rows, cols = self.som_grid if self.som_grid is not None else default_grid(n_instances)
-        sigma = self.som_sigma
-        if sigma is None:
-            sigma = (max(1.0, max(rows, cols) / 2.0), 0.5)
-        return SomConfig(
-            grid_rows=rows,
-            grid_cols=cols,
-            epochs=self.som_epochs,
-            alpha_start=self.som_alpha[0],
-            alpha_end=self.som_alpha[1],
-            sigma_start=sigma[0],
-            sigma_end=sigma[1],
-            hit_quantile=self.hit_quantile,
-            seed=seed,
+        return default_som_config(
+            n_instances, seed, self.som_grid, self.som_epochs, self.som_alpha,
+            self.som_sigma, self.hit_quantile,
         )
 
 
@@ -151,7 +140,8 @@ class PppNode:
     status: str = "open"
     best_eval: SplitEvaluation | None = None
     children: tuple["PppNode", "PppNode"] | None = None
-    attempt_stats: list[tuple[float, float, float | None]] = field(default_factory=list)
+    # one (attempt seed, overlap a, overlap b, score) row per split attempt
+    attempt_stats: list[tuple[int, float, float, float | None]] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -160,7 +150,7 @@ class PppNode:
     @property
     def score_trace(self) -> list[float | None]:
         """Per-attempt split score (None where the score was undefined)."""
-        return [s[2] for s in self.attempt_stats]
+        return [s[3] for s in self.attempt_stats]
 
     @property
     def is_leaf(self) -> bool:
@@ -259,17 +249,12 @@ def child_posteriors(
     return post_a, post_b
 
 
-def _to_global(local: IndexSet, members: IndexSet) -> IndexSet:
-    """Lift node-local positions to ids in the full instance universe."""
-    return IndexSet(members.indices[local.indices], members.universe_size)
-
-
 def _units_to_instances(
     posterior: np.ndarray, threshold: float, match: CodebookMatchSet, members: IndexSet
 ) -> IndexSet:
     units = np.flatnonzero(posterior > threshold)
     local_rows = np.unique(match.matched_instance_ids[units])
-    return IndexSet(members.indices[local_rows], members.universe_size)
+    return members.select(IndexSet(local_rows, len(members)))
 
 
 def _quantize_and_fit(X: np.ndarray, config: PppConfig, seed: int):
@@ -298,7 +283,7 @@ def evaluate_split(
     scores0 = mixture_scores(g0, X)
     core_values = scores0.normalized if config.score_source == "normalized" else scores0.density
     core_local = gamma_set(core_values, config.score_threshold)
-    core_set = _to_global(core_local, node.instance_set)
+    core_set = node.instance_set.select(core_local)
 
     if config.gamma_rows == "gamma0" and len(core_local) >= 2:
         point_rows = core_local.indices
@@ -336,10 +321,8 @@ def evaluate_split(
     overlap_a = overlap_fraction(set_a, core_set)
     overlap_b = overlap_fraction(set_b, core_set)
 
-    feature_split = (
-        IndexSet(node.feature_set.indices[columns[0]], data.n_features),
-        IndexSet(node.feature_set.indices[columns[1]], data.n_features),
-    )
+    n_cols = len(node.feature_set)
+    feature_split = tuple(node.feature_set.select(IndexSet(c, n_cols)) for c in columns)
     return SplitEvaluation(
         attempt_seed,
         feature_split,
@@ -372,9 +355,7 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     for attempt in range(config.max_split_attempts):
         seed = derive_seed(config.master_seed, node.path, attempt)
         evaluation = evaluate_split(node, data, config, seed)
-        node.attempt_stats.append(
-            (evaluation.overlaps[0], evaluation.overlaps[1], evaluation.score)
-        )
+        node.attempt_stats.append((seed, *evaluation.overlaps, evaluation.score))
         if evaluation.score is not None and (best is None or evaluation.score > best.score):
             best = evaluation
             stale = 0

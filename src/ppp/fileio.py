@@ -18,7 +18,6 @@ from ._version import __version__
 from .data import DesignMatrix, IndexSet
 from .engine import PppNode, PppTree, cut_tree
 from .errors import FormatError, ParseError, ValidationError
-from .som import SomModel, codebook_priors
 
 
 def load_csv(
@@ -31,6 +30,8 @@ def load_csv(
     floats. Errors carry zero-based (row, col) positions in data coordinates,
     counted after the header and id column are stripped.
     """
+    if len(delimiter) != 1:
+        raise FormatError(f"delimiter must be one character, got {delimiter!r}")
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh, delimiter=delimiter))
     if not rows:
@@ -96,40 +97,6 @@ def export_matrix_csv(m: DesignMatrix, path) -> None:
         for i in range(m.n_instances):
             row = [m.instance_ids[i]] if has_ids else []
             writer.writerow(row + [_fmt(v) for v in m.values[i]])
-
-
-def export_codebook_csv(som: SomModel, path) -> None:
-    """Unit grid position, hit count, prior and codebook vector per row."""
-    priors = codebook_priors(som)
-    coords = som.grid_coords
-    dim = som.codebook.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["unit_row", "unit_col", "hit_count", "prior"] + [f"v{j}" for j in range(dim)]
-        )
-        for k in range(som.config.n_units):
-            writer.writerow(
-                [int(coords[k, 0]), int(coords[k, 1]), int(som.hit_counts[k]), _fmt(priors[k])]
-                + [_fmt(v) for v in som.codebook[k]]
-            )
-
-
-def export_mixture_json(g, path) -> None:
-    """Weights, means and covariances (diagonal or full) plus the mode."""
-    doc = {
-        "covariance_mode": g.covariance_mode,
-        "reg_epsilon": g.reg_epsilon,
-        "components": [
-            {
-                "weight": c.weight,
-                "mean": c.mean.tolist(),
-                "covariance": c.covariance.tolist(),
-            }
-            for c in g.components
-        ],
-    }
-    _write_json(doc, path)
 
 
 def _node_dict(node: PppNode) -> dict:
@@ -222,15 +189,14 @@ def export_assignment_csv(tree_or_clusters, path, depth: int | None = None, feat
 
 
 def export_diagnostics_csv(tree: PppTree, path) -> None:
-    """One row per (node, attempt): node_path,attempt,phi1,phi2,phi."""
+    """One row per (node, attempt): node_path,attempt,seed,phi1,phi2,phi."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["node_path", "attempt", "phi1", "phi2", "phi"])
+        writer.writerow(["node_path", "attempt", "seed", "phi1", "phi2", "phi"])
         for node in tree.nodes():
-            for attempt, (o1, o2, score) in enumerate(node.attempt_stats):
-                writer.writerow(
-                    [node.path, attempt, _fmt(o1), _fmt(o2), "" if score is None else _fmt(score)]
-                )
+            for attempt, (seed, o1, o2, score) in enumerate(node.attempt_stats):
+                phi = "" if score is None else _fmt(score)
+                writer.writerow([node.path, attempt, seed, _fmt(o1), _fmt(o2), phi])
 
 
 def report_to_dict(report) -> dict:
@@ -281,6 +247,7 @@ class RunManifest:
     config: dict
     tool_version: str = __version__
     created_utc: str = ""
+    input_sha256: str | None = None  # digest of the input file's bytes
 
     def to_dict(self) -> dict:
         return asdict(self)

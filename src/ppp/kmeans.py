@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import sq_distances
 from .errors import ConfigError, DegenerateSplit
 
 
@@ -24,27 +25,22 @@ class KmeansResult:
     seed: int
 
 
-def _sq_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("ncd,ncd->nc", diff, diff)
-
-
 def kmeans_objective(centers, points) -> float:
     """Sum over points of the squared distance to the nearest center."""
     points = np.asarray(points, dtype=float)
     centers = np.asarray(centers, dtype=float)
-    return float(_sq_to_centers(points, centers).min(axis=1).sum())
+    return float(sq_distances(points, centers).min(axis=1).sum())
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # argmin takes the first minimum, so exact ties fall to label 0
-    return np.argmin(_sq_to_centers(points, centers), axis=1)
+    return np.argmin(sq_distances(points, centers), axis=1)
 
 
 def _repair_empty(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
     for label in (0, 1):
         if not np.any(labels == label):
-            dist_to_own = _sq_to_centers(points, centers)[np.arange(len(points)), labels]
+            dist_to_own = sq_distances(points, centers)[np.arange(len(points)), labels]
             labels = labels.copy()
             labels[int(np.argmax(dist_to_own))] = label
     return labels
@@ -74,7 +70,7 @@ def _init_random(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _init_plusplus(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     first = points[rng.integers(len(points))]
-    d2 = ((points - first) ** 2).sum(axis=1)
+    d2 = sq_distances(points, first[None, :])[:, 0]
     total = d2.sum()
     if total == 0.0:
         raise DegenerateSplit("all points are identical; a two-way split is undefined")
@@ -108,4 +104,4 @@ def kmeans_bisect(points, seed: int, max_iter: int = 300, init: str = "random") 
             converged = True
             break
         labels = new_labels
-    return KmeansResult(labels, centers, kmeans_objective(centers, points), iterations, converged, seed)
+    return KmeansResult(labels, centers, objective, iterations, converged, seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_matrix, derive_seed
+from .data import as_matrix, derive_seed, sq_distances
 from .errors import ConfigError, DimensionError
 
 
@@ -67,13 +67,6 @@ class SomModel:
     codebook: np.ndarray  # (n_units, dim)
     hit_counts: np.ndarray  # (n_units,) int
     final_qe: float | None = None
-
-    @property
-    def grid_coords(self) -> np.ndarray:
-        """Integer (row, col) position of each unit, row-major."""
-        cols = self.config.grid_cols
-        k = np.arange(self.config.n_units)
-        return np.stack([k // cols, k % cols], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +135,10 @@ def default_som_config(
 
 
 def _grid_sqdist(config: SomConfig) -> np.ndarray:
-    """(K, K) squared Euclidean distances between unit grid positions."""
-    cols = config.grid_cols
+    """(K, K) squared Euclidean distances between unit grid positions (row-major)."""
     k = np.arange(config.n_units)
-    coords = np.stack([k // cols, k % cols], axis=1).astype(float)
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    coords = np.stack([k // config.grid_cols, k % config.grid_cols], axis=1).astype(float)
+    return sq_distances(coords, coords)
 
 
 def _schedule(config: SomConfig, t: int, total_steps: int) -> tuple[float, float]:
@@ -158,10 +149,10 @@ def _schedule(config: SomConfig, t: int, total_steps: int) -> tuple[float, float
     return alpha, sigma
 
 
-def _sq_to_codebook(X: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    """(n, K) exact squared distances from each row to each codebook vector."""
-    diff = X[:, None, :] - codebook[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+def _neighborhood(config: SomConfig, grid_sq, t: int, total_steps: int):
+    """Step-t lateral weights ``alpha(t) * exp(-grid_sq / (2 sigma(t)^2))``."""
+    alpha, sigma = _schedule(config, t, total_steps)
+    return alpha * np.exp(grid_sq * (-0.5 / (sigma * sigma)))
 
 
 def init_som(config: SomConfig, data) -> SomModel:
@@ -197,8 +188,7 @@ def find_bmu(som: SomModel, x) -> tuple[int, float]:
         raise DimensionError(
             f"query has shape {x.shape}, codebook vectors have dim {som.codebook.shape[1]}"
         )
-    diff = som.codebook - x
-    sq = np.einsum("kd,kd->k", diff, diff)
+    sq = sq_distances(x[None, :], som.codebook)[0]
     best = int(np.argmin(sq))
     return best, float(sq[best])
 
@@ -209,10 +199,7 @@ def neighborhood_weight(som: SomModel, c: int, i: int, t: int, total_steps: int)
     A Gaussian kernel over squared grid distance, scaled by the current
     learning rate: ``alpha(t) * exp(-gridd2(c, i) / (2 sigma(t)^2))``.
     """
-    alpha, sigma = _schedule(som.config, t, total_steps)
-    coords = som.grid_coords
-    d = coords[c] - coords[i]
-    return alpha * math.exp(-float(d @ d) / (2.0 * sigma * sigma))
+    return float(_neighborhood(som.config, _grid_sqdist(som.config)[c, i], t, total_steps))
 
 
 def train_som(som: SomModel, data) -> SomModel:
@@ -240,11 +227,10 @@ def train_som(som: SomModel, data) -> SomModel:
         x = X[draws[t]]
         diff = codebook - x
         winner = int(np.argmin(np.einsum("kd,kd->k", diff, diff)))
-        alpha, sigma = _schedule(config, t, total)
-        h = alpha * np.exp(grid_sq[winner] * (-0.5 / (sigma * sigma)))
+        h = _neighborhood(config, grid_sq[winner], t, total)
         codebook += h[:, None] * (x - codebook)
 
-    sq = _sq_to_codebook(X, codebook)
+    sq = sq_distances(X, codebook)
     bmu = np.argmin(sq, axis=1)
     dists = sq[np.arange(n), bmu]
     if config.hit_quantile < 1.0:
@@ -260,7 +246,7 @@ def quantization_error(som: SomModel, data) -> float:
     X = as_matrix(data)
     if X.shape[1] != som.codebook.shape[1]:
         raise DimensionError("data and codebook dimensions differ")
-    return float(_sq_to_codebook(X, som.codebook).min(axis=1).mean())
+    return float(sq_distances(X, som.codebook).min(axis=1).mean())
 
 
 def codebook_priors(som: SomModel) -> np.ndarray:
@@ -286,6 +272,6 @@ def codebook_match(som: SomModel, data) -> CodebookMatchSet:
     X = as_matrix(data)
     if X.shape[1] != som.codebook.shape[1]:
         raise DimensionError("data and codebook dimensions differ")
-    sq = _sq_to_codebook(X, som.codebook)
+    sq = sq_distances(X, som.codebook)
     ids = np.argmin(sq, axis=0).astype(np.int64)
     return CodebookMatchSet(ids, X[ids].copy(), codebook_priors(som))

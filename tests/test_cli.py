@@ -1,11 +1,12 @@
 """The ppp command line tool, driven through main(argv)."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from ppp.cli import _parse_grid, _parse_seed_list, main
+from ppp.cli import _load_config_file, _parse_grid, _parse_seed_list, build_parser, main
 from ppp.errors import ConfigError
 from ppp.fileio import load_csv
 
@@ -105,6 +106,12 @@ class TestCluster:
         assert doc["config"]["master_seed"] == 3
         assert doc["command"] == "cluster"
 
+    def test_manifest_has_input_digest(self, run):
+        _, out = run
+        doc = json.loads((out / "manifest.json").read_text())
+        with open(doc["input_path"], "rb") as fh:
+            assert doc["input_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         rc = main(["cluster", "--input", str(tmp_path / "ghost.csv"),
                    "--out", str(tmp_path / "o")])
@@ -124,6 +131,21 @@ class TestCluster:
         assert rc == 0
         lines = (out / "assignment.csv").read_text().strip().split("\n")[1:]
         assert {int(l.split(",")[1]) for l in lines} == {0, 1}
+
+    def test_negative_cut_depth_rejected_before_work(self, tmp_path):
+        data = _make_planted(tmp_path)
+        out = tmp_path / "neg"
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--input", str(data), "--out", str(out), "--cut-depth", "-1"])
+        assert exc.value.code == 2
+        assert not (out / "tree.json").exists()
+
+    def test_multi_character_delimiter_is_usage_error(self, tmp_path, capsys):
+        data = _make_planted(tmp_path)
+        rc = main(["cluster", "--input", str(data), "--out", str(tmp_path / "o"),
+                   "--delimiter", ";;"])
+        assert rc == 2
+        assert "one character" in capsys.readouterr().err
 
     def test_paper_posterior_mode_runs(self, tmp_path):
         data = _make_planted(tmp_path)
@@ -167,11 +189,65 @@ class TestDeterminism:
                      "--seed", "7"]) == 0
         assert main(["cluster", "--input", str(data), "--out", str(double),
                      "--seed", "7", "--threads", "2"]) == 0
-        for artifact in ("tree.json", "assignment.csv"):
+        for artifact in ("tree.json", "assignment.csv", "diagnostics.csv"):
             assert (single / artifact).read_bytes() == (double / artifact).read_bytes()
 
 
+# one valid value per config-file key; "true" marks a store_true flag
+FILE_SETTINGS = [
+    ("has-header", "true"), ("id-column", "true"), ("delimiter", ";"),
+    ("seed", "7"), ("som-grid", "3x4"), ("som-epochs", "2"), ("em-tol", "1e-4"),
+    ("em-max-iter", "50"), ("cov-mode", "diag"), ("reg-eps", "1e-6"),
+    ("max-split-attempts", "4"), ("patience", "2"), ("threshold", "0.4"),
+    ("posterior-mode", "paper"), ("gamma-rows", "all"), ("score-source", "raw"),
+    ("kmeans-init", "plusplus"), ("threads", "2"), ("cut-depth", "1"),
+]
+
+
 class TestConfigFile:
+    def test_keys_are_the_cluster_flags_without_paths(self):
+        subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        flags = {
+            s[2:] for a in subcommands.choices["cluster"]._actions for s in a.option_strings
+            if s.startswith("--")
+        }
+        assert flags - {"input", "out", "config", "help"} == {k for k, _ in FILE_SETTINGS}
+
+    @pytest.mark.parametrize("key,text", FILE_SETTINGS)
+    def test_key_parses_like_its_flag(self, tmp_path, key, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        flag = [f"--{key}"] if text == "true" else [f"--{key}", text]
+        dest = key.replace("-", "_")
+        expected = getattr(build_parser().parse_args(["cluster", "--out", "o", *flag]), dest)
+        from_file = _load_config_file(str(cfg))
+        assert from_file == {dest: expected}
+        assert type(from_file[dest]) is type(expected)
+
+    @pytest.mark.parametrize("key,text", [
+        ("cov-mode", "diagonal"), ("seed", "seven"), ("cut-depth", "-1"), ("threshold", "x"),
+    ])
+    def test_bad_value_fails_in_file_and_flag(self, tmp_path, capsys, key, text):
+        data = _make_planted(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# bad\n{key} = {text}\n")
+        out = tmp_path / "o"
+        rc = main(["cluster", "--input", str(data), "--out", str(out), "--config", str(cfg)])
+        assert rc == 2
+        assert f"{cfg}:2: {key}" in capsys.readouterr().err
+        assert not (out / "tree.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--input", str(data), "--out", str(out), f"--{key}", text])
+        assert exc.value.code == 2
+
+    def test_bad_boolean_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("has-header = maybe\n")
+        rc = main(["cluster", "--input", str(tmp_path / "x.csv"), "--out", str(tmp_path / "o"),
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "expects a boolean" in capsys.readouterr().err
+
     def test_file_value_applies(self, tmp_path):
         data = _make_planted(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -267,6 +343,14 @@ class TestCut:
                    "--out", str(cut_dir)])
         assert rc == 0
         assert (cut_dir / "assignment.csv").exists()
+
+    def test_negative_cut_depth_rejected(self, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["cut", "--tree", str(tmp_path / "tree.json"), "--cut-depth", "-1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_missing_tree_is_usage_error(self, tmp_path, capsys):
         rc = main(["cut", "--tree", str(tmp_path / "ghost.json"),

@@ -5,17 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from ppp.data import DesignMatrix, IndexSet
+from ppp.data import DesignMatrix, IndexSet, derive_seed
 from ppp.engine import PppConfig, PppNode, PppTree, build_tree, cut_tree
 from ppp.errors import FormatError, ParseError, ValidationError
 from ppp.fileio import (
     RunManifest,
     config_to_dict,
     export_assignment_csv,
-    export_codebook_csv,
     export_diagnostics_csv,
     export_matrix_csv,
-    export_mixture_json,
     export_report,
     export_tree_json,
     load_csv,
@@ -24,8 +22,6 @@ from ppp.fileio import (
     tree_to_dict,
     write_manifest,
 )
-from ppp.gmm import init_gmm_from_codebook
-from ppp.som import SomConfig, codebook_match, init_som, train_som
 from ppp.synth import PlantedSpec, generate_planted, repeatability_trial
 
 
@@ -58,6 +54,12 @@ class TestLoadCsv:
         p = _write(tmp_path / "m.tsv", "1\t2\n3\t4\n")
         m = load_csv(p, delimiter="\t")
         assert m.values.shape == (2, 2)
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        p = _write(tmp_path / "m.csv", "1;;2\n3;;4\n")
+        with pytest.raises(FormatError, match="one character"):
+            load_csv(p, delimiter=delimiter)
 
     def test_parse_error_carries_data_coordinates(self, tmp_path):
         p = _write(tmp_path / "m.csv", "h0,h1\nid0,1,2\nid1,1,2\nid2,3,abc\n")
@@ -130,34 +132,6 @@ class TestMatrixRoundTrip:
         p = tmp_path / "m.csv"
         export_matrix_csv(m, p)
         np.testing.assert_array_equal(load_csv(p).values, m.values)
-
-
-class TestModelExports:
-    def test_codebook_csv_shape(self, tmp_path):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((30, 3))
-        som = train_som(init_som(SomConfig(2, 3, seed=0), X), X)
-        p = tmp_path / "codebook.csv"
-        export_codebook_csv(som, p)
-        lines = p.read_text().strip().split("\n")
-        assert lines[0] == "unit_row,unit_col,hit_count,prior,v0,v1,v2"
-        assert len(lines) == 1 + 6
-        hit_total = sum(int(line.split(",")[2]) for line in lines[1:])
-        assert hit_total == 30
-
-    def test_mixture_json_fields(self, tmp_path):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((25, 3))
-        som = train_som(init_som(SomConfig(2, 2, seed=0), X), X)
-        g = init_gmm_from_codebook(codebook_match(som, X), X)
-        p = tmp_path / "mixture.json"
-        export_mixture_json(g, p)
-        doc = json.loads(p.read_text())
-        assert doc["covariance_mode"] == g.covariance_mode
-        assert len(doc["components"]) == g.n_components
-        weights = [c["weight"] for c in doc["components"]]
-        assert sum(weights) == pytest.approx(1.0)
-        assert len(doc["components"][0]["mean"]) == 3
 
 
 @pytest.fixture(scope="module")
@@ -248,9 +222,20 @@ class TestDiagnosticsCsv:
         p = tmp_path / "diag.csv"
         export_diagnostics_csv(small_tree, p)
         lines = p.read_text().strip().split("\n")
-        assert lines[0] == "node_path,attempt,phi1,phi2,phi"
+        assert lines[0] == "node_path,attempt,seed,phi1,phi2,phi"
         expected = sum(len(n.attempt_stats) for n in small_tree.nodes())
         assert len(lines) == 1 + expected
+
+    def test_seed_column_is_the_derived_attempt_seed(self, small_tree, tmp_path):
+        p = tmp_path / "diag.csv"
+        export_diagnostics_csv(small_tree, p)
+        rows = [line.split(",") for line in p.read_text().strip().split("\n")[1:]]
+        expected = [
+            [node.path, str(attempt), str(derive_seed(3, node.path, attempt))]
+            for node in small_tree.nodes()
+            for attempt in range(len(node.attempt_stats))
+        ]
+        assert [row[:3] for row in rows] == expected
 
     def test_undefined_score_is_empty_cell(self, tmp_path):
         data = DesignMatrix.ingest(np.full((10, 4), 2.0))

@@ -215,6 +215,19 @@ class TestNeighborhoodWeight:
 
 
 class TestTrainSom:
+    def test_one_step_moves_each_unit_by_its_neighborhood_weight(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((1, 3))
+        codebook = rng.standard_normal((6, 3))
+        som = SomModel(SomConfig(2, 3, epochs=1), codebook, np.zeros(6, dtype=np.int64))
+        trained = train_som(som, x)  # one row for one epoch: a single step at t = 0
+        winner, _ = find_bmu(som, x[0])
+        weights = np.array([neighborhood_weight(som, winner, i, 0, 1) for i in range(6)])
+        assert len(set(weights)) > 1
+        np.testing.assert_allclose(
+            trained.codebook, codebook + weights[:, None] * (x[0] - codebook), rtol=1e-12
+        )
+
     def test_identical_rows_collapse_codebook(self):
         v = np.array([2.0, -1.0, 0.5])
         X = np.tile(v, (20, 1))
