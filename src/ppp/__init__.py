@@ -43,14 +43,11 @@ from .gmm import (
     GaussianComponent,
     GaussianMixture,
     MixtureScores,
-    component_logpdf,
     em_step,
     fit_em,
     init_gmm_from_codebook,
     log_likelihood,
     mixture_log_density,
-    mixture_logpdf,
-    mixture_pdf,
     mixture_scores,
     responsibilities,
 )
@@ -88,9 +85,9 @@ __all__ = [
     "PppError", "ConfigError", "DimensionError", "DegenerateSelection", "IndexOutOfBounds",
     "DegenerateModel", "SingularCovariance", "DegenerateSplit", "ParseError", "FormatError",
     "ValidationError",
-    "GaussianComponent", "GaussianMixture", "MixtureScores", "component_logpdf", "em_step",
-    "fit_em", "init_gmm_from_codebook", "log_likelihood", "mixture_log_density",
-    "mixture_logpdf", "mixture_pdf", "mixture_scores", "responsibilities",
+    "GaussianComponent", "GaussianMixture", "MixtureScores", "em_step", "fit_em",
+    "init_gmm_from_codebook", "log_likelihood", "mixture_log_density", "mixture_scores",
+    "responsibilities",
     "KmeansResult", "kmeans_bisect", "kmeans_objective", "lloyd_iterate",
     "CodebookMatchSet", "SomConfig", "SomModel", "codebook_match", "codebook_priors",
     "default_grid", "default_som_config", "find_bmu", "init_som", "neighborhood_weight",

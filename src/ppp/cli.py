@@ -53,13 +53,24 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ConfigError(f"grid must look like RxC, got {text!r}") from None
 
 
+def _grid_flag(text: str) -> tuple[int, int]:
+    """``--som-grid`` type: a usage error names the flag or the config-file line."""
+    try:
+        return _parse_grid(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_seed_list(text: str) -> list[int]:
     """Accept "0..9" ranges (inclusive) or comma lists like "1,5,7"."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part != ""]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise ConfigError(f'--seeds must look like "0..9" or "1,5,7", got {text!r}') from None
 
 
 def _cut_depth(text: str) -> int:
@@ -144,8 +155,6 @@ def _build_config(args) -> PppConfig:
         name = _CONFIG_FIELD.get(dest, dest)
         if value is not None and name in names:
             kwargs[name] = value
-    if "som_grid" in kwargs:
-        kwargs["som_grid"] = _parse_grid(kwargs["som_grid"])
     if "covariance_mode" in kwargs:
         kwargs["covariance_mode"] = _COV_MODES[kwargs["covariance_mode"]]
     return PppConfig(**kwargs)
@@ -309,7 +318,7 @@ def _add_common_input_flags(sub) -> None:
 def _add_common_config_flags(sub) -> None:
     sub.add_argument("--config", help="key = value settings file (flags win)")
     sub.add_argument("--seed", type=int, default=None, help="master random seed")
-    sub.add_argument("--som-grid", default=None, metavar="RxC",
+    sub.add_argument("--som-grid", type=_grid_flag, default=None, metavar="RxC",
                      help="map grid, e.g. 8x8 (default sized per node)")
     sub.add_argument("--som-epochs", type=int, default=None, help="map training epochs")
     sub.add_argument("--em-tol", type=float, default=None, help="EM convergence tolerance")

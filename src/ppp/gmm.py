@@ -4,6 +4,12 @@ Everything runs in log space: per-component log densities are combined with a
 max-shifted log-sum, so likelihoods and responsibilities stay finite far past
 the range where raw densities underflow. Mixtures are value objects; every
 update builds a new one.
+
+One density pass serves each EM iteration: the E-step derives the
+responsibilities and the log-likelihood from the same (n, K) matrix of
+weighted log densities, which is built for all components at once (one
+stacked Cholesky factorization in full mode). Full-mode M-step covariances
+are one stacked matrix product.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import logsumexp
 
 from .data import as_matrix
@@ -110,43 +116,94 @@ class MixtureScores:
     normalized: np.ndarray
 
 
-def _log_gauss_one(X: np.ndarray, mean: np.ndarray, cov: np.ndarray, mode: str) -> np.ndarray:
-    """Log density of one Gaussian over the rows of X."""
-    d = mean.shape[0]
-    diff = X - mean
-    if mode == "diagonal":
-        if np.any(cov <= 0) or not np.all(np.isfinite(cov)):
-            raise SingularCovariance("variance vector must be strictly positive")
-        maha = np.einsum("nd,nd->n", diff / cov, diff)
-        logdet = float(np.log(cov).sum())
-    else:
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance("covariance is not positive definite") from exc
-        z = solve_triangular(chol, diff.T, lower=True)
-        maha = np.einsum("dn,dn->n", z, z)
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-    return -0.5 * (d * _LOG_2PI + logdet + maha)
-
-
-def component_logpdf(component: GaussianComponent, x) -> float:
-    """Log density of a single Gaussian at the vector ``x``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (component.dim,):
-        raise DimensionError(f"x has shape {x.shape}, component dim is {component.dim}")
-    mode = "diagonal" if component.covariance.ndim == 1 else "full"
-    return float(_log_gauss_one(x[None, :], component.mean, component.covariance, mode)[0])
-
-
 def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of log(weight_k) + log density_k(row)."""
+    """(n, K) matrix of log(weight_k) + log density_k(row), one pass over all components.
+
+    Full covariances are factorized in one stacked Cholesky; each component's
+    triangular solve is the LAPACK call ``solve_triangular(chol, diff.T,
+    lower=True)`` makes for a C-ordered factor, without its wrapper. The
+    result is C-contiguous: the row-wise log-sum over components adds in
+    memory order, so a transposed layout would change its last bits.
+    """
     if X.shape[1] != g.dim:
         raise DimensionError(f"data has {X.shape[1]} columns, mixture dim is {g.dim}")
+    d = g.dim
+    means = g.means()
+    covs = np.stack([c.covariance for c in g.components])
+    if g.covariance_mode == "diagonal":
+        if np.any(covs <= 0) or not np.all(np.isfinite(covs)):
+            raise SingularCovariance("variance vector must be strictly positive")
+        logdet = np.log(covs).sum(axis=1)
+    else:
+        try:
+            chol = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovariance("covariance is not positive definite") from exc
+        if not (np.isfinite(chol).all() and np.isfinite(X).all() and np.isfinite(means).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    log_w = np.log(g.weights())
     out = np.empty((X.shape[0], g.n_components))
-    for k, c in enumerate(g.components):
-        out[:, k] = np.log(c.weight) + _log_gauss_one(X, c.mean, c.covariance, g.covariance_mode)
+    for k in range(g.n_components):
+        diff = X - means[k]
+        if g.covariance_mode == "diagonal":
+            maha = np.einsum("nd,nd->n", diff / covs[k], diff)
+        else:
+            z, info = dtrtrs(chol[k].T, diff.T, lower=0, trans=1, overwrite_b=1)
+            if info != 0:
+                raise SingularCovariance("covariance factor is singular")
+            maha = np.einsum("dn,dn->n", z, z)
+        out[:, k] = log_w[k] + -0.5 * (d * _LOG_2PI + logdet[k] + maha)
     return out
+
+
+def _e_step(g: GaussianMixture, X: np.ndarray) -> tuple[np.ndarray, float]:
+    """Responsibilities and total log-likelihood of ``g`` from one density pass."""
+    wlp = _weighted_log_prob(g, X)
+    lse = logsumexp(wlp, axis=1, keepdims=True)
+    r = np.exp(wlp - lse)
+    r /= r.sum(axis=1, keepdims=True)
+    return r, float(lse.sum())
+
+
+def _subset(g: GaussianMixture, keep: np.ndarray) -> GaussianMixture:
+    kept = [c for c, flag in zip(g.components, keep) if flag]
+    total = sum(c.weight for c in kept)
+    comps = tuple(replace(c, weight=c.weight / total) for c in kept)
+    return GaussianMixture(comps, g.covariance_mode, g.reg_epsilon)
+
+
+def _m_step(g: GaussianMixture, X: np.ndarray, r: np.ndarray) -> GaussianMixture:
+    """Re-estimate ``g`` from its responsibilities ``r``, dropping dead components."""
+    mass = r.sum(axis=0)
+    dead = mass < _DROP_MASS
+    if dead.any():
+        log.info(
+            "dropping %d of %d components with responsibility mass below %g",
+            int(dead.sum()), g.n_components, _DROP_MASS,
+        )
+        g = _subset(g, ~dead)
+        r, _ = _e_step(g, X)
+        mass = r.sum(axis=0)
+
+    weights = mass / mass.sum()
+    means = (r.T @ X) / mass[:, None]
+    if g.covariance_mode == "diagonal":
+        covs = []
+        for k in range(g.n_components):
+            diff = X - means[k]
+            covs.append((r[:, k] @ (diff * diff)) / mass[k] + g.reg_epsilon)
+    else:
+        diff = X - means[:, None, :]  # (K, n, d), freed as soon as it is used
+        covs = (r.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
+        del diff
+        covs /= mass[:, None, None]
+        diag = np.arange(g.dim)
+        covs[:, diag, diag] += g.reg_epsilon
+    comps = tuple(
+        GaussianComponent(float(w), mean, cov) for w, mean, cov in zip(weights, means, covs)
+    )
+    return GaussianMixture(comps, g.covariance_mode, g.reg_epsilon)
 
 
 def mixture_log_density(g: GaussianMixture, data) -> np.ndarray:
@@ -155,36 +212,14 @@ def mixture_log_density(g: GaussianMixture, data) -> np.ndarray:
     return logsumexp(_weighted_log_prob(g, X), axis=1)
 
 
-def mixture_logpdf(g: GaussianMixture, x) -> float:
-    """Mixture log density at a single vector."""
-    x = np.asarray(x, dtype=float)
-    return float(mixture_log_density(g, x[None, :])[0])
-
-
-def mixture_pdf(g: GaussianMixture, x) -> float:
-    """Mixture density at a single vector, evaluated through log space."""
-    return float(np.exp(mixture_logpdf(g, x)))
-
-
 def log_likelihood(g: GaussianMixture, data) -> float:
     """Total log-likelihood of the data rows under the mixture."""
-    return float(mixture_log_density(g, data).sum())
+    return _e_step(g, as_matrix(data))[1]
 
 
 def responsibilities(g: GaussianMixture, data) -> np.ndarray:
     """(n, K) posterior component memberships; every row sums to one."""
-    X = as_matrix(data)
-    wlp = _weighted_log_prob(g, X)
-    r = np.exp(wlp - logsumexp(wlp, axis=1, keepdims=True))
-    r /= r.sum(axis=1, keepdims=True)
-    return r
-
-
-def _subset(g: GaussianMixture, keep: np.ndarray) -> GaussianMixture:
-    kept = [c for c, flag in zip(g.components, keep) if flag]
-    total = sum(c.weight for c in kept)
-    comps = tuple(replace(c, weight=c.weight / total) for c in kept)
-    return GaussianMixture(comps, g.covariance_mode, g.reg_epsilon)
+    return _e_step(g, as_matrix(data))[0]
 
 
 def em_step(g: GaussianMixture, data) -> tuple[GaussianMixture, float]:
@@ -196,44 +231,26 @@ def em_step(g: GaussianMixture, data) -> tuple[GaussianMixture, float]:
     ``reg_epsilon`` added on the diagonal when re-estimated.
     """
     X = as_matrix(data)
-    r = responsibilities(g, X)
-    mass = r.sum(axis=0)
-    dead = mass < _DROP_MASS
-    if dead.any():
-        log.info(
-            "dropping %d of %d components with responsibility mass below %g",
-            int(dead.sum()), g.n_components, _DROP_MASS,
-        )
-        g = _subset(g, ~dead)
-        r = responsibilities(g, X)
-        mass = r.sum(axis=0)
-
-    weights = mass / mass.sum()
-    means = (r.T @ X) / mass[:, None]
-    comps = []
-    for k in range(g.n_components):
-        diff = X - means[k]
-        if g.covariance_mode == "diagonal":
-            cov = (r[:, k] @ (diff * diff)) / mass[k] + g.reg_epsilon
-        else:
-            cov = (r[:, k, None] * diff).T @ diff / mass[k]
-            cov[np.diag_indices_from(cov)] += g.reg_epsilon
-        comps.append(GaussianComponent(float(weights[k]), means[k], cov))
-    updated = GaussianMixture(tuple(comps), g.covariance_mode, g.reg_epsilon)
-    return updated, log_likelihood(updated, X)
+    updated = _m_step(g, X, _e_step(g, X)[0])
+    return updated, _e_step(updated, X)[1]
 
 
 def fit_em(g: GaussianMixture, data, tol: float = 1e-6, max_iter: int = 100) -> GaussianMixture:
-    """Iterate :func:`em_step` until the log-likelihood settles.
+    """Iterate E and M steps until the log-likelihood settles.
 
-    Convergence is ``|ll_new - ll_old| < tol * (1 + |ll_new|)``; a mixture that
-    is already at a fixed point returns after a single iteration. The returned
-    mixture carries the full log-likelihood trace.
+    Each iteration makes one density pass: the E-step of the updated mixture
+    gives both its log-likelihood, for the trace, and the responsibilities of
+    the next M-step, so the trace equals the one from iterating
+    :func:`em_step`. Convergence is ``|ll_new - ll_old| < tol * (1 + |ll_new|)``;
+    a mixture that is already at a fixed point returns after a single
+    iteration. The returned mixture carries the full log-likelihood trace.
     """
     X = as_matrix(data)
-    trace = [log_likelihood(g, X)]
+    r, ll = _e_step(g, X)
+    trace = [ll]
     for _ in range(max_iter):
-        g, ll = em_step(g, X)
+        g = _m_step(g, X, r)
+        r, ll = _e_step(g, X)
         trace.append(ll)
         if abs(ll - trace[-2]) < tol * (1.0 + abs(ll)):
             break

@@ -1,4 +1,8 @@
-"""Shared fixtures for the Lloyd-restart corpus.
+"""Shared test fixtures: the Lloyd-restart corpus and the Gaussian density oracles.
+
+The density oracle ``log_gauss_one`` evaluates one component at a time with
+the plain scipy triangular solve; the batched kernel in ``ppp.gmm`` must equal
+it bit for bit. The single-vector helpers below it serve as test oracles only.
 
 The restart guarantee is corpus-scoped on purpose. With naive seeded
 initialization the global bipartition optimum is not always reachable: there
@@ -13,9 +17,14 @@ reports.
 import itertools
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from ppp.data import derive_seed
+from ppp.errors import DimensionError, SingularCovariance
+from ppp.gmm import GaussianComponent, GaussianMixture, mixture_log_density
 from ppp.kmeans import kmeans_objective
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 LLOYD_CORPUS_SIZE = 50
 
@@ -54,3 +63,43 @@ def brute_force_bipartition_objective(points: np.ndarray) -> float:
         if obj < best:
             best = obj
     return best
+
+
+def log_gauss_one(X: np.ndarray, mean: np.ndarray, cov: np.ndarray, mode: str) -> np.ndarray:
+    """Log density of one Gaussian over the rows of X."""
+    d = mean.shape[0]
+    diff = X - mean
+    if mode == "diagonal":
+        if np.any(cov <= 0) or not np.all(np.isfinite(cov)):
+            raise SingularCovariance("variance vector must be strictly positive")
+        maha = np.einsum("nd,nd->n", diff / cov, diff)
+        logdet = float(np.log(cov).sum())
+    else:
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovariance("covariance is not positive definite") from exc
+        z = solve_triangular(chol, diff.T, lower=True)
+        maha = np.einsum("dn,dn->n", z, z)
+        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+    return -0.5 * (d * _LOG_2PI + logdet + maha)
+
+
+def component_logpdf(component: GaussianComponent, x) -> float:
+    """Log density of a single Gaussian at the vector ``x``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (component.dim,):
+        raise DimensionError(f"x has shape {x.shape}, component dim is {component.dim}")
+    mode = "diagonal" if component.covariance.ndim == 1 else "full"
+    return float(log_gauss_one(x[None, :], component.mean, component.covariance, mode)[0])
+
+
+def mixture_logpdf(g: GaussianMixture, x) -> float:
+    """Mixture log density at a single vector."""
+    x = np.asarray(x, dtype=float)
+    return float(mixture_log_density(g, x[None, :])[0])
+
+
+def mixture_pdf(g: GaussianMixture, x) -> float:
+    """Mixture density at a single vector, evaluated through log space."""
+    return float(np.exp(mixture_logpdf(g, x)))

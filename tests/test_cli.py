@@ -46,6 +46,11 @@ class TestParsers:
         assert _parse_seed_list("1,5,7") == [1, 5, 7]
         assert _parse_seed_list("4") == [4]
 
+    @pytest.mark.parametrize("text", ["x..y", "1..", "0..3..5", "1,b"])
+    def test_bad_seed_list(self, text):
+        with pytest.raises(ConfigError):
+            _parse_seed_list(text)
+
 
 class TestSynth:
     def test_writes_data_labels_manifest(self, tmp_path):
@@ -226,6 +231,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key,text", [
         ("cov-mode", "diagonal"), ("seed", "seven"), ("cut-depth", "-1"), ("threshold", "x"),
+        ("som-grid", "3by4"),
     ])
     def test_bad_value_fails_in_file_and_flag(self, tmp_path, capsys, key, text):
         data = _make_planted(tmp_path)
@@ -317,6 +323,15 @@ class TestBench:
         rc = main(["bench", "--input", str(data),
                    "--out", str(tmp_path / "o"), "--seeds", ","])
         assert rc == 2
+
+    def test_malformed_seed_list_is_usage_error(self, tmp_path, capsys):
+        data = _make_planted(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["bench", "--input", str(data), "--out", str(out), "--seeds", "x..y"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seeds") and "Traceback" not in err
+        assert not (out / "report.json").exists()
 
 
 class TestCut:

@@ -22,9 +22,10 @@ from ppp.engine import (
     split_objective,
 )
 from ppp.errors import ConfigError
-from ppp.gmm import GaussianComponent, GaussianMixture, mixture_pdf
+from ppp.gmm import GaussianComponent, GaussianMixture
 from ppp.som import CodebookMatchSet
 from ppp.synth import PlantedSpec, generate_planted
+from support import mixture_pdf
 
 
 @pytest.fixture(scope="module")

@@ -11,18 +11,19 @@ from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCov
 from ppp.gmm import (
     GaussianComponent,
     GaussianMixture,
-    component_logpdf,
+    _weighted_log_prob,
     default_covariance_mode,
     em_step,
     fit_em,
     init_gmm_from_codebook,
     log_likelihood,
     mixture_log_density,
-    mixture_pdf,
     mixture_scores,
     responsibilities,
 )
 from ppp.som import CodebookMatchSet
+
+from support import component_logpdf, log_gauss_one, mixture_pdf
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -169,6 +170,44 @@ class TestMixtureDensity:
         g = _mixture([1.0], [np.zeros(3)], [np.eye(3)])
         with pytest.raises(DimensionError):
             mixture_pdf(g, np.zeros(2))
+
+
+class TestBatchedDensity:
+    """The one-pass kernel against the per-component oracle, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_equals_per_component_oracle(self, mode):
+        rng = np.random.default_rng(20)
+        g = _random_mixture(rng, 7, 5, mode)
+        assert len(set(g.weights())) == g.n_components
+        X = rng.standard_normal((40, 5)) * 2
+        expected = np.empty((40, g.n_components))
+        for k, c in enumerate(g.components):
+            expected[:, k] = np.log(c.weight) + log_gauss_one(X, c.mean, c.covariance, mode)
+        assert np.array_equal(_weighted_log_prob(g, X), expected)
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_output_is_c_contiguous(self, mode):
+        """The row-wise log-sum adds in memory order, so the layout is part of the result."""
+        rng = np.random.default_rng(21)
+        g = _random_mixture(rng, 4, 3, mode)
+        assert _weighted_log_prob(g, rng.standard_normal((9, 3))).flags.c_contiguous
+
+    def test_singular_component_after_the_first_rejected(self):
+        good = np.eye(2)
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+        g = _mixture([0.5, 0.3, 0.2], np.zeros((3, 2)), [good, good, singular])
+        with pytest.raises(SingularCovariance):
+            mixture_log_density(g, np.zeros((4, 2)))
+        g = _mixture([0.5, 0.3, 0.2], np.zeros((3, 2)),
+                     [np.ones(2), np.ones(2), np.array([1.0, 0.0])], mode="diagonal")
+        with pytest.raises(SingularCovariance):
+            mixture_log_density(g, np.zeros((4, 2)))
+
+    def test_non_finite_data_rejected_in_full_mode(self):
+        g = _mixture([1.0], [np.zeros(2)], [np.eye(2)])
+        with pytest.raises(ValueError):
+            mixture_log_density(g, np.array([[0.0, np.nan]]))
 
 
 class TestLogLikelihood:
@@ -340,6 +379,42 @@ class TestFitEm:
         means = sorted(float(c.mean[0]) for c in fitted.components)
         assert means[0] == pytest.approx(0.0, abs=0.3)
         assert means[1] == pytest.approx(6.0, abs=0.3)
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_trace_equals_iterated_em_step(self, mode):
+        rng = np.random.default_rng(22)
+        g = _random_mixture(rng, 4, 3, mode)
+        X = rng.standard_normal((30, 3))
+        stepped, trace = g, [log_likelihood(g, X)]
+        for _ in range(6):
+            stepped, ll = em_step(stepped, X)
+            trace.append(ll)
+        fitted = fit_em(g, X, tol=0.0, max_iter=6)
+        assert fitted.ll_trace == tuple(trace)
+        for a, b in zip(fitted.components, stepped.components):
+            assert np.array_equal(a.mean, b.mean)
+            assert np.array_equal(a.covariance, b.covariance)
+
+    def test_component_starved_mid_run_is_dropped(self, caplog):
+        """Two sharpening components take over every row; the broad third one
+        loses mass geometrically and is dropped after several iterations."""
+        X = np.array([[0, 0], [0.1, 0], [0, 0.1], [5, 5], [5.1, 5], [5, 5.1]])
+        g = _mixture(
+            [0.4, 0.4, 0.2],
+            [np.zeros(2), np.full(2, 5.0), np.full(2, 2.5)],
+            [np.eye(2), np.eye(2), 4 * np.eye(2)],
+        )
+        assert em_step(g, X)[0].n_components == 3
+        stepped, trace = g, [log_likelihood(g, X)]
+        for _ in range(12):
+            stepped, ll = em_step(stepped, X)
+            trace.append(ll)
+        with caplog.at_level("INFO", logger="ppp.gmm"):
+            fitted = fit_em(g, X, tol=0.0, max_iter=12)
+        assert "dropping" in caplog.text
+        assert fitted.n_components == 2
+        assert fitted.ll_trace == tuple(trace)
+        assert np.all(np.diff(fitted.ll_trace) >= -1e-8)
 
 
 class TestMixtureScores:
