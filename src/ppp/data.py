@@ -147,10 +147,29 @@ def as_matrix(data) -> np.ndarray:
     return values
 
 
+# difference elements per row block of sq_distances (512 KB of float64)
+_BLOCK_ELEMENTS = 65536
+
+
 def sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """(n, m) exact squared Euclidean distances from each row of X to each row of Y."""
-    diff = X[:, None, :] - Y[None, :, :]
-    return np.einsum("nmd,nmd->nm", diff, diff)
+    """(n, m) exact squared Euclidean distances from each row of X to each row of Y.
+
+    The output is filled in row blocks of ``max(1, 65536 // (m * d))`` rows,
+    so the difference temporary holds about 64k elements (one row's m x d when
+    that alone is larger) instead of n x m x d. Each block runs the same
+    ``einsum`` over the same differences, so the result equals the
+    one-shot broadcast kernel bit for bit.
+    """
+    n, m, d = X.shape[0], Y.shape[0], X.shape[1]
+    dtype = np.result_type(X, Y)
+    out = np.empty((n, m), dtype=dtype)
+    rows = max(1, _BLOCK_ELEMENTS // max(1, m * d))
+    buffer = np.empty((min(rows, n), m, d), dtype=dtype)
+    for start in range(0, n, rows):
+        block = X[start:start + rows]
+        diff = np.subtract(block[:, None, :], Y[None, :, :], out=buffer[:len(block)])
+        np.einsum("nmd,nmd->nm", diff, diff, out=out[start:start + rows])
+    return out
 
 
 def submatrix(m: DesignMatrix, rows: IndexSet, cols: IndexSet) -> DesignMatrix:

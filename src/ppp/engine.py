@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .data import DesignMatrix, IndexSet, derive_seed, submatrix
-from .errors import ConfigError, DegenerateSplit
+from .errors import ConfigError, DegenerateModel, DegenerateSplit, SingularCovariance
 from .gmm import (
     GaussianMixture,
     fit_em,
@@ -341,7 +341,10 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     Otherwise up to ``max_split_attempts`` attempts run, each with a seed
     derived from (master seed, node path, attempt). The best defined score is
     kept; once some attempt has produced a defined score, ``patience``
-    consecutive attempts without improvement stop the search early. With no
+    consecutive attempts without improvement stop the search early. An
+    attempt whose model cannot be fit (``SingularCovariance`` or
+    ``DegenerateModel``) is recorded as ``(seed, 0.0, 0.0, None)``, an
+    undefined score, and the search goes on; other errors propagate. With no
     defined score anywhere, or nothing better than zero, the node stays
     unsplit; otherwise the winning feature split and child sets become the
     two children.
@@ -354,9 +357,15 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     stale = 0
     for attempt in range(config.max_split_attempts):
         seed = derive_seed(config.master_seed, node.path, attempt)
-        evaluation = evaluate_split(node, data, config, seed)
-        node.attempt_stats.append((seed, *evaluation.overlaps, evaluation.score))
-        if evaluation.score is not None and (best is None or evaluation.score > best.score):
+        try:
+            evaluation = evaluate_split(node, data, config, seed)
+        except (SingularCovariance, DegenerateModel):
+            node.attempt_stats.append((seed, 0.0, 0.0, None))
+            evaluation = None
+        else:
+            node.attempt_stats.append((seed, *evaluation.overlaps, evaluation.score))
+        score = None if evaluation is None else evaluation.score
+        if score is not None and (best is None or score > best.score):
             best = evaluation
             stale = 0
         elif best is not None:

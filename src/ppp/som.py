@@ -18,6 +18,9 @@ import numpy as np
 from .data import as_matrix, derive_seed, sq_distances
 from .errors import ConfigError, DimensionError
 
+# training steps per block of precomputed neighborhood kernel rows
+_TABLE_STEPS = 4096
+
 
 @dataclass(frozen=True)
 class SomConfig:
@@ -141,16 +144,23 @@ def _grid_sqdist(config: SomConfig) -> np.ndarray:
     return sq_distances(coords, coords)
 
 
-def _schedule(config: SomConfig, t: int, total_steps: int) -> tuple[float, float]:
-    """Linearly interpolated (alpha, sigma) at step t of total_steps."""
+def _schedule(config: SomConfig, t, total_steps: int):
+    """Linearly interpolated (alpha, sigma) at step t of total_steps.
+
+    ``t`` is a step number or an integer array of them; the result has its shape.
+    """
     frac = 0.0 if total_steps <= 1 else t / (total_steps - 1)
     alpha = config.alpha_start + (config.alpha_end - config.alpha_start) * frac
     sigma = config.sigma_start + (config.sigma_end - config.sigma_start) * frac
     return alpha, sigma
 
 
-def _neighborhood(config: SomConfig, grid_sq, t: int, total_steps: int):
-    """Step-t lateral weights ``alpha(t) * exp(-grid_sq / (2 sigma(t)^2))``."""
+def _neighborhood(config: SomConfig, grid_sq, t, total_steps: int):
+    """Step-t lateral weights ``alpha(t) * exp(-grid_sq / (2 sigma(t)^2))``.
+
+    ``grid_sq`` and ``t`` broadcast against each other, so a column of steps
+    against a row of grid distances gives one kernel row per step.
+    """
     alpha, sigma = _schedule(config, t, total_steps)
     return alpha * np.exp(grid_sq * (-0.5 / (sigma * sigma)))
 
@@ -206,10 +216,21 @@ def train_som(som: SomModel, data) -> SomModel:
     """Run the online training loop, then one closing assignment pass.
 
     The loop makes ``epochs * n`` steps. Each step draws a seeded random data
-    row, finds its BMU, and moves every unit toward the row by the current
-    neighborhood weight of that unit against the winner. The closing pass
-    fills the hit counts (each row counted at its BMU, minus the rows filtered
-    out by ``hit_quantile``) and records the final mean squared BMU distance.
+    row, finds its BMU (ties to the lowest unit), and moves every unit toward
+    the row by the current neighborhood weight of that unit against the winner.
+
+    One step is fused and allocation-free: the difference ``codebook - x`` is
+    written into a reused K x d buffer, its row norms (an in-place einsum)
+    pick the winner, and the same buffer, scaled by the kernel row, is
+    subtracted from the codebook. Negation is exact, so this equals
+    ``codebook += h * (x - codebook)`` bit for bit. The grid distances take
+    only a few distinct values, so the kernel rows come from a table of
+    ``_neighborhood`` over (step, distance level), built for at most
+    ``_TABLE_STEPS`` steps at a time, and a step only gathers its row.
+
+    The closing pass fills the hit counts (each row counted at its BMU, minus
+    the rows filtered out by ``hit_quantile``) and records the final mean
+    squared BMU distance.
     """
     X = as_matrix(data)
     n, dim = X.shape
@@ -221,14 +242,19 @@ def train_som(som: SomModel, data) -> SomModel:
     total = config.epochs * n
     rng = np.random.default_rng(derive_seed(config.seed, "train"))
     draws = rng.integers(0, n, size=total)
-    grid_sq = _grid_sqdist(config)
+    levels, level_of = np.unique(_grid_sqdist(config), return_inverse=True)
+    level_of = level_of.reshape(config.n_units, config.n_units)
     codebook = som.codebook.copy()
-    for t in range(total):
-        x = X[draws[t]]
-        diff = codebook - x
-        winner = int(np.argmin(np.einsum("kd,kd->k", diff, diff)))
-        h = _neighborhood(config, grid_sq[winner], t, total)
-        codebook += h[:, None] * (x - codebook)
+    diff = np.empty_like(codebook)
+    d2 = np.empty(codebook.shape[0], dtype=codebook.dtype)
+    for start in range(0, total, _TABLE_STEPS):
+        steps = np.arange(start, min(start + _TABLE_STEPS, total))
+        table = _neighborhood(config, levels[None, :], steps[:, None], total)
+        for row, draw in zip(table, draws[start:start + _TABLE_STEPS].tolist()):
+            np.subtract(codebook, X[draw], out=diff)
+            np.einsum("kd,kd->k", diff, diff, out=d2)
+            diff *= row[level_of[d2.argmin()]][:, None]
+            codebook -= diff
 
     sq = sq_distances(X, codebook)
     bmu = np.argmin(sq, axis=1)

@@ -1,8 +1,12 @@
-"""Shared test fixtures: the Lloyd-restart corpus and the Gaussian density oracles.
+"""Shared test fixtures: the Lloyd-restart corpus and the numeric oracles.
 
 The density oracle ``log_gauss_one`` evaluates one component at a time with
 the plain scipy triangular solve; the batched kernel in ``ppp.gmm`` must equal
 it bit for bit. The single-vector helpers below it serve as test oracles only.
+``train_som_reference`` is the plain online SOM loop (two difference arrays
+and one ``exp`` per step) and ``sq_distances_reference`` the one-shot
+broadcast distance kernel; the fused loop in ``ppp.som.train_som`` and the
+row-chunked ``ppp.data.sq_distances`` must equal them bit for bit.
 
 The restart guarantee is corpus-scoped on purpose. With naive seeded
 initialization the global bipartition optimum is not always reachable: there
@@ -19,10 +23,11 @@ import itertools
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ppp.data import derive_seed
+from ppp.data import as_matrix, derive_seed
 from ppp.errors import DimensionError, SingularCovariance
 from ppp.gmm import GaussianComponent, GaussianMixture, mixture_log_density
 from ppp.kmeans import kmeans_objective
+from ppp.som import SomModel, _grid_sqdist, _neighborhood
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -103,3 +108,37 @@ def mixture_logpdf(g: GaussianMixture, x) -> float:
 def mixture_pdf(g: GaussianMixture, x) -> float:
     """Mixture density at a single vector, evaluated through log space."""
     return float(np.exp(mixture_logpdf(g, x)))
+
+
+def sq_distances_reference(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances from one n x m x d broadcast difference array."""
+    diff = X[:, None, :] - Y[None, :, :]
+    return np.einsum("nmd,nmd->nm", diff, diff)
+
+
+def train_som_reference(som: SomModel, data) -> SomModel:
+    """The online SOM loop step by step, then the closing assignment pass."""
+    X = as_matrix(data)
+    n = X.shape[0]
+    config = som.config
+    total = config.epochs * n
+    rng = np.random.default_rng(derive_seed(config.seed, "train"))
+    draws = rng.integers(0, n, size=total)
+    grid_sq = _grid_sqdist(config)
+    codebook = som.codebook.copy()
+    for t in range(total):
+        x = X[draws[t]]
+        diff = codebook - x
+        winner = int(np.argmin(np.einsum("kd,kd->k", diff, diff)))
+        h = _neighborhood(config, grid_sq[winner], t, total)
+        codebook += h[:, None] * (x - codebook)
+
+    sq = sq_distances_reference(X, codebook)
+    bmu = np.argmin(sq, axis=1)
+    dists = sq[np.arange(n), bmu]
+    if config.hit_quantile < 1.0:
+        keep = dists <= np.quantile(dists, config.hit_quantile)
+    else:
+        keep = np.ones(n, dtype=bool)
+    hits = np.bincount(bmu[keep], minlength=config.n_units).astype(np.int64)
+    return SomModel(config, codebook, hits, float(dists.mean()))

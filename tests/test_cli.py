@@ -117,6 +117,20 @@ class TestCluster:
         with open(doc["input_path"], "rb") as fh:
             assert doc["input_sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
+    def test_failed_model_fits_do_not_abort_the_run(self, tmp_path):
+        """Rounded data with a vanishing ridge makes covariances singular;
+        the failing attempts are recorded and the run still writes its tree."""
+        src = _make_planted(tmp_path, instances=200, features=16)
+        rounded = tmp_path / "rounded.csv"
+        np.savetxt(rounded, np.round(np.loadtxt(src, delimiter=",")), fmt="%d", delimiter=",")
+        out = tmp_path / "res"
+        rc = main(["cluster", "--input", str(rounded), "--out", str(out),
+                   "--cov-mode", "full", "--reg-eps", "1e-300"])
+        assert rc == 0
+        assert json.loads((out / "tree.json").read_text())["root"]["status"]
+        rows = (out / "diagnostics.csv").read_text().strip().split("\n")[1:]
+        assert any(r.endswith(",0.0,0.0,") for r in rows)
+
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         rc = main(["cluster", "--input", str(tmp_path / "ghost.csv"),
                    "--out", str(tmp_path / "o")])

@@ -1,17 +1,29 @@
-"""Containers and seed derivation: matrices, index sets, restriction."""
+"""Containers and seed derivation: matrices, index sets, restriction, distances."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppp.data import DesignMatrix, IndexSet, as_matrix, column_vectors, derive_seed, submatrix
+import ppp.data as data_mod
+from ppp.data import (
+    DesignMatrix,
+    IndexSet,
+    as_matrix,
+    column_vectors,
+    derive_seed,
+    sq_distances,
+    submatrix,
+)
 from ppp.errors import (
     DegenerateSelection,
     DimensionError,
     IndexOutOfBounds,
     ValidationError,
 )
+from support import sq_distances_reference
 
 
 class TestDeriveSeed:
@@ -246,3 +258,34 @@ class TestAsMatrix:
     def test_rejects_wrong_rank(self):
         with pytest.raises(DimensionError):
             as_matrix([1.0, 2.0])
+
+
+class TestSqDistances:
+    def test_block_boundary_mid_matrix(self):
+        m, d = 5, 3
+        rows_per_block = data_mod._BLOCK_ELEMENTS // (m * d)
+        n = 2 * rows_per_block + 3  # two full blocks and a short one
+        rng = np.random.default_rng(9)
+        X, Y = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+        assert np.array_equal(sq_distances(X, Y), sq_distances_reference(X, Y))
+
+    def test_one_row_larger_than_the_block(self):
+        m = 4
+        d = data_mod._BLOCK_ELEMENTS // m + 1  # one row's m * d alone exceeds the budget
+        rng = np.random.default_rng(10)
+        X, Y = rng.standard_normal((3, d)), rng.standard_normal((m, d))
+        assert np.array_equal(sq_distances(X, Y), sq_distances_reference(X, Y))
+
+    def test_wide_input_stays_within_its_memory_bound(self):
+        """Peak traced memory is the (n, m) output plus a bounded temporary,
+        not the n x m x d difference array (about 205 MB here)."""
+        rng = np.random.default_rng(11)
+        X, Y = rng.standard_normal((200, 2000)), rng.standard_normal((64, 2000))
+        tracemalloc.start()
+        try:
+            out = sq_distances(X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (200, 64)
+        assert peak < out.nbytes + 2 * 2**20

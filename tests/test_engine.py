@@ -21,7 +21,7 @@ from ppp.engine import (
     overlap_fraction,
     split_objective,
 )
-from ppp.errors import ConfigError
+from ppp.errors import ConfigError, DimensionError, SingularCovariance
 from ppp.gmm import GaussianComponent, GaussianMixture
 from ppp.som import CodebookMatchSet
 from ppp.synth import PlantedSpec, generate_planted
@@ -342,6 +342,49 @@ class TestGrowNodeOnData:
         grow_node(node, planted.matrix, PppConfig(master_seed=3))
         for child, gamma in zip(node.children, node.best_eval.child_sets):
             np.testing.assert_array_equal(child.instance_set.indices, gamma.indices)
+
+
+class TestGrowNodeFaultIsolation:
+    """A model that cannot be fit fails one attempt, not the whole node."""
+
+    def _failing_fit(self, monkeypatch, failing_seed, error):
+        """Make ``fit_em`` raise ``error`` inside the attempt ``failing_seed``."""
+        current = {}
+        real_evaluate, real_fit = engine_mod.evaluate_split, engine_mod.fit_em
+
+        def evaluate(node, data, config, attempt_seed):
+            current["seed"] = attempt_seed
+            return real_evaluate(node, data, config, attempt_seed)
+
+        def fit(*args, **kwargs):
+            if current["seed"] == failing_seed:
+                raise error
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "evaluate_split", evaluate)
+        monkeypatch.setattr(engine_mod, "fit_em", fit)
+
+    def test_failed_attempt_is_undefined_and_the_node_resolves(self, planted, monkeypatch):
+        config = PppConfig(master_seed=3, max_split_attempts=6)
+        clean = PppNode(IndexSet.full(8), IndexSet.full(120))
+        grow_node(clean, planted.matrix, config)
+        failing_seed = derive_seed(3, "", 0)
+        self._failing_fit(
+            monkeypatch, failing_seed, SingularCovariance("covariance is not positive definite")
+        )
+        node = PppNode(IndexSet.full(8), IndexSet.full(120))
+        grow_node(node, planted.matrix, config)
+        assert node.attempt_stats[0] == (failing_seed, 0.0, 0.0, None)
+        assert node.attempt_stats[1:] == clean.attempt_stats[1:len(node.attempt_stats)]
+        assert node.status == "internal"
+        assert node.best_eval.attempt_seed != failing_seed
+        assert _blocks(node) == frozenset({frozenset(range(4)), frozenset(range(4, 8))})
+
+    def test_other_errors_propagate(self, planted, monkeypatch):
+        self._failing_fit(monkeypatch, derive_seed(3, "", 0), DimensionError("bad shape"))
+        node = PppNode(IndexSet.full(8), IndexSet.full(120))
+        with pytest.raises(DimensionError):
+            grow_node(node, planted.matrix, PppConfig(master_seed=3))
 
 
 class TestBuildTree:

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppp.som as som_mod
 from ppp.data import DesignMatrix
 from ppp.errors import ConfigError, DimensionError
 from ppp.som import (
     SomConfig,
     SomModel,
+    _grid_sqdist,
+    _neighborhood,
     _schedule,
     codebook_match,
     codebook_priors,
@@ -23,6 +26,7 @@ from ppp.som import (
     quantization_error,
     train_som,
 )
+from support import train_som_reference
 
 
 def _config(**kw):
@@ -312,6 +316,69 @@ class TestTrainSom:
         som = init_som(SomConfig(1, 2, seed=0), np.eye(3))
         with pytest.raises(DimensionError):
             train_som(som, np.zeros((4, 2)))
+
+
+def _structured_rows(seed, n, d):
+    """Gaussian rows around three offsets, so the map has clusters to find."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, d)) + 3.0 * rng.integers(0, 3, size=(n, 1))
+
+
+class TestTrainSomMatchesReference:
+    """The fused loop equals the plain step-by-step loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, d, grid, kw",
+        [
+            (200, 16, (8, 8), {}),
+            (48, 640, (6, 8), {}),
+            (2, 4, (1, 2), {"epochs": 1}),
+            (60, 5, (4, 4), {"hit_quantile": 0.8}),
+            (70, 6, (4, 5), {"sigma_start": 2.5, "sigma_end": 1e-9}),
+        ],
+    )
+    def test_equal_to_reference(self, n, d, grid, kw):
+        X = _structured_rows(n + d, n, d)
+        self._assert_same_training(init_som(SomConfig(*grid, seed=n, **kw), X), X)
+
+    def test_more_units_than_rows(self):
+        X = _structured_rows(5, 5, 3)
+        with pytest.warns(UserWarning, match="units for only 5 rows"):
+            som = init_som(SomConfig(3, 3, seed=5), X)
+        self._assert_same_training(som, X)
+
+    def test_kernel_table_blocks_split_mid_epoch(self, monkeypatch):
+        monkeypatch.setattr(som_mod, "_TABLE_STEPS", 7)
+        X = _structured_rows(3, 30, 4)
+        self._assert_same_training(init_som(SomConfig(3, 4, seed=3), X), X)
+
+    @staticmethod
+    def _assert_same_training(som, X):
+        got = train_som(som, X)
+        want = train_som_reference(som, X)
+        assert np.array_equal(got.codebook, want.codebook)
+        assert np.array_equal(got.hit_counts, want.hit_counts)
+        assert got.final_qe == want.final_qe
+
+    @pytest.mark.parametrize(
+        "grid, sigma",
+        [((8, 8), (4.0, 0.5)), ((6, 8), (4.0, 0.5)), ((2, 2), (2.0, 0.5)),
+         ((1, 11), (0.5, 0.5)), ((10, 12), (3.0, 0.1))],
+    )
+    def test_kernel_table_equals_per_step_rows(self, grid, sigma):
+        """Gathering from the (step, distance level) table gives each step's
+        ``_neighborhood`` row over the winner's grid distances exactly."""
+        config = SomConfig(*grid, sigma_start=sigma[0], sigma_end=sigma[1])
+        grid_sq = _grid_sqdist(config)
+        levels, level_of = np.unique(grid_sq, return_inverse=True)
+        level_of = level_of.reshape(grid_sq.shape)
+        total = 37
+        steps = np.arange(total)
+        table = _neighborhood(config, levels[None, :], steps[:, None], total)
+        for t in range(total):
+            for winner in range(config.n_units):
+                want = _neighborhood(config, grid_sq[winner], t, total)
+                assert np.array_equal(table[t][level_of[winner]], want)
 
 
 class TestQuantizationError:
