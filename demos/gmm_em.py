@@ -2,13 +2,7 @@
 
 import numpy as np
 
-from ppp.gmm import (
-    GaussianComponent,
-    GaussianMixture,
-    fit_em,
-    mixture_scores,
-    responsibilities,
-)
+from ppp.gmm import GaussianMixture, fit_em, mixture_scores, responsibilities
 
 
 def three_blobs(rng, n_per=60):
@@ -22,12 +16,15 @@ def main():
     X, true_centers = three_blobs(rng)
     print(f"{X.shape[0]} points drawn around {len(true_centers)} centers")
 
-    # deliberately poor start: three random rows, unit covariance
+    # deliberately poor start: three random rows, unit covariance; a mixture
+    # is stacked arrays: weights (K,), means (K, d), covariances (K, d, d)
     idx = rng.choice(len(X), size=3, replace=False)
     start = GaussianMixture(
-        tuple(GaussianComponent(1 / 3, X[i].copy(), np.eye(2)) for i in idx),
-        "full",
-        1e-9,
+        weights=np.full(3, 1 / 3),
+        means=X[idx],
+        covariances=np.repeat(np.eye(2)[None], 3, axis=0),
+        covariance_mode="full",
+        reg_epsilon=1e-9,
     )
     fitted = fit_em(start, X, tol=1e-8, max_iter=200)
 
@@ -40,7 +37,7 @@ def main():
     print(f"monotone non-decreasing: {rises}")
 
     print("\nfitted means vs true centers:")
-    for mean in fitted.means():
+    for mean in fitted.means:
         nearest = true_centers[np.argmin(((true_centers - mean) ** 2).sum(axis=1))]
         print(f"  fitted ({mean[0]:6.2f}, {mean[1]:6.2f})   "
               f"true ({nearest[0]:4.1f}, {nearest[1]:4.1f})")

@@ -40,7 +40,6 @@ from .errors import (
     ValidationError,
 )
 from .gmm import (
-    GaussianComponent,
     GaussianMixture,
     MixtureScores,
     em_step,
@@ -85,9 +84,8 @@ __all__ = [
     "PppError", "ConfigError", "DimensionError", "DegenerateSelection", "IndexOutOfBounds",
     "DegenerateModel", "SingularCovariance", "DegenerateSplit", "ParseError", "FormatError",
     "ValidationError",
-    "GaussianComponent", "GaussianMixture", "MixtureScores", "em_step", "fit_em",
-    "init_gmm_from_codebook", "log_likelihood", "mixture_log_density", "mixture_scores",
-    "responsibilities",
+    "GaussianMixture", "MixtureScores", "em_step", "fit_em", "init_gmm_from_codebook",
+    "log_likelihood", "mixture_log_density", "mixture_scores", "responsibilities",
     "KmeansResult", "kmeans_bisect", "kmeans_objective", "lloyd_iterate",
     "CodebookMatchSet", "SomConfig", "SomModel", "codebook_match", "codebook_priors",
     "default_grid", "default_som_config", "find_bmu", "init_som", "neighborhood_weight",

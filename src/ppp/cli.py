@@ -1,8 +1,8 @@
 """Command line interface: cluster, synth, bench and cut subcommands.
 
-Settings resolve in three layers: package defaults, then a key=value config
-file (``--config``), then explicit command line flags. Exit codes: 0 success,
-1 a run failed partway, 2 bad usage or bad input.
+Cluster and bench settings resolve in three layers: package defaults, then a
+key=value config file (``--config``), then explicit command line flags. Exit
+codes: 0 success, 1 a run failed partway, 2 bad usage or bad input.
 """
 
 from __future__ import annotations
@@ -95,11 +95,13 @@ def _file_value(action: argparse.Action, text: str):
     return value
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, settable=None) -> dict:
     """Flat key = value lines; '#' starts a comment.
 
     The keys are the ``cluster`` flags apart from the paths, spelled without
-    the leading dashes. Returns the parsed values by flag destination.
+    the leading dashes; a key whose destination is not in ``settable`` (the
+    running subcommand's settings, when given) is an error too. Returns the
+    parsed values by flag destination.
     """
     schema = argparse.ArgumentParser(add_help=False)
     _add_cluster_flags(schema)
@@ -120,6 +122,8 @@ def _load_config_file(path: str) -> dict:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in actions:
                     raise ConfigError(f"{where}: unknown config key {key!r}")
+                if settable is not None and actions[key].dest not in settable:
+                    raise ConfigError(f"{where}: {key!r} is not a setting of this subcommand")
                 try:
                     values[actions[key].dest] = _file_value(actions[key], value)
                 except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -132,7 +136,7 @@ def _load_config_file(path: str) -> dict:
 def _apply_config_file(args) -> None:
     """Fill each setting not given as a flag from the ``--config`` file, if any."""
     if args.config:
-        for dest, value in _load_config_file(args.config).items():
+        for dest, value in _load_config_file(args.config, vars(args)).items():
             if getattr(args, dest, None) is None:
                 setattr(args, dest, value)
 
@@ -228,7 +232,6 @@ def run_cluster(args) -> int:
 
 
 def run_synth(args) -> int:
-    _apply_config_file(args)
     seed = args.seed or 0
     blocks = _parse_grid(args.blocks)
     spec = PlantedSpec.even(
@@ -274,7 +277,7 @@ def run_bench(args) -> int:
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
 
-    report = repeatability_trial(matrix, config, seeds)
+    report = repeatability_trial(matrix, config, seeds, threads=args.threads or 1)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -374,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--gap", type=float, default=4.0, help="block mean separation")
     synth.add_argument("--noise", type=float, default=1.0, help="noise sigma")
     synth.add_argument("--seed", type=int, default=None, help="generator seed")
-    synth.add_argument("--config", help="key = value settings file")
     synth.set_defaults(func=run_synth)
 
     bench = subs.add_parser("bench", help="measure run-to-run stability")

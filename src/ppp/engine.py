@@ -129,6 +129,13 @@ class SplitEvaluation:
     overlaps: tuple[float, float]
     score: float | None
 
+    @property
+    def outcome(self) -> str:
+        """``ok``, ``no_overlap`` (both child sets miss the core) or ``degenerate_split``."""
+        if self.score is not None:
+            return "ok"
+        return "degenerate_split" if self.feature_split is None else "no_overlap"
+
 
 @dataclass(eq=False)
 class PppNode:
@@ -140,8 +147,8 @@ class PppNode:
     status: str = "open"
     best_eval: SplitEvaluation | None = None
     children: tuple["PppNode", "PppNode"] | None = None
-    # one (attempt seed, overlap a, overlap b, score) row per split attempt
-    attempt_stats: list[tuple[int, float, float, float | None]] = field(default_factory=list)
+    # one (attempt seed, overlap a, overlap b, score, outcome) row per split attempt
+    attempt_stats: list[tuple[int, float, float, float | None, str]] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -341,10 +348,11 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     Otherwise up to ``max_split_attempts`` attempts run, each with a seed
     derived from (master seed, node path, attempt). The best defined score is
     kept; once some attempt has produced a defined score, ``patience``
-    consecutive attempts without improvement stop the search early. An
-    attempt whose model cannot be fit (``SingularCovariance`` or
-    ``DegenerateModel``) is recorded as ``(seed, 0.0, 0.0, None)``, an
-    undefined score, and the search goes on; other errors propagate. With no
+    consecutive attempts without improvement stop the search early. Each
+    attempt is recorded with its outcome (see ``SplitEvaluation.outcome``).
+    An attempt whose model cannot be fit is recorded as ``(seed, 0.0, 0.0,
+    None, "singular_cov")`` or ``"degenerate_model"``, an undefined score,
+    and the search goes on; other errors propagate. With no
     defined score anywhere, or nothing better than zero, the node stays
     unsplit; otherwise the winning feature split and child sets become the
     two children.
@@ -359,11 +367,14 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
         seed = derive_seed(config.master_seed, node.path, attempt)
         try:
             evaluation = evaluate_split(node, data, config, seed)
-        except (SingularCovariance, DegenerateModel):
-            node.attempt_stats.append((seed, 0.0, 0.0, None))
+        except (SingularCovariance, DegenerateModel) as exc:
+            failure = "singular_cov" if isinstance(exc, SingularCovariance) else "degenerate_model"
+            node.attempt_stats.append((seed, 0.0, 0.0, None, failure))
             evaluation = None
         else:
-            node.attempt_stats.append((seed, *evaluation.overlaps, evaluation.score))
+            node.attempt_stats.append(
+                (seed, *evaluation.overlaps, evaluation.score, evaluation.outcome)
+            )
         score = None if evaluation is None else evaluation.score
         if score is not None and (best is None or score > best.score):
             best = evaluation

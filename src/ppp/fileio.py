@@ -189,14 +189,14 @@ def export_assignment_csv(tree_or_clusters, path, depth: int | None = None, feat
 
 
 def export_diagnostics_csv(tree: PppTree, path) -> None:
-    """One row per (node, attempt): node_path,attempt,seed,phi1,phi2,phi."""
+    """One row per (node, attempt): node_path,attempt,seed,phi1,phi2,phi,outcome."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["node_path", "attempt", "seed", "phi1", "phi2", "phi"])
+        writer.writerow(["node_path", "attempt", "seed", "phi1", "phi2", "phi", "outcome"])
         for node in tree.nodes():
-            for attempt, (seed, o1, o2, score) in enumerate(node.attempt_stats):
+            for attempt, (seed, o1, o2, score, outcome) in enumerate(node.attempt_stats):
                 phi = "" if score is None else _fmt(score)
-                writer.writerow([node.path, attempt, seed, _fmt(o1), _fmt(o2), phi])
+                writer.writerow([node.path, attempt, seed, _fmt(o1), _fmt(o2), phi, outcome])
 
 
 def report_to_dict(report) -> dict:

@@ -2,8 +2,9 @@
 
 Everything runs in log space: per-component log densities are combined with a
 max-shifted log-sum, so likelihoods and responsibilities stay finite far past
-the range where raw densities underflow. Mixtures are value objects; every
-update builds a new one.
+the range where raw densities underflow. A mixture is three stacked arrays
+(weights, means, covariances) plus its covariance mode; mixtures are value
+objects and every update builds a new one.
 
 One density pass serves each EM iteration: the E-step derives the
 responsibilities and the log-likelihood from the same (n, K) matrix of
@@ -35,38 +36,19 @@ COVARIANCE_MODES = ("full", "diagonal")
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianComponent:
-    """One mixture component.
-
-    ``covariance`` is a (dim, dim) matrix in full mode or a (dim,) vector of
-    per-coordinate variances in diagonal mode.
-    """
-
-    weight: float
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
-        if self.covariance.ndim not in (1, 2):
-            raise ConfigError("covariance must be a matrix or a variance vector")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """A weighted set of Gaussian components sharing one covariance mode.
+    """K weighted Gaussian components sharing one covariance mode, as stacked arrays.
 
-    Weights are positive and sum to one within 1e-12. ``ll_trace`` is filled by
+    ``weights`` has shape (K,), ``means`` (K, d) and ``covariances`` (K, d, d)
+    in full mode or (K, d) per-coordinate variances in diagonal mode. Weights
+    are positive and sum to one within 1e-12. ``ll_trace`` is filled by
     :func:`fit_em` with the per-iteration log-likelihood (first entry is the
     likelihood of the starting mixture).
     """
 
-    components: tuple[GaussianComponent, ...]
+    weights: np.ndarray
+    means: np.ndarray
+    covariances: np.ndarray
     covariance_mode: str
     reg_epsilon: float
     ll_trace: tuple[float, ...] | None = None
@@ -74,32 +56,36 @@ class GaussianMixture:
     def __post_init__(self):
         if self.covariance_mode not in COVARIANCE_MODES:
             raise ConfigError(f"covariance_mode must be one of {COVARIANCE_MODES}")
-        if not self.components:
+        for name in ("weights", "means", "covariances"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.weights.size == 0:
             raise DegenerateModel("mixture needs at least one component")
-        object.__setattr__(self, "components", tuple(self.components))
-        total = sum(c.weight for c in self.components)
+        if self.weights.ndim != 1 or self.means.ndim != 2 or len(self.means) != self.weights.size:
+            raise ConfigError("weights must have shape (K,) and means shape (K, d)")
+        k, d = self.means.shape
+        expected = (k, d, d) if self.covariance_mode == "full" else (k, d)
+        if self.covariances.shape != expected:
+            raise ConfigError(
+                f"{self.covariance_mode} covariances must have shape {expected}, "
+                f"got {self.covariances.shape}"
+            )
+        total = sum(self.weights.tolist())
         if abs(total - 1.0) > 1e-12:
             raise ConfigError(f"component weights must sum to 1, got {total!r}")
-        if any(c.weight <= 0 for c in self.components):
+        if np.any(self.weights <= 0):
             raise ConfigError("component weights must be positive")
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.weights.size
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.means.shape[1]
 
     @property
     def n_iterations(self) -> int | None:
         return None if self.ll_trace is None else len(self.ll_trace) - 1
-
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
-
-    def means(self) -> np.ndarray:
-        return np.stack([c.mean for c in self.components])
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +114,7 @@ def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != g.dim:
         raise DimensionError(f"data has {X.shape[1]} columns, mixture dim is {g.dim}")
     d = g.dim
-    means = g.means()
-    covs = np.stack([c.covariance for c in g.components])
+    means, covs = g.means, g.covariances
     if g.covariance_mode == "diagonal":
         if np.any(covs <= 0) or not np.all(np.isfinite(covs)):
             raise SingularCovariance("variance vector must be strictly positive")
@@ -142,7 +127,7 @@ def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
         if not (np.isfinite(chol).all() and np.isfinite(X).all() and np.isfinite(means).all()):
             raise ValueError("array must not contain infs or NaNs")
         logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    log_w = np.log(g.weights())
+    log_w = np.log(g.weights)
     out = np.empty((X.shape[0], g.n_components))
     for k in range(g.n_components):
         diff = X - means[k]
@@ -167,10 +152,11 @@ def _e_step(g: GaussianMixture, X: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _subset(g: GaussianMixture, keep: np.ndarray) -> GaussianMixture:
-    kept = [c for c, flag in zip(g.components, keep) if flag]
-    total = sum(c.weight for c in kept)
-    comps = tuple(replace(c, weight=c.weight / total) for c in kept)
-    return GaussianMixture(comps, g.covariance_mode, g.reg_epsilon)
+    weights = g.weights[keep]
+    weights = weights / sum(weights.tolist())
+    return GaussianMixture(
+        weights, g.means[keep], g.covariances[keep], g.covariance_mode, g.reg_epsilon
+    )
 
 
 def _m_step(g: GaussianMixture, X: np.ndarray, r: np.ndarray) -> GaussianMixture:
@@ -189,10 +175,10 @@ def _m_step(g: GaussianMixture, X: np.ndarray, r: np.ndarray) -> GaussianMixture
     weights = mass / mass.sum()
     means = (r.T @ X) / mass[:, None]
     if g.covariance_mode == "diagonal":
-        covs = []
+        covs = np.empty_like(means)
         for k in range(g.n_components):
             diff = X - means[k]
-            covs.append((r[:, k] @ (diff * diff)) / mass[k] + g.reg_epsilon)
+            covs[k] = (r[:, k] @ (diff * diff)) / mass[k] + g.reg_epsilon
     else:
         diff = X - means[:, None, :]  # (K, n, d), freed as soon as it is used
         covs = (r.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
@@ -200,10 +186,7 @@ def _m_step(g: GaussianMixture, X: np.ndarray, r: np.ndarray) -> GaussianMixture
         covs /= mass[:, None, None]
         diag = np.arange(g.dim)
         covs[:, diag, diag] += g.reg_epsilon
-    comps = tuple(
-        GaussianComponent(float(w), mean, cov) for w, mean, cov in zip(weights, means, covs)
-    )
-    return GaussianMixture(comps, g.covariance_mode, g.reg_epsilon)
+    return GaussianMixture(weights, means, covs, g.covariance_mode, g.reg_epsilon)
 
 
 def mixture_log_density(g: GaussianMixture, data) -> np.ndarray:
@@ -306,8 +289,8 @@ def init_gmm_from_codebook(
         raise ConfigError("reg_epsilon must be positive")
     start_var = base_var + reg_epsilon
     weights = match.priors[keep] / match.priors[keep].sum()
-    comps = []
-    for w, mean in zip(weights, match.matched_vectors[keep]):
-        cov = start_var.copy() if covariance_mode == "diagonal" else np.diag(start_var)
-        comps.append(GaussianComponent(float(w), mean.copy(), cov))
-    return GaussianMixture(tuple(comps), covariance_mode, float(reg_epsilon))
+    start_cov = start_var if covariance_mode == "diagonal" else np.diag(start_var)
+    covs = np.repeat(start_cov[None], weights.size, axis=0)
+    return GaussianMixture(
+        weights, match.matched_vectors[keep], covs, covariance_mode, float(reg_epsilon)
+    )

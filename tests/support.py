@@ -25,7 +25,7 @@ from scipy.linalg import solve_triangular
 
 from ppp.data import as_matrix, derive_seed
 from ppp.errors import DimensionError, SingularCovariance
-from ppp.gmm import GaussianComponent, GaussianMixture, mixture_log_density
+from ppp.gmm import GaussianMixture, mixture_log_density
 from ppp.kmeans import kmeans_objective
 from ppp.som import SomModel, _grid_sqdist, _neighborhood
 
@@ -90,13 +90,16 @@ def log_gauss_one(X: np.ndarray, mean: np.ndarray, cov: np.ndarray, mode: str) -
     return -0.5 * (d * _LOG_2PI + logdet + maha)
 
 
-def component_logpdf(component: GaussianComponent, x) -> float:
-    """Log density of a single Gaussian at the vector ``x``."""
+def component_logpdf(mean, covariance, x) -> float:
+    """Log density at the vector ``x`` of the Gaussian with this mean and a
+    (d, d) covariance matrix or a (d,) variance vector."""
+    mean = np.asarray(mean, dtype=float)
+    covariance = np.asarray(covariance, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.shape != (component.dim,):
-        raise DimensionError(f"x has shape {x.shape}, component dim is {component.dim}")
-    mode = "diagonal" if component.covariance.ndim == 1 else "full"
-    return float(log_gauss_one(x[None, :], component.mean, component.covariance, mode)[0])
+    if x.shape != mean.shape:
+        raise DimensionError(f"x has shape {x.shape}, component dim is {mean.shape[0]}")
+    mode = "diagonal" if covariance.ndim == 1 else "full"
+    return float(log_gauss_one(x[None, :], mean, covariance, mode)[0])
 
 
 def mixture_logpdf(g: GaussianMixture, x) -> float:

@@ -21,7 +21,6 @@ from ppp.engine import (
     split_objective,
 )
 from ppp.gmm import (
-    GaussianComponent,
     GaussianMixture,
     em_step,
     log_likelihood,
@@ -59,10 +58,8 @@ def _verdict(num, name, ok, detail=""):
 def _data_mixture(X, k, rng):
     """Uniform mixture seeded at k distinct-ish data rows, identity covariance."""
     idx = rng.choice(len(X), size=k, replace=False)
-    comps = tuple(
-        GaussianComponent(1.0 / k, X[i].copy(), np.eye(X.shape[1])) for i in idx
-    )
-    return GaussianMixture(comps, "full", 1e-9)
+    covs = np.repeat(np.eye(X.shape[1])[None], k, axis=0)
+    return GaussianMixture(np.full(k, 1.0 / k), X[idx], covs, "full", 1e-9)
 
 
 class TestCriterion01EmMonotonicity:

@@ -75,6 +75,14 @@ class TestSynth:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_config_flag_is_gone(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("seed = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
@@ -129,7 +137,17 @@ class TestCluster:
         assert rc == 0
         assert json.loads((out / "tree.json").read_text())["root"]["status"]
         rows = (out / "diagnostics.csv").read_text().strip().split("\n")[1:]
-        assert any(r.endswith(",0.0,0.0,") for r in rows)
+        assert any(r.endswith(",0.0,0.0,,singular_cov") for r in rows)
+
+    def test_diagnostics_outcome_column(self, run):
+        rc, out = run
+        rows = [r.split(",") for r in (out / "diagnostics.csv").read_text().strip().split("\n")]
+        assert rows[0][-1] == "outcome"
+        outcomes = [r[6] for r in rows[1:]]
+        assert "ok" in outcomes
+        assert set(outcomes) <= {"ok", "no_overlap", "degenerate_split"}
+        for r in rows[1:]:
+            assert (r[5] != "") == (r[6] == "ok")
 
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         rc = main(["cluster", "--input", str(tmp_path / "ghost.csv"),
@@ -345,6 +363,37 @@ class TestBench:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --seeds") and "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_threads_reach_build_tree(self, tmp_path, monkeypatch, source):
+        import ppp.synth as synth_mod
+
+        seen = []
+        real_build_tree = synth_mod.build_tree
+
+        def build_tree(data, config, threads=1):
+            seen.append(threads)
+            return real_build_tree(data, config, threads=threads)
+
+        monkeypatch.setattr(synth_mod, "build_tree", build_tree)
+        data = _make_planted(tmp_path)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("threads = 2\n")
+        extra = ["--threads", "2"] if source == "flag" else ["--config", str(cfg)]
+        rc = main(["bench", "--input", str(data), "--out", str(tmp_path / "o"),
+                   "--seeds", "0,1", "--max-split-attempts", "2", *extra])
+        assert rc == 0
+        assert seen == [2, 2]
+
+    def test_cluster_only_key_is_usage_error(self, tmp_path, capsys):
+        data = _make_planted(tmp_path)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("seed = 1\ncut-depth = 3\n")
+        out = tmp_path / "o"
+        rc = main(["bench", "--input", str(data), "--out", str(out), "--config", str(cfg)])
+        assert rc == 2
+        assert f"{cfg}:2: 'cut-depth'" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
 

@@ -22,7 +22,7 @@ from ppp.engine import (
     split_objective,
 )
 from ppp.errors import ConfigError, DimensionError, SingularCovariance
-from ppp.gmm import GaussianComponent, GaussianMixture
+from ppp.gmm import GaussianMixture
 from ppp.som import CodebookMatchSet
 from ppp.synth import PlantedSpec, generate_planted
 from support import mixture_pdf
@@ -113,8 +113,8 @@ def _isotropic(means, weight=None):
     means = np.asarray(means, dtype=float)
     k = len(means)
     w = 1.0 / k if weight is None else weight
-    comps = tuple(GaussianComponent(w, m, np.eye(means.shape[1])) for m in means)
-    return GaussianMixture(comps, "full", 1e-9)
+    covs = np.repeat(np.eye(means.shape[1])[None], k, axis=0)
+    return GaussianMixture(np.full(k, w), means, covs, "full", 1e-9)
 
 
 class TestChildPosteriors:
@@ -374,7 +374,7 @@ class TestGrowNodeFaultIsolation:
         )
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
         grow_node(node, planted.matrix, config)
-        assert node.attempt_stats[0] == (failing_seed, 0.0, 0.0, None)
+        assert node.attempt_stats[0] == (failing_seed, 0.0, 0.0, None, "singular_cov")
         assert node.attempt_stats[1:] == clean.attempt_stats[1:len(node.attempt_stats)]
         assert node.status == "internal"
         assert node.best_eval.attempt_seed != failing_seed

@@ -222,7 +222,7 @@ class TestDiagnosticsCsv:
         p = tmp_path / "diag.csv"
         export_diagnostics_csv(small_tree, p)
         lines = p.read_text().strip().split("\n")
-        assert lines[0] == "node_path,attempt,seed,phi1,phi2,phi"
+        assert lines[0] == "node_path,attempt,seed,phi1,phi2,phi,outcome"
         expected = sum(len(n.attempt_stats) for n in small_tree.nodes())
         assert len(lines) == 1 + expected
 
@@ -244,7 +244,7 @@ class TestDiagnosticsCsv:
         export_diagnostics_csv(tree, p)
         lines = p.read_text().strip().split("\n")[1:]
         assert len(lines) == 2
-        assert lines[0].endswith("0.0,0.0,")  # no trailing value for None
+        assert lines[0].split(",")[3:6] == ["0.0", "0.0", ""]  # no value for None
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCovariance
 from ppp.gmm import (
-    GaussianComponent,
     GaussianMixture,
     _weighted_log_prob,
     default_covariance_mode,
@@ -29,11 +28,13 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _mixture(weights, means, covs, mode="full"):
-    comps = tuple(
-        GaussianComponent(float(w), np.asarray(m, dtype=float), np.asarray(c, dtype=float))
-        for w, m, c in zip(weights, means, covs)
+    return GaussianMixture(
+        np.asarray(weights, dtype=float),
+        np.asarray(means, dtype=float),
+        np.asarray(covs, dtype=float),
+        mode,
+        1e-9,
     )
-    return GaussianMixture(comps, mode, 1e-9)
 
 
 def _random_mixture(rng, k, dim, mode="full"):
@@ -60,7 +61,19 @@ class TestMixtureValidation:
 
     def test_needs_components(self):
         with pytest.raises(DegenerateModel):
-            GaussianMixture((), "full", 1e-9)
+            GaussianMixture(np.empty(0), np.empty((0, 2)), np.empty((0, 2, 2)), "full", 1e-9)
+
+    @pytest.mark.parametrize("mode,cov", [("diagonal", np.eye(3)), ("full", np.ones(3))])
+    def test_covariance_shape_must_match_mode(self, mode, cov):
+        """Diagonal mode takes (K, d) variances, full mode (K, d, d) matrices."""
+        with pytest.raises(ConfigError):
+            _mixture([0.5, 0.5], np.zeros((2, 3)), [cov] * 2, mode=mode)
+
+    def test_means_rows_must_match_weights(self):
+        with pytest.raises(ConfigError):
+            _mixture([0.5, 0.5], np.zeros((3, 2)), [np.eye(2)] * 2)
+        with pytest.raises(ConfigError):
+            _mixture([0.5, 0.5], np.zeros(2), [np.eye(2)] * 2)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -75,14 +88,12 @@ class TestComponentLogpdf:
     def test_standard_normal_at_mean(self):
         """At the mean with identity covariance the density is (2*pi)^(-f/2)."""
         for f in (1, 2, 5):
-            comp = GaussianComponent(1.0, np.zeros(f), np.eye(f))
-            assert component_logpdf(comp, np.zeros(f)) == pytest.approx(
+            assert component_logpdf(np.zeros(f), np.eye(f), np.zeros(f)) == pytest.approx(
                 -(f / 2) * LOG_2PI, rel=1e-14
             )
 
     def test_one_dimensional_unit_point(self):
-        comp = GaussianComponent(1.0, np.zeros(1), np.eye(1))
-        assert component_logpdf(comp, np.ones(1)) == pytest.approx(
+        assert component_logpdf(np.zeros(1), np.eye(1), np.ones(1)) == pytest.approx(
             -1.4189385332046727, rel=1e-14
         )
 
@@ -91,45 +102,44 @@ class TestComponentLogpdf:
         var = rng.uniform(0.5, 2.0, size=4)
         mean = rng.standard_normal(4)
         x = rng.standard_normal(4)
-        diag = GaussianComponent(1.0, mean, var)
-        full = GaussianComponent(1.0, mean, np.diag(var))
-        assert component_logpdf(diag, x) == pytest.approx(
-            component_logpdf(full, x), rel=1e-12
+        assert component_logpdf(mean, var, x) == pytest.approx(
+            component_logpdf(mean, np.diag(var), x), rel=1e-12
         )
 
     def test_scaled_covariance_quadratic(self):
         """With covariance s*I the exponent is the squared distance over 2s."""
         s = 4.0
-        comp = GaussianComponent(1.0, np.zeros(2), s * np.eye(2))
         x = np.array([2.0, 0.0])
         expected = -LOG_2PI - 0.5 * math.log(s**2) - (x @ x) / (2 * s)
-        assert component_logpdf(comp, x) == pytest.approx(expected, rel=1e-14)
+        assert component_logpdf(np.zeros(2), s * np.eye(2), x) == pytest.approx(
+            expected, rel=1e-14
+        )
 
     def test_singular_covariance_rejected(self):
-        comp = GaussianComponent(1.0, np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularCovariance):
-            component_logpdf(comp, np.zeros(2))
+            component_logpdf(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2))
         with pytest.raises(SingularCovariance):
-            component_logpdf(GaussianComponent(1.0, np.zeros(2), np.zeros(2)), np.zeros(2))
+            component_logpdf(np.zeros(2), np.zeros(2), np.zeros(2))
 
     def test_dimension_mismatch(self):
-        comp = GaussianComponent(1.0, np.zeros(3), np.eye(3))
         with pytest.raises(DimensionError):
-            component_logpdf(comp, np.zeros(2))
+            component_logpdf(np.zeros(3), np.eye(3), np.zeros(2))
 
     def test_gradient_matches_finite_differences(self):
         """d(logpdf)/dx = -Sigma^(-1)(x - mu), checked numerically."""
         rng = np.random.default_rng(1)
         a = rng.standard_normal((3, 3))
         cov = a @ a.T + np.eye(3)
-        comp = GaussianComponent(1.0, rng.standard_normal(3), cov)
+        mean = rng.standard_normal(3)
         x = rng.standard_normal(3)
-        analytic = -np.linalg.solve(cov, x - comp.mean)
+        analytic = -np.linalg.solve(cov, x - mean)
         h = 1e-6
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            numeric = (component_logpdf(comp, x + e) - component_logpdf(comp, x - e)) / (2 * h)
+            numeric = (
+                component_logpdf(mean, cov, x + e) - component_logpdf(mean, cov, x - e)
+            ) / (2 * h)
             assert numeric == pytest.approx(analytic[j], rel=1e-5, abs=1e-8)
 
 
@@ -138,7 +148,7 @@ class TestMixtureDensity:
         g = _mixture([1.0], [np.array([1.0, -1.0])], [np.eye(2)])
         x = np.array([0.3, 0.4])
         assert mixture_pdf(g, x) == pytest.approx(
-            math.exp(component_logpdf(g.components[0], x)), rel=1e-14
+            math.exp(component_logpdf(g.means[0], g.covariances[0], x)), rel=1e-14
         )
 
     def test_identical_components_collapse(self):
@@ -155,7 +165,8 @@ class TestMixtureDensity:
         for _ in range(10):
             x = rng.standard_normal(2)
             naive = sum(
-                c.weight * math.exp(component_logpdf(c, x)) for c in g.components
+                w * math.exp(component_logpdf(m, c, x))
+                for w, m, c in zip(g.weights, g.means, g.covariances)
             )
             assert mixture_pdf(g, x) == pytest.approx(naive, rel=1e-12)
 
@@ -179,11 +190,13 @@ class TestBatchedDensity:
     def test_equals_per_component_oracle(self, mode):
         rng = np.random.default_rng(20)
         g = _random_mixture(rng, 7, 5, mode)
-        assert len(set(g.weights())) == g.n_components
+        assert len(set(g.weights)) == g.n_components
         X = rng.standard_normal((40, 5)) * 2
         expected = np.empty((40, g.n_components))
-        for k, c in enumerate(g.components):
-            expected[:, k] = np.log(c.weight) + log_gauss_one(X, c.mean, c.covariance, mode)
+        for k in range(g.n_components):
+            expected[:, k] = np.log(g.weights[k]) + log_gauss_one(
+                X, g.means[k], g.covariances[k], mode
+            )
         assert np.array_equal(_weighted_log_prob(g, X), expected)
 
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
@@ -270,11 +283,10 @@ class TestEmStep:
         X = rng.standard_normal((40, 3)) * 1.5 + 2.0
         g = _mixture([1.0], [np.zeros(3)], [np.eye(3)])
         updated, ll = em_step(g, X)
-        comp = updated.components[0]
-        np.testing.assert_allclose(comp.mean, X.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(updated.means[0], X.mean(axis=0), rtol=1e-12)
         centered = X - X.mean(axis=0)
         expected_cov = centered.T @ centered / len(X) + g.reg_epsilon * np.eye(3)
-        np.testing.assert_allclose(comp.covariance, expected_cov, rtol=1e-10)
+        np.testing.assert_allclose(updated.covariances[0], expected_cov, rtol=1e-10)
         assert ll == pytest.approx(log_likelihood(updated, X), rel=1e-14)
 
     def test_diagonal_single_component(self):
@@ -283,7 +295,7 @@ class TestEmStep:
         g = _mixture([1.0], [np.zeros(4)], [np.ones(4)], mode="diagonal")
         updated, _ = em_step(g, X)
         np.testing.assert_allclose(
-            updated.components[0].covariance,
+            updated.covariances[0],
             X.var(axis=0) + g.reg_epsilon,
             rtol=1e-10,
         )
@@ -293,11 +305,9 @@ class TestEmStep:
         X = np.tile(v, (10, 1))
         g = _mixture([0.5, 0.5], [np.zeros(2), np.ones(2)], [np.eye(2)] * 2)
         updated, _ = em_step(g, X)
-        for comp in updated.components:
-            np.testing.assert_allclose(comp.mean, v, atol=1e-9)
-            np.testing.assert_allclose(
-                comp.covariance, g.reg_epsilon * np.eye(2), atol=1e-12
-            )
+        for mean, cov in zip(updated.means, updated.covariances):
+            np.testing.assert_allclose(mean, v, atol=1e-9)
+            np.testing.assert_allclose(cov, g.reg_epsilon * np.eye(2), atol=1e-12)
 
     def test_weights_stay_normalized(self):
         rng = np.random.default_rng(7)
@@ -305,7 +315,7 @@ class TestEmStep:
         X = rng.standard_normal((25, 2))
         for _ in range(5):
             g, _ = em_step(g, X)
-            assert abs(sum(c.weight for c in g.components) - 1.0) < 1e-12
+            assert abs(sum(g.weights) - 1.0) < 1e-12
 
     def test_starved_component_is_dropped(self, caplog):
         """A component placed far away with a tiny covariance receives no
@@ -321,7 +331,7 @@ class TestEmStep:
             updated, _ = em_step(g, X)
         assert updated.n_components == 1
         assert "dropping" in caplog.text
-        assert updated.components[0].weight == pytest.approx(1.0)
+        assert updated.weights[0] == pytest.approx(1.0)
 
     def test_log_likelihood_never_decreases(self):
         rng = np.random.default_rng(9)
@@ -359,9 +369,7 @@ class TestFitEm:
         fitted = fit_em(g, X, tol=1e-15, max_iter=1)
         assert fitted.n_iterations == 1
         stepped, _ = em_step(g, X)
-        np.testing.assert_allclose(
-            fitted.components[0].mean, stepped.components[0].mean, rtol=1e-14
-        )
+        np.testing.assert_allclose(fitted.means[0], stepped.means[0], rtol=1e-14)
 
     def test_trace_monotone_on_blobs(self):
         rng = np.random.default_rng(13)
@@ -376,7 +384,7 @@ class TestFitEm:
         trace = np.array(fitted.ll_trace)
         assert np.all(np.diff(trace) >= -1e-8)
         # the two far blobs must be found almost exactly
-        means = sorted(float(c.mean[0]) for c in fitted.components)
+        means = sorted(float(m[0]) for m in fitted.means)
         assert means[0] == pytest.approx(0.0, abs=0.3)
         assert means[1] == pytest.approx(6.0, abs=0.3)
 
@@ -391,9 +399,8 @@ class TestFitEm:
             trace.append(ll)
         fitted = fit_em(g, X, tol=0.0, max_iter=6)
         assert fitted.ll_trace == tuple(trace)
-        for a, b in zip(fitted.components, stepped.components):
-            assert np.array_equal(a.mean, b.mean)
-            assert np.array_equal(a.covariance, b.covariance)
+        assert np.array_equal(fitted.means, stepped.means)
+        assert np.array_equal(fitted.covariances, stepped.covariances)
 
     def test_component_starved_mid_run_is_dropped(self, caplog):
         """Two sharpening components take over every row; the broad third one
@@ -460,8 +467,8 @@ class TestInitFromCodebook:
         X = rng.standard_normal((10, 3))
         match = self._match(X[:4], [0.25] * 4)
         g = init_gmm_from_codebook(match, X)
-        np.testing.assert_array_equal(g.means(), X[:4])
-        np.testing.assert_allclose(g.weights(), 0.25)
+        np.testing.assert_array_equal(g.means, X[:4])
+        np.testing.assert_allclose(g.weights, 0.25)
 
     def test_zero_prior_units_dropped(self):
         rng = np.random.default_rng(16)
@@ -469,7 +476,7 @@ class TestInitFromCodebook:
         match = self._match(X[:3], [0.5, 0.0, 0.5])
         g = init_gmm_from_codebook(match, X)
         assert g.n_components == 2
-        np.testing.assert_allclose(g.weights(), 0.5)
+        np.testing.assert_allclose(g.weights, 0.5)
 
     def test_all_zero_priors_rejected(self):
         X = np.eye(3)
@@ -483,8 +490,8 @@ class TestInitFromCodebook:
         match = self._match(X[:2], [0.5, 0.5])
         g = init_gmm_from_codebook(match, X, covariance_mode="full", reg_epsilon=1e-8)
         expected = np.diag(X.var(axis=0) + 1e-8)
-        for comp in g.components:
-            np.testing.assert_allclose(comp.covariance, expected, rtol=1e-12)
+        for cov in g.covariances:
+            np.testing.assert_allclose(cov, expected, rtol=1e-12)
 
     def test_default_mode_follows_width(self):
         rng = np.random.default_rng(18)
