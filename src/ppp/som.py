@@ -276,21 +276,18 @@ def quantization_error(som: SomModel, data) -> float:
 
 
 def codebook_priors(som: SomModel) -> np.ndarray:
-    """Prior over units: hit counts weighted by the end-schedule kernel.
+    """Prior over units: normalized hit counts.
 
-    The kernel is evaluated at zero grid distance with the final learning rate,
-    which is the same factor for every unit, so this reduces to normalized hit
-    counts. A map with no recorded hits falls back to a uniform prior (with a
+    A map with no recorded hits falls back to a uniform prior (with a
     warning); a unit with zero hits keeps prior zero otherwise.
     """
     hits = som.hit_counts.astype(float)
-    weighted = hits * som.config.alpha_end
-    total = weighted.sum()
+    total = hits.sum()
     if total <= 0.0:
         warnings.warn("codebook has no recorded hits; using a uniform prior", stacklevel=2)
         k = som.config.n_units
         return np.full(k, 1.0 / k)
-    return weighted / total
+    return hits / total
 
 
 def codebook_match(som: SomModel, data) -> CodebookMatchSet:
