@@ -153,6 +153,8 @@ def _e_step(g: GaussianMixture, X: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _subset(g: GaussianMixture, keep: np.ndarray) -> GaussianMixture:
     weights = g.weights[keep]
+    # Python's left-to-right sum: np.sum adds pairwise once K >= 8, which moves
+    # the last bits of the renormalized weights
     weights = weights / sum(weights.tolist())
     return GaussianMixture(
         weights, g.means[keep], g.covariances[keep], g.covariance_mode, g.reg_epsilon

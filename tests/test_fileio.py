@@ -245,6 +245,7 @@ class TestDiagnosticsCsv:
         lines = p.read_text().strip().split("\n")[1:]
         assert len(lines) == 2
         assert lines[0].split(",")[3:6] == ["0.0", "0.0", ""]  # no value for None
+        assert all(line.endswith(",degenerate_split") for line in lines)  # identical columns
 
 
 @pytest.fixture(scope="module")
