@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import DesignMatrix, IndexSet, derive_seed, submatrix
 from .errors import ConfigError, DegenerateModel, DegenerateSplit, SingularCovariance
@@ -27,6 +26,7 @@ from .gmm import (
     GaussianMixture,
     fit_em,
     init_gmm_from_codebook,
+    log_sum_exp,
     mixture_log_density,
     mixture_scores,
 )
@@ -251,8 +251,8 @@ def child_posteriors(
 
     with np.errstate(divide="ignore"):
         log_priors = np.where(positive, np.log(np.where(positive, priors, 1.0)), -np.inf)
-    post_a = np.exp(log_a + log_priors - logsumexp(log_a))
-    post_b = np.exp(log_b + log_priors - logsumexp(log_b))
+    post_a = np.exp(log_a + log_priors - log_sum_exp(log_a))
+    post_b = np.exp(log_b + log_priors - log_sum_exp(log_b))
     return post_a, post_b
 
 

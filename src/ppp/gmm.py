@@ -9,8 +9,13 @@ objects and every update builds a new one.
 One density pass serves each EM iteration: the E-step derives the
 responsibilities and the log-likelihood from the same (n, K) matrix of
 weighted log densities, which is built for all components at once (one
-stacked Cholesky factorization in full mode). Full-mode M-step covariances
-are one stacked matrix product.
+stacked Cholesky factorization, one block of differences and one einsum in
+full mode). Full-mode M-step covariances are one stacked matrix product.
+
+scipy is used only for the LAPACK triangular solve. The log-sum over
+components is :func:`log_sum_exp`, which repeats the arithmetic of scipy
+1.17's ``logsumexp`` in plain numpy, so its bits do not depend on the
+installed scipy release (earlier releases summed differently).
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
-from scipy.special import logsumexp
 
-from .data import as_matrix
+from .data import _BLOCK_ELEMENTS, as_matrix
 from .errors import ConfigError, DegenerateModel, DimensionError, SingularCovariance
 
 log = logging.getLogger(__name__)
@@ -70,7 +74,7 @@ class GaussianMixture:
                 f"got {self.covariances.shape}"
             )
         total = sum(self.weights.tolist())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ConfigError(f"component weights must sum to 1, got {total!r}")
         if np.any(self.weights <= 0):
             raise ConfigError("component weights must be positive")
@@ -102,23 +106,53 @@ class MixtureScores:
     normalized: np.ndarray
 
 
+def log_sum_exp(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the last axis, keeping it as length one.
+
+    Repeats the arithmetic of ``scipy.special.logsumexp(a, axis=-1,
+    keepdims=True)`` in scipy 1.17, so real inputs agree bit for bit: the
+    ``m`` entries equal to the maximum are left out of
+    ``s = sum(exp(a - max))``, ``s`` is divided by ``m``, and the result is
+    ``log1p(s) + log(m) + max``. A row of ``-inf`` gives ``-inf``, a row
+    holding ``+inf`` but no NaN gives ``+inf``, and a row holding NaN gives NaN.
+    """
+    a_max = a.max(axis=-1, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=-1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = a - a_max
+        shifted[is_max] = -np.inf
+        s = np.exp(shifted).sum(axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        return np.log1p(s) + np.log(m) + a_max
+
+
 def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
     """(n, K) matrix of log(weight_k) + log density_k(row), one pass over all components.
 
-    Full covariances are factorized in one stacked Cholesky; each component's
+    Full mode factorizes the covariances in one stacked Cholesky and writes
+    the component differences into one C-ordered (k, n, d) buffer, a block
+    of about ``_BLOCK_ELEMENTS`` elements at a time. Each component's
     triangular solve is the LAPACK call ``solve_triangular(chol, diff.T,
-    lower=True)`` makes for a C-ordered factor, without its wrapper. The
-    result is C-contiguous: the row-wise log-sum over components adds in
+    lower=True)`` makes, run in place on the buffer's Fortran-ordered
+    transpose (a copy would leave the buffer unsolved), and one einsum per
+    block gives the Mahalanobis terms. Diagonal mode loops over components.
+    The result is C-contiguous: the row-wise log-sum over components adds in
     memory order, so a transposed layout would change its last bits.
     """
     if X.shape[1] != g.dim:
         raise DimensionError(f"data has {X.shape[1]} columns, mixture dim is {g.dim}")
-    d = g.dim
+    n, d = X.shape
+    k_total = g.n_components
     means, covs = g.means, g.covariances
+    maha = np.empty((k_total, n))
     if g.covariance_mode == "diagonal":
         if np.any(covs <= 0) or not np.all(np.isfinite(covs)):
             raise SingularCovariance("variance vector must be strictly positive")
         logdet = np.log(covs).sum(axis=1)
+        for k in range(k_total):
+            diff = X - means[k]
+            np.einsum("nd,nd->n", diff / covs[k], diff, out=maha[k])
     else:
         try:
             chol = np.linalg.cholesky(covs)
@@ -127,25 +161,27 @@ def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
         if not (np.isfinite(chol).all() and np.isfinite(X).all() and np.isfinite(means).all()):
             raise ValueError("array must not contain infs or NaNs")
         logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    log_w = np.log(g.weights)
-    out = np.empty((X.shape[0], g.n_components))
-    for k in range(g.n_components):
-        diff = X - means[k]
-        if g.covariance_mode == "diagonal":
-            maha = np.einsum("nd,nd->n", diff / covs[k], diff)
-        else:
-            z, info = dtrtrs(chol[k].T, diff.T, lower=0, trans=1, overwrite_b=1)
-            if info != 0:
-                raise SingularCovariance("covariance factor is singular")
-            maha = np.einsum("dn,dn->n", z, z)
-        out[:, k] = log_w[k] + -0.5 * (d * _LOG_2PI + logdet[k] + maha)
+        per_block = max(1, _BLOCK_ELEMENTS // max(1, n * d))
+        buffer = np.empty((min(per_block, k_total), n, d))
+        for start in range(0, k_total, per_block):
+            stop = min(start + per_block, k_total)
+            diff = buffer[:stop - start]
+            np.copyto(diff, X)  # in place: faster than broadcasting X[None] - means
+            np.subtract(diff, means[start:stop, None], out=diff)
+            for j in range(stop - start):
+                _, info = dtrtrs(chol[start + j].T, diff[j].T, lower=0, trans=1, overwrite_b=1)
+                if info != 0:
+                    raise SingularCovariance("covariance factor is singular")
+            np.einsum("knd,knd->kn", diff, diff, out=maha[start:stop])
+    out = np.empty((n, k_total))
+    np.add(np.log(g.weights), -0.5 * ((d * _LOG_2PI + logdet)[:, None] + maha).T, out=out)
     return out
 
 
 def _e_step(g: GaussianMixture, X: np.ndarray) -> tuple[np.ndarray, float]:
     """Responsibilities and total log-likelihood of ``g`` from one density pass."""
     wlp = _weighted_log_prob(g, X)
-    lse = logsumexp(wlp, axis=1, keepdims=True)
+    lse = log_sum_exp(wlp)
     r = np.exp(wlp - lse)
     r /= r.sum(axis=1, keepdims=True)
     return r, float(lse.sum())
@@ -194,7 +230,7 @@ def _m_step(g: GaussianMixture, X: np.ndarray, r: np.ndarray) -> GaussianMixture
 def mixture_log_density(g: GaussianMixture, data) -> np.ndarray:
     """Per-row log density under the mixture (max-shifted log-sum over components)."""
     X = as_matrix(data)
-    return logsumexp(_weighted_log_prob(g, X), axis=1)
+    return log_sum_exp(_weighted_log_prob(g, X))[:, 0]
 
 
 def log_likelihood(g: GaussianMixture, data) -> float:

@@ -91,7 +91,7 @@ class CodebookMatchSet:
         if np.any(priors < 0):
             raise ConfigError("priors must be nonnegative")
         total = priors.sum()
-        if total != 0.0 and abs(total - 1.0) > 1e-12:
+        if total != 0.0 and not abs(total - 1.0) <= 1e-12:
             raise ConfigError(f"priors must sum to 1, got {total!r}")
         object.__setattr__(self, "priors", priors)
 

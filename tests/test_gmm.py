@@ -1,12 +1,18 @@
 """Mixture construction, density evaluation and the EM loop."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppp.data import _BLOCK_ELEMENTS
 from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCovariance
 from ppp.gmm import (
     GaussianMixture,
@@ -16,6 +22,7 @@ from ppp.gmm import (
     fit_em,
     init_gmm_from_codebook,
     log_likelihood,
+    log_sum_exp,
     mixture_log_density,
     mixture_scores,
     responsibilities,
@@ -54,6 +61,10 @@ class TestMixtureValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ConfigError):
             _mixture([0.5, 0.4], np.zeros((2, 2)), [np.eye(2)] * 2)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ConfigError):
+            _mixture([np.nan, 1.0], np.zeros((2, 2)), [np.eye(2)] * 2)
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -186,18 +197,22 @@ class TestMixtureDensity:
 class TestBatchedDensity:
     """The one-pass kernel against the per-component oracle, bit for bit."""
 
+    @staticmethod
+    def _oracle(g, X):
+        expected = np.empty((X.shape[0], g.n_components))
+        for k in range(g.n_components):
+            expected[:, k] = np.log(g.weights[k]) + log_gauss_one(
+                X, g.means[k], g.covariances[k], g.covariance_mode
+            )
+        return expected
+
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_equals_per_component_oracle(self, mode):
         rng = np.random.default_rng(20)
         g = _random_mixture(rng, 7, 5, mode)
         assert len(set(g.weights)) == g.n_components
         X = rng.standard_normal((40, 5)) * 2
-        expected = np.empty((40, g.n_components))
-        for k in range(g.n_components):
-            expected[:, k] = np.log(g.weights[k]) + log_gauss_one(
-                X, g.means[k], g.covariances[k], mode
-            )
-        assert np.array_equal(_weighted_log_prob(g, X), expected)
+        assert np.array_equal(_weighted_log_prob(g, X), self._oracle(g, X))
 
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_output_is_c_contiguous(self, mode):
@@ -221,6 +236,72 @@ class TestBatchedDensity:
         g = _mixture([1.0], [np.zeros(2)], [np.eye(2)])
         with pytest.raises(ValueError):
             mixture_log_density(g, np.array([[0.0, np.nan]]))
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_column_sliced_input_equals_oracle(self, mode):
+        """A column selection, as a child mixture sees its parent's vectors, is not C-ordered."""
+        rng = np.random.default_rng(22)
+        g = _random_mixture(rng, 6, 4, mode)
+        wide = rng.standard_normal((30, 9)) * 2
+        for X in (wide[:, [0, 3, 5, 8]], wide[:, 1::2]):
+            assert not X.flags.c_contiguous
+            assert np.array_equal(_weighted_log_prob(g, X), self._oracle(g, X))
+
+    def test_components_spanning_several_blocks_equal_oracle(self):
+        rng = np.random.default_rng(23)
+        k, n, d = 64, 200, 16
+        assert k > 2 * (_BLOCK_ELEMENTS // (n * d))
+        g = _random_mixture(rng, k, d)
+        X = rng.standard_normal((n, d)) * 2
+        assert np.array_equal(_weighted_log_prob(g, X), self._oracle(g, X))
+
+
+class TestLogSumExp:
+    """The numpy log-sum repeats scipy.special.logsumexp's arithmetic bit for bit."""
+
+    @staticmethod
+    def _same(a):
+        ours = log_sum_exp(a)
+        theirs = scipy.special.logsumexp(a, axis=1, keepdims=True)
+        assert ours.shape == theirs.shape
+        assert np.array_equal(ours, theirs, equal_nan=True)
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(30)
+        for k in (1, 2, 7, 8, 9, 64, 200):
+            self._same(rng.standard_normal((50, k)) * 40)
+
+    def test_tied_maxima(self):
+        self._same(np.array([[1.5, 1.5, 0.25], [3.0, 3.0, 3.0], [-2.0, 0.1, 0.1]]))
+
+    def test_minus_infinity_entries(self):
+        inf = np.inf
+        self._same(np.array([[-inf, 0.5, -1.0], [2.0, -inf, -inf], [-inf, -inf, 4.0]]))
+
+    def test_all_minus_infinity_row_is_minus_infinity(self):
+        a = np.full((2, 3), -np.inf)
+        self._same(a)
+        assert np.all(log_sum_exp(a) == -np.inf)
+
+    def test_single_column(self):
+        self._same(np.array([[0.3], [-np.inf], [-7.25]]))
+
+    def test_vector_is_one_sum(self):
+        """The 1-D call of child_posteriors' "paper" mode."""
+        v = np.random.default_rng(31).standard_normal(40) * 25
+        v[3] = v.max()
+        assert np.array_equal(log_sum_exp(v), np.atleast_1d(scipy.special.logsumexp(v)))
+
+
+def test_import_does_not_load_scipy_special():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, ppp; print('scipy.special' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestLogLikelihood:

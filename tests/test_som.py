@@ -11,6 +11,7 @@ import ppp.som as som_mod
 from ppp.data import DesignMatrix
 from ppp.errors import ConfigError, DimensionError
 from ppp.som import (
+    CodebookMatchSet,
     SomConfig,
     SomModel,
     _grid_sqdist,
@@ -435,6 +436,16 @@ class TestCodebookMatch:
         som = SomModel(SomConfig(1, 2), codebook, np.array([2, 1], dtype=np.int64))
         match = codebook_match(som, X)
         assert match.matched_instance_ids[0] == 0
+
+
+class TestCodebookMatchSet:
+    def test_priors_must_sum_to_one(self):
+        with pytest.raises(ConfigError):
+            CodebookMatchSet(np.array([0, 1]), np.zeros((2, 2)), [0.4, 0.5])
+
+    def test_nan_prior_rejected(self):
+        with pytest.raises(ConfigError):
+            CodebookMatchSet(np.array([0, 1]), np.zeros((2, 2)), [np.nan, 0.5])
 
 
 class TestCodebookPriors:
