@@ -13,6 +13,7 @@ wins; a node where no attempt produces a defined score is left unsplit.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,8 +21,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import DesignMatrix, IndexSet, derive_seed, submatrix
-from .errors import ConfigError, DegenerateModel, DegenerateSplit, SingularCovariance
+from .data import _BLOCK_ELEMENTS, DesignMatrix, IndexSet, derive_seed, submatrix
+from .errors import ConfigError, DegenerateModel, DegenerateSplit, PppError, SingularCovariance
 from .gmm import (
     GaussianMixture,
     fit_em,
@@ -31,7 +32,10 @@ from .gmm import (
     mixture_scores,
 )
 from .kmeans import kmeans_bisect
-from .som import CodebookMatchSet, SomConfig, codebook_match, default_som_config, init_som, train_som
+from .som import CodebookMatchSet, SomConfig, default_som_config, init_som, train_soms
+# The split attempts call neither name; they stay importable from this module
+# because perfbench/tracer.py wraps them here by name.
+from .som import codebook_match, train_som  # noqa: F401
 
 POSTERIOR_MODES = ("competitive", "paper")
 GAMMA_ROW_MODES = ("gamma0", "all")
@@ -39,6 +43,9 @@ SCORE_SOURCES = ("normalized", "raw")
 KMEANS_INITS = ("random", "plusplus")
 
 NODE_STATUSES = ("open", "internal", "leaf_terminal", "leaf_unsplittable")
+
+# model-fit failures that end one split attempt, not the whole run
+_FIT_ERRORS = (SingularCovariance, DegenerateModel)
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,10 @@ class PppConfig:
             raise ConfigError(f"kmeans_init must be one of {KMEANS_INITS}")
         if self.em_max_iter < 1 or self.kmeans_max_iter < 1:
             raise ConfigError("iteration limits must be at least 1")
-        if self.em_tol <= 0:
-            raise ConfigError("em_tol must be positive")
+        if not (0.0 < self.em_tol < math.inf):
+            raise ConfigError(f"em_tol must be positive and finite, got {self.em_tol!r}")
+        if self.reg_epsilon is not None and not (0.0 < self.reg_epsilon < math.inf):
+            raise ConfigError(f"reg_epsilon must be positive and finite, got {self.reg_epsilon!r}")
         if self.som_epochs < 1:
             raise ConfigError("som_epochs must be at least 1")
         if self.som_grid is not None and (self.som_grid[0] < 1 or self.som_grid[1] < 1):
@@ -264,13 +273,120 @@ def _units_to_instances(
     return members.select(IndexSet(local_rows, len(members)))
 
 
-def _quantize_and_fit(X: np.ndarray, config: PppConfig, seed: int):
-    """SOM + matched-vector mixture for one matrix: the per-node model recipe."""
-    som = train_som(init_som(config.som_config_for(X.shape[0], seed), X), X)
-    match = codebook_match(som, X)
+def _quantize(
+    config: PppConfig, matrices: list[np.ndarray], seeds: list[int]
+) -> list[CodebookMatchSet]:
+    """Codebook match of one SOM per matrix, the maps trained in lockstep.
+
+    The matrices share one shape; each map's config comes from its seed.
+    """
+    n = matrices[0].shape[0]
+    soms = (init_som(config.som_config_for(n, seed), X) for X, seed in zip(matrices, seeds))
+    return [som.match for som in train_soms(soms, matrices)]
+
+
+def _fit(match: CodebookMatchSet, X: np.ndarray, config: PppConfig) -> GaussianMixture:
+    """The matched-vector mixture of one quantized matrix."""
     g = init_gmm_from_codebook(match, X, config.covariance_mode, config.reg_epsilon)
-    g = fit_em(g, match.matched_vectors, tol=config.em_tol, max_iter=config.em_max_iter)
-    return match, g
+    return fit_em(g, match.matched_vectors, tol=config.em_tol, max_iter=config.em_max_iter)
+
+
+def evaluate_splits(
+    node: PppNode, data: DesignMatrix, config: PppConfig, seeds: list[int]
+) -> list[SplitEvaluation | PppError]:
+    """Run several seeded split attempts on a node, their SOMs trained in lockstep.
+
+    Result ``i`` is what attempt ``seeds[i]`` gives alone: its
+    ``SplitEvaluation``, or the ``SingularCovariance`` or ``DegenerateModel``
+    its model fits raised (the parent fit's first, then child side 0's, then
+    side 1's). Other errors propagate. The work runs in four phases:
+
+    1. the parent maps of every attempt, trained in lockstep on the node's
+       submatrix;
+    2. per attempt, the parent mixture, its core set and the k-means bisection
+       of the feature columns;
+    3. the child maps of every attempt that got this far, trained in lockstep
+       in groups of equal column count;
+    4. per attempt, the child mixtures, posteriors and overlaps.
+
+    Every attempt's randomness (three quantizations, the k-means init) is
+    derived from its seed, so each result is a pure function of
+    (node, data, config, seed), whichever attempts share the batch.
+    """
+    X = submatrix(data, node.instance_set, node.feature_set).values
+    n = X.shape[0]
+    results: list[SplitEvaluation | PppError | None] = [None] * len(seeds)
+    matches = _quantize(config, [X] * len(seeds), [derive_seed(s, "parent") for s in seeds])
+
+    empty = IndexSet(np.array([], dtype=np.int64), data.n_instances)
+    bisected = []  # (attempt, parent match, core set, column pair) per bisected attempt
+    for i, (seed, match0) in enumerate(zip(seeds, matches)):
+        try:
+            scores0 = mixture_scores(_fit(match0, X, config), X)
+        except _FIT_ERRORS as exc:
+            results[i] = exc
+            continue
+        core_values = scores0.normalized if config.score_source == "normalized" else scores0.density
+        core_local = gamma_set(core_values, config.score_threshold)
+        core_set = node.instance_set.select(core_local)
+
+        if config.gamma_rows == "gamma0" and len(core_local) >= 2:
+            point_rows = core_local.indices
+        else:
+            point_rows = np.arange(n)
+        try:
+            km = kmeans_bisect(
+                X[point_rows].T,  # one point per feature column
+                derive_seed(seed, "bisect"),
+                max_iter=config.kmeans_max_iter,
+                init=config.kmeans_init,
+            )
+        except DegenerateSplit:
+            results[i] = SplitEvaluation(
+                seed, None, core_set, (empty, empty),
+                (np.array([]), np.array([])), (0.0, 0.0), None,
+            )
+            continue
+        columns = (np.flatnonzero(km.assignment == 0), np.flatnonzero(km.assignment == 1))
+        bisected.append((i, match0, core_set, columns))
+
+    by_columns = defaultdict(list)  # column count -> (attempt, side, columns)
+    for i, _, _, columns in bisected:
+        for side, cols in enumerate(columns):
+            by_columns[cols.size].append((i, side, cols))
+    children = {}  # (attempt, side) -> (child match, child matrix)
+    for group in by_columns.values():
+        matrices = [X[:, cols] for _, _, cols in group]
+        child_seeds = [derive_seed(seeds[i], "child", side) for i, side, _ in group]
+        found = _quantize(config, matrices, child_seeds)
+        for (i, side, _), Xc, match in zip(group, matrices, found):
+            children[i, side] = (match, Xc)
+
+    n_cols = len(node.feature_set)
+    for i, match0, core_set, columns in bisected:
+        try:
+            mixtures = [_fit(*children.pop((i, side)), config) for side in (0, 1)]
+            post_a, post_b = child_posteriors(
+                match0, mixtures[0], mixtures[1], columns[0], columns[1], config.posterior_mode
+            )
+        except _FIT_ERRORS as exc:
+            results[i] = exc
+            continue
+        set_a = _units_to_instances(post_a, config.score_threshold, match0, node.instance_set)
+        set_b = _units_to_instances(post_b, config.score_threshold, match0, node.instance_set)
+        overlap_a = overlap_fraction(set_a, core_set)
+        overlap_b = overlap_fraction(set_b, core_set)
+        feature_split = tuple(node.feature_set.select(IndexSet(c, n_cols)) for c in columns)
+        results[i] = SplitEvaluation(
+            seeds[i],
+            feature_split,
+            core_set,
+            (set_a, set_b),
+            (post_a, post_b),
+            (overlap_a, overlap_b),
+            split_objective(overlap_a, overlap_b),
+        )
+    return results
 
 
 def evaluate_split(
@@ -278,67 +394,13 @@ def evaluate_split(
 ) -> SplitEvaluation:
     """Run one seeded end-to-end split attempt on a node.
 
-    All randomness (three quantizations, the k-means init) is derived from
-    ``attempt_seed``, so the evaluation is a pure function of
-    (node, data, config, attempt_seed).
+    This is :func:`evaluate_splits` for one seed, except that a
+    ``SingularCovariance`` or ``DegenerateModel`` from a model fit is raised.
     """
-    sub = submatrix(data, node.instance_set, node.feature_set)
-    X = sub.values
-    n = X.shape[0]
-
-    match0, g0 = _quantize_and_fit(X, config, derive_seed(attempt_seed, "parent"))
-    scores0 = mixture_scores(g0, X)
-    core_values = scores0.normalized if config.score_source == "normalized" else scores0.density
-    core_local = gamma_set(core_values, config.score_threshold)
-    core_set = node.instance_set.select(core_local)
-
-    if config.gamma_rows == "gamma0" and len(core_local) >= 2:
-        point_rows = core_local.indices
-    else:
-        point_rows = np.arange(n)
-    feature_points = X[point_rows].T  # one point per feature column
-
-    empty = IndexSet(np.array([], dtype=np.int64), data.n_instances)
-    try:
-        km = kmeans_bisect(
-            feature_points,
-            derive_seed(attempt_seed, "bisect"),
-            max_iter=config.kmeans_max_iter,
-            init=config.kmeans_init,
-        )
-    except DegenerateSplit:
-        return SplitEvaluation(
-            attempt_seed, None, core_set, (empty, empty),
-            (np.array([]), np.array([])), (0.0, 0.0), None,
-        )
-
-    columns = (np.flatnonzero(km.assignment == 0), np.flatnonzero(km.assignment == 1))
-    mixtures = []
-    for side, cols in enumerate(columns):
-        _, g_child = _quantize_and_fit(
-            X[:, cols], config, derive_seed(attempt_seed, "child", side)
-        )
-        mixtures.append(g_child)
-
-    post_a, post_b = child_posteriors(
-        match0, mixtures[0], mixtures[1], columns[0], columns[1], config.posterior_mode
-    )
-    set_a = _units_to_instances(post_a, config.score_threshold, match0, node.instance_set)
-    set_b = _units_to_instances(post_b, config.score_threshold, match0, node.instance_set)
-    overlap_a = overlap_fraction(set_a, core_set)
-    overlap_b = overlap_fraction(set_b, core_set)
-
-    n_cols = len(node.feature_set)
-    feature_split = tuple(node.feature_set.select(IndexSet(c, n_cols)) for c in columns)
-    return SplitEvaluation(
-        attempt_seed,
-        feature_split,
-        core_set,
-        (set_a, set_b),
-        (post_a, post_b),
-        (overlap_a, overlap_b),
-        split_objective(overlap_a, overlap_b),
-    )
+    (result,) = evaluate_splits(node, data, config, [attempt_seed])
+    if isinstance(result, PppError):
+        raise result
+    return result
 
 
 def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
@@ -356,33 +418,45 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     defined score anywhere, or nothing better than zero, the node stays
     unsplit; otherwise the winning feature split and child sets become the
     two children.
+
+    Attempts run in batches through :func:`evaluate_splits`. A batch holds
+    only attempts that the patience rule runs whatever their scores: before
+    any defined score, ``patience + 1``; after, the ``patience - stale``
+    attempts left before a stop. The results are consumed in seed order, so
+    the outcome is the one-at-a-time outcome.
     """
     if len(node.feature_set) < config.min_features_to_split or len(node.instance_set) < 2:
         node.status = "leaf_terminal"
         return node
 
+    # A batch keeps every attempt's matches and child matrices alive at once,
+    # so its stacked codebooks and step differences, 2 * width * K * d
+    # elements, are held to one block: a 48 x 640 node runs one attempt at a time.
+    n_units = config.som_config_for(len(node.instance_set), 0).n_units
+    width = max(1, _BLOCK_ELEMENTS // (2 * n_units * len(node.feature_set)))
     best: SplitEvaluation | None = None
     stale = 0
-    for attempt in range(config.max_split_attempts):
-        seed = derive_seed(config.master_seed, node.path, attempt)
-        try:
-            evaluation = evaluate_split(node, data, config, seed)
-        except (SingularCovariance, DegenerateModel) as exc:
-            failure = "singular_cov" if isinstance(exc, SingularCovariance) else "degenerate_model"
-            node.attempt_stats.append((seed, 0.0, 0.0, None, failure))
-            evaluation = None
-        else:
-            node.attempt_stats.append(
-                (seed, *evaluation.overlaps, evaluation.score, evaluation.outcome)
-            )
-        score = None if evaluation is None else evaluation.score
-        if score is not None and (best is None or score > best.score):
-            best = evaluation
-            stale = 0
-        elif best is not None:
-            stale += 1
-            if stale >= config.patience:
-                break
+    attempt = 0
+    while attempt < config.max_split_attempts and stale < config.patience:
+        certain = config.patience + 1 if best is None else config.patience - stale
+        size = min(config.max_split_attempts - attempt, certain, width)
+        seeds = [derive_seed(config.master_seed, node.path, a)
+                 for a in range(attempt, attempt + size)]
+        attempt += size
+        for seed, result in zip(seeds, evaluate_splits(node, data, config, seeds)):
+            if isinstance(result, SplitEvaluation):
+                node.attempt_stats.append((seed, *result.overlaps, result.score, result.outcome))
+                score = result.score
+            else:
+                failure = ("singular_cov" if isinstance(result, SingularCovariance)
+                           else "degenerate_model")
+                node.attempt_stats.append((seed, 0.0, 0.0, None, failure))
+                score = None
+            if score is not None and (best is None or score > best.score):
+                best = result
+                stale = 0
+            elif best is not None:
+                stale += 1
 
     node.best_eval = best
     if best is None or best.score <= 0.0 or best.feature_split is None:

@@ -218,9 +218,13 @@ def _m_step(g: GaussianMixture, X: np.ndarray, r: np.ndarray) -> GaussianMixture
             diff = X - means[k]
             covs[k] = (r[:, k] @ (diff * diff)) / mass[k] + g.reg_epsilon
     else:
-        diff = X - means[:, None, :]  # (K, n, d), freed as soon as it is used
-        covs = (r.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
-        del diff
+        # (K, n, d) differences and weighted differences, freed as soon as they are used
+        diff = np.empty((g.n_components,) + X.shape)
+        np.copyto(diff, X)  # in place, as in _weighted_log_prob
+        np.subtract(diff, means[:, None, :], out=diff)
+        weighted = np.multiply(r.T[:, :, None], diff, out=np.empty_like(diff))
+        covs = weighted.transpose(0, 2, 1) @ diff
+        del diff, weighted
         covs /= mass[:, None, None]
         diag = np.arange(g.dim)
         covs[:, diag, diag] += g.reg_epsilon

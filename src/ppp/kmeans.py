@@ -46,6 +46,11 @@ def _repair_empty(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -
     return labels
 
 
+def _lloyd_step(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    labels = _repair_empty(points, centers, _assign(points, centers))
+    return labels, np.stack([points[labels == 0].mean(axis=0), points[labels == 1].mean(axis=0)])
+
+
 def lloyd_iterate(centers, points) -> tuple[np.ndarray, np.ndarray, float]:
     """One assignment pass plus one center update.
 
@@ -54,8 +59,7 @@ def lloyd_iterate(centers, points) -> tuple[np.ndarray, np.ndarray, float]:
     """
     points = np.asarray(points, dtype=float)
     centers = np.asarray(centers, dtype=float)
-    labels = _repair_empty(points, centers, _assign(points, centers))
-    new_centers = np.stack([points[labels == 0].mean(axis=0), points[labels == 1].mean(axis=0)])
+    labels, new_centers = _lloyd_step(points, centers)
     return labels, new_centers, kmeans_objective(new_centers, points)
 
 
@@ -99,9 +103,11 @@ def kmeans_bisect(points, seed: int, max_iter: int = 300, init: str = "random") 
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_labels, centers, objective = lloyd_iterate(centers, points)
+        new_labels, centers = _lloyd_step(points, centers)
         if labels is not None and np.array_equal(new_labels, labels):
             converged = True
             break
         labels = new_labels
-    return KmeansResult(labels, centers, objective, iterations, converged, seed)
+    return KmeansResult(
+        labels, centers, kmeans_objective(centers, points), iterations, converged, seed
+    )

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +22,9 @@ from .errors import ConfigError, DimensionError
 
 # training steps per block of precomputed neighborhood kernel rows
 _TABLE_STEPS = 4096
+# drawn-row elements gathered per chunk of steps (64 KB of float64), small
+# enough to stay in cache next to the codebooks
+_ROW_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -64,12 +69,17 @@ class SomConfig:
 
 @dataclass(frozen=True, eq=False)
 class SomModel:
-    """Codebook plus bookkeeping. ``final_qe`` is None until trained."""
+    """Codebook plus bookkeeping.
+
+    ``final_qe`` and ``match`` are None until trained; ``match`` is then the
+    :func:`codebook_match` of the training rows, read off the closing pass.
+    """
 
     config: SomConfig
     codebook: np.ndarray  # (n_units, dim)
     hit_counts: np.ndarray  # (n_units,) int
     final_qe: float | None = None
+    match: CodebookMatchSet | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +152,22 @@ def _grid_sqdist(config: SomConfig) -> np.ndarray:
     k = np.arange(config.n_units)
     coords = np.stack([k // config.grid_cols, k % config.grid_cols], axis=1).astype(float)
     return sq_distances(coords, coords)
+
+
+@lru_cache(maxsize=64)
+def _grid_levels(grid_rows: int, grid_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct squared grid distances, and per (winner, unit) the index of theirs.
+
+    The index array has shape (K, K, 1), so a gather over winners broadcasts
+    against (A, K, d) codebooks as it is. Both arrays are cached per grid
+    shape and read-only.
+    """
+    config = SomConfig(grid_rows, grid_cols)
+    levels, level_of = np.unique(_grid_sqdist(config), return_inverse=True)
+    level_of = level_of.reshape(config.n_units, config.n_units, 1)
+    levels.setflags(write=False)
+    level_of.setflags(write=False)
+    return levels, level_of
 
 
 def _schedule(config: SomConfig, t, total_steps: int):
@@ -219,52 +245,100 @@ def train_som(som: SomModel, data) -> SomModel:
     row, finds its BMU (ties to the lowest unit), and moves every unit toward
     the row by the current neighborhood weight of that unit against the winner.
 
-    One step is fused and allocation-free: the difference ``codebook - x`` is
-    written into a reused K x d buffer, its row norms (an in-place einsum)
-    pick the winner, and the same buffer, scaled by the kernel row, is
-    subtracted from the codebook. Negation is exact, so this equals
-    ``codebook += h * (x - codebook)`` bit for bit. The grid distances take
-    only a few distinct values, so the kernel rows come from a table of
-    ``_neighborhood`` over (step, distance level), built for at most
-    ``_TABLE_STEPS`` steps at a time, and a step only gathers its row.
-
     The closing pass fills the hit counts (each row counted at its BMU, minus
-    the rows filtered out by ``hit_quantile``) and records the final mean
-    squared BMU distance.
+    the rows filtered out by ``hit_quantile``), records the final mean
+    squared BMU distance and, from the same distances, the codebook match of
+    the training rows. This is :func:`train_soms` for one map.
     """
-    X = as_matrix(data)
-    n, dim = X.shape
-    if dim != som.codebook.shape[1]:
-        raise DimensionError(
-            f"data has {dim} columns, codebook was built for {som.codebook.shape[1]}"
-        )
-    config = som.config
+    return train_soms([som], [data])[0]
+
+
+def train_soms(soms: Iterable[SomModel], data: Sequence) -> list[SomModel]:
+    """Train several maps in lockstep; each ends as :func:`train_som` leaves it.
+
+    ``data`` holds one matrix per map. The maps must share one config apart
+    from the seed and the matrices one shape, else ``ConfigError``. A matrix
+    shared by several maps is read in place, not copied. ``soms`` is consumed
+    one map at a time: each codebook is copied into the stack as it comes,
+    so a generator of freshly initialized maps never holds more than one
+    of their codebooks beside the stack.
+
+    The codebooks are stacked into one (A, K, d) array, so one step of every
+    map costs the same few numpy calls. A step is fused and allocation-free:
+    the differences ``codebook - x`` go into a reused buffer, their row norms
+    (one in-place einsum) pick each map's winner, and the same buffer, scaled
+    by the kernel rows, is subtracted from the codebooks. Negation is exact,
+    so this equals ``codebook += h * (x - codebook)`` bit for bit, and the
+    einsum adds each norm as the single-map ``"kd,kd->k"`` does. The grid
+    distances take only a few distinct values, so the kernel rows come from a
+    table of ``_neighborhood`` over (step, distance level), shared by the
+    maps. The table is built ``_TABLE_STEPS`` steps at a time and the drawn
+    data rows are gathered about ``_ROW_ELEMENTS`` elements at a time.
+    """
+    matrices = [as_matrix(x) for x in data]
+    configs = []
+    codebooks = None
+    soms = iter(soms)
+    for a, (X, som) in enumerate(zip(matrices, soms)):
+        if codebooks is None:
+            n, dim = X.shape
+            config = som.config
+            codebooks = np.empty((len(matrices),) + som.codebook.shape, dtype=som.codebook.dtype)
+        elif replace(som.config, seed=config.seed) != config:
+            raise ConfigError("maps trained in lockstep must share one config apart from the seed")
+        elif X.shape != (n, dim):
+            raise ConfigError(f"matrices of shapes {(n, dim)} and {X.shape} cannot share a step")
+        if som.codebook.shape[1] != dim:
+            raise DimensionError(
+                f"data has {dim} columns, codebook was built for {som.codebook.shape[1]}"
+            )
+        codebooks[a] = som.codebook
+        configs.append(som.config)
+    if len(configs) != len(matrices) or next(soms, None) is not None:
+        raise ConfigError("train_soms needs one matrix per map")
+    if not configs:
+        return []
+    k = config.n_units
     total = config.epochs * n
-    rng = np.random.default_rng(derive_seed(config.seed, "train"))
-    draws = rng.integers(0, n, size=total)
-    levels, level_of = np.unique(_grid_sqdist(config), return_inverse=True)
-    level_of = level_of.reshape(config.n_units, config.n_units)
-    codebook = som.codebook.copy()
-    diff = np.empty_like(codebook)
-    d2 = np.empty(codebook.shape[0], dtype=codebook.dtype)
+    draws = np.stack([
+        np.random.default_rng(derive_seed(c.seed, "train")).integers(0, n, size=total)
+        for c in configs
+    ])
+    levels, level_of = _grid_levels(config.grid_rows, config.grid_cols)
+    diff = np.empty_like(codebooks)
+    d2 = np.empty(codebooks.shape[:2], dtype=codebooks.dtype)
+    chunk = max(1, _ROW_ELEMENTS // (len(configs) * dim))
+    rows = np.empty((min(chunk, total), len(configs), 1, dim), dtype=matrices[0].dtype)
+    subtract, einsum, winners, levels_of = np.subtract, np.einsum, d2.argmin, level_of.take
     for start in range(0, total, _TABLE_STEPS):
         steps = np.arange(start, min(start + _TABLE_STEPS, total))
         table = _neighborhood(config, levels[None, :], steps[:, None], total)
-        for row, draw in zip(table, draws[start:start + _TABLE_STEPS].tolist()):
-            np.subtract(codebook, X[draw], out=diff)
-            np.einsum("kd,kd->k", diff, diff, out=d2)
-            diff *= row[level_of[d2.argmin()]][:, None]
-            codebook -= diff
+        for first in range(0, len(steps), chunk):
+            drawn = slice(start + first, start + min(first + chunk, len(steps)))
+            for a, X in enumerate(matrices):
+                rows[:drawn.stop - drawn.start, a, 0] = X[draws[a, drawn]]
+            for row, x in zip(table[first:first + chunk], rows):
+                subtract(codebooks, x, out=diff)
+                einsum("akd,akd->ak", diff, diff, out=d2)
+                diff *= row.take(levels_of(winners(1), 0))
+                codebooks -= diff
+    del diff, rows  # the closing pass needs their memory for its own distances
 
-    sq = sq_distances(X, codebook)
-    bmu = np.argmin(sq, axis=1)
-    dists = sq[np.arange(n), bmu]
-    if config.hit_quantile < 1.0:
-        keep = dists <= np.quantile(dists, config.hit_quantile)
-    else:
-        keep = np.ones(n, dtype=bool)
-    hits = np.bincount(bmu[keep], minlength=config.n_units).astype(np.int64)
-    return SomModel(config, codebook, hits, float(dists.mean()))
+    trained = []
+    for c, X, codebook in zip(configs, matrices, codebooks):
+        sq = sq_distances(X, codebook)
+        bmu = np.argmin(sq, axis=1)
+        dists = sq[np.arange(n), bmu]
+        if c.hit_quantile < 1.0:
+            keep = dists <= np.quantile(dists, c.hit_quantile)
+        else:
+            keep = np.ones(n, dtype=bool)
+        hits = np.bincount(bmu[keep], minlength=k).astype(np.int64)
+        model = SomModel(c, codebook, hits, float(dists.mean()))
+        ids = np.argmin(sq, axis=0).astype(np.int64)
+        match = CodebookMatchSet(ids, X[ids], codebook_priors(model))
+        trained.append(SomModel(c, codebook, hits, model.final_qe, match))
+    return trained
 
 
 def quantization_error(som: SomModel, data) -> float:

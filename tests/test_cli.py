@@ -199,6 +199,18 @@ class TestCluster:
         assert rc == 2
         assert "'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--em-tol", "nan"), ("--em-tol", "inf"), ("--reg-eps", "nan"), ("--reg-eps", "0"),
+    ])
+    def test_non_finite_or_non_positive_tolerance_is_usage_error(self, tmp_path, capsys,
+                                                                flag, value):
+        data = _make_planted(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["cluster", "--input", str(data), "--out", str(out), flag, value])
+        assert rc == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not (out / "tree.json").exists()
+
     def test_single_feature_is_usage_error(self, tmp_path, capsys):
         thin = tmp_path / "thin.csv"
         thin.write_text("1\n2\n3\n")

@@ -16,12 +16,13 @@ from ppp.engine import (
     cluster_labels,
     cut_tree,
     evaluate_split,
+    evaluate_splits,
     gamma_set,
     grow_node,
     overlap_fraction,
     split_objective,
 )
-from ppp.errors import ConfigError, DimensionError, SingularCovariance
+from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCovariance
 from ppp.gmm import GaussianMixture
 from ppp.som import CodebookMatchSet
 from ppp.synth import PlantedSpec, generate_planted
@@ -231,6 +232,76 @@ class TestEvaluateSplit:
         assert sorted(ids.tolist()) == list(range(8))
 
 
+def _same_evaluation(a, b):
+    assert a.attempt_seed == b.attempt_seed
+    assert a.score == b.score and a.overlaps == b.overlaps
+    assert a.outcome == b.outcome
+    assert np.array_equal(a.core_set.indices, b.core_set.indices)
+    for x, y in zip(a.child_sets, b.child_sets):
+        assert np.array_equal(x.indices, y.indices)
+    for x, y in zip(a.posteriors, b.posteriors):
+        assert np.array_equal(x, y)
+    if a.feature_split is None:
+        assert b.feature_split is None
+    else:
+        for x, y in zip(a.feature_split, b.feature_split):
+            assert np.array_equal(x.indices, y.indices)
+
+
+class TestEvaluateSplits:
+    """A batch of attempts gives each attempt's result bit for bit."""
+
+    def test_batch_equals_one_attempt_at_a_time(self, planted):
+        node = PppNode(IndexSet.full(8), IndexSet.full(120))
+        config = PppConfig(master_seed=3)
+        seeds = [derive_seed(3, "", a) for a in range(6)]
+        batch = evaluate_splits(node, planted.matrix, config, seeds)
+        assert len(batch) == len(seeds)
+        for seed, got in zip(seeds, batch):
+            _same_evaluation(got, evaluate_split(node, planted.matrix, config, seed))
+
+    def test_batch_on_an_inner_node(self, planted):
+        node = PppNode(IndexSet(np.array([0, 1, 2, 5, 6]), 8), IndexSet(np.arange(0, 120, 3), 120))
+        config = PppConfig(master_seed=4, gamma_rows="all")
+        seeds = [11, 12, 13]
+        for seed, got in zip(seeds, evaluate_splits(node, planted.matrix, config, seeds)):
+            _same_evaluation(got, evaluate_split(node, planted.matrix, config, seed))
+
+    def test_degenerate_attempts_in_a_batch(self):
+        const = DesignMatrix.ingest(np.full((10, 4), 2.0))
+        node = PppNode(IndexSet.full(4), IndexSet.full(10))
+        results = evaluate_splits(node, const, PppConfig(), [1, 2, 3])
+        assert [r.outcome for r in results] == ["degenerate_split"] * 3
+
+    def test_fit_failures_are_caught_per_attempt(self, planted, monkeypatch):
+        """In a real batch, a parent fit that raises fails only its own attempt,
+        and so does a child fit; the other attempts keep their results."""
+        node = PppNode(IndexSet.full(8), IndexSet.full(120))
+        config = PppConfig(master_seed=3)
+        seeds = [derive_seed(3, "", a) for a in range(4)]
+        clean = evaluate_splits(node, planted.matrix, config, seeds)
+        real_fit = engine_mod.fit_em
+        calls = {"parent": 0, "child": 0}
+
+        def fit(g, data, **kwargs):
+            # parent fits run first, in seed order; then each attempt's two child fits
+            kind = "parent" if np.shape(data)[1] == 8 else "child"
+            calls[kind] += 1
+            if (kind, calls[kind]) in {("parent", 2), ("child", 1)}:
+                raise (SingularCovariance if kind == "parent" else DegenerateModel)("stub")
+            return real_fit(g, data, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "fit_em", fit)
+        got = evaluate_splits(node, planted.matrix, config, seeds)
+        assert isinstance(got[1], SingularCovariance)
+        assert isinstance(got[0], DegenerateModel)  # the first child fit is attempt 0's side 0
+        for i in (2, 3):
+            _same_evaluation(got[i], clean[i])
+        calls.update(parent=0, child=0)  # alone, attempt 1 fails at its side-0 child fit
+        with pytest.raises(DegenerateModel):
+            evaluate_split(node, planted.matrix, config, seeds[1])
+
+
 def _stub_eval(score, n_features=4, n_instances=6):
     empty = IndexSet(np.array([], dtype=np.int64), n_instances)
     if score is None:
@@ -243,6 +314,11 @@ def _stub_eval(score, n_features=4, n_instances=6):
     post = (np.array([0.9, 0.8]), np.array([0.7, 0.6]))
     return SplitEvaluation(0, split, children, children, post,
                            (float(score), float(score)), float(score))
+
+
+def _stub_batches(score):
+    """A batch entry point that gives every requested attempt the same score."""
+    return lambda node, data, config, seeds: [_stub_eval(score) for _ in seeds]
 
 
 class TestGrowNodeControlFlow:
@@ -268,8 +344,7 @@ class TestGrowNodeControlFlow:
         assert node.status == "leaf_terminal"
 
     def test_no_score_runs_all_attempts(self, tiny, monkeypatch):
-        monkeypatch.setattr(engine_mod, "evaluate_split",
-                            lambda *a, **k: _stub_eval(None))
+        monkeypatch.setattr(engine_mod, "evaluate_splits", _stub_batches(None))
         node = self._node()
         grow_node(node, tiny, PppConfig())
         assert node.status == "leaf_unsplittable"
@@ -277,16 +352,16 @@ class TestGrowNodeControlFlow:
         assert node.score_trace == [None] * 20
 
     def test_attempt_cap_respected(self, tiny, monkeypatch):
-        monkeypatch.setattr(engine_mod, "evaluate_split",
-                            lambda *a, **k: _stub_eval(None))
+        monkeypatch.setattr(engine_mod, "evaluate_splits", _stub_batches(None))
         node = self._node()
         grow_node(node, tiny, PppConfig(max_split_attempts=3))
         assert len(node.attempt_stats) == 3
 
     def test_patience_arms_after_first_score(self, tiny, monkeypatch):
         scores = iter([5.0] + [None] * 30)
-        monkeypatch.setattr(engine_mod, "evaluate_split",
-                            lambda *a, **k: _stub_eval(next(scores)))
+        monkeypatch.setattr(engine_mod, "evaluate_splits",
+                            lambda node, data, config, seeds: [_stub_eval(next(scores))
+                                                               for _ in seeds])
         node = self._node()
         grow_node(node, tiny, PppConfig(patience=5))
         assert len(node.attempt_stats) == 6  # 1 hit + 5 stale
@@ -295,24 +370,23 @@ class TestGrowNodeControlFlow:
 
     def test_improvement_resets_patience(self, tiny, monkeypatch):
         scores = iter([1.0, 2.0, 3.0] + [3.0] * 30)
-        monkeypatch.setattr(engine_mod, "evaluate_split",
-                            lambda *a, **k: _stub_eval(next(scores)))
+        monkeypatch.setattr(engine_mod, "evaluate_splits",
+                            lambda node, data, config, seeds: [_stub_eval(next(scores))
+                                                               for _ in seeds])
         node = self._node()
         grow_node(node, tiny, PppConfig(patience=5))
         assert len(node.attempt_stats) == 8  # 3 improvements + 5 ties
         assert node.best_eval.score == 3.0
 
     def test_zero_best_score_stays_leaf(self, tiny, monkeypatch):
-        monkeypatch.setattr(engine_mod, "evaluate_split",
-                            lambda *a, **k: _stub_eval(0.0))
+        monkeypatch.setattr(engine_mod, "evaluate_splits", _stub_batches(0.0))
         node = self._node()
         grow_node(node, tiny, PppConfig(patience=4))
         assert node.status == "leaf_unsplittable"
         assert len(node.attempt_stats) == 5  # armed by the present zero score
 
     def test_accepted_split_builds_children(self, tiny, monkeypatch):
-        monkeypatch.setattr(engine_mod, "evaluate_split",
-                            lambda *a, **k: _stub_eval(12.0))
+        monkeypatch.setattr(engine_mod, "evaluate_splits", _stub_batches(12.0))
         node = self._node()
         grow_node(node, tiny, PppConfig())
         a, b = node.children
@@ -322,6 +396,72 @@ class TestGrowNodeControlFlow:
         assert a.instance_set.indices.tolist() == [0, 1, 2]
         assert b.instance_set.indices.tolist() == [3, 4]
         assert a.status == "open" and a.is_leaf
+
+
+def _one_at_a_time(scores, config):
+    """Attempt count of the sequential patience rule on a score sequence."""
+    best, stale = None, 0
+    for attempt, score in enumerate(scores[:config.max_split_attempts], start=1):
+        if score is not None and (best is None or score > best):
+            best, stale = score, 0
+        elif best is not None:
+            stale += 1
+            if stale >= config.patience:
+                return attempt
+    return min(len(scores), config.max_split_attempts)
+
+
+class TestGrowNodeBatching:
+    """Batches ask for exactly the attempts the one-at-a-time loop runs."""
+
+    SEQUENCES = {
+        "never": [None] * 20,
+        "late_first": [None, None, None, 4.0] + [1.0] * 16,
+        "improving": [1.0, None, 2.0, 2.0, 3.0, None, 5.0] + [None] * 13,
+        "zero_then_up": [0.0, None, None, 7.0, 6.0, 8.0] + [8.0] * 14,
+        "first_only": [9.0] + [None] * 19,
+        "slow_climb": [None, 1.0, None, None, 1.5, None, None, None, 2.0] + [None] * 11,
+    }
+
+    @pytest.mark.parametrize("patience", [1, 5])
+    @pytest.mark.parametrize("max_attempts", [1, 3, 20])
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_requested_seeds_are_the_recorded_seeds(self, name, max_attempts, patience,
+                                                    monkeypatch):
+        scores = self.SEQUENCES[name]
+        requested = []
+
+        def stub(node, data, config, seeds):
+            start = len(requested)
+            requested.extend(seeds)
+            return [_stub_eval(s) for s in scores[start:start + len(seeds)]]
+
+        monkeypatch.setattr(engine_mod, "evaluate_splits", stub)
+        rng = np.random.default_rng(0)
+        data = DesignMatrix.ingest(rng.standard_normal((6, 4)))
+        config = PppConfig(master_seed=2, max_split_attempts=max_attempts, patience=patience)
+        node = grow_node(PppNode(IndexSet.full(4), IndexSet.full(6), "01"), data, config)
+        recorded = [row[0] for row in node.attempt_stats]
+        assert requested == recorded
+        assert recorded == [derive_seed(2, "01", a) for a in range(len(recorded))]
+        assert len(recorded) == _one_at_a_time(scores, config)
+        assert node.score_trace == scores[:len(recorded)]
+
+    def test_wide_nodes_get_narrow_batches(self, monkeypatch):
+        """The batch width shrinks with the map size K * d of the node."""
+        sizes = []
+        real = engine_mod.evaluate_splits
+
+        def record(node, data, config, seeds):
+            sizes.append(len(seeds))
+            return real(node, data, config, seeds)
+
+        monkeypatch.setattr(engine_mod, "evaluate_splits", record)
+        rng = np.random.default_rng(1)
+        wide = DesignMatrix.ingest(rng.standard_normal((48, 700)))  # K * d = 48 * 700
+        grow_node(PppNode(IndexSet.full(700), IndexSet.full(48)), wide,
+                  PppConfig(max_split_attempts=3))
+        assert sizes == [1, 1, 1]
 
 
 class TestGrowNodeOnData:
@@ -350,18 +490,21 @@ class TestGrowNodeFaultIsolation:
     def _failing_fit(self, monkeypatch, failing_seed, error):
         """Make ``fit_em`` raise ``error`` inside the attempt ``failing_seed``."""
         current = {}
-        real_evaluate, real_fit = engine_mod.evaluate_split, engine_mod.fit_em
+        real_evaluate, real_fit = engine_mod.evaluate_splits, engine_mod.fit_em
 
-        def evaluate(node, data, config, attempt_seed):
-            current["seed"] = attempt_seed
-            return real_evaluate(node, data, config, attempt_seed)
+        def evaluate(node, data, config, seeds):  # one attempt at a time, to know whose fit runs
+            results = []
+            for seed in seeds:
+                current["seed"] = seed
+                results += real_evaluate(node, data, config, [seed])
+            return results
 
         def fit(*args, **kwargs):
             if current["seed"] == failing_seed:
                 raise error
             return real_fit(*args, **kwargs)
 
-        monkeypatch.setattr(engine_mod, "evaluate_split", evaluate)
+        monkeypatch.setattr(engine_mod, "evaluate_splits", evaluate)
         monkeypatch.setattr(engine_mod, "fit_em", fit)
 
     def test_failed_attempt_is_undefined_and_the_node_resolves(self, planted, monkeypatch):
@@ -545,12 +688,23 @@ class TestPppConfig:
         {"em_max_iter": 0},
         {"kmeans_max_iter": 0},
         {"em_tol": 0.0},
+        {"em_tol": float("nan")},
+        {"em_tol": float("inf")},
+        {"em_tol": -1e-6},
+        {"reg_epsilon": float("nan")},
+        {"reg_epsilon": float("inf")},
+        {"reg_epsilon": 0.0},
+        {"reg_epsilon": -1e-9},
         {"som_epochs": 0},
         {"som_grid": (0, 2)},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             PppConfig(**kwargs)
+
+    def test_reg_epsilon_defaults_to_none(self):
+        assert PppConfig().reg_epsilon is None
+        assert PppConfig(reg_epsilon=1e-9).reg_epsilon == 1e-9
 
     def test_raw_score_threshold_unconstrained(self):
         cfg = PppConfig(score_threshold=1.5, score_source="raw")

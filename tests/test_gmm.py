@@ -16,6 +16,7 @@ from ppp.data import _BLOCK_ELEMENTS
 from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCovariance
 from ppp.gmm import (
     GaussianMixture,
+    _m_step,
     _weighted_log_prob,
     default_covariance_mode,
     em_step,
@@ -424,6 +425,41 @@ class TestEmStep:
                 g, ll = em_step(g, X)
                 assert ll >= prev - 1e-8
                 prev = ll
+
+
+class TestFullMStep:
+    """The buffered full-mode M-step equals the plain broadcast expression."""
+
+    @staticmethod
+    def _reference(g, X, r):
+        mass = r.sum(axis=0)
+        means = (r.T @ X) / mass[:, None]
+        diff = X - means[:, None, :]
+        covs = (r.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
+        covs /= mass[:, None, None]
+        diag = np.arange(g.dim)
+        covs[:, diag, diag] += g.reg_epsilon
+        return mass / mass.sum(), means, covs
+
+    @pytest.mark.parametrize("k, n, d", [(3, 30, 2), (64, 64, 16), (5, 200, 16), (2, 7, 1)])
+    def test_equals_broadcast_expression(self, k, n, d):
+        rng = np.random.default_rng(k * n + d)
+        g = _random_mixture(rng, k, d)
+        X = rng.standard_normal((n, d)) * 2
+        r = responsibilities(g, X)
+        updated = _m_step(g, X, r)
+        weights, means, covs = self._reference(g, X, r)
+        assert np.array_equal(updated.weights, weights)
+        assert np.array_equal(updated.means, means)
+        assert np.array_equal(updated.covariances, covs)
+
+    def test_column_sliced_data(self):
+        rng = np.random.default_rng(3)
+        g = _random_mixture(rng, 4, 3)
+        X = rng.standard_normal((40, 7))[:, ::2][:, :3]
+        r = responsibilities(g, X)
+        _, _, covs = self._reference(g, X, r)
+        assert np.array_equal(_m_step(g, X, r).covariances, covs)
 
 
 class TestFitEm:

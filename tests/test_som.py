@@ -1,6 +1,8 @@
 """Map training, winner search, matching and priors."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from ppp.som import (
     neighborhood_weight,
     quantization_error,
     train_som,
+    train_soms,
 )
 from support import train_som_reference
 
@@ -380,6 +383,116 @@ class TestTrainSomMatchesReference:
             for winner in range(config.n_units):
                 want = _neighborhood(config, grid_sq[winner], t, total)
                 assert np.array_equal(table[t][level_of[winner]], want)
+
+
+class TestTrainSoms:
+    """Maps trained in lockstep end exactly as each map trained alone."""
+
+    CASES = [
+        # (n, d, grid, config keywords)
+        (60, 5, (3, 4), {}),
+        (40, 1, (2, 3), {}),
+        (50, 4, (3, 3), {"hit_quantile": 0.7}),
+        (5, 3, (3, 3), {}),  # more units than rows
+    ]
+
+    @staticmethod
+    def _maps(n, d, grid, kw, n_maps, shared):
+        """``n_maps`` freshly initialized maps, on one matrix or on one each."""
+        n_data = 1 if shared else n_maps
+        data = [_structured_rows(100 * n + d + j, n, d) for j in range(n_data)]
+        data = data * n_maps if shared else data
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the more-units-than-rows warning
+            soms = [init_som(SomConfig(*grid, seed=j, **kw), X) for j, X in enumerate(data)]
+        return soms, data
+
+    @pytest.mark.parametrize("n_maps", [1, 2, 5])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+    @pytest.mark.parametrize("n, d, grid, kw", CASES)
+    def test_each_map_equals_training_alone(self, n, d, grid, kw, n_maps, shared):
+        soms, data = self._maps(n, d, grid, kw, n_maps, shared)
+        together = train_soms(soms, data)
+        assert len(together) == n_maps
+        for som, X, got in zip(soms, data, together):
+            for want in (train_som(som, X), train_som_reference(som, X)):
+                assert np.array_equal(got.codebook, want.codebook)
+                assert np.array_equal(got.hit_counts, want.hit_counts)
+                assert got.final_qe == want.final_qe
+            assert got.config == som.config
+
+    def test_more_units_than_rows_warns_at_init(self):
+        X = _structured_rows(5, 5, 3)
+        with pytest.warns(UserWarning, match="units for only 5 rows"):
+            soms = [init_som(SomConfig(3, 3, seed=j), X) for j in range(2)]
+        for som, got in zip(soms, train_soms(soms, [X, X])):
+            assert np.array_equal(got.codebook, train_som_reference(som, X).codebook)
+
+    def test_match_is_the_codebook_match_of_the_training_rows(self):
+        soms, data = self._maps(60, 5, (3, 4), {}, 3, shared=False)
+        for got, X in zip(train_soms(soms, data), data):
+            want = codebook_match(got, X)
+            assert np.array_equal(got.match.matched_instance_ids, want.matched_instance_ids)
+            assert np.array_equal(got.match.matched_vectors, want.matched_vectors)
+            assert np.array_equal(got.match.priors, want.priors)
+
+    def test_untrained_map_has_no_match(self):
+        X = _structured_rows(1, 10, 2)
+        assert init_som(SomConfig(2, 2), X).match is None
+
+    def test_accepts_a_generator_of_maps(self):
+        soms, data = self._maps(30, 3, (2, 2), {}, 3, shared=True)
+        lazily = train_soms((som for som in soms), data)
+        for got, want in zip(lazily, train_soms(soms, data)):
+            assert np.array_equal(got.codebook, want.codebook)
+
+    def test_empty_batch(self):
+        assert train_soms([], []) == []
+
+    @pytest.mark.parametrize("other", [
+        SomConfig(2, 3, seed=1),  # another grid
+        SomConfig(2, 2, epochs=4, seed=1),
+        SomConfig(2, 2, alpha_end=0.01, seed=1),
+        SomConfig(2, 2, sigma_start=3.0, seed=1),
+        SomConfig(2, 2, hit_quantile=0.9, seed=1),
+    ])
+    def test_configs_must_differ_only_in_seed(self, other):
+        X = _structured_rows(2, 20, 3)
+        soms = [init_som(SomConfig(2, 2, seed=0), X), init_som(other, X)]
+        with pytest.raises(ConfigError):
+            train_soms(soms, [X, X])
+
+    def test_matrices_must_share_a_shape(self):
+        X = _structured_rows(3, 20, 3)
+        Y = _structured_rows(4, 21, 3)
+        soms = [init_som(SomConfig(2, 2, seed=0), X), init_som(SomConfig(2, 2, seed=1), Y)]
+        with pytest.raises(ConfigError):
+            train_soms(soms, [X, Y])
+
+    @pytest.mark.parametrize("n_maps, n_data", [(2, 1), (1, 2)])
+    def test_one_matrix_per_map(self, n_maps, n_data):
+        X = _structured_rows(5, 20, 3)
+        soms = [init_som(SomConfig(2, 2, seed=j), X) for j in range(n_maps)]
+        with pytest.raises(ConfigError):
+            train_soms(soms, [X] * n_data)
+
+    def test_dimension_mismatch(self):
+        X = _structured_rows(6, 20, 3)
+        soms = [init_som(SomConfig(2, 2, seed=j), X) for j in range(2)]
+        with pytest.raises(DimensionError):
+            train_soms(soms, [X[:, :2], X[:, :2]])
+
+    def test_shared_matrix_is_not_copied(self):
+        """Four maps on one 100 x 2000 matrix (1.6 MB) never hold a copy of it."""
+        X = _structured_rows(7, 100, 2000)
+        soms = [init_som(SomConfig(2, 2, epochs=1, seed=j), X) for j in range(4)]
+        tracemalloc.start()
+        try:
+            train_soms(soms, [X] * 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
 
 
 class TestQuantizationError:
