@@ -80,6 +80,13 @@ def _cut_depth(text: str) -> int:
     return depth
 
 
+def _thread_count(text: str) -> int:
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -336,15 +343,13 @@ def _add_common_config_flags(sub) -> None:
                      help="non-improving attempts before giving up (default 5)")
     sub.add_argument("--threshold", type=float, default=None,
                      help="score threshold for core and child sets (default 0.5)")
-    sub.add_argument("--posterior-mode", choices=("competitive", "paper"), default=None,
-                     help="child posterior normalization (default competitive)")
     sub.add_argument("--gamma-rows", choices=("gamma0", "all"), default=None,
                      help="rows handed to the feature bisection (default gamma0)")
     sub.add_argument("--score-source", choices=("normalized", "raw"), default=None,
                      help="threshold normalized scores or raw densities")
     sub.add_argument("--kmeans-init", choices=("random", "plusplus"), default=None,
                      help="bisection center initializer (default random)")
-    sub.add_argument("--threads", type=int, default=None,
+    sub.add_argument("--threads", type=_thread_count, default=None,
                      help="worker threads for tree growth (default 1)")
 
 

@@ -27,17 +27,15 @@ from .gmm import (
     GaussianMixture,
     fit_em,
     init_gmm_from_codebook,
-    log_sum_exp,
     mixture_log_density,
     mixture_scores,
 )
 from .kmeans import kmeans_bisect
-from .som import CodebookMatchSet, SomConfig, default_som_config, init_som, train_soms
+from .som import CodebookMatchSet, default_som_config, init_som, train_soms
 # The split attempts call neither name; they stay importable from this module
 # because perfbench/tracer.py wraps them here by name.
 from .som import codebook_match, train_som  # noqa: F401
 
-POSTERIOR_MODES = ("competitive", "paper")
 GAMMA_ROW_MODES = ("gamma0", "all")
 SCORE_SOURCES = ("normalized", "raw")
 KMEANS_INITS = ("random", "plusplus")
@@ -52,11 +50,7 @@ _FIT_ERRORS = (SingularCovariance, DegenerateModel)
 class PppConfig:
     """Tunables for one clustering run.
 
-    ``som_grid`` None lets each node pick a grid from its own row count. The
-    ``posterior_mode`` names how the two child densities are normalized:
-    "competitive" pits them against each other per matched vector (the pair
-    sums to one wherever the prior is positive), "paper" divides each child's
-    prior-weighted densities by that child's density total instead.
+    ``som_grid`` None lets each node pick a grid from its own row count.
     ``gamma_rows`` picks the rows handed to the feature bisection: the core
     set when it holds at least two rows ("gamma0") or always all node rows
     ("all"). ``score_source`` thresholds the normalized score by default; "raw"
@@ -66,20 +60,15 @@ class PppConfig:
     master_seed: int = 0
     som_grid: tuple[int, int] | None = None
     som_epochs: int = 5
-    som_alpha: tuple[float, float] = (0.5, 0.05)
-    som_sigma: tuple[float, float] | None = None
-    hit_quantile: float = 1.0
     em_tol: float = 1e-6
     em_max_iter: int = 100
     reg_epsilon: float | None = None
     covariance_mode: str | None = None
-    kmeans_max_iter: int = 300
     kmeans_init: str = "random"
     max_split_attempts: int = 20
     patience: int = 5
     score_threshold: float = 0.5
     min_features_to_split: int = 2
-    posterior_mode: str = "competitive"
     gamma_rows: str = "gamma0"
     score_source: str = "normalized"
 
@@ -92,16 +81,14 @@ class PppConfig:
             raise ConfigError("score_threshold must lie in (0, 1) for normalized scores")
         if self.min_features_to_split < 2:
             raise ConfigError("min_features_to_split must be at least 2")
-        if self.posterior_mode not in POSTERIOR_MODES:
-            raise ConfigError(f"posterior_mode must be one of {POSTERIOR_MODES}")
         if self.gamma_rows not in GAMMA_ROW_MODES:
             raise ConfigError(f"gamma_rows must be one of {GAMMA_ROW_MODES}")
         if self.score_source not in SCORE_SOURCES:
             raise ConfigError(f"score_source must be one of {SCORE_SOURCES}")
         if self.kmeans_init not in KMEANS_INITS:
             raise ConfigError(f"kmeans_init must be one of {KMEANS_INITS}")
-        if self.em_max_iter < 1 or self.kmeans_max_iter < 1:
-            raise ConfigError("iteration limits must be at least 1")
+        if self.em_max_iter < 1:
+            raise ConfigError("em_max_iter must be at least 1")
         if not (0.0 < self.em_tol < math.inf):
             raise ConfigError(f"em_tol must be positive and finite, got {self.em_tol!r}")
         if self.reg_epsilon is not None and not (0.0 < self.reg_epsilon < math.inf):
@@ -110,13 +97,6 @@ class PppConfig:
             raise ConfigError("som_epochs must be at least 1")
         if self.som_grid is not None and (self.som_grid[0] < 1 or self.som_grid[1] < 1):
             raise ConfigError("som_grid sides must be positive")
-
-    def som_config_for(self, n_instances: int, seed: int) -> SomConfig:
-        """Concrete SOM settings for a node with ``n_instances`` rows."""
-        return default_som_config(
-            n_instances, seed, self.som_grid, self.som_epochs, self.som_alpha,
-            self.som_sigma, self.hit_quantile,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,39 +209,25 @@ def child_posteriors(
     mixture_b: GaussianMixture,
     columns_a=None,
     columns_b=None,
-    mode: str = "competitive",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior that each parent matched vector belongs to child a vs child b.
 
     Each child mixture sees the matched vectors restricted to its own columns
-    (pass None to use the vectors as-is). In "competitive" mode the two
-    prior-weighted densities are normalized against each other per vector, so
-    the pair sums to one wherever the unit prior is positive and is zero where
-    it is not. In "paper" mode each child is normalized on its own: density
-    times prior over the sum of that child's densities. Both run in log space.
+    (pass None to use the vectors as-is). The two densities are normalized
+    against each other per vector in log space, so the pair sums to one
+    wherever the unit prior is positive and is zero where it is not.
     """
-    if mode not in POSTERIOR_MODES:
-        raise ConfigError(f"mode must be one of {POSTERIOR_MODES}")
     vectors = parent_match.matched_vectors
     va = vectors if columns_a is None else vectors[:, np.asarray(columns_a, dtype=np.int64)]
     vb = vectors if columns_b is None else vectors[:, np.asarray(columns_b, dtype=np.int64)]
     log_a = mixture_log_density(mixture_a, va)
     log_b = mixture_log_density(mixture_b, vb)
-    priors = parent_match.priors
-    positive = priors > 0
-
-    if mode == "competitive":
-        shift = np.maximum(log_a, log_b)
-        ea = np.exp(log_a - shift)
-        eb = np.exp(log_b - shift)
-        post_a = np.where(positive, ea / (ea + eb), 0.0)
-        post_b = np.where(positive, eb / (ea + eb), 0.0)
-        return post_a, post_b
-
-    with np.errstate(divide="ignore"):
-        log_priors = np.where(positive, np.log(np.where(positive, priors, 1.0)), -np.inf)
-    post_a = np.exp(log_a + log_priors - log_sum_exp(log_a))
-    post_b = np.exp(log_b + log_priors - log_sum_exp(log_b))
+    positive = parent_match.priors > 0
+    shift = np.maximum(log_a, log_b)
+    ea = np.exp(log_a - shift)
+    eb = np.exp(log_b - shift)
+    post_a = np.where(positive, ea / (ea + eb), 0.0)
+    post_b = np.where(positive, eb / (ea + eb), 0.0)
     return post_a, post_b
 
 
@@ -281,7 +247,10 @@ def _quantize(
     The matrices share one shape; each map's config comes from its seed.
     """
     n = matrices[0].shape[0]
-    soms = (init_som(config.som_config_for(n, seed), X) for X, seed in zip(matrices, seeds))
+    soms = (
+        init_som(default_som_config(n, seed, config.som_grid, config.som_epochs), X)
+        for X, seed in zip(matrices, seeds)
+    )
     return [som.match for som in train_soms(soms, matrices)]
 
 
@@ -338,7 +307,6 @@ def evaluate_splits(
             km = kmeans_bisect(
                 X[point_rows].T,  # one point per feature column
                 derive_seed(seed, "bisect"),
-                max_iter=config.kmeans_max_iter,
                 init=config.kmeans_init,
             )
         except DegenerateSplit:
@@ -367,7 +335,7 @@ def evaluate_splits(
         try:
             mixtures = [_fit(*children.pop((i, side)), config) for side in (0, 1)]
             post_a, post_b = child_posteriors(
-                match0, mixtures[0], mixtures[1], columns[0], columns[1], config.posterior_mode
+                match0, mixtures[0], mixtures[1], columns[0], columns[1]
             )
         except _FIT_ERRORS as exc:
             results[i] = exc
@@ -432,7 +400,7 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     # A batch keeps every attempt's matches and child matrices alive at once,
     # so its stacked codebooks and step differences, 2 * width * K * d
     # elements, are held to one block: a 48 x 640 node runs one attempt at a time.
-    n_units = config.som_config_for(len(node.instance_set), 0).n_units
+    n_units = default_som_config(len(node.instance_set), 0, config.som_grid).n_units
     width = max(1, _BLOCK_ELEMENTS // (2 * n_units * len(node.feature_set)))
     best: SplitEvaluation | None = None
     stale = 0
@@ -474,25 +442,21 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
 def build_tree(data: DesignMatrix, config: PppConfig, threads: int = 1) -> PppTree:
     """Grow the full tree from a root holding every feature and instance.
 
-    ``threads`` > 1 grows the open nodes of each level concurrently; node
-    seeds depend only on (master seed, path, attempt), so the result is
-    identical for every thread count.
+    The open nodes of each level grow on ``threads`` workers (at least 1, else
+    ``ConfigError``); node seeds depend only on (master seed, path, attempt),
+    so the result is identical for every thread count.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     root = PppNode(IndexSet.full(data.n_features), IndexSet.full(data.n_instances))
-    if threads <= 1:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            grow_node(node, data, config)
-            if node.children is not None:
-                stack.append(node.children[1])
-                stack.append(node.children[0])
-    else:
-        frontier = [root]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while frontier:
-                list(pool.map(lambda nd: grow_node(nd, data, config), frontier))
-                frontier = [c for nd in frontier if nd.children is not None for c in nd.children]
+    frontier = [root]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # a pool thread gets a malloc arena of its own (about 1 MiB more peak
+        # memory), so a single worker is this thread; the pool then starts none
+        grow_all = pool.map if threads > 1 else map
+        while frontier:
+            list(grow_all(lambda nd: grow_node(nd, data, config), frontier))
+            frontier = [c for nd in frontier if nd.children is not None for c in nd.children]
     return PppTree(root, data.n_instances, data.n_features, config)
 
 

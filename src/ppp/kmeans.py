@@ -86,8 +86,11 @@ def kmeans_bisect(points, seed: int, max_iter: int = 300, init: str = "random") 
     """Split points into two clusters with Lloyd's algorithm.
 
     Runs until the assignment reaches a fixed point or ``max_iter`` passes.
-    Raises DegenerateSplit when fewer than two distinct points exist.
+    Raises DegenerateSplit when fewer than two distinct points exist and
+    ConfigError when ``max_iter`` is below 1.
     """
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or len(points) < 2:
         raise DegenerateSplit("need at least two points to bisect")

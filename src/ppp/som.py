@@ -33,9 +33,7 @@ class SomConfig:
 
     The learning rate and neighborhood radius interpolate linearly from their
     ``*_start`` to ``*_end`` values over the whole step budget
-    (``epochs * n_rows`` steps). ``hit_quantile`` below 1.0 drops the rows with
-    the largest BMU distances from the closing hit-count pass; 1.0 disables
-    the filter.
+    (``epochs * n_rows`` steps).
     """
 
     grid_rows: int
@@ -45,7 +43,6 @@ class SomConfig:
     alpha_end: float = 0.05
     sigma_start: float = 2.0
     sigma_end: float = 0.5
-    hit_quantile: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -59,8 +56,6 @@ class SomConfig:
             raise ConfigError("learning rate must satisfy alpha_start >= alpha_end > 0")
         if not (0.0 < self.sigma_end <= self.sigma_start):
             raise ConfigError("neighborhood radius must satisfy sigma_start >= sigma_end > 0")
-        if not (0.0 < self.hit_quantile <= 1.0):
-            raise ConfigError("hit_quantile must lie in (0, 1]")
 
     @property
     def n_units(self) -> int:
@@ -126,23 +121,14 @@ def default_som_config(
     seed: int = 0,
     grid: tuple[int, int] | None = None,
     epochs: int = 5,
-    alpha: tuple[float, float] = (0.5, 0.05),
-    sigma: tuple[float, float] | None = None,
-    hit_quantile: float = 1.0,
 ) -> SomConfig:
     """A ready-to-use config: size-based grid, radius from half the grid side."""
     rows, cols = grid if grid is not None else default_grid(n_instances)
-    if sigma is None:
-        sigma = (max(1.0, max(rows, cols) / 2.0), 0.5)
     return SomConfig(
         grid_rows=rows,
         grid_cols=cols,
         epochs=epochs,
-        alpha_start=alpha[0],
-        alpha_end=alpha[1],
-        sigma_start=sigma[0],
-        sigma_end=sigma[1],
-        hit_quantile=hit_quantile,
+        sigma_start=max(1.0, max(rows, cols) / 2.0),
         seed=seed,
     )
 
@@ -245,10 +231,10 @@ def train_som(som: SomModel, data) -> SomModel:
     row, finds its BMU (ties to the lowest unit), and moves every unit toward
     the row by the current neighborhood weight of that unit against the winner.
 
-    The closing pass fills the hit counts (each row counted at its BMU, minus
-    the rows filtered out by ``hit_quantile``), records the final mean
-    squared BMU distance and, from the same distances, the codebook match of
-    the training rows. This is :func:`train_soms` for one map.
+    The closing pass fills the hit counts (each row counted at its BMU),
+    records the final mean squared BMU distance and, from the same distances,
+    the codebook match of the training rows. This is :func:`train_soms` for
+    one map.
     """
     return train_soms([som], [data])[0]
 
@@ -328,13 +314,8 @@ def train_soms(soms: Iterable[SomModel], data: Sequence) -> list[SomModel]:
     for c, X, codebook in zip(configs, matrices, codebooks):
         sq = sq_distances(X, codebook)
         bmu = np.argmin(sq, axis=1)
-        dists = sq[np.arange(n), bmu]
-        if c.hit_quantile < 1.0:
-            keep = dists <= np.quantile(dists, c.hit_quantile)
-        else:
-            keep = np.ones(n, dtype=bool)
-        hits = np.bincount(bmu[keep], minlength=k).astype(np.int64)
-        model = SomModel(c, codebook, hits, float(dists.mean()))
+        hits = np.bincount(bmu, minlength=k).astype(np.int64)
+        model = SomModel(c, codebook, hits, float(sq[np.arange(n), bmu].mean()))
         ids = np.argmin(sq, axis=0).astype(np.int64)
         match = CodebookMatchSet(ids, X[ids], codebook_priors(model))
         trained.append(SomModel(c, codebook, hits, model.final_qe, match))

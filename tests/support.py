@@ -138,10 +138,5 @@ def train_som_reference(som: SomModel, data) -> SomModel:
 
     sq = sq_distances_reference(X, codebook)
     bmu = np.argmin(sq, axis=1)
-    dists = sq[np.arange(n), bmu]
-    if config.hit_quantile < 1.0:
-        keep = dists <= np.quantile(dists, config.hit_quantile)
-    else:
-        keep = np.ones(n, dtype=bool)
-    hits = np.bincount(bmu[keep], minlength=config.n_units).astype(np.int64)
-    return SomModel(config, codebook, hits, float(dists.mean()))
+    hits = np.bincount(bmu, minlength=config.n_units).astype(np.int64)
+    return SomModel(config, codebook, hits, float(sq[np.arange(n), bmu].mean()))

@@ -209,9 +209,10 @@ class TestCriterion07TerminationBound:
         bound_ok = max(counts) <= 20 and "open" not in statuses
 
         # where no attempt ever produces a defined score, the full attempt
-        # budget runs and the node stays unsplit
-        paper = build_tree(data, PppConfig(master_seed=0, posterior_mode="paper"))
-        root = paper.root
+        # budget runs and the node stays unsplit: with every feature column
+        # equal, no attempt can bisect the columns
+        same_columns = DesignMatrix.ingest(np.tile(X[:, :1], (1, 20)))
+        root = build_tree(same_columns, PppConfig(master_seed=0)).root
         no_score_ok = (
             len(root.attempt_stats) == 20
             and all(s is None for s in root.score_trace)
@@ -237,7 +238,7 @@ class TestCriterion08CutPartition:
         configs = [
             PppConfig(master_seed=0, max_split_attempts=4),
             PppConfig(master_seed=1, max_split_attempts=4, gamma_rows="all"),
-            PppConfig(master_seed=2, max_split_attempts=4, posterior_mode="paper"),
+            PppConfig(master_seed=2, max_split_attempts=4, patience=1),
             PppConfig(master_seed=3, max_split_attempts=4, score_threshold=0.3),
             PppConfig(master_seed=4, max_split_attempts=4, som_grid=(2, 2),
                       min_features_to_split=3),

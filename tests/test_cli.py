@@ -184,14 +184,6 @@ class TestCluster:
         assert rc == 2
         assert "one character" in capsys.readouterr().err
 
-    def test_paper_posterior_mode_runs(self, tmp_path):
-        data = _make_planted(tmp_path)
-        out = tmp_path / "paper"
-        rc = main(["cluster", "--input", str(data), "--out", str(out),
-                   "--seed", "3", "--posterior-mode", "paper",
-                   "--max-split-attempts", "3"])
-        assert rc == 0
-
     def test_unreadable_cell_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,x\n")
@@ -248,8 +240,8 @@ FILE_SETTINGS = [
     ("seed", "7"), ("som-grid", "3x4"), ("som-epochs", "2"), ("em-tol", "1e-4"),
     ("em-max-iter", "50"), ("cov-mode", "diag"), ("reg-eps", "1e-6"),
     ("max-split-attempts", "4"), ("patience", "2"), ("threshold", "0.4"),
-    ("posterior-mode", "paper"), ("gamma-rows", "all"), ("score-source", "raw"),
-    ("kmeans-init", "plusplus"), ("threads", "2"), ("cut-depth", "1"),
+    ("gamma-rows", "all"), ("score-source", "raw"), ("kmeans-init", "plusplus"),
+    ("threads", "2"), ("cut-depth", "1"),
 ]
 
 
@@ -275,7 +267,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key,text", [
         ("cov-mode", "diagonal"), ("seed", "seven"), ("cut-depth", "-1"), ("threshold", "x"),
-        ("som-grid", "3by4"),
+        ("som-grid", "3by4"), ("threads", "0"), ("threads", "-3"),
     ])
     def test_bad_value_fails_in_file_and_flag(self, tmp_path, capsys, key, text):
         data = _make_planted(tmp_path)

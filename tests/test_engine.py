@@ -24,7 +24,7 @@ from ppp.engine import (
 )
 from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCovariance
 from ppp.gmm import GaussianMixture
-from ppp.som import CodebookMatchSet
+from ppp.som import CodebookMatchSet, default_grid
 from ppp.synth import PlantedSpec, generate_planted
 from support import mixture_pdf
 
@@ -150,27 +150,6 @@ class TestChildPosteriors:
         assert post_a[0] > 0.999
         assert post_a[1] < 0.001
 
-    def test_paper_mode_matches_direct_formula(self):
-        """Each side normalizes density * prior by its own density total."""
-        rng = np.random.default_rng(2)
-        vectors = rng.standard_normal((6, 2))
-        ga = _isotropic(rng.standard_normal((2, 2)))
-        gb = _isotropic(rng.standard_normal((2, 2)))
-        priors = rng.dirichlet(np.ones(6))
-        post_a, post_b = child_posteriors(
-            _match_set(vectors, priors), ga, gb, mode="paper"
-        )
-        dens_a = np.array([mixture_pdf(ga, v) for v in vectors])
-        dens_b = np.array([mixture_pdf(gb, v) for v in vectors])
-        np.testing.assert_allclose(post_a, dens_a * priors / dens_a.sum(), rtol=1e-12)
-        np.testing.assert_allclose(post_b, dens_b * priors / dens_b.sum(), rtol=1e-12)
-
-    def test_paper_mode_zero_prior(self):
-        vectors = np.zeros((2, 2))
-        g = _isotropic([[0.0, 0.0]])
-        post_a, _ = child_posteriors(_match_set(vectors, [1.0, 0.0]), g, g, mode="paper")
-        assert post_a[1] == 0.0
-
     def test_column_restriction(self):
         """Each child mixture sees only its own feature columns."""
         rng = np.random.default_rng(3)
@@ -185,12 +164,6 @@ class TestChildPosteriors:
         dens_b = np.array([mixture_pdf(gb, v) for v in vectors[:, [1, 3]]])
         np.testing.assert_allclose(post_a, dens_a / (dens_a + dens_b), rtol=1e-12)
         np.testing.assert_allclose(post_b, dens_b / (dens_a + dens_b), rtol=1e-12)
-
-    def test_unknown_mode_rejected(self):
-        vectors = np.zeros((1, 2))
-        g = _isotropic([[0.0, 0.0]])
-        with pytest.raises(ConfigError):
-            child_posteriors(_match_set(vectors, [1.0]), g, g, mode="softmax")
 
 
 class TestEvaluateSplit:
@@ -570,6 +543,11 @@ class TestBuildTree:
             build_tree(planted.matrix, cfg, threads=2)
         )
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, planted, threads):
+        with pytest.raises(ConfigError):
+            build_tree(planted.matrix, PppConfig(), threads=threads)
+
     def test_hierarchical_coarse_split_first(self):
         """Two-level planted structure: the root must take the large-gap
         bipartition, not a fine one."""
@@ -681,12 +659,10 @@ class TestPppConfig:
         {"score_threshold": 0.0},
         {"score_threshold": 1.0},
         {"min_features_to_split": 1},
-        {"posterior_mode": "bayes"},
         {"gamma_rows": "some"},
         {"score_source": "densities"},
         {"kmeans_init": "farthest"},
         {"em_max_iter": 0},
-        {"kmeans_max_iter": 0},
         {"em_tol": 0.0},
         {"em_tol": float("nan")},
         {"em_tol": float("inf")},
@@ -697,6 +673,8 @@ class TestPppConfig:
         {"reg_epsilon": -1e-9},
         {"som_epochs": 0},
         {"som_grid": (0, 2)},
+        {"som_grid": (2, 0)},
+        {"score_threshold": float("nan")},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -710,22 +688,32 @@ class TestPppConfig:
         cfg = PppConfig(score_threshold=1.5, score_source="raw")
         assert cfg.score_threshold == 1.5
 
-    def test_som_config_targets_node_size(self):
-        cfg = PppConfig(som_epochs=7, som_alpha=(0.4, 0.01), hit_quantile=0.9)
-        som_cfg = cfg.som_config_for(100, seed=42)
+    @staticmethod
+    def _parent_som_config(monkeypatch, config, n_instances, seed):
+        """The SOM config a split attempt gives its parent map."""
+        seen = []
+        real_init_som = engine_mod.init_som
+
+        def init_som(som_config, X):
+            seen.append(som_config)
+            return real_init_som(som_config, X)
+
+        monkeypatch.setattr(engine_mod, "init_som", init_som)
+        X = np.random.default_rng(0).standard_normal((n_instances, 4))
+        node = PppNode(IndexSet.full(4), IndexSet.full(n_instances))
+        evaluate_splits(node, DesignMatrix.ingest(X), config, [seed])
+        return seen[0]
+
+    def test_som_config_targets_node_size(self, monkeypatch):
+        som_cfg = self._parent_som_config(monkeypatch, PppConfig(som_epochs=7), 100, 42)
         assert som_cfg.epochs == 7
-        assert som_cfg.alpha_start == 0.4 and som_cfg.alpha_end == 0.01
-        assert som_cfg.hit_quantile == 0.9
-        assert som_cfg.seed == 42
+        assert som_cfg.seed == derive_seed(42, "parent")
+        assert (som_cfg.grid_rows, som_cfg.grid_cols) == default_grid(100)
         assert som_cfg.sigma_start == max(
             1.0, max(som_cfg.grid_rows, som_cfg.grid_cols) / 2.0
         )
         assert som_cfg.sigma_end == 0.5
 
-    def test_grid_override(self):
-        som_cfg = PppConfig(som_grid=(3, 5)).som_config_for(1000, seed=0)
+    def test_grid_override(self, monkeypatch):
+        som_cfg = self._parent_som_config(monkeypatch, PppConfig(som_grid=(3, 5)), 100, 0)
         assert (som_cfg.grid_rows, som_cfg.grid_cols) == (3, 5)
-
-    def test_sigma_override(self):
-        som_cfg = PppConfig(som_sigma=(4.0, 0.2)).som_config_for(50, seed=0)
-        assert (som_cfg.sigma_start, som_cfg.sigma_end) == (4.0, 0.2)

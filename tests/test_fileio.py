@@ -290,7 +290,7 @@ class TestManifest:
             input_path="in.csv",
             output_paths={"tree": "tree.json"},
             master_seed=7,
-            config=config_to_dict(PppConfig(master_seed=7)),
+            config=config_to_dict(PppConfig(master_seed=7, som_grid=(3, 5))),
             created_utc="2026-01-01T00:00:00Z",
         )
         p = tmp_path / "manifest.json"
@@ -298,7 +298,7 @@ class TestManifest:
         doc = json.loads(p.read_text())
         assert doc["command"] == "cluster"
         assert doc["master_seed"] == 7
-        assert doc["config"]["som_alpha"] == [0.5, 0.05]
+        assert doc["config"]["som_grid"] == [3, 5]
         assert doc["tool_version"]
         assert not (tmp_path / "manifest.json.tmp").exists()
 

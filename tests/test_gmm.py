@@ -288,7 +288,7 @@ class TestLogSumExp:
         self._same(np.array([[0.3], [-np.inf], [-7.25]]))
 
     def test_vector_is_one_sum(self):
-        """The 1-D call of child_posteriors' "paper" mode."""
+        """A 1-D input is one row: a length-one result, equal to scipy's."""
         v = np.random.default_rng(31).standard_normal(40) * 25
         v[3] = v.max()
         assert np.array_equal(log_sum_exp(v), np.atleast_1d(scipy.special.logsumexp(v)))

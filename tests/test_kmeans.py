@@ -170,6 +170,16 @@ class TestKmeansBisect:
         with pytest.raises(ConfigError):
             kmeans_bisect(np.array([[0.0], [1.0]]), seed=0, init="farthest")
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_iteration_limit_below_one_rejected(self, max_iter):
+        with pytest.raises(ConfigError):
+            kmeans_bisect(np.array([[0.0], [1.0]]), seed=0, max_iter=max_iter)
+
+    def test_one_iteration_returns_an_assignment(self):
+        result = kmeans_bisect(np.array([[0.0], [1.0], [5.0]]), seed=0, max_iter=1)
+        assert result.iterations == 1 and not result.converged
+        assert sorted(set(result.assignment.tolist())) == [0, 1]
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_restarts_never_beat_exhaustive_optimum(self, seed):

@@ -63,13 +63,6 @@ class TestSomConfig:
         with pytest.raises(ConfigError):
             _config(epochs=0)
 
-    def test_hit_quantile_range(self):
-        with pytest.raises(ConfigError):
-            _config(hit_quantile=0.0)
-        with pytest.raises(ConfigError):
-            _config(hit_quantile=1.5)
-        assert _config(hit_quantile=0.9).hit_quantile == 0.9
-
     def test_n_units(self):
         assert _config(grid_rows=3, grid_cols=5).n_units == 15
 
@@ -270,13 +263,6 @@ class TestTrainSom:
         som = train_som(init_som(SomConfig(3, 3, seed=1), X), X)
         assert som.hit_counts.sum() == 50
 
-    def test_hit_quantile_drops_far_rows(self):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((40, 3))
-        som = train_som(init_som(SomConfig(2, 2, hit_quantile=0.5, seed=2), X), X)
-        assert som.hit_counts.sum() <= 40
-        assert som.hit_counts.sum() >= 20
-
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((30, 4))
@@ -337,7 +323,7 @@ class TestTrainSomMatchesReference:
             (200, 16, (8, 8), {}),
             (48, 640, (6, 8), {}),
             (2, 4, (1, 2), {"epochs": 1}),
-            (60, 5, (4, 4), {"hit_quantile": 0.8}),
+            (60, 5, (4, 4), {"alpha_start": 0.9, "alpha_end": 0.1}),
             (70, 6, (4, 5), {"sigma_start": 2.5, "sigma_end": 1e-9}),
         ],
     )
@@ -392,7 +378,7 @@ class TestTrainSoms:
         # (n, d, grid, config keywords)
         (60, 5, (3, 4), {}),
         (40, 1, (2, 3), {}),
-        (50, 4, (3, 3), {"hit_quantile": 0.7}),
+        (50, 4, (3, 3), {"sigma_start": 1.0, "sigma_end": 1.0}),
         (5, 3, (3, 3), {}),  # more units than rows
     ]
 
@@ -454,7 +440,7 @@ class TestTrainSoms:
         SomConfig(2, 2, epochs=4, seed=1),
         SomConfig(2, 2, alpha_end=0.01, seed=1),
         SomConfig(2, 2, sigma_start=3.0, seed=1),
-        SomConfig(2, 2, hit_quantile=0.9, seed=1),
+        SomConfig(2, 2, sigma_end=0.25, seed=1),
     ])
     def test_configs_must_differ_only_in_seed(self, other):
         X = _structured_rows(2, 20, 3)
