@@ -45,46 +45,49 @@ log = logging.getLogger(__name__)
 _USAGE_ERRORS = (ConfigError, ParseError, FormatError, ValidationError, FileNotFoundError)
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
+def _grid(text: str) -> tuple[int, int]:
+    """``RxC`` type of ``--som-grid`` and ``synth --blocks``."""
     try:
         rows, cols = text.lower().split("x")
         return int(rows), int(cols)
     except ValueError:
-        raise ConfigError(f"grid must look like RxC, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"grid must look like RxC, got {text!r}") from None
 
 
-def _grid_flag(text: str) -> tuple[int, int]:
-    """``--som-grid`` type: a usage error names the flag or the config-file line."""
-    try:
-        return _parse_grid(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_seed_list(text: str) -> list[int]:
-    """Accept "0..9" ranges (inclusive) or comma lists like "1,5,7"."""
+def _seeds(text: str) -> list[int]:
+    """``bench --seeds`` type: a "0..9" range (inclusive) or a comma list like "1,5,7"."""
     text = text.strip()
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",") if part != ""]
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise ConfigError(f'--seeds must look like "0..9" or "1,5,7", got {text!r}') from None
+        raise argparse.ArgumentTypeError(f'must look like "0..9" or "1,5,7", got {text!r}') from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"must name at least one seed, got {text!r}")
+    return seeds
 
 
-def _cut_depth(text: str) -> int:
-    depth = int(text)
-    if depth < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {depth}")
-    return depth
+def _at_least(low: int):
+    """Type of an integer flag whose values start at ``low``."""
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
-def _thread_count(text: str) -> int:
-    threads = int(text)
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
-    return threads
+def _cov_mode(text: str) -> str:
+    """``--cov-mode`` type: ``full`` or ``diag``, read as the covariance mode it names."""
+    if text not in ("full", "diag"):
+        raise argparse.ArgumentTypeError(f"must be one of full, diag, got {text!r}")
+    return "diagonal" if text == "diag" else text
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -148,27 +151,12 @@ def _apply_config_file(args) -> None:
                 setattr(args, dest, value)
 
 
-# flag destinations that name a PppConfig field differently
-_CONFIG_FIELD = {
-    "seed": "master_seed",
-    "reg_eps": "reg_epsilon",
-    "cov_mode": "covariance_mode",
-    "threshold": "score_threshold",
-}
-_COV_MODES = {"full": "full", "diag": "diagonal"}
-
-
 def _build_config(args) -> PppConfig:
     """A PppConfig from the settings that are set; the others keep their defaults."""
-    names = {f.name for f in fields(PppConfig)}
-    kwargs = {}
-    for dest, value in vars(args).items():
-        name = _CONFIG_FIELD.get(dest, dest)
-        if value is not None and name in names:
-            kwargs[name] = value
-    if "covariance_mode" in kwargs:
-        kwargs["covariance_mode"] = _COV_MODES[kwargs["covariance_mode"]]
-    return PppConfig(**kwargs)
+    settings = vars(args)
+    return PppConfig(**{
+        f.name: settings[f.name] for f in fields(PppConfig) if settings.get(f.name) is not None
+    })
 
 
 def _load_input(args):
@@ -202,8 +190,8 @@ def _manifest(command, args, config, out_paths: dict) -> RunManifest:
 
 def run_cluster(args) -> int:
     _apply_config_file(args)
-    matrix = _load_input(args)
     config = _build_config(args)
+    matrix = _load_input(args)
     cut_depth = args.cut_depth
 
     tree = build_tree(matrix, config, threads=args.threads or 1)
@@ -240,11 +228,10 @@ def run_cluster(args) -> int:
 
 def run_synth(args) -> int:
     seed = args.seed or 0
-    blocks = _parse_grid(args.blocks)
     spec = PlantedSpec.even(
         n_instances=args.instances,
         n_features=args.features,
-        shape=blocks,
+        shape=args.blocks,
         gap=args.gap,
         noise_sigma=args.noise,
         seed=seed,
@@ -266,7 +253,7 @@ def run_synth(args) -> int:
     manifest.config = {
         "instances": args.instances,
         "features": args.features,
-        "blocks": f"{blocks[0]}x{blocks[1]}",
+        "blocks": "{}x{}".format(*args.blocks),
         "gap": args.gap,
         "noise": args.noise,
         "seed": seed,
@@ -278,13 +265,10 @@ def run_synth(args) -> int:
 
 def run_bench(args) -> int:
     _apply_config_file(args)
-    matrix = _load_input(args)
     config = _build_config(args)
-    seeds = _parse_seed_list(args.seeds)
-    if not seeds:
-        raise ConfigError("--seeds must name at least one seed")
+    matrix = _load_input(args)
 
-    report = repeatability_trial(matrix, config, seeds, threads=args.threads or 1)
+    report = repeatability_trial(matrix, config, args.seeds, threads=args.threads or 1)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -292,9 +276,9 @@ def run_bench(args) -> int:
     export_report(report, paths["report"], paths["per_seed"])
     write_manifest(_manifest("bench", args, config, paths), paths["manifest"])
 
-    off_diagonal = report.pairwise_ari[~np.eye(len(seeds), dtype=bool)]
+    off_diagonal = report.pairwise_ari[~np.eye(len(args.seeds), dtype=bool)]
     mean_ari = float(off_diagonal.mean()) if off_diagonal.size else 1.0
-    print(f"seeds: {len(seeds)}, modal root split frequency {report.modal_frequency:.2f}, "
+    print(f"seeds: {len(args.seeds)}, modal root split frequency {report.modal_frequency:.2f}, "
           f"mean pairwise leaf ARI {mean_ari:.3f}")
     print(f"wrote {paths['report']} and {paths['per_seed']}")
     return 0
@@ -327,21 +311,23 @@ def _add_common_input_flags(sub) -> None:
 
 def _add_common_config_flags(sub) -> None:
     sub.add_argument("--config", help="key = value settings file (flags win)")
-    sub.add_argument("--seed", type=int, default=None, help="master random seed")
-    sub.add_argument("--som-grid", type=_grid_flag, default=None, metavar="RxC",
+    sub.add_argument("--seed", dest="master_seed", type=int, default=None,
+                     help="master random seed")
+    sub.add_argument("--som-grid", type=_grid, default=None, metavar="RxC",
                      help="map grid, e.g. 8x8 (default sized per node)")
     sub.add_argument("--som-epochs", type=int, default=None, help="map training epochs")
     sub.add_argument("--em-tol", type=float, default=None, help="EM convergence tolerance")
     sub.add_argument("--em-max-iter", type=int, default=None, help="EM iteration cap")
-    sub.add_argument("--cov-mode", choices=("full", "diag"), default=None,
+    sub.add_argument("--cov-mode", dest="covariance_mode", type=_cov_mode, default=None,
+                     metavar="{full,diag}",
                      help="mixture covariance shape (default size-based)")
-    sub.add_argument("--reg-eps", type=float, default=None,
+    sub.add_argument("--reg-eps", dest="reg_epsilon", type=float, default=None,
                      help="covariance regularization (default variance-scaled)")
     sub.add_argument("--max-split-attempts", type=int, default=None,
                      help="seeded attempts per node (default 20)")
     sub.add_argument("--patience", type=int, default=None,
                      help="non-improving attempts before giving up (default 5)")
-    sub.add_argument("--threshold", type=float, default=None,
+    sub.add_argument("--threshold", dest="score_threshold", type=float, default=None,
                      help="score threshold for core and child sets (default 0.5)")
     sub.add_argument("--gamma-rows", choices=("gamma0", "all"), default=None,
                      help="rows handed to the feature bisection (default gamma0)")
@@ -349,7 +335,7 @@ def _add_common_config_flags(sub) -> None:
                      help="threshold normalized scores or raw densities")
     sub.add_argument("--kmeans-init", choices=("random", "plusplus"), default=None,
                      help="bisection center initializer (default random)")
-    sub.add_argument("--threads", type=_thread_count, default=None,
+    sub.add_argument("--threads", type=_at_least(1), default=None,
                      help="worker threads for tree growth (default 1)")
 
 
@@ -357,7 +343,7 @@ def _add_cluster_flags(sub) -> None:
     _add_common_input_flags(sub)
     _add_common_config_flags(sub)
     sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--cut-depth", type=_cut_depth, default=None,
+    sub.add_argument("--cut-depth", type=_at_least(0), default=None,
                      help="flatten the tree at this depth (default: leaves)")
 
 
@@ -377,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--instances", type=int, default=200, help="rows (default 200)")
     synth.add_argument("--features", type=int, default=20, help="columns (default 20)")
-    synth.add_argument("--blocks", default="2x2", metavar="RxC",
+    synth.add_argument("--blocks", type=_grid, default="2x2", metavar="RxC",
                        help="instance x feature block counts (default 2x2)")
     synth.add_argument("--gap", type=float, default=4.0, help="block mean separation")
     synth.add_argument("--noise", type=float, default=1.0, help="noise sigma")
@@ -388,13 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_input_flags(bench)
     _add_common_config_flags(bench)
     bench.add_argument("--out", required=True, help="output directory")
-    bench.add_argument("--seeds", default="0..9",
+    bench.add_argument("--seeds", type=_seeds, default="0..9",
                        help='master seeds, "0..9" or "1,5,7" (default 0..9)')
     bench.set_defaults(func=run_bench)
 
     cut = subs.add_parser("cut", help="re-cut a saved tree into flat clusters")
     cut.add_argument("--tree", required=True, help="tree.json from a cluster run")
-    cut.add_argument("--cut-depth", type=_cut_depth, default=None,
+    cut.add_argument("--cut-depth", type=_at_least(0), default=None,
                      help="frontier depth (default: leaves)")
     cut.add_argument("--out", required=True, help="output CSV path or directory")
     cut.set_defaults(func=run_cut)

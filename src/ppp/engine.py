@@ -22,8 +22,9 @@ from typing import Iterator
 import numpy as np
 
 from .data import _BLOCK_ELEMENTS, DesignMatrix, IndexSet, derive_seed, submatrix
-from .errors import ConfigError, DegenerateModel, DegenerateSplit, PppError, SingularCovariance
+from .errors import ConfigError, DegenerateModel, DegenerateSplit, SingularCovariance
 from .gmm import (
+    COVARIANCE_MODES,
     GaussianMixture,
     fit_em,
     init_gmm_from_codebook,
@@ -42,8 +43,9 @@ KMEANS_INITS = ("random", "plusplus")
 
 NODE_STATUSES = ("open", "internal", "leaf_terminal", "leaf_unsplittable")
 
-# model-fit failures that end one split attempt, not the whole run
-_FIT_ERRORS = (SingularCovariance, DegenerateModel)
+# model-fit failures that end one split attempt, not the whole run, by outcome
+_FIT_FAILURES = {SingularCovariance: "singular_cov", DegenerateModel: "degenerate_model"}
+_FIT_ERRORS = tuple(_FIT_FAILURES)
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,6 @@ class PppConfig:
     max_split_attempts: int = 20
     patience: int = 5
     score_threshold: float = 0.5
-    min_features_to_split: int = 2
     gamma_rows: str = "gamma0"
     score_source: str = "normalized"
 
@@ -79,8 +80,6 @@ class PppConfig:
             raise ConfigError("patience must be at least 1")
         if not (0.0 < self.score_threshold < 1.0) and self.score_source == "normalized":
             raise ConfigError("score_threshold must lie in (0, 1) for normalized scores")
-        if self.min_features_to_split < 2:
-            raise ConfigError("min_features_to_split must be at least 2")
         if self.gamma_rows not in GAMMA_ROW_MODES:
             raise ConfigError(f"gamma_rows must be one of {GAMMA_ROW_MODES}")
         if self.score_source not in SCORE_SOURCES:
@@ -93,21 +92,24 @@ class PppConfig:
             raise ConfigError(f"em_tol must be positive and finite, got {self.em_tol!r}")
         if self.reg_epsilon is not None and not (0.0 < self.reg_epsilon < math.inf):
             raise ConfigError(f"reg_epsilon must be positive and finite, got {self.reg_epsilon!r}")
-        if self.som_epochs < 1:
-            raise ConfigError("som_epochs must be at least 1")
-        if self.som_grid is not None and (self.som_grid[0] < 1 or self.som_grid[1] < 1):
-            raise ConfigError("som_grid sides must be positive")
+        if self.covariance_mode is not None and self.covariance_mode not in COVARIANCE_MODES:
+            raise ConfigError(f"covariance_mode must be one of {COVARIANCE_MODES}")
+        # the map settings are checked by building the map config they describe
+        default_som_config(2, grid=self.som_grid, epochs=self.som_epochs)
 
 
 @dataclass(frozen=True, eq=False)
 class SplitEvaluation:
     """Outcome of one seeded split attempt.
 
-    ``feature_split`` is None when the feature columns could not be bisected
-    (all columns identical). ``core_set`` and the two child sets are instance
-    index sets over the full data universe; posteriors are per matched unit.
-    ``score`` combines the two overlap percentages and is None exactly when
-    both are zero.
+    ``core_set`` and the two child sets are instance index sets over the full
+    data universe; posteriors are per matched unit. ``score`` combines the two
+    overlap percentages. ``outcome`` is ``ok`` exactly when the score is
+    defined; otherwise it is ``no_overlap`` (both child sets miss the core) or
+    the reason the attempt ended before its child sets: ``degenerate_split``
+    (all feature columns identical), ``singular_cov`` or ``degenerate_model``
+    (a model fit failed). Such an attempt has no ``feature_split``, empty
+    child sets and zero overlaps.
     """
 
     attempt_seed: int
@@ -117,13 +119,7 @@ class SplitEvaluation:
     posteriors: tuple[np.ndarray, np.ndarray]
     overlaps: tuple[float, float]
     score: float | None
-
-    @property
-    def outcome(self) -> str:
-        """``ok``, ``no_overlap`` (both child sets miss the core) or ``degenerate_split``."""
-        if self.score is not None:
-            return "ok"
-        return "degenerate_split" if self.feature_split is None else "no_overlap"
+    outcome: str = "ok"
 
 
 @dataclass(eq=False)
@@ -260,15 +256,25 @@ def _fit(match: CodebookMatchSet, X: np.ndarray, config: PppConfig) -> GaussianM
     return fit_em(g, match.matched_vectors, tol=config.em_tol, max_iter=config.em_max_iter)
 
 
+def _ended(seed: int, core_set: IndexSet, outcome: str) -> SplitEvaluation:
+    """An attempt that ended before its child sets, for ``outcome``."""
+    empty = IndexSet(np.array([], dtype=np.int64), core_set.universe_size)
+    return SplitEvaluation(
+        seed, None, core_set, (empty, empty), (np.array([]), np.array([])), (0.0, 0.0), None,
+        outcome,
+    )
+
+
 def evaluate_splits(
     node: PppNode, data: DesignMatrix, config: PppConfig, seeds: list[int]
-) -> list[SplitEvaluation | PppError]:
+) -> list[SplitEvaluation]:
     """Run several seeded split attempts on a node, their SOMs trained in lockstep.
 
-    Result ``i`` is what attempt ``seeds[i]`` gives alone: its
-    ``SplitEvaluation``, or the ``SingularCovariance`` or ``DegenerateModel``
-    its model fits raised (the parent fit's first, then child side 0's, then
-    side 1's). Other errors propagate. The work runs in four phases:
+    Result ``i`` is what attempt ``seeds[i]`` gives alone. A
+    ``SingularCovariance`` or ``DegenerateModel`` from a model fit ends its
+    attempt with outcome ``singular_cov`` or ``degenerate_model`` (the parent
+    fit's first, then child side 0's, then side 1's); other errors propagate.
+    The work runs in four phases:
 
     1. the parent maps of every attempt, trained in lockstep on the node's
        submatrix;
@@ -284,7 +290,7 @@ def evaluate_splits(
     """
     X = submatrix(data, node.instance_set, node.feature_set).values
     n = X.shape[0]
-    results: list[SplitEvaluation | PppError | None] = [None] * len(seeds)
+    results: list[SplitEvaluation | None] = [None] * len(seeds)
     matches = _quantize(config, [X] * len(seeds), [derive_seed(s, "parent") for s in seeds])
 
     empty = IndexSet(np.array([], dtype=np.int64), data.n_instances)
@@ -293,7 +299,7 @@ def evaluate_splits(
         try:
             scores0 = mixture_scores(_fit(match0, X, config), X)
         except _FIT_ERRORS as exc:
-            results[i] = exc
+            results[i] = _ended(seed, empty, _FIT_FAILURES[type(exc)])
             continue
         core_values = scores0.normalized if config.score_source == "normalized" else scores0.density
         core_local = gamma_set(core_values, config.score_threshold)
@@ -310,10 +316,7 @@ def evaluate_splits(
                 init=config.kmeans_init,
             )
         except DegenerateSplit:
-            results[i] = SplitEvaluation(
-                seed, None, core_set, (empty, empty),
-                (np.array([]), np.array([])), (0.0, 0.0), None,
-            )
+            results[i] = _ended(seed, core_set, "degenerate_split")
             continue
         columns = (np.flatnonzero(km.assignment == 0), np.flatnonzero(km.assignment == 1))
         bisected.append((i, match0, core_set, columns))
@@ -338,13 +341,14 @@ def evaluate_splits(
                 match0, mixtures[0], mixtures[1], columns[0], columns[1]
             )
         except _FIT_ERRORS as exc:
-            results[i] = exc
+            results[i] = _ended(seeds[i], core_set, _FIT_FAILURES[type(exc)])
             continue
         set_a = _units_to_instances(post_a, config.score_threshold, match0, node.instance_set)
         set_b = _units_to_instances(post_b, config.score_threshold, match0, node.instance_set)
         overlap_a = overlap_fraction(set_a, core_set)
         overlap_b = overlap_fraction(set_b, core_set)
         feature_split = tuple(node.feature_set.select(IndexSet(c, n_cols)) for c in columns)
+        score = split_objective(overlap_a, overlap_b)
         results[i] = SplitEvaluation(
             seeds[i],
             feature_split,
@@ -352,7 +356,8 @@ def evaluate_splits(
             (set_a, set_b),
             (post_a, post_b),
             (overlap_a, overlap_b),
-            split_objective(overlap_a, overlap_b),
+            score,
+            "ok" if score is not None else "no_overlap",
         )
     return results
 
@@ -360,29 +365,21 @@ def evaluate_splits(
 def evaluate_split(
     node: PppNode, data: DesignMatrix, config: PppConfig, attempt_seed: int
 ) -> SplitEvaluation:
-    """Run one seeded end-to-end split attempt on a node.
-
-    This is :func:`evaluate_splits` for one seed, except that a
-    ``SingularCovariance`` or ``DegenerateModel`` from a model fit is raised.
-    """
-    (result,) = evaluate_splits(node, data, config, [attempt_seed])
-    if isinstance(result, PppError):
-        raise result
-    return result
+    """Run one seeded end-to-end split attempt on a node: :func:`evaluate_splits` for one seed."""
+    return evaluate_splits(node, data, config, [attempt_seed])[0]
 
 
 def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     """Resolve one node's status by running seeded split attempts.
 
-    A node with too few features or instances is a terminal leaf outright.
+    A node with fewer than two features or instances is a terminal leaf outright.
     Otherwise up to ``max_split_attempts`` attempts run, each with a seed
     derived from (master seed, node path, attempt). The best defined score is
     kept; once some attempt has produced a defined score, ``patience``
     consecutive attempts without improvement stop the search early. Each
-    attempt is recorded with its outcome (see ``SplitEvaluation.outcome``).
-    An attempt whose model cannot be fit is recorded as ``(seed, 0.0, 0.0,
-    None, "singular_cov")`` or ``"degenerate_model"``, an undefined score,
-    and the search goes on; other errors propagate. With no
+    attempt is recorded with its overlaps, score and outcome (see
+    ``SplitEvaluation``); an attempt whose model cannot be fit is one with an
+    undefined score, and the search goes on. With no
     defined score anywhere, or nothing better than zero, the node stays
     unsplit; otherwise the winning feature split and child sets become the
     two children.
@@ -393,7 +390,7 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     attempts left before a stop. The results are consumed in seed order, so
     the outcome is the one-at-a-time outcome.
     """
-    if len(node.feature_set) < config.min_features_to_split or len(node.instance_set) < 2:
+    if len(node.feature_set) < 2 or len(node.instance_set) < 2:
         node.status = "leaf_terminal"
         return node
 
@@ -411,23 +408,16 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
         seeds = [derive_seed(config.master_seed, node.path, a)
                  for a in range(attempt, attempt + size)]
         attempt += size
-        for seed, result in zip(seeds, evaluate_splits(node, data, config, seeds)):
-            if isinstance(result, SplitEvaluation):
-                node.attempt_stats.append((seed, *result.overlaps, result.score, result.outcome))
-                score = result.score
-            else:
-                failure = ("singular_cov" if isinstance(result, SingularCovariance)
-                           else "degenerate_model")
-                node.attempt_stats.append((seed, 0.0, 0.0, None, failure))
-                score = None
-            if score is not None and (best is None or score > best.score):
-                best = result
+        for seed, r in zip(seeds, evaluate_splits(node, data, config, seeds)):
+            node.attempt_stats.append((seed, *r.overlaps, r.score, r.outcome))
+            if r.score is not None and (best is None or r.score > best.score):
+                best = r
                 stale = 0
             elif best is not None:
                 stale += 1
 
     node.best_eval = best
-    if best is None or best.score <= 0.0 or best.feature_split is None:
+    if best is None or best.score <= 0.0:
         node.status = "leaf_unsplittable"
         return node
 

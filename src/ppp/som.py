@@ -315,10 +315,10 @@ def train_soms(soms: Iterable[SomModel], data: Sequence) -> list[SomModel]:
         sq = sq_distances(X, codebook)
         bmu = np.argmin(sq, axis=1)
         hits = np.bincount(bmu, minlength=k).astype(np.int64)
-        model = SomModel(c, codebook, hits, float(sq[np.arange(n), bmu].mean()))
         ids = np.argmin(sq, axis=0).astype(np.int64)
-        match = CodebookMatchSet(ids, X[ids], codebook_priors(model))
-        trained.append(SomModel(c, codebook, hits, model.final_qe, match))
+        # the hits sum to n, so these are the codebook_priors of the trained map
+        match = CodebookMatchSet(ids, X[ids], hits / n)
+        trained.append(SomModel(c, codebook, hits, float(sq[np.arange(n), bmu].mean()), match))
     return trained
 
 

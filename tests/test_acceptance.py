@@ -240,8 +240,7 @@ class TestCriterion08CutPartition:
             PppConfig(master_seed=1, max_split_attempts=4, gamma_rows="all"),
             PppConfig(master_seed=2, max_split_attempts=4, patience=1),
             PppConfig(master_seed=3, max_split_attempts=4, score_threshold=0.3),
-            PppConfig(master_seed=4, max_split_attempts=4, som_grid=(2, 2),
-                      min_features_to_split=3),
+            PppConfig(master_seed=4, max_split_attempts=4, som_grid=(2, 2)),
         ]
         trees = [build_tree(d, c) for d in datasets for c in configs]
 

@@ -1,13 +1,13 @@
 """The ppp command line tool, driven through main(argv)."""
 
+import argparse
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from ppp.cli import _load_config_file, _parse_grid, _parse_seed_list, build_parser, main
-from ppp.errors import ConfigError
+from ppp.cli import _grid, _load_config_file, _seeds, build_parser, main
 from ppp.fileio import load_csv
 
 
@@ -30,26 +30,41 @@ def _make_planted(tmp_path, **overrides):
     return out / "planted.csv"
 
 
+def _cluster_actions():
+    subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    return subcommands.choices["cluster"]._actions
+
+
 class TestParsers:
     def test_grid(self):
-        assert _parse_grid("3x5") == (3, 5)
-        assert _parse_grid("8X8") == (8, 8)
+        assert _grid("3x5") == (3, 5)
+        assert _grid("8X8") == (8, 8)
 
     def test_bad_grid(self):
-        with pytest.raises(ConfigError):
-            _parse_grid("3by5")
+        with pytest.raises(argparse.ArgumentTypeError):
+            _grid("3by5")
 
     def test_seed_range(self):
-        assert _parse_seed_list("0..3") == [0, 1, 2, 3]
+        assert _seeds("0..3") == [0, 1, 2, 3]
 
     def test_seed_commas(self):
-        assert _parse_seed_list("1,5,7") == [1, 5, 7]
-        assert _parse_seed_list("4") == [4]
+        assert _seeds("1,5,7") == [1, 5, 7]
+        assert _seeds("4") == [4]
 
     @pytest.mark.parametrize("text", ["x..y", "1..", "0..3..5", "1,b"])
     def test_bad_seed_list(self, text):
-        with pytest.raises(ConfigError):
-            _parse_seed_list(text)
+        with pytest.raises(argparse.ArgumentTypeError):
+            _seeds(text)
+
+    def test_values_arrive_parsed(self):
+        """Every value is in its final form once argparse is done."""
+        parser = build_parser()
+        args = parser.parse_args(["cluster", "--out", "o", "--som-grid", "3x4",
+                                  "--cov-mode", "diag", "--threads", "2", "--cut-depth", "0"])
+        assert (args.som_grid, args.covariance_mode, args.threads, args.cut_depth) == \
+            ((3, 4), "diagonal", 2, 0)
+        assert parser.parse_args(["synth", "--out", "o"]).blocks == (2, 2)
+        assert parser.parse_args(["bench", "--out", "o"]).seeds == list(range(10))
 
 
 class TestSynth:
@@ -71,9 +86,11 @@ class TestSynth:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_blocks_is_usage_error(self, tmp_path, capsys):
-        rc = main(["synth", "--out", str(tmp_path / "o"), "--blocks", "nope"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "o"), "--blocks", "nope"])
+        assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_config_flag_is_gone(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
@@ -154,6 +171,35 @@ class TestCluster:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "ghost.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["cluster", "bench"])
+    def test_bad_setting_fails_before_the_input_is_read(self, tmp_path, capsys, subcommand):
+        out = tmp_path / "o"
+        rc = main([subcommand, "--som-grid", "1x1", "--input", str(tmp_path / "missing.csv"),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "grid" in err and "missing.csv" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--threads", "--cut-depth"])
+    def test_non_integer_count_is_usage_error(self, tmp_path, capsys, flag):
+        data = _make_planted(tmp_path)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--input", str(data), "--out", str(out), flag, "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expects an integer, got 'abc'" in err
+        assert "invalid" not in err  # argparse's "invalid <type> value" names the function
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = abc\n")
+        assert main(["cluster", "--input", str(data), "--out", str(out),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:1: {flag[2:]}: expects an integer, got 'abc'" in err
+        assert "invalid" not in err
+        assert not out.exists()
 
     def test_input_flag_required(self, tmp_path, capsys):
         rc = main(["cluster", "--out", str(tmp_path / "o")])
@@ -247,10 +293,8 @@ FILE_SETTINGS = [
 
 class TestConfigFile:
     def test_keys_are_the_cluster_flags_without_paths(self):
-        subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand")
         flags = {
-            s[2:] for a in subcommands.choices["cluster"]._actions for s in a.option_strings
-            if s.startswith("--")
+            s[2:] for a in _cluster_actions() for s in a.option_strings if s.startswith("--")
         }
         assert flags - {"input", "out", "config", "help"} == {k for k, _ in FILE_SETTINGS}
 
@@ -259,7 +303,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {text}\n")
         flag = [f"--{key}"] if text == "true" else [f"--{key}", text]
-        dest = key.replace("-", "_")
+        dest = next(a.dest for a in _cluster_actions() if f"--{key}" in a.option_strings)
         expected = getattr(build_parser().parse_args(["cluster", "--out", "o", *flag]), dest)
         from_file = _load_config_file(str(cfg))
         assert from_file == {dest: expected}
@@ -356,17 +400,19 @@ class TestBench:
 
     def test_empty_seed_list_is_usage_error(self, tmp_path, capsys):
         data = _make_planted(tmp_path)
-        rc = main(["bench", "--input", str(data),
-                   "--out", str(tmp_path / "o"), "--seeds", ","])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--input", str(data), "--out", str(tmp_path / "o"), "--seeds", ","])
+        assert exc.value.code == 2
+        assert "argument --seeds: must name at least one seed" in capsys.readouterr().err
 
     def test_malformed_seed_list_is_usage_error(self, tmp_path, capsys):
         data = _make_planted(tmp_path)
         out = tmp_path / "o"
-        rc = main(["bench", "--input", str(data), "--out", str(out), "--seeds", "x..y"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--input", str(data), "--out", str(out), "--seeds", "x..y"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --seeds") and "Traceback" not in err
+        assert "argument --seeds: must look like" in err and "Traceback" not in err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("source", ["flag", "file"])

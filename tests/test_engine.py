@@ -266,20 +266,24 @@ class TestEvaluateSplits:
 
         monkeypatch.setattr(engine_mod, "fit_em", fit)
         got = evaluate_splits(node, planted.matrix, config, seeds)
-        assert isinstance(got[1], SingularCovariance)
-        assert isinstance(got[0], DegenerateModel)  # the first child fit is attempt 0's side 0
+        assert got[1].outcome == "singular_cov"
+        assert got[0].outcome == "degenerate_model"  # the first child fit is attempt 0's side 0
+        for failed in got[:2]:
+            assert failed.feature_split is None and failed.score is None
+            assert failed.overlaps == (0.0, 0.0)
         for i in (2, 3):
             _same_evaluation(got[i], clean[i])
         calls.update(parent=0, child=0)  # alone, attempt 1 fails at its side-0 child fit
-        with pytest.raises(DegenerateModel):
-            evaluate_split(node, planted.matrix, config, seeds[1])
+        alone = evaluate_split(node, planted.matrix, config, seeds[1])
+        assert (alone.attempt_seed, alone.outcome) == (seeds[1], "degenerate_model")
 
 
 def _stub_eval(score, n_features=4, n_instances=6):
     empty = IndexSet(np.array([], dtype=np.int64), n_instances)
     if score is None:
         return SplitEvaluation(0, None, empty, (empty, empty),
-                               (np.array([]), np.array([])), (0.0, 0.0), None)
+                               (np.array([]), np.array([])), (0.0, 0.0), None,
+                               "degenerate_split")
     split = (IndexSet(np.array([0, 1]), n_features),
              IndexSet(np.array([2, 3]), n_features))
     children = (IndexSet(np.array([0, 1, 2]), n_instances),
@@ -658,7 +662,7 @@ class TestPppConfig:
         {"patience": 0},
         {"score_threshold": 0.0},
         {"score_threshold": 1.0},
-        {"min_features_to_split": 1},
+        {"covariance_mode": "diag"},
         {"gamma_rows": "some"},
         {"score_source": "densities"},
         {"kmeans_init": "farthest"},
@@ -675,6 +679,7 @@ class TestPppConfig:
         {"som_grid": (0, 2)},
         {"som_grid": (2, 0)},
         {"score_threshold": float("nan")},
+        {"som_grid": (1, 1)},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
