@@ -132,8 +132,11 @@ class PppNode:
     status: str = "open"
     best_eval: SplitEvaluation | None = None
     children: tuple["PppNode", "PppNode"] | None = None
-    # one (attempt seed, overlap a, overlap b, score, outcome) row per split attempt
-    attempt_stats: list[tuple[int, float, float, float | None, str]] = field(default_factory=list)
+    # one (attempt seed, overlap a, overlap b, score, outcome, core size, child a size,
+    # child b size) row per split attempt; sizes are instance counts
+    attempt_stats: list[tuple[int, float, float, float | None, str, int, int, int]] = field(
+        default_factory=list
+    )
 
     @property
     def depth(self) -> int:
@@ -377,10 +380,10 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     derived from (master seed, node path, attempt). The best defined score is
     kept; once some attempt has produced a defined score, ``patience``
     consecutive attempts without improvement stop the search early. Each
-    attempt is recorded with its overlaps, score and outcome (see
-    ``SplitEvaluation``); an attempt whose model cannot be fit is one with an
-    undefined score, and the search goes on. With no
-    defined score anywhere, or nothing better than zero, the node stays
+    attempt is recorded with its overlaps, score, outcome (see
+    ``SplitEvaluation``) and the sizes of its core and child sets; an attempt
+    whose model cannot be fit is one with an undefined score, and the search
+    goes on. With no defined score anywhere, or nothing better than zero, the node stays
     unsplit; otherwise the winning feature split and child sets become the
     two children.
 
@@ -409,7 +412,10 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
                  for a in range(attempt, attempt + size)]
         attempt += size
         for seed, r in zip(seeds, evaluate_splits(node, data, config, seeds)):
-            node.attempt_stats.append((seed, *r.overlaps, r.score, r.outcome))
+            node.attempt_stats.append((
+                seed, *r.overlaps, r.score, r.outcome,
+                len(r.core_set), *(len(s) for s in r.child_sets),
+            ))
             if r.score is not None and (best is None or r.score > best.score):
                 best = r
                 stale = 0

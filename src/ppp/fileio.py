@@ -17,7 +17,7 @@ import numpy as np
 from ._version import __version__
 from .data import DesignMatrix, IndexSet
 from .engine import PppNode, PppTree, cut_tree
-from .errors import FormatError, ParseError, ValidationError
+from .errors import FormatError, IndexOutOfBounds, ParseError, ValidationError
 
 
 def load_csv(
@@ -143,10 +143,13 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
 
     Attempt details and instance memberships are not reconstructed; the result
     carries what cutting needs, plus the stored feature name table (or None).
+    The root must hold every feature and each internal node's two children
+    must partition its features, so every cut covers each feature once.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
+        doc = json.loads(raw)
         n_features = int(doc["n_features"])
         n_instances = int(doc["n_instances"])
 
@@ -162,10 +165,20 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
             )
             if node_doc.get("children"):
                 node.children = tuple(build(c) for c in node_doc["children"])
+                sides = [c.feature_set.indices for c in node.children]
+                if len(sides) != 2 or not np.array_equal(
+                    np.sort(np.concatenate(sides)), feature_set.indices
+                ):
+                    raise ValueError(
+                        f"the children of node {node.path!r} do not partition its features"
+                    )
             return node
 
-        return PppTree(build(doc["root"]), n_instances, n_features), doc.get("feature_names")
-    except (KeyError, TypeError, ValueError) as exc:
+        root = build(doc["root"])
+        if len(root.feature_set) != n_features:
+            raise ValueError(f"the root holds {len(root.feature_set)} of {n_features} features")
+        return PppTree(root, n_instances, n_features), doc.get("feature_names")
+    except (KeyError, TypeError, ValueError, IndexOutOfBounds, ValidationError) as exc:
         raise FormatError(f"{path} is not a tree export: {exc}") from None
 
 
@@ -189,14 +202,19 @@ def export_assignment_csv(tree_or_clusters, path, depth: int | None = None, feat
 
 
 def export_diagnostics_csv(tree: PppTree, path) -> None:
-    """One row per (node, attempt): node_path,attempt,seed,phi1,phi2,phi,outcome."""
+    """One row per (node, attempt).
+
+    Columns: node_path,attempt,seed,phi1,phi2,phi,outcome,core,child_a,child_b,
+    the last three the instance counts of the attempt's core and child sets.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["node_path", "attempt", "seed", "phi1", "phi2", "phi", "outcome"])
+        writer.writerow(["node_path", "attempt", "seed", "phi1", "phi2", "phi", "outcome",
+                         "core", "child_a", "child_b"])
         for node in tree.nodes():
-            for attempt, (seed, o1, o2, score, outcome) in enumerate(node.attempt_stats):
+            for attempt, (seed, o1, o2, score, outcome, *sizes) in enumerate(node.attempt_stats):
                 phi = "" if score is None else _fmt(score)
-                writer.writerow([node.path, attempt, seed, _fmt(o1), _fmt(o2), phi, outcome])
+                writer.writerow([node.path, attempt, seed, _fmt(o1), _fmt(o2), phi, outcome, *sizes])
 
 
 def report_to_dict(report) -> dict:

@@ -12,7 +12,11 @@ weighted log densities, which is built for all components at once (one
 stacked Cholesky factorization, one block of differences and one einsum in
 full mode). Full-mode M-step covariances are one stacked matrix product.
 
-scipy is used only for the LAPACK triangular solve. The log-sum over
+scipy is still required, for its compiled LAPACK wrapper: the triangular
+solve is the ``dtrtrs`` of ``scipy/linalg/_flapack``. Importing this module
+loads that one extension and none of scipy's Python packages (``scipy``,
+``scipy.linalg`` and ``scipy.special`` stay out of ``sys.modules``); a later
+``import scipy.linalg`` reuses the same ``dtrtrs``. The log-sum over
 components is :func:`log_sum_exp`, which repeats the arithmetic of scipy
 1.17's ``logsumexp`` in plain numpy, so its bits do not depend on the
 installed scipy release (earlier releases summed differently).
@@ -20,16 +24,41 @@ installed scipy release (earlier releases summed differently).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .data import _BLOCK_ELEMENTS, as_matrix
 from .errors import ConfigError, DegenerateModel, DimensionError, SingularCovariance
 
 log = logging.getLogger(__name__)
+
+
+def _load_dtrtrs():
+    """scipy's f2py ``dtrtrs``, loaded from ``scipy/linalg/_flapack`` alone.
+
+    ``find_spec`` of a top-level name does not run ``scipy/__init__.py``, and
+    building the module from its file runs only the extension's init. CPython
+    caches that init under the name ``scipy.linalg._flapack``, so a later
+    ``import scipy.linalg`` gets the same ``dtrtrs`` object.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("ppp needs scipy for its LAPACK wrapper")
+    base = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack")
+    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.exists(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK wrapper is missing: {paths[0]}")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    return importlib.util.module_from_spec(spec).dtrtrs
+
+
+dtrtrs = _load_dtrtrs()
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 

@@ -154,17 +154,31 @@ class TestCluster:
         assert rc == 0
         assert json.loads((out / "tree.json").read_text())["root"]["status"]
         rows = (out / "diagnostics.csv").read_text().strip().split("\n")[1:]
-        assert any(r.endswith(",0.0,0.0,,singular_cov") for r in rows)
+        assert any(r.endswith(",0.0,0.0,,singular_cov,0,0,0") for r in rows)
 
     def test_diagnostics_outcome_column(self, run):
         rc, out = run
         rows = [r.split(",") for r in (out / "diagnostics.csv").read_text().strip().split("\n")]
-        assert rows[0][-1] == "outcome"
+        assert rows[0][6] == "outcome"
         outcomes = [r[6] for r in rows[1:]]
         assert "ok" in outcomes
         assert set(outcomes) <= {"ok", "no_overlap", "degenerate_split"}
         for r in rows[1:]:
             assert (r[5] != "") == (r[6] == "ok")
+
+    def test_diagnostics_set_sizes(self, run):
+        """core,child_a,child_b count instances; an ok attempt has a nonempty child set."""
+        _, out = run
+        rows = [r.split(",") for r in (out / "diagnostics.csv").read_text().strip().split("\n")]
+        assert rows[0][7:] == ["core", "child_a", "child_b"]
+        n_instances = json.loads((out / "tree.json").read_text())["n_instances"]
+        for r in rows[1:]:
+            core, child_a, child_b = map(int, r[7:])
+            assert max(core, child_a, child_b) <= n_instances
+            if r[6] == "ok":
+                assert core > 0 and child_a + child_b > 0
+            elif r[6] != "no_overlap":
+                assert child_a == child_b == 0
 
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         rc = main(["cluster", "--input", str(tmp_path / "ghost.csv"),
@@ -479,6 +493,26 @@ class TestCut:
                   "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        "not json",
+        {"n_instances": 1, "n_features": 2,
+         "root": {"path": "", "status": "leaf", "feature_ids": [0, 7]}},
+        {"n_instances": 1, "n_features": 2,
+         "root": {"path": "", "status": "internal", "feature_ids": [0, 1], "children": [
+             {"path": "0", "status": "leaf", "feature_ids": [0, 1]},
+             {"path": "1", "status": "leaf", "feature_ids": [1]},
+         ]}},
+    ], ids=["not-json", "out-of-range-id", "overlapping-children"])
+    def test_malformed_tree_is_usage_error(self, tmp_path, capsys, doc):
+        tree = tmp_path / "tree.json"
+        tree.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        out = tmp_path / "o"
+        rc = main(["cut", "--tree", str(tree), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "is not a tree export" in err and "run failed" not in err
+        assert not (out / "assignment.csv").exists()
 
     def test_missing_tree_is_usage_error(self, tmp_path, capsys):
         rc = main(["cut", "--tree", str(tmp_path / "ghost.json"),

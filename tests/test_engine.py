@@ -494,7 +494,7 @@ class TestGrowNodeFaultIsolation:
         )
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
         grow_node(node, planted.matrix, config)
-        assert node.attempt_stats[0] == (failing_seed, 0.0, 0.0, None, "singular_cov")
+        assert node.attempt_stats[0] == (failing_seed, 0.0, 0.0, None, "singular_cov", 0, 0, 0)
         assert node.attempt_stats[1:] == clean.attempt_stats[1:len(node.attempt_stats)]
         assert node.status == "internal"
         assert node.best_eval.attempt_seed != failing_seed

@@ -179,10 +179,28 @@ class TestTreeJson:
             assert a == b
 
     def test_garbage_json_rejected(self, tmp_path):
+        def node(path, ids, children=None):
+            return {"path": path, "status": "internal" if children else "leaf_terminal",
+                    "feature_ids": ids, "children": children}
+
+        def tree(root):
+            return json.dumps({"n_instances": 4, "n_features": 2, "root": root})
+
+        cases = [
+            '{"whatever": 3}',
+            "this is not json",
+            tree(node("", [0, 7])),  # feature id out of range
+            tree(node("", [0, 1], [node("0", [0, 1]), node("1", [1])])),  # overlapping children
+            tree(node("", [0, 1], [node("0", [0]), node("1", [])])),  # children miss feature 1
+            tree(node("", [1])),  # the root misses feature 0
+        ]
         p = tmp_path / "bad.json"
-        p.write_text('{"whatever": 3}')
-        with pytest.raises(FormatError, match="not a tree export"):
-            load_tree_json(p)
+        for text in cases:
+            p.write_text(text)
+            with pytest.raises(FormatError, match="not a tree export"):
+                load_tree_json(p)
+        p.write_text(tree(node("", [0, 1], [node("0", [1]), node("1", [0])])))
+        assert [c.indices.tolist() for c in cut_tree(load_tree_json(p)[0], 1)] == [[1], [0]]
 
     def test_export_is_deterministic(self, small_tree, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -222,7 +240,7 @@ class TestDiagnosticsCsv:
         p = tmp_path / "diag.csv"
         export_diagnostics_csv(small_tree, p)
         lines = p.read_text().strip().split("\n")
-        assert lines[0] == "node_path,attempt,seed,phi1,phi2,phi,outcome"
+        assert lines[0] == "node_path,attempt,seed,phi1,phi2,phi,outcome,core,child_a,child_b"
         expected = sum(len(n.attempt_stats) for n in small_tree.nodes())
         assert len(lines) == 1 + expected
 
@@ -245,7 +263,8 @@ class TestDiagnosticsCsv:
         lines = p.read_text().strip().split("\n")[1:]
         assert len(lines) == 2
         assert lines[0].split(",")[3:6] == ["0.0", "0.0", ""]  # no value for None
-        assert all(line.endswith(",degenerate_split") for line in lines)  # identical columns
+        # identical columns: the bisection fails after the core set, which holds every row
+        assert all(line.split(",")[6:] == ["degenerate_split", "10", "0", "0"] for line in lines)
 
 
 @pytest.fixture(scope="module")

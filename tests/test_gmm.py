@@ -1,5 +1,6 @@
 """Mixture construction, density evaluation and the EM loop."""
 
+import importlib.machinery
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from ppp.data import _BLOCK_ELEMENTS
 from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCovariance
 from ppp.gmm import (
     GaussianMixture,
+    _load_dtrtrs,
     _m_step,
     _weighted_log_prob,
     default_covariance_mode,
@@ -294,15 +296,32 @@ class TestLogSumExp:
         assert np.array_equal(log_sum_exp(v), np.atleast_1d(scipy.special.logsumexp(v)))
 
 
-def test_import_does_not_load_scipy_special():
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this checkout's ppp."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, ppp; print('scipy.special' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["scipy.special", "scipy.linalg", "scipy"])
+def test_import_does_not_load_scipy_special(module):
+    assert _fresh_python(f"import sys, ppp; print({module!r} in sys.modules)") == "False"
+
+
+def test_later_scipy_import_shares_the_solve():
+    """scipy.linalg, imported after ppp, re-exports the very dtrtrs ppp loaded."""
+    code = "import ppp.gmm, scipy.linalg.lapack as L; print(ppp.gmm.dtrtrs is L.dtrtrs)"
+    assert _fresh_python(code) == "True"
+
+
+def test_missing_lapack_wrapper_names_its_path(monkeypatch):
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError, match=r"linalg[/\\]_flapack\.missing\.so"):
+        _load_dtrtrs()
 
 
 class TestLogLikelihood:
