@@ -99,10 +99,7 @@ def _file_value(action: argparse.Action, text: str):
         if text.lower() not in _BOOLEANS:
             raise ValueError(f"expects a boolean, got {text!r}")
         return _BOOLEANS[text.lower()]
-    value = text if action.type is None else action.type(text)
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"must be one of {', '.join(action.choices)}, got {value!r}")
-    return value
+    return text if action.type is None else action.type(text)
 
 
 def _load_config_file(path: str, settable=None) -> dict:
@@ -329,12 +326,6 @@ def _add_common_config_flags(sub) -> None:
                      help="non-improving attempts before giving up (default 5)")
     sub.add_argument("--threshold", dest="score_threshold", type=float, default=None,
                      help="score threshold for core and child sets (default 0.5)")
-    sub.add_argument("--gamma-rows", choices=("gamma0", "all"), default=None,
-                     help="rows handed to the feature bisection (default gamma0)")
-    sub.add_argument("--score-source", choices=("normalized", "raw"), default=None,
-                     help="threshold normalized scores or raw densities")
-    sub.add_argument("--kmeans-init", choices=("random", "plusplus"), default=None,
-                     help="bisection center initializer (default random)")
     sub.add_argument("--threads", type=_at_least(1), default=None,
                      help="worker threads for tree growth (default 1)")
 

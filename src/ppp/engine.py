@@ -37,11 +37,8 @@ from .som import CodebookMatchSet, default_som_config, init_som, train_soms
 # because perfbench/tracer.py wraps them here by name.
 from .som import codebook_match, train_som  # noqa: F401
 
-GAMMA_ROW_MODES = ("gamma0", "all")
-SCORE_SOURCES = ("normalized", "raw")
-KMEANS_INITS = ("random", "plusplus")
-
-NODE_STATUSES = ("open", "internal", "leaf_terminal", "leaf_unsplittable")
+# the status of every node of a grown tree; a node is "open" only while it grows
+RESOLVED_STATUSES = ("internal", "leaf_terminal", "leaf_unsplittable")
 
 # model-fit failures that end one split attempt, not the whole run, by outcome
 _FIT_FAILURES = {SingularCovariance: "singular_cov", DegenerateModel: "degenerate_model"}
@@ -53,10 +50,6 @@ class PppConfig:
     """Tunables for one clustering run.
 
     ``som_grid`` None lets each node pick a grid from its own row count.
-    ``gamma_rows`` picks the rows handed to the feature bisection: the core
-    set when it holds at least two rows ("gamma0") or always all node rows
-    ("all"). ``score_source`` thresholds the normalized score by default; "raw"
-    thresholds the unnormalized density.
     """
 
     master_seed: int = 0
@@ -66,26 +59,17 @@ class PppConfig:
     em_max_iter: int = 100
     reg_epsilon: float | None = None
     covariance_mode: str | None = None
-    kmeans_init: str = "random"
     max_split_attempts: int = 20
     patience: int = 5
     score_threshold: float = 0.5
-    gamma_rows: str = "gamma0"
-    score_source: str = "normalized"
 
     def __post_init__(self):
         if self.max_split_attempts < 1:
             raise ConfigError("max_split_attempts must be at least 1")
         if self.patience < 1:
             raise ConfigError("patience must be at least 1")
-        if not (0.0 < self.score_threshold < 1.0) and self.score_source == "normalized":
-            raise ConfigError("score_threshold must lie in (0, 1) for normalized scores")
-        if self.gamma_rows not in GAMMA_ROW_MODES:
-            raise ConfigError(f"gamma_rows must be one of {GAMMA_ROW_MODES}")
-        if self.score_source not in SCORE_SOURCES:
-            raise ConfigError(f"score_source must be one of {SCORE_SOURCES}")
-        if self.kmeans_init not in KMEANS_INITS:
-            raise ConfigError(f"kmeans_init must be one of {KMEANS_INITS}")
+        if not (0.0 < self.score_threshold < 1.0):
+            raise ConfigError("score_threshold must lie in (0, 1)")
         if self.em_max_iter < 1:
             raise ConfigError("em_max_iter must be at least 1")
         if not (0.0 < self.em_tol < math.inf):
@@ -292,7 +276,6 @@ def evaluate_splits(
     (node, data, config, seed), whichever attempts share the batch.
     """
     X = submatrix(data, node.instance_set, node.feature_set).values
-    n = X.shape[0]
     results: list[SplitEvaluation | None] = [None] * len(seeds)
     matches = _quantize(config, [X] * len(seeds), [derive_seed(s, "parent") for s in seeds])
 
@@ -304,20 +287,12 @@ def evaluate_splits(
         except _FIT_ERRORS as exc:
             results[i] = _ended(seed, empty, _FIT_FAILURES[type(exc)])
             continue
-        core_values = scores0.normalized if config.score_source == "normalized" else scores0.density
-        core_local = gamma_set(core_values, config.score_threshold)
+        core_local = gamma_set(scores0.normalized, config.score_threshold)
         core_set = node.instance_set.select(core_local)
-
-        if config.gamma_rows == "gamma0" and len(core_local) >= 2:
-            point_rows = core_local.indices
-        else:
-            point_rows = np.arange(n)
+        # the bisection sees the core rows, or all node rows when the core is too small
+        rows = X[core_local.indices] if len(core_local) >= 2 else X
         try:
-            km = kmeans_bisect(
-                X[point_rows].T,  # one point per feature column
-                derive_seed(seed, "bisect"),
-                init=config.kmeans_init,
-            )
+            km = kmeans_bisect(rows.T, derive_seed(seed, "bisect"))  # a point per feature column
         except DegenerateSplit:
             results[i] = _ended(seed, core_set, "degenerate_split")
             continue

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._version import __version__
 from .data import DesignMatrix, IndexSet
-from .engine import PppNode, PppTree, cut_tree
+from .engine import RESOLVED_STATUSES, PppNode, PppTree, cut_tree
 from .errors import FormatError, IndexOutOfBounds, ParseError, ValidationError
 
 
@@ -143,8 +143,10 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
 
     Attempt details and instance memberships are not reconstructed; the result
     carries what cutting needs, plus the stored feature name table (or None).
-    The root must hold every feature and each internal node's two children
-    must partition its features, so every cut covers each feature once.
+    Each node names its features once and has a resolved status; an internal
+    node has two children and a leaf none. The root must hold every feature
+    and each internal node's children must partition its features, so every
+    cut covers each feature once.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -154,21 +156,28 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
         n_instances = int(doc["n_instances"])
 
         def build(node_doc) -> PppNode:
-            feature_set = IndexSet.from_iterable(
-                (int(i) for i in node_doc["feature_ids"]), n_features
-            )
+            ids = [int(i) for i in node_doc["feature_ids"]]
             node = PppNode(
-                feature_set,
+                IndexSet.from_iterable(ids, n_features),
                 IndexSet(np.array([], dtype=np.int64), n_instances),
                 path=str(node_doc["path"]),
                 status=str(node_doc["status"]),
             )
-            if node_doc.get("children"):
-                node.children = tuple(build(c) for c in node_doc["children"])
+            if len(node.feature_set) != len(ids):
+                raise ValueError(f"node {node.path!r} repeats a feature id")
+            if node.status not in RESOLVED_STATUSES:
+                raise ValueError(f"node {node.path!r} has unknown status {node.status!r}")
+            children = node_doc.get("children") or []
+            expected = 2 if node.status == "internal" else 0
+            if len(children) != expected:
+                raise ValueError(
+                    f"{node.status} node {node.path!r} has {len(children)} children, "
+                    f"expected {expected}"
+                )
+            if children:
+                node.children = tuple(build(c) for c in children)
                 sides = [c.feature_set.indices for c in node.children]
-                if len(sides) != 2 or not np.array_equal(
-                    np.sort(np.concatenate(sides)), feature_set.indices
-                ):
+                if not np.array_equal(np.sort(np.concatenate(sides)), node.feature_set.indices):
                     raise ValueError(
                         f"the children of node {node.path!r} do not partition its features"
                     )

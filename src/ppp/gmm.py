@@ -125,13 +125,11 @@ class GaussianMixture:
 class MixtureScores:
     """Per-row mixture evaluation.
 
-    ``density`` is ``exp(log_density)`` and can over- or underflow for extreme
-    models; ``normalized`` is density over max density, computed in log space,
-    so it always lands in (0, 1] with its maximum exactly 1.
+    ``normalized`` is density over max density, computed in log space, so it
+    always lands in (0, 1] with its maximum exactly 1.
     """
 
     log_density: np.ndarray
-    density: np.ndarray
     normalized: np.ndarray
 
 
@@ -319,10 +317,7 @@ def mixture_scores(g: GaussianMixture, data) -> MixtureScores:
     representable range.
     """
     lp = mixture_log_density(g, data)
-    with np.errstate(over="ignore", under="ignore"):
-        density = np.exp(lp)
-    normalized = np.exp(lp - lp.max())
-    return MixtureScores(lp, density, normalized)
+    return MixtureScores(lp, np.exp(lp - lp.max()))
 
 
 def default_covariance_mode(dim: int) -> str:

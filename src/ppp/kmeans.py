@@ -1,8 +1,7 @@
 """Two-cluster k-means (Lloyd's algorithm) used to bisect feature columns.
 
 Initialization is deliberately plain: two distinct points drawn at seeded
-random. A distance-weighted picker is available behind ``init="plusplus"``
-for comparison, but the baseline behavior is the naive one.
+random.
 """
 
 from __future__ import annotations
@@ -72,17 +71,7 @@ def _init_random(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     raise DegenerateSplit("all points are identical; a two-way split is undefined")
 
 
-def _init_plusplus(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    first = points[rng.integers(len(points))]
-    d2 = sq_distances(points, first[None, :])[:, 0]
-    total = d2.sum()
-    if total == 0.0:
-        raise DegenerateSplit("all points are identical; a two-way split is undefined")
-    second = points[rng.choice(len(points), p=d2 / total)]
-    return np.stack([first, second])
-
-
-def kmeans_bisect(points, seed: int, max_iter: int = 300, init: str = "random") -> KmeansResult:
+def kmeans_bisect(points, seed: int, max_iter: int = 300) -> KmeansResult:
     """Split points into two clusters with Lloyd's algorithm.
 
     Runs until the assignment reaches a fixed point or ``max_iter`` passes.
@@ -94,13 +83,7 @@ def kmeans_bisect(points, seed: int, max_iter: int = 300, init: str = "random") 
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or len(points) < 2:
         raise DegenerateSplit("need at least two points to bisect")
-    rng = np.random.default_rng(seed)
-    if init == "plusplus":
-        centers = _init_plusplus(points, rng)
-    elif init == "random":
-        centers = _init_random(points, rng)
-    else:
-        raise ConfigError(f"unknown init {init!r}")
+    centers = _init_random(points, np.random.default_rng(seed))
 
     labels = None
     converged = False

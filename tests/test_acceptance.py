@@ -237,7 +237,7 @@ class TestCriterion08CutPartition:
         ]
         configs = [
             PppConfig(master_seed=0, max_split_attempts=4),
-            PppConfig(master_seed=1, max_split_attempts=4, gamma_rows="all"),
+            PppConfig(master_seed=1, max_split_attempts=4, covariance_mode="diagonal"),
             PppConfig(master_seed=2, max_split_attempts=4, patience=1),
             PppConfig(master_seed=3, max_split_attempts=4, score_threshold=0.3),
             PppConfig(master_seed=4, max_split_attempts=4, som_grid=(2, 2)),

@@ -3,12 +3,25 @@
 import argparse
 import hashlib
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ppp.cli import _grid, _load_config_file, _seeds, build_parser, main
+from ppp.cli import (
+    _add_common_config_flags,
+    _grid,
+    _load_config_file,
+    _seeds,
+    build_parser,
+    main,
+)
+from ppp.engine import PppConfig
 from ppp.fileio import load_csv
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _make_planted(tmp_path, **overrides):
@@ -300,7 +313,6 @@ FILE_SETTINGS = [
     ("seed", "7"), ("som-grid", "3x4"), ("som-epochs", "2"), ("em-tol", "1e-4"),
     ("em-max-iter", "50"), ("cov-mode", "diag"), ("reg-eps", "1e-6"),
     ("max-split-attempts", "4"), ("patience", "2"), ("threshold", "0.4"),
-    ("gamma-rows", "all"), ("score-source", "raw"), ("kmeans-init", "plusplus"),
     ("threads", "2"), ("cut-depth", "1"),
 ]
 
@@ -311,6 +323,22 @@ class TestConfigFile:
             s[2:] for a in _cluster_actions() for s in a.option_strings if s.startswith("--")
         }
         assert flags - {"input", "out", "config", "help"} == {k for k, _ in FILE_SETTINGS}
+
+    def test_config_flags_are_the_config_fields(self):
+        """Every tree setting flag lands in a PppConfig field and every field has a flag."""
+        parser = argparse.ArgumentParser(add_help=False)
+        _add_common_config_flags(parser)
+        dests = {a.dest for a in parser._actions} - {"config", "threads"}
+        assert dests == {f.name for f in fields(PppConfig)}
+
+    def test_readme_example_lists_every_setting(self, tmp_path):
+        """README's ini block loads as a config file and names every tree setting,
+        plus threads and cut-depth."""
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(block)
+        loaded = _load_config_file(str(cfg))
+        assert {f.name for f in fields(PppConfig)} | {"threads", "cut_depth"} <= set(loaded)
 
     @pytest.mark.parametrize("key,text", FILE_SETTINGS)
     def test_key_parses_like_its_flag(self, tmp_path, key, text):
@@ -497,13 +525,26 @@ class TestCut:
     @pytest.mark.parametrize("doc", [
         "not json",
         {"n_instances": 1, "n_features": 2,
-         "root": {"path": "", "status": "leaf", "feature_ids": [0, 7]}},
+         "root": {"path": "", "status": "leaf_terminal", "feature_ids": [0, 7]}},
         {"n_instances": 1, "n_features": 2,
          "root": {"path": "", "status": "internal", "feature_ids": [0, 1], "children": [
-             {"path": "0", "status": "leaf", "feature_ids": [0, 1]},
-             {"path": "1", "status": "leaf", "feature_ids": [1]},
+             {"path": "0", "status": "leaf_terminal", "feature_ids": [0, 1]},
+             {"path": "1", "status": "leaf_terminal", "feature_ids": [1]},
          ]}},
-    ], ids=["not-json", "out-of-range-id", "overlapping-children"])
+        {"n_instances": 1, "n_features": 2,
+         "root": {"path": "", "status": "leaf_terminal", "feature_ids": [0, 1, 1]}},
+        {"n_instances": 1, "n_features": 2,
+         "root": {"path": "", "status": "leaf", "feature_ids": [0, 1]}},
+        {"n_instances": 1, "n_features": 2,
+         "root": {"path": "", "status": "internal", "feature_ids": [0, 1]}},
+        {"n_instances": 1, "n_features": 2,
+         "root": {"path": "", "status": "leaf_unsplittable", "feature_ids": [0, 1],
+                  "children": [
+                      {"path": "0", "status": "leaf_terminal", "feature_ids": [0]},
+                      {"path": "1", "status": "leaf_terminal", "feature_ids": [1]},
+                  ]}},
+    ], ids=["not-json", "out-of-range-id", "overlapping-children", "repeated-id",
+            "unknown-status", "childless-internal", "leaf-with-children"])
     def test_malformed_tree_is_usage_error(self, tmp_path, capsys, doc):
         tree = tmp_path / "tree.json"
         tree.write_text(doc if isinstance(doc, str) else json.dumps(doc))

@@ -235,10 +235,28 @@ class TestEvaluateSplits:
 
     def test_batch_on_an_inner_node(self, planted):
         node = PppNode(IndexSet(np.array([0, 1, 2, 5, 6]), 8), IndexSet(np.arange(0, 120, 3), 120))
-        config = PppConfig(master_seed=4, gamma_rows="all")
+        config = PppConfig(master_seed=4)
         seeds = [11, 12, 13]
         for seed, got in zip(seeds, evaluate_splits(node, planted.matrix, config, seeds)):
             _same_evaluation(got, evaluate_split(node, planted.matrix, config, seed))
+
+    def test_bisection_gets_the_core_rows_or_all_node_rows(self, planted, monkeypatch):
+        """The k-means points are the core rows when the core holds at least
+        two, else every node row; the high threshold yields both kinds of core."""
+        node = PppNode(IndexSet.full(8), IndexSet.full(120))
+        real_bisect = engine_mod.kmeans_bisect
+        handed = []
+
+        def kmeans_bisect(points, seed):
+            handed.append(np.shape(points)[1])  # one column per row handed over
+            return real_bisect(points, seed)
+
+        monkeypatch.setattr(engine_mod, "kmeans_bisect", kmeans_bisect)
+        seeds = [derive_seed(3, "", a) for a in range(6)]
+        results = evaluate_splits(node, planted.matrix, PppConfig(score_threshold=0.9), seeds)
+        cores = [len(r.core_set) for r in results]
+        assert min(cores) < 2 <= max(cores)
+        assert handed == [c if c >= 2 else 120 for c in cores]
 
     def test_degenerate_attempts_in_a_batch(self):
         const = DesignMatrix.ingest(np.full((10, 4), 2.0))
@@ -663,9 +681,6 @@ class TestPppConfig:
         {"score_threshold": 0.0},
         {"score_threshold": 1.0},
         {"covariance_mode": "diag"},
-        {"gamma_rows": "some"},
-        {"score_source": "densities"},
-        {"kmeans_init": "farthest"},
         {"em_max_iter": 0},
         {"em_tol": 0.0},
         {"em_tol": float("nan")},
@@ -688,10 +703,6 @@ class TestPppConfig:
     def test_reg_epsilon_defaults_to_none(self):
         assert PppConfig().reg_epsilon is None
         assert PppConfig(reg_epsilon=1e-9).reg_epsilon == 1e-9
-
-    def test_raw_score_threshold_unconstrained(self):
-        cfg = PppConfig(score_threshold=1.5, score_source="raw")
-        assert cfg.score_threshold == 1.5
 
     @staticmethod
     def _parent_som_config(monkeypatch, config, n_instances, seed):

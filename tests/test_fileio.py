@@ -193,6 +193,12 @@ class TestTreeJson:
             tree(node("", [0, 1], [node("0", [0, 1]), node("1", [1])])),  # overlapping children
             tree(node("", [0, 1], [node("0", [0]), node("1", [])])),  # children miss feature 1
             tree(node("", [1])),  # the root misses feature 0
+            tree(node("", [0, 1, 1])),  # feature 1 named twice
+            tree({**node("", [0, 1]), "status": "open"}),  # not a status of a grown tree
+            tree({**node("", [0, 1]), "status": "internal"}),  # internal without children
+            tree({**node("", [0, 1], [node("0", [0])]), "status": "internal"}),  # one child
+            tree({**node("", [0, 1], [node("0", [0]), node("1", [1])]),
+                  "status": "leaf_unsplittable"}),  # a leaf with children
         ]
         p = tmp_path / "bad.json"
         for text in cases:

@@ -578,7 +578,7 @@ class TestMixtureScores:
         X = rng.standard_normal((15, 2))
         s = mixture_scores(g, X)
         densities = np.array([mixture_pdf(g, x) for x in X])
-        np.testing.assert_allclose(s.density, densities, rtol=1e-12)
+        np.testing.assert_allclose(np.exp(s.log_density), densities, rtol=1e-12)
         np.testing.assert_allclose(s.normalized, densities / densities.max(), rtol=1e-12)
 
     def test_normalized_defined_when_densities_underflow(self):
@@ -586,7 +586,7 @@ class TestMixtureScores:
         g = _mixture([1.0], [np.zeros(2)], [np.eye(2)])
         X = np.array([[0.0, 0.0], [60.0, 0.0]])
         s = mixture_scores(g, X)
-        assert s.density[1] == 0.0  # underflows as a raw density
+        assert np.exp(s.log_density[1]) == 0.0  # underflows as a raw density
         assert 0.0 < s.normalized[1] < 1e-300 or s.normalized[1] == 0.0
         assert s.normalized[0] == 1.0
 

@@ -156,20 +156,6 @@ class TestKmeansBisect:
         )
         assert result.objective == pytest.approx(per_assignment, rel=1e-9)
 
-    def test_plusplus_init_accepted(self):
-        rng = np.random.default_rng(7)
-        points = np.vstack([
-            rng.normal(0.0, 0.2, size=(8, 2)),
-            rng.normal(5.0, 0.2, size=(8, 2)),
-        ])
-        result = kmeans_bisect(points, seed=0, init="plusplus")
-        assert result.assignment[:8].min() == result.assignment[:8].max()
-        assert result.assignment[8:].min() == result.assignment[8:].max()
-
-    def test_unknown_init_rejected(self):
-        with pytest.raises(ConfigError):
-            kmeans_bisect(np.array([[0.0], [1.0]]), seed=0, init="farthest")
-
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_iteration_limit_below_one_rejected(self, max_iter):
         with pytest.raises(ConfigError):
