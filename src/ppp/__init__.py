@@ -9,7 +9,7 @@ feature clusters whose shape is insensitive to the random initializations.
 """
 
 from ._version import __version__
-from .data import DesignMatrix, IndexSet, as_matrix, column_vectors, derive_seed, submatrix
+from .data import DesignMatrix, IndexSet, as_matrix, derive_seed, submatrix
 from .engine import (
     PppConfig,
     PppNode,
@@ -61,7 +61,6 @@ from .som import (
     default_som_config,
     find_bmu,
     init_som,
-    neighborhood_weight,
     quantization_error,
     train_som,
 )
@@ -76,7 +75,7 @@ from .synth import (
 
 __all__ = [
     "__version__",
-    "DesignMatrix", "IndexSet", "as_matrix", "column_vectors", "derive_seed", "submatrix",
+    "DesignMatrix", "IndexSet", "as_matrix", "derive_seed", "submatrix",
     "PppConfig", "PppNode", "PppTree", "SplitEvaluation",
     "accepted_posterior_by_depth", "build_tree", "child_posteriors", "cluster_labels",
     "cut_tree", "evaluate_split", "gamma_set", "grow_node", "overlap_fraction",
@@ -88,7 +87,7 @@ __all__ = [
     "log_likelihood", "mixture_log_density", "mixture_scores", "responsibilities",
     "KmeansResult", "kmeans_bisect", "kmeans_objective", "lloyd_iterate",
     "CodebookMatchSet", "SomConfig", "SomModel", "codebook_match", "codebook_priors",
-    "default_grid", "default_som_config", "find_bmu", "init_som", "neighborhood_weight",
+    "default_grid", "default_som_config", "find_bmu", "init_som",
     "quantization_error", "train_som",
     "PlantedData", "PlantedSpec", "StabilityReport", "adjusted_rand_index",
     "generate_planted", "repeatability_trial",

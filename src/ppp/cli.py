@@ -291,8 +291,8 @@ def run_cut(args) -> int:
     else:
         out.mkdir(parents=True, exist_ok=True)
         target = out / "assignment.csv"
+    export_assignment_csv(tree, target, depth=depth, feature_ids=feature_names)
     clusters = cut_tree(tree, depth)
-    export_assignment_csv(clusters, target, feature_ids=feature_names)
     print(f"clusters: {len(clusters)}; wrote {target}")
     return 0
 

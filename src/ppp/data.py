@@ -193,8 +193,3 @@ def submatrix(m: DesignMatrix, rows: IndexSet, cols: IndexSet) -> DesignMatrix:
     if m.feature_ids is not None:
         feature_ids = tuple(m.feature_ids[j] for j in cols.indices)
     return DesignMatrix(values, instance_ids, feature_ids)
-
-
-def column_vectors(m: DesignMatrix) -> list[np.ndarray]:
-    """The feature columns of ``m`` as a list of length-N vectors (views)."""
-    return list(m.values.T)

@@ -153,12 +153,6 @@ class PppTree:
                 stack.append(node.children[1])
                 stack.append(node.children[0])
 
-    def leaves(self) -> list[PppNode]:
-        return [n for n in self.nodes() if n.is_leaf]
-
-    def depth(self) -> int:
-        return max(n.depth for n in self.nodes())
-
 
 def gamma_set(values, threshold: float) -> IndexSet:
     """Indices whose value strictly exceeds the threshold."""
@@ -190,21 +184,19 @@ def child_posteriors(
     parent_match: CodebookMatchSet,
     mixture_a: GaussianMixture,
     mixture_b: GaussianMixture,
-    columns_a=None,
-    columns_b=None,
+    columns_a,
+    columns_b,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior that each parent matched vector belongs to child a vs child b.
 
-    Each child mixture sees the matched vectors restricted to its own columns
-    (pass None to use the vectors as-is). The two densities are normalized
-    against each other per vector in log space, so the pair sums to one
-    wherever the unit prior is positive and is zero where it is not.
+    Each child mixture sees the matched vectors restricted to its own columns.
+    The two densities are normalized against each other per vector in log
+    space, so the pair sums to one wherever the unit prior is positive and is
+    zero where it is not.
     """
     vectors = parent_match.matched_vectors
-    va = vectors if columns_a is None else vectors[:, np.asarray(columns_a, dtype=np.int64)]
-    vb = vectors if columns_b is None else vectors[:, np.asarray(columns_b, dtype=np.int64)]
-    log_a = mixture_log_density(mixture_a, va)
-    log_b = mixture_log_density(mixture_b, vb)
+    log_a = mixture_log_density(mixture_a, vectors[:, columns_a])
+    log_b = mixture_log_density(mixture_b, vectors[:, columns_b])
     positive = parent_match.priors > 0
     shift = np.maximum(log_a, log_b)
     ea = np.exp(log_a - shift)

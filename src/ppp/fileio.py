@@ -146,7 +146,7 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
     Each node names its features once and has a resolved status; an internal
     node has two children and a leaf none. The root must hold every feature
     and each internal node's children must partition its features, so every
-    cut covers each feature once.
+    cut covers each feature once. A name table has one distinct string per feature.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -186,19 +186,21 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
         root = build(doc["root"])
         if len(root.feature_set) != n_features:
             raise ValueError(f"the root holds {len(root.feature_set)} of {n_features} features")
-        return PppTree(root, n_instances, n_features), doc.get("feature_names")
+        names = doc.get("feature_names")
+        if names is not None and not (
+            isinstance(names, list) and all(isinstance(name, str) for name in names)
+            and len(set(names)) == len(names) == n_features
+        ):
+            raise ValueError(f"feature_names must be null or {n_features} distinct strings")
+        return PppTree(root, n_instances, n_features), names
     except (KeyError, TypeError, ValueError, IndexOutOfBounds, ValidationError) as exc:
         raise FormatError(f"{path} is not a tree export: {exc}") from None
 
 
-def export_assignment_csv(tree_or_clusters, path, depth: int | None = None, feature_ids=None) -> None:
-    """feature_id,cluster_id rows covering every feature exactly once."""
-    if isinstance(tree_or_clusters, PppTree):
-        clusters = cut_tree(tree_or_clusters, depth)
-    else:
-        clusters = list(tree_or_clusters)
+def export_assignment_csv(tree: PppTree, path, depth: int | None = None, feature_ids=None) -> None:
+    """feature_id,cluster_id rows of ``cut_tree(tree, depth)``, each feature once."""
     pairs = []
-    for ci, cluster in enumerate(clusters):
+    for ci, cluster in enumerate(cut_tree(tree, depth)):
         for i in cluster.indices:
             name = feature_ids[int(i)] if feature_ids is not None else int(i)
             pairs.append((int(i), name, ci))

@@ -346,8 +346,6 @@ def init_gmm_from_codebook(
         raise DegenerateModel("every unit has prior zero")
     if covariance_mode is None:
         covariance_mode = default_covariance_mode(X.shape[1])
-    if covariance_mode not in COVARIANCE_MODES:
-        raise ConfigError(f"covariance_mode must be one of {COVARIANCE_MODES}")
     base_var = X.var(axis=0)
     if reg_epsilon is None:
         reg_epsilon = max(1e-6 * float(base_var.mean()), 1e-12)

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import sq_distances
-from .errors import ConfigError, DegenerateSplit
+from .errors import DegenerateSplit
+
+_MAX_ITER = 300
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,15 +73,12 @@ def _init_random(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     raise DegenerateSplit("all points are identical; a two-way split is undefined")
 
 
-def kmeans_bisect(points, seed: int, max_iter: int = 300) -> KmeansResult:
+def kmeans_bisect(points, seed: int) -> KmeansResult:
     """Split points into two clusters with Lloyd's algorithm.
 
-    Runs until the assignment reaches a fixed point or ``max_iter`` passes.
-    Raises DegenerateSplit when fewer than two distinct points exist and
-    ConfigError when ``max_iter`` is below 1.
+    Runs until the assignment reaches a fixed point or ``_MAX_ITER`` passes.
+    Raises DegenerateSplit when fewer than two distinct points exist.
     """
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or len(points) < 2:
         raise DegenerateSplit("need at least two points to bisect")
@@ -87,8 +86,7 @@ def kmeans_bisect(points, seed: int, max_iter: int = 300) -> KmeansResult:
 
     labels = None
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         new_labels, centers = _lloyd_step(points, centers)
         if labels is not None and np.array_equal(new_labels, labels):
             converged = True

@@ -14,6 +14,7 @@ import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,20 +30,20 @@ _ROW_ELEMENTS = 8192
 
 @dataclass(frozen=True)
 class SomConfig:
-    """Grid shape, step schedules and seeding for one training run.
+    """Grid shape, step budget and seeding for one training run.
 
-    The learning rate and neighborhood radius interpolate linearly from their
-    ``*_start`` to ``*_end`` values over the whole step budget
-    (``epochs * n_rows`` steps).
+    The schedule is fixed: over the whole step budget (``epochs * n_rows``
+    steps) the learning rate falls linearly from 0.5 to 0.05 and the
+    neighborhood radius from half the longer grid side (at least 1) to 0.5.
     """
+
+    alpha_start: ClassVar[float] = 0.5
+    alpha_end: ClassVar[float] = 0.05
+    sigma_end: ClassVar[float] = 0.5
 
     grid_rows: int
     grid_cols: int
     epochs: int = 5
-    alpha_start: float = 0.5
-    alpha_end: float = 0.05
-    sigma_start: float = 2.0
-    sigma_end: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -52,14 +53,14 @@ class SomConfig:
             raise ConfigError("grid must contain at least two units")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
-        if not (0.0 < self.alpha_end <= self.alpha_start):
-            raise ConfigError("learning rate must satisfy alpha_start >= alpha_end > 0")
-        if not (0.0 < self.sigma_end <= self.sigma_start):
-            raise ConfigError("neighborhood radius must satisfy sigma_start >= sigma_end > 0")
 
     @property
     def n_units(self) -> int:
         return self.grid_rows * self.grid_cols
+
+    @property
+    def sigma_start(self) -> float:
+        return max(1.0, max(self.grid_rows, self.grid_cols) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,15 +123,9 @@ def default_som_config(
     grid: tuple[int, int] | None = None,
     epochs: int = 5,
 ) -> SomConfig:
-    """A ready-to-use config: size-based grid, radius from half the grid side."""
+    """A ready-to-use config: ``grid``, or else the size-based default grid."""
     rows, cols = grid if grid is not None else default_grid(n_instances)
-    return SomConfig(
-        grid_rows=rows,
-        grid_cols=cols,
-        epochs=epochs,
-        sigma_start=max(1.0, max(rows, cols) / 2.0),
-        seed=seed,
-    )
+    return SomConfig(rows, cols, epochs, seed)
 
 
 def _grid_sqdist(config: SomConfig) -> np.ndarray:
@@ -213,15 +208,6 @@ def find_bmu(som: SomModel, x) -> tuple[int, float]:
     sq = sq_distances(x[None, :], som.codebook)[0]
     best = int(np.argmin(sq))
     return best, float(sq[best])
-
-
-def neighborhood_weight(som: SomModel, c: int, i: int, t: int, total_steps: int) -> float:
-    """Lateral weight between winner ``c`` and unit ``i`` at step ``t``.
-
-    A Gaussian kernel over squared grid distance, scaled by the current
-    learning rate: ``alpha(t) * exp(-gridd2(c, i) / (2 sigma(t)^2))``.
-    """
-    return float(_neighborhood(som.config, _grid_sqdist(som.config)[c, i], t, total_steps))
 
 
 def train_som(som: SomModel, data) -> SomModel:

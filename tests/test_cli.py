@@ -543,8 +543,12 @@ class TestCut:
                       {"path": "0", "status": "leaf_terminal", "feature_ids": [0]},
                       {"path": "1", "status": "leaf_terminal", "feature_ids": [1]},
                   ]}},
+        *({"n_instances": 1, "n_features": 2, "feature_names": names,
+           "root": {"path": "", "status": "leaf_terminal", "feature_ids": [0, 1]}}
+          for names in (["a"], "ab", ["a", "a"])),
     ], ids=["not-json", "out-of-range-id", "overlapping-children", "repeated-id",
-            "unknown-status", "childless-internal", "leaf-with-children"])
+            "unknown-status", "childless-internal", "leaf-with-children",
+            "short-name-table", "string-name-table", "repeated-name"])
     def test_malformed_tree_is_usage_error(self, tmp_path, capsys, doc):
         tree = tmp_path / "tree.json"
         tree.write_text(doc if isinstance(doc, str) else json.dumps(doc))

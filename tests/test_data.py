@@ -12,7 +12,6 @@ from ppp.data import (
     DesignMatrix,
     IndexSet,
     as_matrix,
-    column_vectors,
     derive_seed,
     sq_distances,
     submatrix,
@@ -219,31 +218,6 @@ class TestSubmatrix:
         twice = submatrix(first, r2, c2)
         once = submatrix(m, r1.select(r2), c1.select(c2))
         np.testing.assert_array_equal(twice.values, once.values)
-
-
-class TestColumnVectors:
-    def test_identity_pattern(self):
-        m = DesignMatrix(np.eye(2))
-        vecs = column_vectors(m)
-        np.testing.assert_array_equal(vecs[0], [1.0, 0.0])
-        np.testing.assert_array_equal(vecs[1], [0.0, 1.0])
-
-    def test_matches_transpose(self):
-        rng = np.random.default_rng(7)
-        m = DesignMatrix(rng.standard_normal((8, 5)))
-        vecs = column_vectors(m)
-        assert len(vecs) == 5
-        for j, v in enumerate(vecs):
-            np.testing.assert_array_equal(v, m.values.T[j])
-
-    def test_commutes_with_restriction(self):
-        rng = np.random.default_rng(8)
-        m = DesignMatrix(rng.standard_normal((6, 4)))
-        rows = IndexSet.from_iterable([0, 2, 5], 6)
-        cols = IndexSet.from_iterable([1, 3], 4)
-        restricted = column_vectors(submatrix(m, rows, cols))
-        for j, cj in enumerate(cols):
-            np.testing.assert_array_equal(restricted[j], m.values[rows.indices, cj])
 
 
 class TestAsMatrix:

@@ -122,14 +122,16 @@ class TestChildPosteriors:
     def test_identical_children_halve(self):
         vectors = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
         g = _isotropic([[0.0, 0.0], [1.0, 1.0]])
-        post_a, post_b = child_posteriors(_match_set(vectors, [0.3, 0.3, 0.4]), g, g)
+        cols = [0, 1]
+        post_a, post_b = child_posteriors(_match_set(vectors, [0.3, 0.3, 0.4]), g, g, cols, cols)
         np.testing.assert_allclose(post_a, 0.5, rtol=1e-12)
         np.testing.assert_allclose(post_b, 0.5, rtol=1e-12)
 
     def test_zero_prior_unit_gets_zero(self):
         vectors = np.zeros((3, 2))
         g = _isotropic([[0.0, 0.0]])
-        post_a, post_b = child_posteriors(_match_set(vectors, [0.5, 0.0, 0.5]), g, g)
+        cols = [0, 1]
+        post_a, post_b = child_posteriors(_match_set(vectors, [0.5, 0.0, 0.5]), g, g, cols, cols)
         assert post_a[1] == 0.0 and post_b[1] == 0.0
         assert post_a[0] == 0.5
 
@@ -139,14 +141,14 @@ class TestChildPosteriors:
         ga = _isotropic(rng.standard_normal((2, 3)))
         gb = _isotropic(rng.standard_normal((3, 3)))
         priors = rng.dirichlet(np.ones(8))
-        post_a, post_b = child_posteriors(_match_set(vectors, priors), ga, gb)
+        post_a, post_b = child_posteriors(_match_set(vectors, priors), ga, gb, [0, 1, 2], [0, 1, 2])
         np.testing.assert_allclose(post_a + post_b, 1.0, atol=1e-12)
 
     def test_competitive_favors_the_nearer_mixture(self):
         vectors = np.array([[0.0, 0.0], [10.0, 10.0]])
         ga = _isotropic([[0.0, 0.0]])
         gb = _isotropic([[10.0, 10.0]])
-        post_a, _ = child_posteriors(_match_set(vectors, [0.5, 0.5]), ga, gb)
+        post_a, _ = child_posteriors(_match_set(vectors, [0.5, 0.5]), ga, gb, [0, 1], [0, 1])
         assert post_a[0] > 0.999
         assert post_a[1] < 0.001
 
@@ -530,7 +532,7 @@ class TestBuildTree:
         const = DesignMatrix.ingest(np.full((12, 6), 3.0))
         tree = build_tree(const, PppConfig(master_seed=0))
         assert tree.root.status == "leaf_unsplittable"
-        assert tree.depth() == 0
+        assert max(n.depth for n in tree.nodes()) == 0
         assert len(tree.root.attempt_stats) == 20  # no score ever arms patience
 
     def test_identical_rows_stay_unsplit(self):
@@ -612,17 +614,17 @@ class TestCutTree:
 
     def test_none_returns_leaves(self, tree):
         got = [c.indices.tolist() for c in cut_tree(tree)]
-        leaves = [n.feature_set.indices.tolist() for n in tree.leaves()]
+        leaves = [n.feature_set.indices.tolist() for n in tree.nodes() if n.is_leaf]
         assert got == leaves
 
     def test_depth_beyond_tree_equals_leaves(self, tree):
-        deep = cut_tree(tree, tree.depth() + 5)
+        deep = cut_tree(tree, max(n.depth for n in tree.nodes()) + 5)
         assert [c.indices.tolist() for c in deep] == [
             c.indices.tolist() for c in cut_tree(tree)
         ]
 
     def test_every_cut_partitions_features(self, tree):
-        for depth in [None] + list(range(tree.depth() + 2)):
+        for depth in [None] + list(range(max(n.depth for n in tree.nodes()) + 2)):
             clusters = cut_tree(tree, depth)
             labels = cluster_labels(clusters, 8)
             assert np.all(labels >= 0)

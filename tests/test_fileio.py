@@ -183,8 +183,8 @@ class TestTreeJson:
             return {"path": path, "status": "internal" if children else "leaf_terminal",
                     "feature_ids": ids, "children": children}
 
-        def tree(root):
-            return json.dumps({"n_instances": 4, "n_features": 2, "root": root})
+        def tree(root, **names):
+            return json.dumps({"n_instances": 4, "n_features": 2, "root": root, **names})
 
         cases = [
             '{"whatever": 3}',
@@ -199,6 +199,10 @@ class TestTreeJson:
             tree({**node("", [0, 1], [node("0", [0])]), "status": "internal"}),  # one child
             tree({**node("", [0, 1], [node("0", [0]), node("1", [1])]),
                   "status": "leaf_unsplittable"}),  # a leaf with children
+            tree(node("", [0, 1]), feature_names=["a"]),  # fewer names than features
+            tree(node("", [0, 1]), feature_names="ab"),  # a string, not a list of names
+            tree(node("", [0, 1]), feature_names=["a", "a"]),  # one name twice
+            tree(node("", [0, 1]), feature_names=["a", 2]),  # a name that is not a string
         ]
         p = tmp_path / "bad.json"
         for text in cases:
@@ -207,6 +211,8 @@ class TestTreeJson:
                 load_tree_json(p)
         p.write_text(tree(node("", [0, 1], [node("0", [1]), node("1", [0])])))
         assert [c.indices.tolist() for c in cut_tree(load_tree_json(p)[0], 1)] == [[1], [0]]
+        p.write_text(tree(node("", [0, 1]), feature_names=["b", "a"]))
+        assert load_tree_json(p)[1] == ["b", "a"]
 
     def test_export_is_deterministic(self, small_tree, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -233,10 +239,14 @@ class TestAssignmentCsv:
         first = p.read_text().strip().split("\n")[1]
         assert first.split(",")[0] == "gene0"
 
-    def test_accepts_cluster_list(self, tmp_path):
-        clusters = [IndexSet(np.array([1, 3]), 4), IndexSet(np.array([0, 2]), 4)]
+    def test_interleaved_clusters_sorted_by_feature(self, tmp_path):
+        def node(path, ids, status="leaf_terminal"):
+            return PppNode(IndexSet(np.array(ids), 4), IndexSet.full(2), path, status)
+
+        root = node("", [0, 1, 2, 3], "internal")
+        root.children = (node("0", [1, 3]), node("1", [0, 2]))
         p = tmp_path / "assign.csv"
-        export_assignment_csv(clusters, p)
+        export_assignment_csv(PppTree(root, 2, 4), p)
         rows = [line.split(",") for line in p.read_text().strip().split("\n")[1:]]
         assert rows == [["0", "1"], ["1", "0"], ["2", "1"], ["3", "0"]]
 

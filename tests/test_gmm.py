@@ -620,6 +620,12 @@ class TestInitFromCodebook:
         with pytest.raises(DegenerateModel):
             init_gmm_from_codebook(match, X)
 
+    def test_unknown_mode_rejected(self):
+        """The mixture the start would build rejects the mode, as every mixture does."""
+        X = np.eye(3)
+        with pytest.raises(ConfigError, match="covariance_mode must be one of"):
+            init_gmm_from_codebook(self._match(X[:2], [0.5, 0.5]), X, covariance_mode="diag")
+
     def test_initial_covariance_is_global_diagonal(self):
         rng = np.random.default_rng(17)
         X = rng.standard_normal((20, 2)) * np.array([1.0, 3.0])

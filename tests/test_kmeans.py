@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppp.kmeans as kmeans
 import support
-from ppp.errors import ConfigError, DegenerateSplit
+from ppp.errors import DegenerateSplit
 from ppp.kmeans import KmeansResult, kmeans_bisect, kmeans_objective, lloyd_iterate
 
 
@@ -156,13 +157,9 @@ class TestKmeansBisect:
         )
         assert result.objective == pytest.approx(per_assignment, rel=1e-9)
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_iteration_limit_below_one_rejected(self, max_iter):
-        with pytest.raises(ConfigError):
-            kmeans_bisect(np.array([[0.0], [1.0]]), seed=0, max_iter=max_iter)
-
-    def test_one_iteration_returns_an_assignment(self):
-        result = kmeans_bisect(np.array([[0.0], [1.0], [5.0]]), seed=0, max_iter=1)
+    def test_one_iteration_returns_an_assignment(self, monkeypatch):
+        monkeypatch.setattr(kmeans, "_MAX_ITER", 1)
+        result = kmeans_bisect(np.array([[0.0], [1.0], [5.0]]), seed=0)
         assert result.iterations == 1 and not result.converged
         assert sorted(set(result.assignment.tolist())) == [0, 1]
 

@@ -1,5 +1,6 @@
 """Map training, winner search, matching and priors."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -25,7 +26,6 @@ from ppp.som import (
     default_som_config,
     find_bmu,
     init_som,
-    neighborhood_weight,
     quantization_error,
     train_som,
     train_soms,
@@ -47,17 +47,6 @@ class TestSomConfig:
     def test_nonpositive_side_rejected(self):
         with pytest.raises(ConfigError):
             _config(grid_rows=0)
-
-    def test_zero_learning_rate_rejected(self):
-        with pytest.raises(ConfigError):
-            _config(alpha_start=0.5, alpha_end=0.0)
-
-    def test_increasing_schedule_rejected(self):
-        """Rates and radii may only shrink over training."""
-        with pytest.raises(ConfigError):
-            _config(alpha_start=0.1, alpha_end=0.5)
-        with pytest.raises(ConfigError):
-            _config(sigma_start=0.5, sigma_end=1.0)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ConfigError):
@@ -165,7 +154,7 @@ class TestFindBmu:
 
 class TestSchedule:
     def test_endpoints(self):
-        cfg = SomConfig(2, 2, alpha_start=0.5, alpha_end=0.05, sigma_start=2.0, sigma_end=0.5)
+        cfg = SomConfig(4, 4)
         assert _schedule(cfg, 0, 100) == (0.5, 2.0)
         alpha, sigma = _schedule(cfg, 99, 100)
         assert alpha == pytest.approx(0.05, rel=1e-12)
@@ -185,34 +174,34 @@ class TestSchedule:
 
 
 class TestNeighborhoodWeight:
-    def _som(self, **kw):
-        return SomModel(_config(**kw), np.zeros((4, 2)), np.zeros(4, dtype=np.int64))
+    """The lateral weight ``_neighborhood`` gives unit i when c wins at step t."""
+
+    @staticmethod
+    def _weight(config, c, i, t, total_steps):
+        return float(_neighborhood(config, _grid_sqdist(config)[c, i], t, total_steps))
 
     def test_winner_gets_full_rate(self):
-        som = self._som(alpha_start=0.4, alpha_end=0.4)
-        assert neighborhood_weight(som, 2, 2, 0, 10) == pytest.approx(0.4)
+        cfg = _config()
+        for t in (0, 4, 9):
+            assert self._weight(cfg, 2, 2, t, 10) == _schedule(cfg, t, 10)[0]
 
     def test_unit_grid_distance(self):
-        """Distance 1 at sigma 1, rate 0.5: the frozen kernel value."""
-        som = self._som(alpha_start=0.5, alpha_end=0.5, sigma_start=1.0, sigma_end=1.0)
+        """Distance 1 at the first step of a 2x2 map (sigma 1, rate 0.5): the
+        frozen kernel value."""
         # units 0 and 1 are horizontal neighbors on the 2x2 grid
-        w = neighborhood_weight(som, 0, 1, 0, 10)
+        w = self._weight(_config(), 0, 1, 0, 10)
         assert w == pytest.approx(0.3032653298563167, rel=1e-15)
 
     def test_far_units_effectively_zero(self):
-        som = SomModel(
-            SomConfig(1, 11, sigma_start=0.5, sigma_end=0.5),
-            np.zeros((11, 2)),
-            np.zeros(11, dtype=np.int64),
-        )
-        w = neighborhood_weight(som, 0, 10, 0, 10)
+        """Ten grid steps apart at the last step, where the radius is 0.5."""
+        w = self._weight(SomConfig(1, 11), 0, 10, 9, 10)
         assert 0.0 <= w < 1e-80
 
     def test_bounded_by_current_rate(self):
-        som = self._som()
+        cfg = _config()
         for i in range(4):
-            w = neighborhood_weight(som, 0, i, 0, 6)
-            assert 0.0 < w <= _schedule(som.config, 0, 6)[0]
+            w = self._weight(cfg, 0, i, 0, 6)
+            assert 0.0 < w <= _schedule(cfg, 0, 6)[0]
 
 
 class TestTrainSom:
@@ -223,7 +212,7 @@ class TestTrainSom:
         som = SomModel(SomConfig(2, 3, epochs=1), codebook, np.zeros(6, dtype=np.int64))
         trained = train_som(som, x)  # one row for one epoch: a single step at t = 0
         winner, _ = find_bmu(som, x[0])
-        weights = np.array([neighborhood_weight(som, winner, i, 0, 1) for i in range(6)])
+        weights = _neighborhood(som.config, _grid_sqdist(som.config)[winner], 0, 1)
         assert len(set(weights)) > 1
         np.testing.assert_allclose(
             trained.codebook, codebook + weights[:, None] * (x[0] - codebook), rtol=1e-12
@@ -238,24 +227,20 @@ class TestTrainSom:
             np.testing.assert_allclose(vec, v, atol=1e-3)
 
     def test_two_blobs_covered(self):
-        """With one unit per blob and a decaying radius, each trained vector
-        settles inside its own blob. The radius must actually shrink: a flat
-        end-of-schedule kernel keeps the two units coupled and biased toward
-        each other."""
+        """Each blob gets a trained vector inside it, and every unit that wins a
+        row sits inside a blob. The radius ends at 0.5, where units two grid
+        steps apart barely couple (weight exp(-8)), so a 1x4 map has room to
+        leave the units between the blobs without hits."""
         rng = np.random.default_rng(0)
         blob_a = rng.normal(0.0, 0.1, size=(40, 2))
         blob_b = rng.normal(8.0, 0.1, size=(40, 2))
         X = np.vstack([blob_a, blob_b])
-        cfg = SomConfig(
-            1, 2, epochs=30, sigma_start=0.5, sigma_end=0.1, alpha_end=0.02, seed=3
-        )
-        som = train_som(init_som(cfg, X), X)
         centers = np.array([blob_a.mean(axis=0), blob_b.mean(axis=0)])
-        nearest = {int(np.argmin(((v - centers) ** 2).sum(axis=1))) for v in som.codebook}
-        assert nearest == {0, 1}
-        for v in som.codebook:
-            d = np.min(((v - centers) ** 2).sum(axis=1))
-            assert d < 0.25
+        for seed in (0, 1, 3):
+            som = train_som(init_som(SomConfig(1, 4, epochs=30, seed=seed), X), X)
+            d = ((som.codebook[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            assert np.all(d.min(axis=0) < 0.25)
+            assert np.all(d.min(axis=1)[som.hit_counts > 0] < 0.25)
 
     def test_hit_counts_sum_to_rows(self):
         rng = np.random.default_rng(1)
@@ -278,30 +263,6 @@ class TestTrainSom:
         som = train_som(init_som(SomConfig(2, 2, seed=4), X), X)
         assert som.final_qe == pytest.approx(quantization_error(som, X), rel=1e-12)
 
-    def test_tight_kernel_updates_winner_only(self):
-        """A near-delta kernel reduces the update to winner-take-all.
-
-        One training step with a vanishing radius must move the winner by
-        alpha times its gap to the drawn row and leave other units in place.
-        """
-        cfg = SomConfig(
-            2, 2, epochs=1, alpha_start=0.5, alpha_end=0.5,
-            sigma_start=1e-6, sigma_end=1e-6, seed=11,
-        )
-        init_rows = np.array([[1.0, 1.0], [4.0, 4.0], [7.0, 7.0], [10.0, 10.0]])
-        som = init_som(cfg, init_rows)
-        start = som.codebook.copy()
-        one_row = np.array([[0.0, 0.0]])
-        trained = train_som(som, one_row)
-        moved = np.abs(trained.codebook - start).sum(axis=1) > 1e-9
-        assert moved.sum() == 1
-        winner = int(np.argmax(moved))
-        np.testing.assert_allclose(
-            trained.codebook[winner],
-            start[winner] + 0.5 * (one_row[0] - start[winner]),
-            rtol=1e-12,
-        )
-
     def test_dimension_mismatch(self):
         som = init_som(SomConfig(1, 2, seed=0), np.eye(3))
         with pytest.raises(DimensionError):
@@ -323,8 +284,8 @@ class TestTrainSomMatchesReference:
             (200, 16, (8, 8), {}),
             (48, 640, (6, 8), {}),
             (2, 4, (1, 2), {"epochs": 1}),
-            (60, 5, (4, 4), {"alpha_start": 0.9, "alpha_end": 0.1}),
-            (70, 6, (4, 5), {"sigma_start": 2.5, "sigma_end": 1e-9}),
+            (60, 5, (2, 7), {}),  # radius 3.5 -> 0.5
+            (70, 6, (2, 2), {}),  # radius at its floor, 1.0 -> 0.5
         ],
     )
     def test_equal_to_reference(self, n, d, grid, kw):
@@ -352,13 +313,14 @@ class TestTrainSomMatchesReference:
 
     @pytest.mark.parametrize(
         "grid, sigma",
-        [((8, 8), (4.0, 0.5)), ((6, 8), (4.0, 0.5)), ((2, 2), (2.0, 0.5)),
-         ((1, 11), (0.5, 0.5)), ((10, 12), (3.0, 0.1))],
+        [((8, 8), (4.0, 0.5)), ((6, 8), (4.0, 0.5)), ((2, 2), (1.0, 0.5)),
+         ((1, 11), (5.5, 0.5)), ((10, 12), (6.0, 0.5))],
     )
     def test_kernel_table_equals_per_step_rows(self, grid, sigma):
         """Gathering from the (step, distance level) table gives each step's
         ``_neighborhood`` row over the winner's grid distances exactly."""
-        config = SomConfig(*grid, sigma_start=sigma[0], sigma_end=sigma[1])
+        config = SomConfig(*grid)
+        assert (config.sigma_start, config.sigma_end) == sigma
         grid_sq = _grid_sqdist(config)
         levels, level_of = np.unique(grid_sq, return_inverse=True)
         level_of = level_of.reshape(grid_sq.shape)
@@ -378,7 +340,7 @@ class TestTrainSoms:
         # (n, d, grid, config keywords)
         (60, 5, (3, 4), {}),
         (40, 1, (2, 3), {}),
-        (50, 4, (3, 3), {"sigma_start": 1.0, "sigma_end": 1.0}),
+        (50, 4, (2, 2), {"epochs": 2}),  # radius at its floor, 1.0 -> 0.5
         (5, 3, (3, 3), {}),  # more units than rows
     ]
 
@@ -438,9 +400,9 @@ class TestTrainSoms:
     @pytest.mark.parametrize("other", [
         SomConfig(2, 3, seed=1),  # another grid
         SomConfig(2, 2, epochs=4, seed=1),
-        SomConfig(2, 2, alpha_end=0.01, seed=1),
-        SomConfig(2, 2, sigma_start=3.0, seed=1),
-        SomConfig(2, 2, sigma_end=0.25, seed=1),
+        SomConfig(1, 4, seed=1),  # as many units on another grid
+        SomConfig(4, 1, seed=1),
+        SomConfig(2, 2, epochs=6, seed=1),
     ])
     def test_configs_must_differ_only_in_seed(self, other):
         X = _structured_rows(2, 20, 3)
@@ -590,6 +552,22 @@ class TestDefaultSomConfig:
     def test_radius_scales_with_grid(self):
         cfg = default_som_config(100)
         assert cfg.sigma_start == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("grid", [(8, 8), (3, 3), (1, 2), (2, 7), (6, 8), (4, 1)])
+    @pytest.mark.parametrize("epochs", [1, 5])
+    def test_one_config_per_grid(self, grid, epochs):
+        """The pipeline's config and one built directly describe the same map."""
+        cfg = default_som_config(100, seed=11, grid=grid, epochs=epochs)
+        assert cfg == SomConfig(*grid, epochs=epochs, seed=11)
+        assert cfg.sigma_start == max(1.0, max(grid) / 2.0)
+        assert (cfg.alpha_start, cfg.alpha_end, cfg.sigma_end) == (0.5, 0.05, 0.5)
+
+    def test_schedule_is_not_a_setting(self):
+        assert [f.name for f in dataclasses.fields(SomConfig)] == [
+            "grid_rows", "grid_cols", "epochs", "seed"
+        ]
+        with pytest.raises(TypeError):
+            SomConfig(2, 2, alpha_start=0.9)
 
     def test_explicit_grid_wins(self):
         cfg = default_som_config(100, grid=(2, 5))
