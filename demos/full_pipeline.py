@@ -41,7 +41,7 @@ def main():
         score = node.best_eval.score if node.best_eval is not None else None
         score_s = f"{score:7.3f}" if score is not None else "      -"
         print(f"{path:7s} {node.status:18s} {len(node.feature_set):8d} "
-              f"{len(node.attempt_stats):9d} {score_s}")
+              f"{len(node.attempts):9d} {score_s}")
 
     for depth, truth, label in [(1, coarse, "coarse halves"),
                                 (None, fine, "fine blocks")]:

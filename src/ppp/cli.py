@@ -19,12 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .engine import (
-    PppConfig,
-    accepted_posterior_by_depth,
-    build_tree,
-    cut_tree,
-)
+from .engine import PppConfig, accepted_posterior_by_depth, build_tree
 from .errors import ConfigError, FormatError, ParseError, PppError, ValidationError
 from .fileio import (
     RunManifest,
@@ -202,11 +197,12 @@ def run_cluster(args) -> int:
         "manifest": out / "manifest.json",
     }
     export_tree_json(tree, paths["tree"], feature_ids=matrix.feature_ids)
-    export_assignment_csv(tree, paths["assignment"], depth=cut_depth, feature_ids=matrix.feature_ids)
+    clusters = export_assignment_csv(
+        tree, paths["assignment"], depth=cut_depth, feature_ids=matrix.feature_ids
+    )
     export_diagnostics_csv(tree, paths["diagnostics"])
     write_manifest(_manifest("cluster", args, config, paths), paths["manifest"])
 
-    clusters = cut_tree(tree, cut_depth)
     print(f"clusters: {len(clusters)} ({'leaves' if cut_depth is None else f'depth {cut_depth}'})")
     by_depth = accepted_posterior_by_depth(tree)
     for depth in sorted({n.depth for n in tree.nodes() if n.status == "internal"}):
@@ -291,8 +287,7 @@ def run_cut(args) -> int:
     else:
         out.mkdir(parents=True, exist_ok=True)
         target = out / "assignment.csv"
-    export_assignment_csv(tree, target, depth=depth, feature_ids=feature_names)
-    clusters = cut_tree(tree, depth)
+    clusters = export_assignment_csv(tree, target, depth=depth, feature_ids=feature_names)
     print(f"clusters: {len(clusters)}; wrote {target}")
     return 0
 

@@ -113,13 +113,6 @@ class IndexSet:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    def __iter__(self):
-        return (int(i) for i in self.indices)
-
-    def __contains__(self, idx) -> bool:
-        pos = np.searchsorted(self.indices, idx)
-        return pos < self.indices.size and self.indices[pos] == idx
-
     def intersection(self, other: "IndexSet") -> "IndexSet":
         if self.universe_size != other.universe_size:
             raise DimensionError("index sets live in different universes")

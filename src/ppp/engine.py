@@ -108,7 +108,11 @@ class SplitEvaluation:
 
 @dataclass(eq=False)
 class PppNode:
-    """One tree node; mutated in place while the tree grows."""
+    """One tree node; mutated in place while the tree grows.
+
+    ``attempts`` holds every split attempt's ``SplitEvaluation``, in seed
+    order; they are the rows of ``diagnostics.csv``.
+    """
 
     feature_set: IndexSet
     instance_set: IndexSet
@@ -116,11 +120,7 @@ class PppNode:
     status: str = "open"
     best_eval: SplitEvaluation | None = None
     children: tuple["PppNode", "PppNode"] | None = None
-    # one (attempt seed, overlap a, overlap b, score, outcome, core size, child a size,
-    # child b size) row per split attempt; sizes are instance counts
-    attempt_stats: list[tuple[int, float, float, float | None, str, int, int, int]] = field(
-        default_factory=list
-    )
+    attempts: list[SplitEvaluation] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -129,7 +129,7 @@ class PppNode:
     @property
     def score_trace(self) -> list[float | None]:
         """Per-attempt split score (None where the score was undefined)."""
-        return [s[3] for s in self.attempt_stats]
+        return [a.score for a in self.attempts]
 
     @property
     def is_leaf(self) -> bool:
@@ -347,8 +347,7 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     derived from (master seed, node path, attempt). The best defined score is
     kept; once some attempt has produced a defined score, ``patience``
     consecutive attempts without improvement stop the search early. Each
-    attempt is recorded with its overlaps, score, outcome (see
-    ``SplitEvaluation``) and the sizes of its core and child sets; an attempt
+    attempt's ``SplitEvaluation`` is kept in ``node.attempts``; an attempt
     whose model cannot be fit is one with an undefined score, and the search
     goes on. With no defined score anywhere, or nothing better than zero, the node stays
     unsplit; otherwise the winning feature split and child sets become the
@@ -378,11 +377,8 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
         seeds = [derive_seed(config.master_seed, node.path, a)
                  for a in range(attempt, attempt + size)]
         attempt += size
-        for seed, r in zip(seeds, evaluate_splits(node, data, config, seeds)):
-            node.attempt_stats.append((
-                seed, *r.overlaps, r.score, r.outcome,
-                len(r.core_set), *(len(s) for s in r.child_sets),
-            ))
+        for r in evaluate_splits(node, data, config, seeds):
+            node.attempts.append(r)
             if r.score is not None and (best is None or r.score > best.score):
                 best = r
                 stale = 0

@@ -197,10 +197,13 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
         raise FormatError(f"{path} is not a tree export: {exc}") from None
 
 
-def export_assignment_csv(tree: PppTree, path, depth: int | None = None, feature_ids=None) -> None:
-    """feature_id,cluster_id rows of ``cut_tree(tree, depth)``, each feature once."""
+def export_assignment_csv(
+    tree: PppTree, path, depth: int | None = None, feature_ids=None
+) -> list[IndexSet]:
+    """Write ``cut_tree(tree, depth)`` as feature_id,cluster_id rows and return it."""
+    clusters = cut_tree(tree, depth)
     pairs = []
-    for ci, cluster in enumerate(cut_tree(tree, depth)):
+    for ci, cluster in enumerate(clusters):
         for i in cluster.indices:
             name = feature_ids[int(i)] if feature_ids is not None else int(i)
             pairs.append((int(i), name, ci))
@@ -210,10 +213,11 @@ def export_assignment_csv(tree: PppTree, path, depth: int | None = None, feature
         writer.writerow(["feature_id", "cluster_id"])
         for _, name, ci in pairs:
             writer.writerow([name, ci])
+    return clusters
 
 
 def export_diagnostics_csv(tree: PppTree, path) -> None:
-    """One row per (node, attempt).
+    """One row per entry of ``node.attempts``, nodes in preorder.
 
     Columns: node_path,attempt,seed,phi1,phi2,phi,outcome,core,child_a,child_b,
     the last three the instance counts of the attempt's core and child sets.
@@ -223,9 +227,10 @@ def export_diagnostics_csv(tree: PppTree, path) -> None:
         writer.writerow(["node_path", "attempt", "seed", "phi1", "phi2", "phi", "outcome",
                          "core", "child_a", "child_b"])
         for node in tree.nodes():
-            for attempt, (seed, o1, o2, score, outcome, *sizes) in enumerate(node.attempt_stats):
-                phi = "" if score is None else _fmt(score)
-                writer.writerow([node.path, attempt, seed, _fmt(o1), _fmt(o2), phi, outcome, *sizes])
+            for i, a in enumerate(node.attempts):
+                phi = "" if a.score is None else _fmt(a.score)
+                writer.writerow([node.path, i, a.attempt_seed, *map(_fmt, a.overlaps), phi,
+                                 a.outcome, len(a.core_set), *map(len, a.child_sets)])
 
 
 def report_to_dict(report) -> dict:

@@ -33,22 +33,12 @@ def kmeans_objective(centers, points) -> float:
     return float(sq_distances(points, centers).min(axis=1).sum())
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # argmin takes the first minimum, so exact ties fall to label 0
-    return np.argmin(sq_distances(points, centers), axis=1)
-
-
-def _repair_empty(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    for label in (0, 1):
-        if not np.any(labels == label):
-            dist_to_own = sq_distances(points, centers)[np.arange(len(points)), labels]
-            labels = labels.copy()
-            labels[int(np.argmax(dist_to_own))] = label
-    return labels
-
-
 def _lloyd_step(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    labels = _repair_empty(points, centers, _assign(points, centers))
+    d = sq_distances(points, centers)
+    labels = np.argmin(d, axis=1)  # the first minimum, so exact ties fall to label 0
+    for label in (0, 1):
+        if not np.any(labels == label):  # hand it the point farthest from its own center
+            labels[int(np.argmax(d[np.arange(len(points)), labels]))] = label
     return labels, np.stack([points[labels == 0].mean(axis=0), points[labels == 1].mean(axis=0)])
 
 

@@ -204,7 +204,7 @@ class TestCriterion07TerminationBound:
         data = DesignMatrix.ingest(X)
 
         tree = build_tree(data, PppConfig(master_seed=0))
-        counts = [len(n.attempt_stats) for n in tree.nodes()]
+        counts = [len(n.attempts) for n in tree.nodes()]
         statuses = {n.status for n in tree.nodes()}
         bound_ok = max(counts) <= 20 and "open" not in statuses
 
@@ -214,7 +214,7 @@ class TestCriterion07TerminationBound:
         same_columns = DesignMatrix.ingest(np.tile(X[:, :1], (1, 20)))
         root = build_tree(same_columns, PppConfig(master_seed=0)).root
         no_score_ok = (
-            len(root.attempt_stats) == 20
+            len(root.attempts) == 20
             and all(s is None for s in root.score_trace)
             and root.status == "leaf_unsplittable"
         )
@@ -222,7 +222,7 @@ class TestCriterion07TerminationBound:
         ok = bound_ok and no_score_ok
         assert _verdict(7, "attempt budget respected", ok,
                         f"max attempts {max(counts)}/20, "
-                        f"exhausted-budget root: {len(root.attempt_stats)} attempts"), \
+                        f"exhausted-budget root: {len(root.attempts)} attempts"), \
             (counts, root.status)
 
 

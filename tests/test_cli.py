@@ -10,6 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ppp.cli as cli_mod
+import ppp.engine as engine_mod
+import ppp.fileio as fileio_mod
 from ppp.cli import (
     _add_common_config_flags,
     _grid,
@@ -513,6 +516,28 @@ class TestCut:
                    "--out", str(cut_dir)])
         assert rc == 0
         assert (cut_dir / "assignment.csv").exists()
+
+    def test_each_subcommand_cuts_once(self, tmp_path, monkeypatch, capsys):
+        """The printed cluster count is that of the written cut, not of a second walk."""
+        data = _make_planted(tmp_path)
+        calls = []
+        real = engine_mod.cut_tree
+
+        def cut_tree(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (engine_mod, fileio_mod, cli_mod):
+            monkeypatch.setattr(module, "cut_tree", cut_tree, raising=False)
+        run_out = tmp_path / "run"
+        assert main(["cluster", "--input", str(data), "--out", str(run_out), "--seed", "3"]) == 0
+        assert len(calls) == 1
+        cut_csv = tmp_path / "recut.csv"
+        assert main(["cut", "--tree", str(run_out / "tree.json"), "--cut-depth", "1",
+                     "--out", str(cut_csv)]) == 0
+        assert len(calls) == 2
+        ids = {line.split(",")[1] for line in cut_csv.read_text().strip().split("\n")[1:]}
+        assert f"clusters: {len(ids)};" in capsys.readouterr().out
 
     def test_negative_cut_depth_rejected(self, tmp_path):
         out = tmp_path / "o"

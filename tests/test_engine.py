@@ -266,13 +266,10 @@ class TestEvaluateSplits:
         results = evaluate_splits(node, const, PppConfig(), [1, 2, 3])
         assert [r.outcome for r in results] == ["degenerate_split"] * 3
 
-    def test_fit_failures_are_caught_per_attempt(self, planted, monkeypatch):
-        """In a real batch, a parent fit that raises fails only its own attempt,
-        and so does a child fit; the other attempts keep their results."""
-        node = PppNode(IndexSet.full(8), IndexSet.full(120))
-        config = PppConfig(master_seed=3)
-        seeds = [derive_seed(3, "", a) for a in range(4)]
-        clean = evaluate_splits(node, planted.matrix, config, seeds)
+    @staticmethod
+    def _fail_second_parent_and_first_child_fit(monkeypatch):
+        """Make the second parent fit and the first child fit of the 8-feature
+        root raise; returns the per-kind call counts."""
         real_fit = engine_mod.fit_em
         calls = {"parent": 0, "child": 0}
 
@@ -285,6 +282,16 @@ class TestEvaluateSplits:
             return real_fit(g, data, **kwargs)
 
         monkeypatch.setattr(engine_mod, "fit_em", fit)
+        return calls
+
+    def test_fit_failures_are_caught_per_attempt(self, planted, monkeypatch):
+        """In a real batch, a parent fit that raises fails only its own attempt,
+        and so does a child fit; the other attempts keep their results."""
+        node = PppNode(IndexSet.full(8), IndexSet.full(120))
+        config = PppConfig(master_seed=3)
+        seeds = [derive_seed(3, "", a) for a in range(4)]
+        clean = evaluate_splits(node, planted.matrix, config, seeds)
+        calls = self._fail_second_parent_and_first_child_fit(monkeypatch)
         got = evaluate_splits(node, planted.matrix, config, seeds)
         assert got[1].outcome == "singular_cov"
         assert got[0].outcome == "degenerate_model"  # the first child fit is attempt 0's side 0
@@ -297,11 +304,28 @@ class TestEvaluateSplits:
         alone = evaluate_split(node, planted.matrix, config, seeds[1])
         assert (alone.attempt_seed, alone.outcome) == (seeds[1], "degenerate_model")
 
+    def test_result_i_carries_seed_i(self, planted, monkeypatch):
+        """Whatever the outcome, result ``i`` is attempt ``seeds[i]``'s: the seed
+        column of diagnostics.csv reads ``attempt_seed``."""
+        seeds = [derive_seed(3, "", a) for a in range(4)]
+        const = DesignMatrix.ingest(np.full((10, 4), 2.0))
+        degenerate = evaluate_splits(
+            PppNode(IndexSet.full(4), IndexSet.full(10)), const, PppConfig(), seeds
+        )
+        node = PppNode(IndexSet.full(8), IndexSet.full(120))
+        clean = evaluate_splits(node, planted.matrix, PppConfig(master_seed=3), seeds)
+        self._fail_second_parent_and_first_child_fit(monkeypatch)
+        failed = evaluate_splits(node, planted.matrix, PppConfig(master_seed=3), seeds)
+        outcomes = {r.outcome for r in degenerate + clean + failed}
+        assert {"ok", "degenerate_split", "singular_cov", "degenerate_model"} <= outcomes
+        for results in (degenerate, clean, failed):
+            assert [r.attempt_seed for r in results] == seeds
 
-def _stub_eval(score, n_features=4, n_instances=6):
+
+def _stub_eval(score, seed=0, n_features=4, n_instances=6):
     empty = IndexSet(np.array([], dtype=np.int64), n_instances)
     if score is None:
-        return SplitEvaluation(0, None, empty, (empty, empty),
+        return SplitEvaluation(seed, None, empty, (empty, empty),
                                (np.array([]), np.array([])), (0.0, 0.0), None,
                                "degenerate_split")
     split = (IndexSet(np.array([0, 1]), n_features),
@@ -309,13 +333,13 @@ def _stub_eval(score, n_features=4, n_instances=6):
     children = (IndexSet(np.array([0, 1, 2]), n_instances),
                 IndexSet(np.array([3, 4]), n_instances))
     post = (np.array([0.9, 0.8]), np.array([0.7, 0.6]))
-    return SplitEvaluation(0, split, children, children, post,
+    return SplitEvaluation(seed, split, children, children, post,
                            (float(score), float(score)), float(score))
 
 
 def _stub_batches(score):
     """A batch entry point that gives every requested attempt the same score."""
-    return lambda node, data, config, seeds: [_stub_eval(score) for _ in seeds]
+    return lambda node, data, config, seeds: [_stub_eval(score, s) for s in seeds]
 
 
 class TestGrowNodeControlFlow:
@@ -333,7 +357,7 @@ class TestGrowNodeControlFlow:
         node = PppNode(IndexSet(np.array([2]), 4), IndexSet.full(6))
         grow_node(node, tiny, PppConfig())
         assert node.status == "leaf_terminal"
-        assert node.attempt_stats == []
+        assert node.attempts == []
 
     def test_one_instance_is_terminal(self, tiny):
         node = PppNode(IndexSet.full(4), IndexSet(np.array([3]), 6))
@@ -345,14 +369,14 @@ class TestGrowNodeControlFlow:
         node = self._node()
         grow_node(node, tiny, PppConfig())
         assert node.status == "leaf_unsplittable"
-        assert len(node.attempt_stats) == 20
+        assert len(node.attempts) == 20
         assert node.score_trace == [None] * 20
 
     def test_attempt_cap_respected(self, tiny, monkeypatch):
         monkeypatch.setattr(engine_mod, "evaluate_splits", _stub_batches(None))
         node = self._node()
         grow_node(node, tiny, PppConfig(max_split_attempts=3))
-        assert len(node.attempt_stats) == 3
+        assert len(node.attempts) == 3
 
     def test_patience_arms_after_first_score(self, tiny, monkeypatch):
         scores = iter([5.0] + [None] * 30)
@@ -361,7 +385,7 @@ class TestGrowNodeControlFlow:
                                                                for _ in seeds])
         node = self._node()
         grow_node(node, tiny, PppConfig(patience=5))
-        assert len(node.attempt_stats) == 6  # 1 hit + 5 stale
+        assert len(node.attempts) == 6  # 1 hit + 5 stale
         assert node.status == "internal"
         assert node.best_eval.score == 5.0
 
@@ -372,7 +396,7 @@ class TestGrowNodeControlFlow:
                                                                for _ in seeds])
         node = self._node()
         grow_node(node, tiny, PppConfig(patience=5))
-        assert len(node.attempt_stats) == 8  # 3 improvements + 5 ties
+        assert len(node.attempts) == 8  # 3 improvements + 5 ties
         assert node.best_eval.score == 3.0
 
     def test_zero_best_score_stays_leaf(self, tiny, monkeypatch):
@@ -380,7 +404,23 @@ class TestGrowNodeControlFlow:
         node = self._node()
         grow_node(node, tiny, PppConfig(patience=4))
         assert node.status == "leaf_unsplittable"
-        assert len(node.attempt_stats) == 5  # armed by the present zero score
+        assert len(node.attempts) == 5  # armed by the present zero score
+
+    def test_attempts_are_the_returned_evaluations(self, tiny, monkeypatch):
+        scores = iter([2.0, None] + [1.0] * 30)
+        returned = []
+
+        def stub(node, data, config, seeds):
+            batch = [_stub_eval(next(scores), seed) for seed in seeds]
+            returned.extend(batch)
+            return batch
+
+        monkeypatch.setattr(engine_mod, "evaluate_splits", stub)
+        node = self._node()
+        grow_node(node, tiny, PppConfig(patience=5))
+        assert len(node.attempts) == len(returned) == 6  # 1 hit + 5 stale, one of them ended
+        assert all(a is r for a, r in zip(node.attempts, returned))
+        assert node.attempts[1].outcome == "degenerate_split"
 
     def test_accepted_split_builds_children(self, tiny, monkeypatch):
         monkeypatch.setattr(engine_mod, "evaluate_splits", _stub_batches(12.0))
@@ -431,14 +471,14 @@ class TestGrowNodeBatching:
         def stub(node, data, config, seeds):
             start = len(requested)
             requested.extend(seeds)
-            return [_stub_eval(s) for s in scores[start:start + len(seeds)]]
+            return [_stub_eval(s, seed) for s, seed in zip(scores[start:], seeds)]
 
         monkeypatch.setattr(engine_mod, "evaluate_splits", stub)
         rng = np.random.default_rng(0)
         data = DesignMatrix.ingest(rng.standard_normal((6, 4)))
         config = PppConfig(master_seed=2, max_split_attempts=max_attempts, patience=patience)
         node = grow_node(PppNode(IndexSet.full(4), IndexSet.full(6), "01"), data, config)
-        recorded = [row[0] for row in node.attempt_stats]
+        recorded = [a.attempt_seed for a in node.attempts]
         assert requested == recorded
         assert recorded == [derive_seed(2, "01", a) for a in range(len(recorded))]
         assert len(recorded) == _one_at_a_time(scores, config)
@@ -481,6 +521,12 @@ class TestGrowNodeOnData:
             np.testing.assert_array_equal(child.instance_set.indices, gamma.indices)
 
 
+def _attempt_row(a):
+    """(seed, overlaps, score, outcome, core and child set sizes) of one attempt."""
+    return (a.attempt_seed, *a.overlaps, a.score, a.outcome,
+            len(a.core_set), *map(len, a.child_sets))
+
+
 class TestGrowNodeFaultIsolation:
     """A model that cannot be fit fails one attempt, not the whole node."""
 
@@ -514,8 +560,9 @@ class TestGrowNodeFaultIsolation:
         )
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
         grow_node(node, planted.matrix, config)
-        assert node.attempt_stats[0] == (failing_seed, 0.0, 0.0, None, "singular_cov", 0, 0, 0)
-        assert node.attempt_stats[1:] == clean.attempt_stats[1:len(node.attempt_stats)]
+        rows = [_attempt_row(a) for a in node.attempts]
+        assert rows[0] == (failing_seed, 0.0, 0.0, None, "singular_cov", 0, 0, 0)
+        assert rows[1:] == [_attempt_row(a) for a in clean.attempts[1:len(rows)]]
         assert node.status == "internal"
         assert node.best_eval.attempt_seed != failing_seed
         assert _blocks(node) == frozenset({frozenset(range(4)), frozenset(range(4, 8))})
@@ -533,7 +580,7 @@ class TestBuildTree:
         tree = build_tree(const, PppConfig(master_seed=0))
         assert tree.root.status == "leaf_unsplittable"
         assert max(n.depth for n in tree.nodes()) == 0
-        assert len(tree.root.attempt_stats) == 20  # no score ever arms patience
+        assert len(tree.root.attempts) == 20  # no score ever arms patience
 
     def test_identical_rows_stay_unsplit(self):
         data = DesignMatrix.ingest(np.tile(np.arange(6.0), (12, 1)))

@@ -155,7 +155,7 @@ class TestTreeJson:
         assert root["phi"] > 0
         assert len(root["children"]) == 2
         assert root["gamma1_size"] >= 1 and root["gamma2_size"] >= 1
-        assert len(root["phi_trace"]) == len(small_tree.root.attempt_stats)
+        assert len(root["phi_trace"]) == len(small_tree.root.attempts)
 
     def test_round_trip_preserves_skeleton(self, small_tree, tmp_path):
         p = tmp_path / "tree.json"
@@ -257,7 +257,7 @@ class TestDiagnosticsCsv:
         export_diagnostics_csv(small_tree, p)
         lines = p.read_text().strip().split("\n")
         assert lines[0] == "node_path,attempt,seed,phi1,phi2,phi,outcome,core,child_a,child_b"
-        expected = sum(len(n.attempt_stats) for n in small_tree.nodes())
+        expected = sum(len(n.attempts) for n in small_tree.nodes())
         assert len(lines) == 1 + expected
 
     def test_seed_column_is_the_derived_attempt_seed(self, small_tree, tmp_path):
@@ -267,7 +267,7 @@ class TestDiagnosticsCsv:
         expected = [
             [node.path, str(attempt), str(derive_seed(3, node.path, attempt))]
             for node in small_tree.nodes()
-            for attempt in range(len(node.attempt_stats))
+            for attempt in range(len(node.attempts))
         ]
         assert [row[:3] for row in rows] == expected
 

@@ -84,6 +84,17 @@ class TestLloydIterate:
         assert set(labels.tolist()) == {0, 1}
         assert sorted(np.bincount(labels, minlength=2).tolist()) == [1, 2]
 
+    def test_repair_reuses_the_step_distances(self, monkeypatch):
+        """A step that repairs an empty side computes its distances once; the
+        second call is the objective after the update."""
+        calls = []
+        real = kmeans.sq_distances
+        monkeypatch.setattr(kmeans, "sq_distances", lambda X, Y: calls.append(1) or real(X, Y))
+        points = np.array([[0.0], [1.0], [2.0]])
+        labels, _, _ = lloyd_iterate(np.array([[0.0], [100.0]]), points)
+        assert labels.tolist() == [0, 0, 1]  # side 1 was empty; it gets the farthest point
+        assert len(calls) == 2
+
     def test_objective_never_increases(self):
         rng = np.random.default_rng(2)
         for trial in range(10):
