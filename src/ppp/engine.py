@@ -214,19 +214,46 @@ def _units_to_instances(
     return members.select(IndexSet(local_rows, len(members)))
 
 
+def _frame(X: np.ndarray) -> np.ndarray:
+    """What maps of X's rows train on: X, or its rows' coordinates in their own span.
+
+    A map started from data rows never leaves their span. So when X has more
+    columns than rows, its maps train on the n x n ``cholesky(X @ X.T)``, whose
+    rows have X's inner products and hence X's distances up to rounding. X
+    comes back when the factor is not finite or a row lies under 1e-4 of its
+    norm from the span of the rows before it (a zero or duplicate row).
+    """
+    if X.shape[1] <= X.shape[0]:
+        return X
+    gram = X @ X.T
+    try:
+        Y = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return X
+    # the pivot Y[j, j] is row j's distance from the span of rows 0..j-1
+    spanned = np.diagonal(Y) ** 2 > 1e-8 * np.diagonal(gram)
+    return Y if spanned.all() and np.isfinite(Y).all() else X
+
+
 def _quantize(
-    config: PppConfig, matrices: list[np.ndarray], seeds: list[int]
+    config: PppConfig, matrices: list[np.ndarray], frames: list[np.ndarray], seeds: list[int]
 ) -> list[CodebookMatchSet]:
     """Codebook match of one SOM per matrix, the maps trained in lockstep.
 
-    The matrices share one shape; each map's config comes from its seed.
+    Map i trains on ``frames[i]``, the :func:`_frame` of ``matrices[i]``, and
+    its match is rebuilt from the matrix's own rows; the frames share one
+    shape. So a node with more columns than rows trains its maps on its rows'
+    coordinates in their own span, with the same distances. Exact distance
+    ties, as in integer-valued data, can break differently there.
     """
     n = matrices[0].shape[0]
     soms = (
-        init_som(default_som_config(n, seed, config.som_grid, config.som_epochs), X)
-        for X, seed in zip(matrices, seeds)
+        init_som(default_som_config(n, seed, config.som_grid, config.som_epochs), Y)
+        for Y, seed in zip(frames, seeds)
     )
-    return [som.match for som in train_soms(soms, matrices)]
+    trained = (som.match for som in train_soms(soms, frames))
+    return [CodebookMatchSet(m.matched_instance_ids, X[m.matched_instance_ids], m.priors)
+            for X, m in zip(matrices, trained)]
 
 
 def _fit(match: CodebookMatchSet, X: np.ndarray, config: PppConfig) -> GaussianMixture:
@@ -260,7 +287,7 @@ def evaluate_splits(
     2. per attempt, the parent mixture, its core set and the k-means bisection
        of the feature columns;
     3. the child maps of every attempt that got this far, trained in lockstep
-       in groups of equal column count;
+       in groups that train on one shape;
     4. per attempt, the child mixtures, posteriors and overlaps.
 
     Every attempt's randomness (three quantizations, the k-means init) is
@@ -269,7 +296,8 @@ def evaluate_splits(
     """
     X = submatrix(data, node.instance_set, node.feature_set).values
     results: list[SplitEvaluation | None] = [None] * len(seeds)
-    matches = _quantize(config, [X] * len(seeds), [derive_seed(s, "parent") for s in seeds])
+    parent_seeds = [derive_seed(s, "parent") for s in seeds]
+    matches = _quantize(config, [X] * len(seeds), [_frame(X)] * len(seeds), parent_seeds)
 
     empty = IndexSet(np.array([], dtype=np.int64), data.n_instances)
     bisected = []  # (attempt, parent match, core set, column pair) per bisected attempt
@@ -291,25 +319,23 @@ def evaluate_splits(
         columns = (np.flatnonzero(km.assignment == 0), np.flatnonzero(km.assignment == 1))
         bisected.append((i, match0, core_set, columns))
 
-    by_columns = defaultdict(list)  # column count -> (attempt, side, columns)
+    by_shape = defaultdict(list)  # training shape -> (attempt, side, child matrix, frame)
     for i, _, _, columns in bisected:
-        for side, cols in enumerate(columns):
-            by_columns[cols.size].append((i, side, cols))
+        for side, Xc in enumerate(X[:, cols] for cols in columns):
+            Yc = _frame(Xc)
+            by_shape[Yc.shape].append((i, side, Xc, Yc))
     children = {}  # (attempt, side) -> (child match, child matrix)
-    for group in by_columns.values():
-        matrices = [X[:, cols] for _, _, cols in group]
-        child_seeds = [derive_seed(seeds[i], "child", side) for i, side, _ in group]
-        found = _quantize(config, matrices, child_seeds)
-        for (i, side, _), Xc, match in zip(group, matrices, found):
+    for group in by_shape.values():
+        child_seeds = [derive_seed(seeds[i], "child", side) for i, side, _, _ in group]
+        found = _quantize(config, [g[2] for g in group], [g[3] for g in group], child_seeds)
+        for (i, side, Xc, _), match in zip(group, found):
             children[i, side] = (match, Xc)
 
     n_cols = len(node.feature_set)
     for i, match0, core_set, columns in bisected:
         try:
             mixtures = [_fit(*children.pop((i, side)), config) for side in (0, 1)]
-            post_a, post_b = child_posteriors(
-                match0, mixtures[0], mixtures[1], columns[0], columns[1]
-            )
+            post_a, post_b = child_posteriors(match0, *mixtures, *columns)
         except _FIT_ERRORS as exc:
             results[i] = _ended(seeds[i], core_set, _FIT_FAILURES[type(exc)])
             continue
@@ -363,9 +389,9 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
         node.status = "leaf_terminal"
         return node
 
-    # A batch keeps every attempt's matches and child matrices alive at once,
-    # so its stacked codebooks and step differences, 2 * width * K * d
-    # elements, are held to one block: a 48 x 640 node runs one attempt at a time.
+    # A batch holds every attempt's child matrices (n x d), matched vectors and
+    # mixtures (K x d each) at once, 2 * width * K * d elements to one block; a
+    # 48 x 640 node runs one attempt at a time. Its maps are K x min(n, d).
     n_units = default_som_config(len(node.instance_set), 0, config.som_grid).n_units
     width = max(1, _BLOCK_ELEMENTS // (2 * n_units * len(node.feature_set)))
     best: SplitEvaluation | None = None

@@ -24,7 +24,7 @@ from ppp.engine import (
 )
 from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCovariance
 from ppp.gmm import GaussianMixture
-from ppp.som import CodebookMatchSet, default_grid
+from ppp.som import CodebookMatchSet, default_grid, default_som_config, init_som, train_soms
 from ppp.synth import PlantedSpec, generate_planted
 from support import mixture_pdf
 
@@ -168,6 +168,81 @@ class TestChildPosteriors:
         np.testing.assert_allclose(post_b, dens_b / (dens_a + dens_b), rtol=1e-12)
 
 
+def _trained_shapes(monkeypatch):
+    """Record the matrix shapes of every ``train_soms`` call an attempt makes."""
+    calls = []
+    real = engine_mod.train_soms
+
+    def train(soms, data):
+        calls.append([np.shape(m) for m in data])
+        return real(soms, data)
+
+    monkeypatch.setattr(engine_mod, "train_soms", train)
+    return calls
+
+
+class TestQuantize:
+    """A node with more columns than rows trains its maps in its rows' own span."""
+
+    @pytest.mark.parametrize("shape", [(48, 640), (10, 320), (3, 4)])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_wide_matches_equal_training_on_the_matrix(self, shape, shared):
+        rng = np.random.default_rng(list(shape))
+        matrices = [rng.standard_normal(shape)] * 3 if shared else [
+            rng.standard_normal(shape) for _ in range(3)
+        ]
+        frames = [engine_mod._frame(X) for X in matrices]
+        assert all(Y.shape == (shape[0], shape[0]) for Y in frames)
+        seeds = [7, 8, 9]
+        got = engine_mod._quantize(PppConfig(), matrices, frames, seeds)
+        soms = [init_som(default_som_config(shape[0], s), X) for X, s in zip(matrices, seeds)]
+        for match, som in zip(got, train_soms(soms, matrices)):
+            assert np.array_equal(match.matched_instance_ids, som.match.matched_instance_ids)
+            assert np.array_equal(match.matched_vectors, som.match.matched_vectors)
+            assert np.array_equal(match.priors, som.match.priors)
+
+    @pytest.mark.parametrize("shape", [(48, 640), (10, 320), (3, 4)])
+    def test_duplicate_or_zero_row_trains_on_the_matrix(self, shape):
+        # with this seed LAPACK factors each duplicate's Gram matrix without
+        # error, leaving a pivot near 1e-8 of the row norm
+        X = np.random.default_rng(5).standard_normal(shape)
+        duplicate = X.copy()
+        duplicate[-1] = X[0]
+        zero = X.copy()
+        zero[1] = 0.0
+        for M in (duplicate, zero):
+            assert engine_mod._frame(M) is M
+
+    def test_narrow_matrix_is_its_own_frame(self):
+        X = np.random.default_rng(3).standard_normal((20, 20))
+        assert engine_mod._frame(X) is X
+
+    def test_matched_vectors_are_the_matrix_rows(self):
+        X = np.random.default_rng(4).standard_normal((12, 90))
+        frame = engine_mod._frame(X)
+        for match in engine_mod._quantize(PppConfig(), [X] * 2, [frame] * 2, [1, 2]):
+            assert match.matched_vectors.shape == (len(match), 90)
+            assert np.array_equal(match.matched_vectors, X[match.matched_instance_ids])
+
+    @staticmethod
+    def _one_attempt(monkeypatch, shape):
+        calls = _trained_shapes(monkeypatch)
+        data = DesignMatrix.ingest(np.random.default_rng(5).standard_normal(shape))
+        node = PppNode(IndexSet.full(shape[1]), IndexSet.full(shape[0]))
+        evaluate_splits(node, data, PppConfig(), [21])
+        return calls
+
+    def test_wide_node_maps_train_on_its_row_count(self, monkeypatch):
+        # both child sides have more columns than 48 rows, so they share one call
+        assert self._one_attempt(monkeypatch, (48, 640)) == [[(48, 48)], [(48, 48)] * 2]
+
+    def test_narrow_node_maps_train_on_its_columns(self, monkeypatch):
+        calls = self._one_attempt(monkeypatch, (200, 16))
+        assert calls[0] == [(200, 16)]
+        children = [s for call in calls[1:] for s in call]  # each side's own columns
+        assert [r for r, _ in children] == [200, 200] and sum(c for _, c in children) == 16
+
+
 class TestEvaluateSplit:
     def test_planted_feature_split_recovered(self, planted):
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
@@ -234,6 +309,23 @@ class TestEvaluateSplits:
         assert len(batch) == len(seeds)
         for seed, got in zip(seeds, batch):
             _same_evaluation(got, evaluate_split(node, planted.matrix, config, seed))
+
+    def test_wide_batch_equals_one_attempt_at_a_time(self, monkeypatch):
+        """At 24 x 301, child sides of 151 and 150 columns both train on 24
+        columns, so all child maps of a batch share one lockstep call."""
+        rng = np.random.default_rng(6)
+        rows, cols = np.arange(24) % 2, np.arange(301) >= 151
+        X = 4.0 * (rows[:, None] == cols[None, :]) + rng.standard_normal((24, 301))
+        data = DesignMatrix.ingest(X)
+        node = PppNode(IndexSet.full(301), IndexSet.full(24))
+        config = PppConfig(master_seed=5)
+        seeds = [derive_seed(5, "", a) for a in range(3)]
+        calls = _trained_shapes(monkeypatch)
+        batch = evaluate_splits(node, data, config, seeds)
+        assert calls == [[(24, 24)] * 3, [(24, 24)] * 6]
+        assert any(len(r.feature_split[0]) != len(r.feature_split[1]) for r in batch)
+        for seed, got in zip(seeds, batch):
+            _same_evaluation(got, evaluate_split(node, data, config, seed))
 
     def test_batch_on_an_inner_node(self, planted):
         node = PppNode(IndexSet(np.array([0, 1, 2, 5, 6]), 8), IndexSet(np.arange(0, 120, 3), 120))
