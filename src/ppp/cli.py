@@ -78,6 +78,13 @@ def _at_least(low: int):
     return integer
 
 
+def _delimiter(text: str) -> str:
+    """``--delimiter`` type: the two characters ``\\t`` name a tab, which a
+    config file cannot hold (its values are stripped); ``load_csv`` checks
+    that a delimiter is one character."""
+    return "\t" if text == "\\t" else text
+
+
 def _cov_mode(text: str) -> str:
     """``--cov-mode`` type: ``full`` or ``diag``, read as the covariance mode it names."""
     if text not in ("full", "diag"):
@@ -298,7 +305,8 @@ def _add_common_input_flags(sub) -> None:
                      help="first line is feature names")
     sub.add_argument("--id-column", action="store_true", default=None,
                      help="first column is instance ids")
-    sub.add_argument("--delimiter", default=None, help="field delimiter (default ,)")
+    sub.add_argument("--delimiter", type=_delimiter, default=None,
+                     help=r"field delimiter, \t for a tab (default ,)")
 
 
 def _add_common_config_flags(sub) -> None:
@@ -307,14 +315,9 @@ def _add_common_config_flags(sub) -> None:
                      help="master random seed")
     sub.add_argument("--som-grid", type=_grid, default=None, metavar="RxC",
                      help="map grid, e.g. 8x8 (default sized per node)")
-    sub.add_argument("--som-epochs", type=int, default=None, help="map training epochs")
-    sub.add_argument("--em-tol", type=float, default=None, help="EM convergence tolerance")
-    sub.add_argument("--em-max-iter", type=int, default=None, help="EM iteration cap")
     sub.add_argument("--cov-mode", dest="covariance_mode", type=_cov_mode, default=None,
                      metavar="{full,diag}",
                      help="mixture covariance shape (default size-based)")
-    sub.add_argument("--reg-eps", dest="reg_epsilon", type=float, default=None,
-                     help="covariance regularization (default variance-scaled)")
     sub.add_argument("--max-split-attempts", type=int, default=None,
                      help="seeded attempts per node (default 20)")
     sub.add_argument("--patience", type=int, default=None,

@@ -13,7 +13,6 @@ wins; a node where no attempt produces a defined score is left unsplit.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,14 +49,12 @@ class PppConfig:
     """Tunables for one clustering run.
 
     ``som_grid`` None lets each node pick a grid from its own row count.
+    Maps train for 5 epochs and EM runs with ``fit_em``'s tolerance, iteration
+    cap and ``init_gmm_from_codebook``'s variance-scaled ridge.
     """
 
     master_seed: int = 0
     som_grid: tuple[int, int] | None = None
-    som_epochs: int = 5
-    em_tol: float = 1e-6
-    em_max_iter: int = 100
-    reg_epsilon: float | None = None
     covariance_mode: str | None = None
     max_split_attempts: int = 20
     patience: int = 5
@@ -70,16 +67,10 @@ class PppConfig:
             raise ConfigError("patience must be at least 1")
         if not (0.0 < self.score_threshold < 1.0):
             raise ConfigError("score_threshold must lie in (0, 1)")
-        if self.em_max_iter < 1:
-            raise ConfigError("em_max_iter must be at least 1")
-        if not (0.0 < self.em_tol < math.inf):
-            raise ConfigError(f"em_tol must be positive and finite, got {self.em_tol!r}")
-        if self.reg_epsilon is not None and not (0.0 < self.reg_epsilon < math.inf):
-            raise ConfigError(f"reg_epsilon must be positive and finite, got {self.reg_epsilon!r}")
         if self.covariance_mode is not None and self.covariance_mode not in COVARIANCE_MODES:
             raise ConfigError(f"covariance_mode must be one of {COVARIANCE_MODES}")
-        # the map settings are checked by building the map config they describe
-        default_som_config(2, grid=self.som_grid, epochs=self.som_epochs)
+        # the grid is checked by building the map config it describes
+        default_som_config(2, grid=self.som_grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +239,7 @@ def _quantize(
     """
     n = matrices[0].shape[0]
     soms = (
-        init_som(default_som_config(n, seed, config.som_grid, config.som_epochs), Y)
+        init_som(default_som_config(n, seed, config.som_grid), Y)
         for Y, seed in zip(frames, seeds)
     )
     trained = (som.match for som in train_soms(soms, frames))
@@ -258,8 +249,7 @@ def _quantize(
 
 def _fit(match: CodebookMatchSet, X: np.ndarray, config: PppConfig) -> GaussianMixture:
     """The matched-vector mixture of one quantized matrix."""
-    g = init_gmm_from_codebook(match, X, config.covariance_mode, config.reg_epsilon)
-    return fit_em(g, match.matched_vectors, tol=config.em_tol, max_iter=config.em_max_iter)
+    return fit_em(init_gmm_from_codebook(match, X, config.covariance_mode), match.matched_vectors)
 
 
 def _ended(seed: int, core_set: IndexSet, outcome: str) -> SplitEvaluation:

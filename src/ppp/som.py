@@ -121,11 +121,10 @@ def default_som_config(
     n_instances: int,
     seed: int = 0,
     grid: tuple[int, int] | None = None,
-    epochs: int = 5,
 ) -> SomConfig:
     """A ready-to-use config: ``grid``, or else the size-based default grid."""
     rows, cols = grid if grid is not None else default_grid(n_instances)
-    return SomConfig(rows, cols, epochs, seed)
+    return SomConfig(rows, cols, seed=seed)
 
 
 def _grid_sqdist(config: SomConfig) -> np.ndarray:

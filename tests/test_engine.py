@@ -822,16 +822,6 @@ class TestPppConfig:
         {"score_threshold": 0.0},
         {"score_threshold": 1.0},
         {"covariance_mode": "diag"},
-        {"em_max_iter": 0},
-        {"em_tol": 0.0},
-        {"em_tol": float("nan")},
-        {"em_tol": float("inf")},
-        {"em_tol": -1e-6},
-        {"reg_epsilon": float("nan")},
-        {"reg_epsilon": float("inf")},
-        {"reg_epsilon": 0.0},
-        {"reg_epsilon": -1e-9},
-        {"som_epochs": 0},
         {"som_grid": (0, 2)},
         {"som_grid": (2, 0)},
         {"score_threshold": float("nan")},
@@ -840,10 +830,6 @@ class TestPppConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             PppConfig(**kwargs)
-
-    def test_reg_epsilon_defaults_to_none(self):
-        assert PppConfig().reg_epsilon is None
-        assert PppConfig(reg_epsilon=1e-9).reg_epsilon == 1e-9
 
     @staticmethod
     def _parent_som_config(monkeypatch, config, n_instances, seed):
@@ -862,8 +848,8 @@ class TestPppConfig:
         return seen[0]
 
     def test_som_config_targets_node_size(self, monkeypatch):
-        som_cfg = self._parent_som_config(monkeypatch, PppConfig(som_epochs=7), 100, 42)
-        assert som_cfg.epochs == 7
+        som_cfg = self._parent_som_config(monkeypatch, PppConfig(), 100, 42)
+        assert som_cfg.epochs == 5
         assert som_cfg.seed == derive_seed(42, "parent")
         assert (som_cfg.grid_rows, som_cfg.grid_cols) == default_grid(100)
         assert som_cfg.sigma_start == max(

@@ -554,11 +554,11 @@ class TestDefaultSomConfig:
         assert cfg.sigma_start == pytest.approx(4.0)
 
     @pytest.mark.parametrize("grid", [(8, 8), (3, 3), (1, 2), (2, 7), (6, 8), (4, 1)])
-    @pytest.mark.parametrize("epochs", [1, 5])
-    def test_one_config_per_grid(self, grid, epochs):
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_one_config_per_grid(self, grid, seed):
         """The pipeline's config and one built directly describe the same map."""
-        cfg = default_som_config(100, seed=11, grid=grid, epochs=epochs)
-        assert cfg == SomConfig(*grid, epochs=epochs, seed=11)
+        cfg = default_som_config(100, seed=seed, grid=grid)
+        assert cfg == SomConfig(*grid, epochs=5, seed=seed)
         assert cfg.sigma_start == max(1.0, max(grid) / 2.0)
         assert (cfg.alpha_start, cfg.alpha_end, cfg.sigma_end) == (0.5, 0.05, 0.5)
 
