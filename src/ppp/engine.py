@@ -248,8 +248,19 @@ def _quantize(
 
 
 def _fit(match: CodebookMatchSet, X: np.ndarray, config: PppConfig) -> GaussianMixture:
-    """The matched-vector mixture of one quantized matrix."""
-    return fit_em(init_gmm_from_codebook(match, X, config.covariance_mode), match.matched_vectors)
+    """The matched-vector mixture of one quantized matrix.
+
+    EM sees every unit's matched vector, prior zero or not. Units that matched
+    one instance share one row, so EM runs on the distinct matched rows, in
+    order of first occurrence, each counted once per unit that matched it.
+    """
+    start = init_gmm_from_codebook(match, X, config.covariance_mode)
+    ids = match.matched_instance_ids
+    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    if first.size == ids.size:
+        return fit_em(start, match.matched_vectors)
+    order = np.argsort(first)
+    return fit_em(start, match.matched_vectors[first[order]], counts=counts[order])
 
 
 def _ended(seed: int, core_set: IndexSet, outcome: str) -> SplitEvaluation:

@@ -12,6 +12,14 @@ weighted log densities, which is built for all components at once (one
 stacked Cholesky factorization, one block of differences and one einsum in
 full mode). Full-mode M-step covariances are one stacked matrix product.
 
+A map's matched rows repeat: several units often match one instance. So
+:func:`init_gmm_from_codebook` starts one component per distinct matched
+instance, and :func:`fit_em` takes an optional per-row ``counts`` that lets EM
+see each distinct row once, weighted by its multiplicity. Both fit the density
+of the repeated rows and units up to rounding. With ``counts=None`` every row
+counts once, with the arithmetic of iterating :func:`em_step`, and a match
+with no repeated instance starts one component per unit.
+
 scipy is still required, for its compiled LAPACK wrapper: the triangular
 solve is the ``dtrtrs`` of ``scipy/linalg/_flapack``. Importing this module
 loads that one extension and none of scipy's Python packages (``scipy``,
@@ -205,13 +213,19 @@ def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _e_step(g: GaussianMixture, X: np.ndarray) -> tuple[np.ndarray, float]:
-    """Responsibilities and total log-likelihood of ``g`` from one density pass."""
+def _e_step(
+    g: GaussianMixture, X: np.ndarray, counts: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Responsibilities and total log-likelihood of ``g`` from one density pass.
+
+    ``counts`` (one per row) weights each row's log-likelihood, as if the row
+    appeared that many times.
+    """
     wlp = _weighted_log_prob(g, X)
     lse = log_sum_exp(wlp)
     r = np.exp(wlp - lse)
     r /= r.sum(axis=1, keepdims=True)
-    return r, float(lse.sum())
+    return r, float(lse.sum() if counts is None else counts @ lse[:, 0])
 
 
 def _subset(g: GaussianMixture, keep: np.ndarray) -> GaussianMixture:
@@ -224,8 +238,15 @@ def _subset(g: GaussianMixture, keep: np.ndarray) -> GaussianMixture:
     )
 
 
-def _m_step(g: GaussianMixture, X: np.ndarray, r: np.ndarray) -> GaussianMixture:
-    """Re-estimate ``g`` from its responsibilities ``r``, dropping dead components."""
+def _m_step(
+    g: GaussianMixture, X: np.ndarray, r: np.ndarray, counts: np.ndarray | None = None
+) -> GaussianMixture:
+    """Re-estimate ``g`` from its responsibilities ``r``, dropping dead components.
+
+    With ``counts``, row i's responsibilities weigh ``counts[i]`` times.
+    """
+    if counts is not None:
+        r = r * counts[:, None]
     mass = r.sum(axis=0)
     dead = mass < _DROP_MASS
     if dead.any():
@@ -235,6 +256,8 @@ def _m_step(g: GaussianMixture, X: np.ndarray, r: np.ndarray) -> GaussianMixture
         )
         g = _subset(g, ~dead)
         r, _ = _e_step(g, X)
+        if counts is not None:
+            r *= counts[:, None]
         mass = r.sum(axis=0)
 
     weights = mass / mass.sum()
@@ -287,7 +310,13 @@ def em_step(g: GaussianMixture, data) -> tuple[GaussianMixture, float]:
     return updated, _e_step(updated, X)[1]
 
 
-def fit_em(g: GaussianMixture, data, tol: float = 1e-6, max_iter: int = 100) -> GaussianMixture:
+def fit_em(
+    g: GaussianMixture,
+    data,
+    tol: float = 1e-6,
+    max_iter: int = 100,
+    counts: np.ndarray | None = None,
+) -> GaussianMixture:
     """Iterate E and M steps until the log-likelihood settles.
 
     Each iteration makes one density pass: the E-step of the updated mixture
@@ -296,13 +325,22 @@ def fit_em(g: GaussianMixture, data, tol: float = 1e-6, max_iter: int = 100) -> 
     :func:`em_step`. Convergence is ``|ll_new - ll_old| < tol * (1 + |ll_new|)``;
     a mixture that is already at a fixed point returns after a single
     iteration. The returned mixture carries the full log-likelihood trace.
+
+    ``counts`` gives each row a multiplicity: EM on distinct rows with their
+    counts fits, up to rounding, what EM on the rows repeated that many times
+    fits, with one density pass per distinct row. Its log-likelihood is
+    ``counts @ log_density`` and the M-step weighs each row's
+    responsibilities by its count. With ``counts=None`` every row counts once,
+    with the exact arithmetic of iterating :func:`em_step`.
     """
     X = as_matrix(data)
-    r, ll = _e_step(g, X)
+    if counts is not None:
+        counts = np.asarray(counts, dtype=float)
+    r, ll = _e_step(g, X, counts)
     trace = [ll]
     for _ in range(max_iter):
-        g = _m_step(g, X, r)
-        r, ll = _e_step(g, X)
+        g = _m_step(g, X, r, counts)
+        r, ll = _e_step(g, X, counts)
         trace.append(ll)
         if abs(ll - trace[-2]) < tol * (1.0 + abs(ll)):
             break
@@ -333,10 +371,17 @@ def init_gmm_from_codebook(
 ) -> GaussianMixture:
     """Seed a mixture from a codebook match.
 
-    Means are the matched vectors and weights the unit priors, renormalized
-    after units with prior zero are dropped; every component starts from the
-    same diagonal covariance, the global per-column variance of ``data`` plus
+    Units with prior zero are dropped. The rest give one component per
+    distinct matched instance, in order of first occurrence: its mean is that
+    instance's matched vector and its weight the summed prior of the units
+    that matched it, renormalized. Every component starts from the same
+    diagonal covariance, the global per-column variance of ``data`` plus
     ``reg_epsilon`` (default ``1e-6 *`` mean column variance, floored at 1e-12).
+
+    Merging units is exact: components with one mean and one covariance stay
+    proportional under EM, so the merged start fits the same density up to
+    rounding. A match whose positive-prior units hold distinct instances gives
+    one component per unit, with the weights of the unmerged start bit for bit.
     """
     X = as_matrix(data)
     if match.matched_vectors.shape[1] != X.shape[1]:
@@ -352,9 +397,16 @@ def init_gmm_from_codebook(
     if reg_epsilon <= 0:
         raise ConfigError("reg_epsilon must be positive")
     start_var = base_var + reg_epsilon
-    weights = match.priors[keep] / match.priors[keep].sum()
+    # a bin's sum starts from 0.0, so an instance matched once keeps its prior's bits
+    _, first, inverse = np.unique(
+        match.matched_instance_ids[keep], return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    priors = np.bincount(inverse, weights=match.priors[keep])[order]
+    weights = priors / priors.sum()
     start_cov = start_var if covariance_mode == "diagonal" else np.diag(start_var)
     covs = np.repeat(start_cov[None], weights.size, axis=0)
     return GaussianMixture(
-        weights, match.matched_vectors[keep], covs, covariance_mode, float(reg_epsilon)
+        weights, match.matched_vectors[keep][first[order]], covs, covariance_mode,
+        float(reg_epsilon),
     )

@@ -23,7 +23,7 @@ from ppp.engine import (
     split_objective,
 )
 from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCovariance
-from ppp.gmm import GaussianMixture
+from ppp.gmm import GaussianMixture, fit_em, init_gmm_from_codebook, mixture_scores
 from ppp.som import CodebookMatchSet, default_grid, default_som_config, init_som, train_soms
 from ppp.synth import PlantedSpec, generate_planted
 from support import mixture_pdf
@@ -241,6 +241,39 @@ class TestQuantize:
         assert calls[0] == [(200, 16)]
         children = [s for call in calls[1:] for s in call]  # each side's own columns
         assert [r for r, _ in children] == [200, 200] and sum(c for _, c in children) == 16
+
+
+class TestFit:
+    def test_distinct_rows_score_like_every_unit(self, planted):
+        """A node whose map matches instances to several units: the fit on the
+        distinct matched rows scores the node rows as a fit of one component per
+        positive-prior unit on every unit's matched vector does."""
+        X = planted.matrix.values
+        match = engine_mod._quantize(PppConfig(), [X], [X], [11])[0]
+        assert np.unique(match.matched_instance_ids).size < len(match)
+        got = engine_mod._fit(match, X, PppConfig())
+        keep = match.priors > 0
+        start = init_gmm_from_codebook(match, X)
+        unmerged = GaussianMixture(
+            match.priors[keep] / match.priors[keep].sum(), match.matched_vectors[keep],
+            np.repeat(start.covariances[:1], keep.sum(), axis=0), start.covariance_mode,
+            start.reg_epsilon,
+        )
+        want = fit_em(unmerged, match.matched_vectors)
+        assert got.n_iterations == want.n_iterations
+        got_scores, want_scores = mixture_scores(got, X), mixture_scores(want, X)
+        np.testing.assert_allclose(got_scores.log_density, want_scores.log_density, rtol=1e-8)
+        np.testing.assert_allclose(got_scores.normalized, want_scores.normalized, atol=1e-12)
+
+    def test_distinct_matched_rows_fit_every_unit(self, planted, monkeypatch):
+        """A match with no repeated instance hands EM every matched vector, uncounted."""
+        X = planted.matrix.values
+        ids = np.arange(0, 120, 3)
+        match = CodebookMatchSet(ids, X[ids], np.full(ids.size, 1 / ids.size))
+        seen = []
+        monkeypatch.setattr(engine_mod, "fit_em", lambda g, data, **kw: seen.append((data, kw)))
+        engine_mod._fit(match, X, PppConfig())
+        assert seen[0][0] is match.matched_vectors and seen[0][1] == {}
 
 
 class TestEvaluateSplit:

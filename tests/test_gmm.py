@@ -560,6 +560,44 @@ class TestFitEm:
         assert np.all(np.diff(fitted.ll_trace) >= -1e-8)
 
 
+class TestCountedRows:
+    """EM on distinct rows with their counts fits what EM on the repeated rows fits."""
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_counts_equal_repeated_rows(self, mode):
+        # 40 rows for 4 components in 3 dimensions: no component collapses to a
+        # spike, where the two fits' rounding would part ways
+        rng = np.random.default_rng(23)
+        distinct = rng.standard_normal((40, 3)) * 2
+        counts = rng.integers(1, 5, size=40)
+        repeated = np.repeat(distinct, counts, axis=0)[rng.permutation(counts.sum())]
+        g = _random_mixture(rng, 4, 3, mode)
+        got = fit_em(g, distinct, counts=counts)
+        want = fit_em(g, repeated)
+        assert got.n_iterations == want.n_iterations > 1
+        np.testing.assert_allclose(got.ll_trace, want.ll_trace, rtol=1e-9)
+        for name in ("means", "covariances", "weights"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-9)
+
+    def test_component_starved_mid_run_is_dropped(self, caplog):
+        """As in TestFitEm, with each row given a count: the broad third component
+        is still dropped, and the fit tracks the one on the repeated rows."""
+        X = np.array([[0, 0], [0.1, 0], [0, 0.1], [5, 5], [5.1, 5], [5, 5.1]])
+        counts = np.array([2, 1, 3, 1, 2, 1])
+        g = _mixture(
+            [0.4, 0.4, 0.2],
+            [np.zeros(2), np.full(2, 5.0), np.full(2, 2.5)],
+            [np.eye(2), np.eye(2), 4 * np.eye(2)],
+        )
+        want = fit_em(g, np.repeat(X, counts, axis=0), tol=0.0, max_iter=12)
+        with caplog.at_level("INFO", logger="ppp.gmm"):
+            got = fit_em(g, X, tol=0.0, max_iter=12, counts=counts)
+        assert "dropping" in caplog.text
+        assert got.n_components == want.n_components == 2
+        np.testing.assert_allclose(got.ll_trace, want.ll_trace, rtol=1e-9)
+        np.testing.assert_allclose(got.means, want.means, rtol=1e-9)
+
+
 class TestMixtureScores:
     def test_single_row_normalizes_to_one(self):
         g = _mixture([1.0], [np.zeros(2)], [np.eye(2)])
@@ -605,6 +643,48 @@ class TestInitFromCodebook:
         g = init_gmm_from_codebook(match, X)
         np.testing.assert_array_equal(g.means, X[:4])
         np.testing.assert_allclose(g.weights, 0.25)
+
+    def test_units_on_one_instance_merge(self):
+        """Positive-prior units that matched one instance give one component with
+        their summed prior, in order of first occurrence."""
+        X = np.random.default_rng(19).standard_normal((10, 3))
+        ids = [4, 2, 4, 7, 2]
+        g = init_gmm_from_codebook(self._match(X[ids], [0.1, 0.2, 0.3, 0.25, 0.15], ids), X)
+        np.testing.assert_array_equal(g.means, X[[4, 2, 7]])
+        np.testing.assert_allclose(g.weights, [0.4, 0.35, 0.25], rtol=1e-12)
+
+    def test_zero_prior_unit_on_a_shared_instance_adds_nothing(self):
+        X = np.random.default_rng(20).standard_normal((10, 3))
+        alone = init_gmm_from_codebook(self._match(X[[4, 2]], [0.4, 0.6], [4, 2]), X)
+        ids = [2, 4, 2]
+        g = init_gmm_from_codebook(self._match(X[ids], [0.0, 0.4, 0.6], ids), X)
+        assert np.array_equal(g.means, alone.means)
+        assert np.array_equal(g.weights, alone.weights)
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_merged_start_has_the_unmerged_density(self, mode):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((30, 3))
+        ids = rng.integers(0, 8, size=20)
+        priors = rng.dirichlet(np.ones(20))
+        g = init_gmm_from_codebook(self._match(X[ids], priors, ids), X, covariance_mode=mode)
+        assert g.n_components == np.unique(ids).size < ids.size
+        unmerged = GaussianMixture(
+            priors, X[ids], np.repeat(g.covariances[:1], ids.size, axis=0), mode, g.reg_epsilon
+        )
+        rows = rng.standard_normal((15, 3)) * 2
+        np.testing.assert_allclose(
+            mixture_log_density(g, rows), mixture_log_density(unmerged, rows), rtol=1e-12
+        )
+
+    def test_distinct_instances_give_the_unmerged_start(self):
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((12, 3))
+        ids = rng.permutation(12)[:9]
+        priors = rng.dirichlet(np.ones(9))
+        g = init_gmm_from_codebook(self._match(X[ids], priors, ids), X)
+        assert np.array_equal(g.means, X[ids])
+        assert np.array_equal(g.weights, priors / priors.sum())
 
     def test_zero_prior_units_dropped(self):
         rng = np.random.default_rng(16)
