@@ -11,6 +11,12 @@ responsibilities and the log-likelihood from the same (n, K) matrix of
 weighted log densities, which is built for all components at once (one
 stacked Cholesky factorization, one block of differences and one einsum in
 full mode). Full-mode M-step covariances are one stacked matrix product.
+Diagonal mode expands the squares around the mixture's centre
+``weights @ means``, so its density pass and M-step are each one pass of
+einsum contractions over all components, with (n, d) and (K, d) temporaries
+and no (K, n, d) block, and a result that rounding takes below 0 is clipped
+at 0. einsum, unlike a BLAS product, gives a row the same bits whichever
+rows are scored with it and however many threads BLAS runs.
 
 A map's matched rows repeat: several units often match one instance. So
 :func:`init_gmm_from_codebook` starts one component per distinct matched
@@ -171,31 +177,51 @@ def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
     triangular solve is the LAPACK call ``solve_triangular(chol, diff.T,
     lower=True)`` makes, run in place on the buffer's Fortran-ordered
     transpose (a copy would leave the buffer unsolved), and one einsum per
-    block gives the Mahalanobis terms. Diagonal mode loops over components.
-    The result is C-contiguous: the row-wise log-sum over components adds in
-    memory order, so a transposed layout would change its last bits.
+    block gives the Mahalanobis terms.
+
+    Diagonal mode expands the quadratic form around the mixture's centre
+    ``c = weights @ means``. With ``x~ = x - c``, ``m~ = mean - c`` and
+    ``p = 1 / variance``, a component's Mahalanobis term is
+    ``x~² · p - 2 x~ · (m~ p) + m~² · p``: two (n, d) by (K, d) einsums plus a
+    per-component constant, clipped at 0. Centring keeps the cancellation at
+    the scale of the data's spread, not of its column offsets. ``x~`` is
+    written C-ordered, so einsum sums each entry over the columns in one
+    order for any layout of X.
+
+    Both modes reject non-finite data or means with ``ValueError``. The result
+    is C-contiguous: the row-wise log-sum over components adds in memory
+    order, so a transposed layout would change its last bits.
     """
     if X.shape[1] != g.dim:
         raise DimensionError(f"data has {X.shape[1]} columns, mixture dim is {g.dim}")
     n, d = X.shape
     k_total = g.n_components
     means, covs = g.means, g.covariances
-    maha = np.empty((k_total, n))
+    if not (np.isfinite(X).all() and np.isfinite(means).all()):
+        raise ValueError("array must not contain infs or NaNs")
     if g.covariance_mode == "diagonal":
-        if np.any(covs <= 0) or not np.all(np.isfinite(covs)):
+        if not ((covs > 0).all() and np.isfinite(covs).all()):
             raise SingularCovariance("variance vector must be strictly positive")
         logdet = np.log(covs).sum(axis=1)
-        for k in range(k_total):
-            diff = X - means[k]
-            np.einsum("nd,nd->n", diff / covs[k], diff, out=maha[k])
+        centre = np.einsum("k,kd->d", g.weights, means)
+        xt = np.empty((n, d))  # C-ordered whatever the layout of X
+        np.subtract(X, centre, out=xt)
+        precision = 1.0 / covs
+        mt = means - centre
+        mp = mt * precision
+        maha = np.einsum("nd,kd->nk", xt * xt, precision)
+        maha -= 2.0 * np.einsum("nd,kd->nk", xt, mp)
+        maha += np.einsum("kd,kd->k", mt, mp)
+        np.maximum(maha, 0.0, out=maha)
     else:
         try:
             chol = np.linalg.cholesky(covs)
         except np.linalg.LinAlgError as exc:
             raise SingularCovariance("covariance is not positive definite") from exc
-        if not (np.isfinite(chol).all() and np.isfinite(X).all() and np.isfinite(means).all()):
+        if not np.isfinite(chol).all():
             raise ValueError("array must not contain infs or NaNs")
         logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        maha = np.empty((k_total, n)).T  # (n, K), written a block of components at a time
         per_block = max(1, _BLOCK_ELEMENTS // max(1, n * d))
         buffer = np.empty((min(per_block, k_total), n, d))
         for start in range(0, k_total, per_block):
@@ -207,9 +233,9 @@ def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
                 _, info = dtrtrs(chol[start + j].T, diff[j].T, lower=0, trans=1, overwrite_b=1)
                 if info != 0:
                     raise SingularCovariance("covariance factor is singular")
-            np.einsum("knd,knd->kn", diff, diff, out=maha[start:stop])
+            np.einsum("knd,knd->kn", diff, diff, out=maha.T[start:stop])
     out = np.empty((n, k_total))
-    np.add(np.log(g.weights), -0.5 * ((d * _LOG_2PI + logdet)[:, None] + maha).T, out=out)
+    np.add(np.log(g.weights), -0.5 * ((d * _LOG_2PI + logdet) + maha), out=out)
     return out
 
 
@@ -244,6 +270,10 @@ def _m_step(
     """Re-estimate ``g`` from its responsibilities ``r``, dropping dead components.
 
     With ``counts``, row i's responsibilities weigh ``counts[i]`` times.
+    Diagonal variances are ``(r.T @ x~²) / mass - mean~²`` in one einsum over
+    the rows, where ``~`` is the offset from the updated mixture's centre
+    ``weights @ means`` (see :func:`_weighted_log_prob`); they are clipped at
+    0 and then get ``reg_epsilon``, so none falls below the ridge.
     """
     if counts is not None:
         r = r * counts[:, None]
@@ -263,10 +293,16 @@ def _m_step(
     weights = mass / mass.sum()
     means = (r.T @ X) / mass[:, None]
     if g.covariance_mode == "diagonal":
-        covs = np.empty_like(means)
-        for k in range(g.n_components):
-            diff = X - means[k]
-            covs[k] = (r[:, k] @ (diff * diff)) / mass[k] + g.reg_epsilon
+        centre = np.einsum("k,kd->d", weights, means)
+        sq = np.empty(X.shape)
+        np.subtract(X, centre, out=sq)
+        np.square(sq, out=sq)
+        covs = np.einsum("nk,nd->kd", r, sq)
+        covs /= mass[:, None]
+        shifted = means - centre
+        covs -= np.square(shifted, out=shifted)
+        np.maximum(covs, 0.0, out=covs)
+        covs += g.reg_epsilon
     else:
         # (K, n, d) differences and weighted differences, freed as soon as they are used
         diff = np.empty((g.n_components,) + X.shape)

@@ -1,8 +1,10 @@
 """Shared test fixtures: the Lloyd-restart corpus and the numeric oracles.
 
 The density oracle ``log_gauss_one`` evaluates one component at a time with
-the plain scipy triangular solve; the batched kernel in ``ppp.gmm`` must equal
-it bit for bit. The single-vector helpers below it serve as test oracles only.
+the plain scipy triangular solve; the batched full-mode kernel in ``ppp.gmm``
+must equal it bit for bit, and the centred diagonal contraction must agree
+with it up to rounding. The single-vector helpers below it serve as test
+oracles only.
 ``train_som_reference`` is the plain online SOM loop (two difference arrays
 and one ``exp`` per step) and ``sq_distances_reference`` the one-shot
 broadcast distance kernel; the fused loop in ``ppp.som.train_som`` and the

@@ -198,7 +198,9 @@ class TestMixtureDensity:
 
 
 class TestBatchedDensity:
-    """The one-pass kernel against the per-component oracle, bit for bit."""
+    """The one-pass kernel against the per-component oracle: bit for bit in full
+    mode, and within rounding in diagonal mode, whose contraction sums in
+    another order."""
 
     @staticmethod
     def _oracle(g, X):
@@ -209,13 +211,21 @@ class TestBatchedDensity:
             )
         return expected
 
+    @classmethod
+    def _assert_matches_oracle(cls, g, X):
+        got, want = _weighted_log_prob(g, X), cls._oracle(g, X)
+        if g.covariance_mode == "full":
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_equals_per_component_oracle(self, mode):
         rng = np.random.default_rng(20)
         g = _random_mixture(rng, 7, 5, mode)
         assert len(set(g.weights)) == g.n_components
         X = rng.standard_normal((40, 5)) * 2
-        assert np.array_equal(_weighted_log_prob(g, X), self._oracle(g, X))
+        self._assert_matches_oracle(g, X)
 
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_output_is_c_contiguous(self, mode):
@@ -235,10 +245,12 @@ class TestBatchedDensity:
         with pytest.raises(SingularCovariance):
             mixture_log_density(g, np.zeros((4, 2)))
 
-    def test_non_finite_data_rejected_in_full_mode(self):
-        g = _mixture([1.0], [np.zeros(2)], [np.eye(2)])
-        with pytest.raises(ValueError):
-            mixture_log_density(g, np.array([[0.0, np.nan]]))
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_non_finite_data_rejected(self, mode):
+        g = _mixture([1.0], [np.zeros(2)], [np.eye(2) if mode == "full" else np.ones(2)], mode)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                mixture_log_density(g, np.array([[0.0, bad]]))
 
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_column_sliced_input_equals_oracle(self, mode):
@@ -248,7 +260,7 @@ class TestBatchedDensity:
         wide = rng.standard_normal((30, 9)) * 2
         for X in (wide[:, [0, 3, 5, 8]], wide[:, 1::2]):
             assert not X.flags.c_contiguous
-            assert np.array_equal(_weighted_log_prob(g, X), self._oracle(g, X))
+            self._assert_matches_oracle(g, X)
 
     def test_components_spanning_several_blocks_equal_oracle(self):
         rng = np.random.default_rng(23)
@@ -257,6 +269,64 @@ class TestBatchedDensity:
         g = _random_mixture(rng, k, d)
         X = rng.standard_normal((n, d)) * 2
         assert np.array_equal(_weighted_log_prob(g, X), self._oracle(g, X))
+
+    def test_diagonal_far_offset_columns_at_a_mean(self):
+        """Columns near 1e6 with unit spread and variances of 1e-6: uncentred,
+        x² / variance is about 1e18 and its rounding swamps the density; centred
+        on the mixture, a row at a component's mean keeps the oracle's value."""
+        rng = np.random.default_rng(24)
+        k, d = 5, 8
+        means = 1e6 + rng.standard_normal((k, d))
+        g = _mixture(rng.dirichlet(np.ones(k)), means, np.full((k, d), 1e-6), "diagonal")
+        got = _weighted_log_prob(g, means)
+        want = self._oracle(g, means)
+        np.testing.assert_allclose(np.diagonal(got), np.diagonal(want), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_diagonal_row_at_a_far_mean_never_beats_the_peak(self):
+        """The Mahalanobis term of a row at a component's mean is 0 in exact
+        arithmetic, and the clip keeps its rounding from lifting the density
+        above the component's peak."""
+        rng = np.random.default_rng(29)
+        k, d = 40, 60
+        means = rng.standard_normal((k, d)) * 30
+        covs = rng.uniform(0.5, 2.0, (k, d))
+        g = _mixture(np.full(k, 1 / k), means, covs, "diagonal")
+        peak = np.log(g.weights) - 0.5 * (d * LOG_2PI + np.log(covs).sum(axis=1))
+        assert np.all(np.diagonal(_weighted_log_prob(g, means)) <= peak)
+
+    def test_diagonal_row_alone_gets_the_same_bits(self):
+        """A row's density does not depend on the rows scored with it."""
+        rng = np.random.default_rng(25)
+        g = _random_mixture(rng, 9, 70, "diagonal")
+        X = rng.standard_normal((33, 70)) * 2 + 3
+        together = _weighted_log_prob(g, X)
+        for i in range(len(X)):
+            assert np.array_equal(_weighted_log_prob(g, X[i:i + 1])[0], together[i])
+        assert np.array_equal(_weighted_log_prob(g, X[::-1]), together[::-1])
+
+    def test_diagonal_kernels_do_not_depend_on_blas_threads(self):
+        """A density pass and an M-step with 64 components at 200 x 2000, the
+        shape where a BLAS matrix-product form gave other bits on two threads
+        than on one."""
+        code = (
+            "import hashlib, numpy as np\n"
+            "from ppp.gmm import GaussianMixture, _m_step, _weighted_log_prob, responsibilities\n"
+            "rng = np.random.default_rng(26)\n"
+            "k, n, d = 64, 200, 2000\n"
+            "w = rng.dirichlet(np.ones(k)); w /= sum(w.tolist())\n"
+            "X = rng.standard_normal((n, d)) + 3\n"
+            "g = GaussianMixture(w, X[rng.choice(n, k, replace=False)] + 0.1,\n"
+            "                    rng.uniform(50, 60, (k, d)), 'diagonal', 1e-6)\n"
+            "h = hashlib.sha256(_weighted_log_prob(g, X).tobytes())\n"
+            "u = _m_step(g, X, responsibilities(g, X))\n"
+            "for a in (u.weights, u.means, u.covariances): h.update(a.tobytes())\n"
+            "print(u.n_components, h.hexdigest())\n"
+        )
+        one = _fresh_python(code, OPENBLAS_NUM_THREADS="1")
+        two = _fresh_python(code, OPENBLAS_NUM_THREADS="2")
+        assert one.split()[0] == "64"
+        assert one == two
 
 
 class TestLogSumExp:
@@ -296,11 +366,12 @@ class TestLogSumExp:
         assert np.array_equal(log_sum_exp(v), np.atleast_1d(scipy.special.logsumexp(v)))
 
 
-def _fresh_python(code: str) -> str:
-    """stdout of ``code`` run in a new interpreter that imports this checkout's ppp."""
+def _fresh_python(code: str, **env: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this checkout's ppp,
+    with ``env`` added to its environment."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src), **env),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -479,6 +550,59 @@ class TestFullMStep:
         r = responsibilities(g, X)
         _, _, covs = self._reference(g, X, r)
         assert np.array_equal(_m_step(g, X, r).covariances, covs)
+
+
+class TestDiagonalMStep:
+    """The centred diagonal M-step against the per-component loop it replaces."""
+
+    @staticmethod
+    def _reference(g, X, r):
+        mass = r.sum(axis=0)
+        means = (r.T @ X) / mass[:, None]
+        covs = np.empty_like(means)
+        for k in range(g.n_components):
+            diff = X - means[k]
+            covs[k] = (r[:, k] @ (diff * diff)) / mass[k] + g.reg_epsilon
+        return mass / mass.sum(), means, covs
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    @pytest.mark.parametrize("counted", [False, True])
+    def test_equals_loop_reference(self, offset, counted):
+        rng = np.random.default_rng(27)
+        k, n, d = 6, 50, 80
+        X = rng.standard_normal((n, d)) * 2 + offset
+        g = GaussianMixture(
+            np.full(k, 1 / k), X[:k] + 0.5, rng.uniform(2.0, 8.0, (k, d)), "diagonal", 1e-6
+        )
+        r = responsibilities(g, X)
+        counts = rng.integers(1, 5, size=n).astype(float) if counted else None
+        updated = _m_step(g, X, r, counts)
+        assert updated.n_components == k
+        weights, means, covs = self._reference(g, X, r if counts is None else r * counts[:, None])
+        assert np.array_equal(updated.weights, weights)
+        assert np.array_equal(updated.means, means)
+        assert np.all(updated.covariances >= g.reg_epsilon)
+        np.testing.assert_allclose(updated.covariances, covs, rtol=1e-12, atol=1e-9)
+
+    def test_variance_of_repeated_rows_stays_at_the_ridge(self):
+        """A component whose rows are one row repeated has variance 0 in exact
+        arithmetic. Far from the centre, ``x~²`` and ``mean~²`` are large and
+        their rounded difference can fall below 0; the clip keeps every
+        variance at ``reg_epsilon`` or above."""
+        rng = np.random.default_rng(28)
+        d = 40
+        row = 50.0 + rng.standard_normal(d)
+        X = np.vstack([row, row, row, -row, -row + 1.0, -row - 1.0])
+        r = np.zeros((6, 2))
+        r[:3, 0] = rng.uniform(0.1, 0.9, 3)
+        r[:, 1] = 1.0 - r[:, 0]
+        g = GaussianMixture(
+            np.array([0.25, 0.75]), np.zeros((2, d)), np.ones((2, d)), "diagonal", 1e-14
+        )
+        updated = _m_step(g, X, r)
+        assert updated.n_components == 2
+        assert np.all(updated.covariances >= 1e-14)
+        np.testing.assert_allclose(updated.covariances[0], 1e-14, rtol=0, atol=1e-11)
 
 
 class TestFitEm:
