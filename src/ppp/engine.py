@@ -198,10 +198,10 @@ def child_posteriors(
 
 
 def _units_to_instances(
-    posterior: np.ndarray, threshold: float, match: CodebookMatchSet, members: IndexSet
+    posterior: np.ndarray, threshold: float, ids: np.ndarray, members: IndexSet
 ) -> IndexSet:
     units = np.flatnonzero(posterior > threshold)
-    local_rows = np.unique(match.matched_instance_ids[units])
+    local_rows = np.unique(ids[units])
     return members.select(IndexSet(local_rows, len(members)))
 
 
@@ -227,35 +227,34 @@ def _frame(X: np.ndarray) -> np.ndarray:
 
 
 def _quantize(
-    config: PppConfig, matrices: list[np.ndarray], frames: list[np.ndarray], seeds: list[int]
-) -> list[CodebookMatchSet]:
-    """Codebook match of one SOM per matrix, the maps trained in lockstep.
+    config: PppConfig, frames: list[np.ndarray], seeds: list[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Matched row ids and unit priors of one SOM per frame, the maps trained in lockstep.
 
-    Map i trains on ``frames[i]``, the :func:`_frame` of ``matrices[i]``, and
-    its match is rebuilt from the matrix's own rows; the frames share one
-    shape. So a node with more columns than rows trains its maps on its rows'
-    coordinates in their own span, with the same distances. Exact distance
-    ties, as in integer-valued data, can break differently there.
+    Map i trains on ``frames[i]``, the :func:`_frame` of some matrix; the
+    frames share one shape. A frame keeps its matrix's row order and
+    distances, so the ids index the matrix's rows. A node with more columns
+    than rows thus trains its maps on its rows' coordinates in their own
+    span; exact distance ties, as in integer-valued data, can break
+    differently there than on the matrix itself.
     """
-    n = matrices[0].shape[0]
+    n = frames[0].shape[0]
     soms = (
         init_som(default_som_config(n, seed, config.som_grid), Y)
         for Y, seed in zip(frames, seeds)
     )
-    trained = (som.match for som in train_soms(soms, frames))
-    return [CodebookMatchSet(m.matched_instance_ids, X[m.matched_instance_ids], m.priors)
-            for X, m in zip(matrices, trained)]
+    return [(som.match.matched_instance_ids, som.match.priors) for som in train_soms(soms, frames)]
 
 
-def _fit(match: CodebookMatchSet, X: np.ndarray, config: PppConfig) -> GaussianMixture:
-    """The matched-vector mixture of one quantized matrix.
+def _fit(ids: np.ndarray, priors: np.ndarray, X: np.ndarray, config: PppConfig) -> GaussianMixture:
+    """The matched-vector mixture of X's rows ``ids``, unit priors ``priors``.
 
     EM sees every unit's matched vector, prior zero or not. Units that matched
     one instance share one row, so EM runs on the distinct matched rows, in
     order of first occurrence, each counted once per unit that matched it.
     """
+    match = CodebookMatchSet(ids, X[ids], priors)
     start = init_gmm_from_codebook(match, X, config.covariance_mode)
-    ids = match.matched_instance_ids
     _, first, counts = np.unique(ids, return_index=True, return_counts=True)
     if first.size == ids.size:
         return fit_em(start, match.matched_vectors)
@@ -272,6 +271,27 @@ def _ended(seed: int, core_set: IndexSet, outcome: str) -> SplitEvaluation:
     )
 
 
+def _child_matches(
+    config: PppConfig, X: np.ndarray, seeds: list[int], bisected: list
+) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Row ids and priors of the child maps of every bisected attempt, by (attempt, side).
+
+    Each side's columns are sliced from X only to make its frame; the maps
+    train in lockstep in groups that train on one shape.
+    """
+    by_shape = defaultdict(list)  # training shape -> (attempt, side, frame)
+    for i, _, columns in bisected:
+        for side, cols in enumerate(columns):
+            Yc = _frame(X[:, cols])
+            by_shape[Yc.shape].append((i, side, Yc))
+    children = {}
+    for group in by_shape.values():
+        child_seeds = [derive_seed(seeds[i], "child", side) for i, side, _ in group]
+        found = _quantize(config, [Yc for _, _, Yc in group], child_seeds)
+        children.update(((i, side), m) for (i, side, _), m in zip(group, found))
+    return children
+
+
 def evaluate_splits(
     node: PppNode, data: DesignMatrix, config: PppConfig, seeds: list[int]
 ) -> list[SplitEvaluation]:
@@ -283,13 +303,20 @@ def evaluate_splits(
     fit's first, then child side 0's, then side 1's); other errors propagate.
     The work runs in four phases:
 
-    1. the parent maps of every attempt, trained in lockstep on the node's
-       submatrix;
+    1. the parent maps of every attempt, trained in lockstep on the node
+       matrix's frame (see :func:`_frame`);
     2. per attempt, the parent mixture, its core set and the k-means bisection
        of the feature columns;
     3. the child maps of every attempt that got this far, trained in lockstep
        in groups that train on one shape;
     4. per attempt, the child mixtures, posteriors and overlaps.
+
+    Between phases an attempt holds only its maps' matched row ids and unit
+    priors, its core set and its column split, and during phase 3 its child
+    maps' frames, at most n x min(n, d) elements each. No array with the
+    node's d columns outlives the one step it is sliced for: the matched rows
+    and child matrices are taken from the node matrix when a fit or the
+    posteriors need them and dropped after.
 
     Every attempt's randomness (three quantizations, the k-means init) is
     derived from its seed, so each result is a pure function of
@@ -298,13 +325,13 @@ def evaluate_splits(
     X = submatrix(data, node.instance_set, node.feature_set).values
     results: list[SplitEvaluation | None] = [None] * len(seeds)
     parent_seeds = [derive_seed(s, "parent") for s in seeds]
-    matches = _quantize(config, [X] * len(seeds), [_frame(X)] * len(seeds), parent_seeds)
+    parents = _quantize(config, [_frame(X)] * len(seeds), parent_seeds)
 
     empty = IndexSet(np.array([], dtype=np.int64), data.n_instances)
-    bisected = []  # (attempt, parent match, core set, column pair) per bisected attempt
-    for i, (seed, match0) in enumerate(zip(seeds, matches)):
+    bisected = []  # (attempt, core set, column pair) per bisected attempt
+    for i, (seed, parent) in enumerate(zip(seeds, parents)):
         try:
-            scores0 = mixture_scores(_fit(match0, X, config), X)
+            scores0 = mixture_scores(_fit(*parent, X, config), X)
         except _FIT_ERRORS as exc:
             results[i] = _ended(seed, empty, _FIT_FAILURES[type(exc)])
             continue
@@ -318,30 +345,22 @@ def evaluate_splits(
             results[i] = _ended(seed, core_set, "degenerate_split")
             continue
         columns = (np.flatnonzero(km.assignment == 0), np.flatnonzero(km.assignment == 1))
-        bisected.append((i, match0, core_set, columns))
+        bisected.append((i, core_set, columns))
 
-    by_shape = defaultdict(list)  # training shape -> (attempt, side, child matrix, frame)
-    for i, _, _, columns in bisected:
-        for side, Xc in enumerate(X[:, cols] for cols in columns):
-            Yc = _frame(Xc)
-            by_shape[Yc.shape].append((i, side, Xc, Yc))
-    children = {}  # (attempt, side) -> (child match, child matrix)
-    for group in by_shape.values():
-        child_seeds = [derive_seed(seeds[i], "child", side) for i, side, _, _ in group]
-        found = _quantize(config, [g[2] for g in group], [g[3] for g in group], child_seeds)
-        for (i, side, Xc, _), match in zip(group, found):
-            children[i, side] = (match, Xc)
-
+    children = _child_matches(config, X, seeds, bisected)
     n_cols = len(node.feature_set)
-    for i, match0, core_set, columns in bisected:
+    for i, core_set, columns in bisected:
+        ids, priors = parents[i]
         try:
-            mixtures = [_fit(*children.pop((i, side)), config) for side in (0, 1)]
+            mixtures = [_fit(*children.pop((i, side)), X[:, cols], config)
+                        for side, cols in enumerate(columns)]
+            match0 = CodebookMatchSet(ids, X[ids], priors)
             post_a, post_b = child_posteriors(match0, *mixtures, *columns)
         except _FIT_ERRORS as exc:
             results[i] = _ended(seeds[i], core_set, _FIT_FAILURES[type(exc)])
             continue
-        set_a = _units_to_instances(post_a, config.score_threshold, match0, node.instance_set)
-        set_b = _units_to_instances(post_b, config.score_threshold, match0, node.instance_set)
+        set_a = _units_to_instances(post_a, config.score_threshold, ids, node.instance_set)
+        set_b = _units_to_instances(post_b, config.score_threshold, ids, node.instance_set)
         overlap_a = overlap_fraction(set_a, core_set)
         overlap_b = overlap_fraction(set_b, core_set)
         feature_split = tuple(node.feature_set.select(IndexSet(c, n_cols)) for c in columns)
@@ -390,11 +409,14 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
         node.status = "leaf_terminal"
         return node
 
-    # A batch holds every attempt's child matrices (n x d), matched vectors and
-    # mixtures (K x d each) at once, 2 * width * K * d elements to one block; a
-    # 48 x 640 node runs one attempt at a time. Its maps are K x min(n, d).
-    n_units = default_som_config(len(node.instance_set), 0, config.som_grid).n_units
-    width = max(1, _BLOCK_ELEMENTS // (2 * n_units * len(node.feature_set)))
+    # A batch holds, per attempt, maps of K x min(n, d) elements and frames of
+    # at most n x min(n, d), never a copy with the node's d columns (see
+    # evaluate_splits); 2 * width * K * min(n, d) elements fill one block. So a
+    # 48 x 640 node (K = 48) runs up to 14 attempts at a time, a 300 x 300 node
+    # (K = 64) one.
+    n, d = len(node.instance_set), len(node.feature_set)
+    n_units = default_som_config(n, 0, config.som_grid).n_units
+    width = max(1, _BLOCK_ELEMENTS // (2 * n_units * min(n, d)))
     best: SplitEvaluation | None = None
     stale = 0
     attempt = 0

@@ -57,15 +57,19 @@ def load_csv(
         if id_column:
             instance_ids.append(cells[0])
             cells = cells[1:]
-        for c, cell in enumerate(cells):
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: cell {cell!r} at row {r}, col {c} is not a number",
-                    row=r,
-                    col=c,
-                ) from None
+        try:
+            values[r] = list(map(float, cells))
+        except ValueError:
+            # parse cell by cell to name the first one that fails
+            for c, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: cell {cell!r} at row {r}, col {c} is not a number",
+                        row=r,
+                        col=c,
+                    ) from None
     if not np.all(np.isfinite(values)):
         r, c = np.argwhere(~np.isfinite(values))[0]
         raise ValidationError(

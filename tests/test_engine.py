@@ -1,5 +1,7 @@
 """Split evaluation, tree growth, and the overlap objective."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,12 +196,12 @@ class TestQuantize:
         frames = [engine_mod._frame(X) for X in matrices]
         assert all(Y.shape == (shape[0], shape[0]) for Y in frames)
         seeds = [7, 8, 9]
-        got = engine_mod._quantize(PppConfig(), matrices, frames, seeds)
+        got = engine_mod._quantize(PppConfig(), frames, seeds)
         soms = [init_som(default_som_config(shape[0], s), X) for X, s in zip(matrices, seeds)]
-        for match, som in zip(got, train_soms(soms, matrices)):
-            assert np.array_equal(match.matched_instance_ids, som.match.matched_instance_ids)
-            assert np.array_equal(match.matched_vectors, som.match.matched_vectors)
-            assert np.array_equal(match.priors, som.match.priors)
+        for X, (ids, priors), som in zip(matrices, got, train_soms(soms, matrices)):
+            assert np.array_equal(ids, som.match.matched_instance_ids)
+            assert np.array_equal(X[ids], som.match.matched_vectors)
+            assert np.array_equal(priors, som.match.priors)
 
     @pytest.mark.parametrize("shape", [(48, 640), (10, 320), (3, 4)])
     def test_duplicate_or_zero_row_trains_on_the_matrix(self, shape):
@@ -217,12 +219,27 @@ class TestQuantize:
         X = np.random.default_rng(3).standard_normal((20, 20))
         assert engine_mod._frame(X) is X
 
-    def test_matched_vectors_are_the_matrix_rows(self):
+    def test_mixtures_start_from_the_matrix_rows(self, monkeypatch):
+        """Maps train on 12 x 12 frames; each mixture starts from its matrix's
+        rows at the matched ids, the parent's with 90 columns, a child's with
+        its side's."""
         X = np.random.default_rng(4).standard_normal((12, 90))
-        frame = engine_mod._frame(X)
-        for match in engine_mod._quantize(PppConfig(), [X] * 2, [frame] * 2, [1, 2]):
-            assert match.matched_vectors.shape == (len(match), 90)
-            assert np.array_equal(match.matched_vectors, X[match.matched_instance_ids])
+        starts = []
+        real = engine_mod.init_gmm_from_codebook
+
+        def init(match, data, mode):
+            starts.append((match, data))
+            return real(match, data, mode)
+
+        monkeypatch.setattr(engine_mod, "init_gmm_from_codebook", init)
+        node = PppNode(IndexSet.full(90), IndexSet.full(12))
+        evaluate_split(node, DesignMatrix.ingest(X), PppConfig(), 1)
+        assert len(starts) == 3
+        assert np.array_equal(starts[0][1], X)
+        assert sum(data.shape[1] for _, data in starts[1:]) == 90
+        for match, data in starts:
+            assert match.matched_vectors.shape == (len(match), data.shape[1])
+            assert np.array_equal(match.matched_vectors, data[match.matched_instance_ids])
 
     @staticmethod
     def _one_attempt(monkeypatch, shape):
@@ -249,9 +266,10 @@ class TestFit:
         distinct matched rows scores the node rows as a fit of one component per
         positive-prior unit on every unit's matched vector does."""
         X = planted.matrix.values
-        match = engine_mod._quantize(PppConfig(), [X], [X], [11])[0]
+        ids, priors = engine_mod._quantize(PppConfig(), [X], [11])[0]
+        match = CodebookMatchSet(ids, X[ids], priors)
         assert np.unique(match.matched_instance_ids).size < len(match)
-        got = engine_mod._fit(match, X, PppConfig())
+        got = engine_mod._fit(ids, priors, X, PppConfig())
         keep = match.priors > 0
         start = init_gmm_from_codebook(match, X)
         unmerged = GaussianMixture(
@@ -269,11 +287,10 @@ class TestFit:
         """A match with no repeated instance hands EM every matched vector, uncounted."""
         X = planted.matrix.values
         ids = np.arange(0, 120, 3)
-        match = CodebookMatchSet(ids, X[ids], np.full(ids.size, 1 / ids.size))
         seen = []
         monkeypatch.setattr(engine_mod, "fit_em", lambda g, data, **kw: seen.append((data, kw)))
-        engine_mod._fit(match, X, PppConfig())
-        assert seen[0][0] is match.matched_vectors and seen[0][1] == {}
+        engine_mod._fit(ids, np.full(ids.size, 1 / ids.size), X, PppConfig())
+        assert np.array_equal(seen[0][0], X[ids]) and seen[0][1] == {}
 
 
 class TestEvaluateSplit:
@@ -359,6 +376,43 @@ class TestEvaluateSplits:
         assert any(len(r.feature_split[0]) != len(r.feature_split[1]) for r in batch)
         for seed, got in zip(seeds, batch):
             _same_evaluation(got, evaluate_split(node, data, config, seed))
+
+    @staticmethod
+    def _genes_node():
+        """A planted 48 x 640 root: instance parity against the column halves."""
+        rng = np.random.default_rng(3)
+        rows, cols = np.arange(48) % 2, np.arange(640) >= 320
+        X = 4.0 * (rows[:, None] == cols[None, :]) + rng.standard_normal((48, 640))
+        return PppNode(IndexSet.full(640), IndexSet.full(48)), DesignMatrix.ingest(X)
+
+    def test_genes_shape_batch_equals_one_attempt_at_a_time(self, monkeypatch):
+        """The 48 x 640 root's first patience + 1 attempts: the 6 parent maps
+        train in one lockstep call and the 12 child maps in another."""
+        node, data = self._genes_node()
+        config = PppConfig(master_seed=1)
+        seeds = [derive_seed(1, "", a) for a in range(6)]
+        calls = _trained_shapes(monkeypatch)
+        batch = evaluate_splits(node, data, config, seeds)
+        assert calls == [[(48, 48)] * 6, [(48, 48)] * 12]
+        for seed, got in zip(seeds, batch):
+            _same_evaluation(got, evaluate_split(node, data, config, seed))
+
+    def test_batch_memory_is_not_per_attempt_node_copies(self):
+        """Between phases an attempt holds no array with the node's 640
+        columns, so six attempts peak under 1.5 times the memory of one."""
+        node, data = self._genes_node()
+        config = PppConfig(master_seed=1)
+        evaluate_splits(node, data, config, [1])  # caches and lazy imports first
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                evaluate_splits(node, data, config, [derive_seed(1, "", a) for a in range(count)])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(6) < 1.5 * peak(1)
 
     def test_batch_on_an_inner_node(self, planted):
         node = PppNode(IndexSet(np.array([0, 1, 2, 5, 6]), 8), IndexSet(np.arange(0, 120, 3), 120))
@@ -609,8 +663,8 @@ class TestGrowNodeBatching:
         assert len(recorded) == _one_at_a_time(scores, config)
         assert node.score_trace == scores[:len(recorded)]
 
-    def test_wide_nodes_get_narrow_batches(self, monkeypatch):
-        """The batch width shrinks with the map size K * d of the node."""
+    def test_wide_node_runs_its_attempts_in_one_batch(self, monkeypatch):
+        """A 48 x 700 node's maps and frames are K x 48, so its 3 attempts share a batch."""
         sizes = []
         real = engine_mod.evaluate_splits
 
@@ -620,10 +674,27 @@ class TestGrowNodeBatching:
 
         monkeypatch.setattr(engine_mod, "evaluate_splits", record)
         rng = np.random.default_rng(1)
-        wide = DesignMatrix.ingest(rng.standard_normal((48, 700)))  # K * d = 48 * 700
+        wide = DesignMatrix.ingest(rng.standard_normal((48, 700)))
         grow_node(PppNode(IndexSet.full(700), IndexSet.full(48)), wide,
                   PppConfig(max_split_attempts=3))
-        assert sizes == [1, 1, 1]
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("shape, sizes", [
+        ((48, 640), [6, 6, 6, 2]),  # K * min(n, d) = 48 * 48: patience + 1 bounds a batch
+        ((300, 300), [1] * 20),  # K * min(n, d) = 64 * 300 fills the block alone
+        ((200, 2000), [2] * 10),  # 64 * 200: two attempts to a block
+    ])
+    def test_batch_width_shrinks_with_the_map_size(self, shape, sizes, monkeypatch):
+        got = []
+
+        def stub(node, data, config, seeds):
+            got.append(len(seeds))
+            return [_stub_eval(None, s) for s in seeds]
+
+        monkeypatch.setattr(engine_mod, "evaluate_splits", stub)
+        n, d = shape
+        grow_node(PppNode(IndexSet.full(d), IndexSet.full(n)), None, PppConfig())
+        assert got == sizes
 
 
 class TestGrowNodeOnData:

@@ -70,6 +70,26 @@ class TestLoadCsv:
         assert exc.value.col == 1
         assert "'abc'" in str(exc.value)
 
+    def test_parse_error_deep_in_a_wide_row(self, tmp_path):
+        rng = np.random.default_rng(2)
+        cells = [list(map(repr, row)) for row in rng.standard_normal((48, 640)).tolist()]
+        cells[30][517] = "1.5e"
+        lines = [f"r{i}," + ",".join(row) for i, row in enumerate(cells)]
+        p = _write(tmp_path / "m.csv", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(p, id_column=True)
+        assert (exc.value.row, exc.value.col) == (30, 517)
+        assert str(exc.value) == f"{p}: cell '1.5e' at row 30, col 517 is not a number"
+
+    def test_wide_file_equals_float_per_cell(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((48, 640)) * 10.0 ** rng.integers(-300, 300, (48, 640))
+        cells = [list(map(repr, row)) for row in values.tolist()]
+        cells[0][:6] = ["-0.0", " 7", "1_000", "1E5", "+.5", "0"]
+        p = _write(tmp_path / "m.csv", "\n".join(",".join(row) for row in cells) + "\n")
+        want = np.array([[float(c) for c in row] for row in cells])
+        assert load_csv(p).values.tobytes() == want.tobytes()
+
     def test_ragged_rows_rejected(self, tmp_path):
         p = _write(tmp_path / "m.csv", "1,2\n3,4,5\n")
         with pytest.raises(FormatError, match="row 1 has 3 fields"):
