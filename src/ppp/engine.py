@@ -173,6 +173,7 @@ def split_objective(overlap_a: float, overlap_b: float) -> float | None:
 
 def child_posteriors(
     parent_match: CodebookMatchSet,
+    X: np.ndarray,
     mixture_a: GaussianMixture,
     mixture_b: GaussianMixture,
     columns_a,
@@ -180,12 +181,12 @@ def child_posteriors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior that each parent matched vector belongs to child a vs child b.
 
-    Each child mixture sees the matched vectors restricted to its own columns.
-    The two densities are normalized against each other per vector in log
-    space, so the pair sums to one wherever the unit prior is positive and is
-    zero where it is not.
+    The matched vectors are the rows of X at the match's ids. Each child
+    mixture sees them restricted to its own columns. The two densities are
+    normalized against each other per vector in log space, so the pair sums to
+    one wherever the unit prior is positive and is zero where it is not.
     """
-    vectors = parent_match.matched_vectors
+    vectors = X[parent_match.matched_instance_ids]
     log_a = mixture_log_density(mixture_a, vectors[:, columns_a])
     log_b = mixture_log_density(mixture_b, vectors[:, columns_b])
     positive = parent_match.priors > 0
@@ -198,10 +199,10 @@ def child_posteriors(
 
 
 def _units_to_instances(
-    posterior: np.ndarray, threshold: float, ids: np.ndarray, members: IndexSet
+    posterior: np.ndarray, threshold: float, match: CodebookMatchSet, members: IndexSet
 ) -> IndexSet:
     units = np.flatnonzero(posterior > threshold)
-    local_rows = np.unique(ids[units])
+    local_rows = np.unique(match.matched_instance_ids[units])
     return members.select(IndexSet(local_rows, len(members)))
 
 
@@ -228,38 +229,42 @@ def _frame(X: np.ndarray) -> np.ndarray:
 
 def _quantize(
     config: PppConfig, frames: list[np.ndarray], seeds: list[int]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Matched row ids and unit priors of one SOM per frame, the maps trained in lockstep.
+) -> list[CodebookMatchSet]:
+    """The codebook match of one SOM per frame, in the order of the frames.
 
-    Map i trains on ``frames[i]``, the :func:`_frame` of some matrix; the
-    frames share one shape. A frame keeps its matrix's row order and
-    distances, so the ids index the matrix's rows. A node with more columns
-    than rows thus trains its maps on its rows' coordinates in their own
-    span; exact distance ties, as in integer-valued data, can break
-    differently there than on the matrix itself.
+    Map i trains on ``frames[i]``, the :func:`_frame` of some matrix, seeded by
+    ``seeds[i]``; the maps of frames of one shape train in one lockstep call.
+    A frame keeps its matrix's row order and distances, so a match's ids index
+    the matrix's rows. A node with more columns than rows thus trains its maps
+    on its rows' coordinates in their own span; exact distance ties, as in
+    integer-valued data, can break differently there than on the matrix itself.
     """
-    n = frames[0].shape[0]
-    soms = (
-        init_som(default_som_config(n, seed, config.som_grid), Y)
-        for Y, seed in zip(frames, seeds)
-    )
-    return [(som.match.matched_instance_ids, som.match.priors) for som in train_soms(soms, frames)]
+    by_shape = defaultdict(list)  # training shape -> indices of its frames
+    for i, Y in enumerate(frames):
+        by_shape[Y.shape].append(i)
+    matches = [None] * len(frames)
+    for (n, _), group in by_shape.items():
+        soms = (init_som(default_som_config(n, seeds[i], config.som_grid), frames[i])
+                for i in group)
+        for i, som in zip(group, train_soms(soms, [frames[i] for i in group])):
+            matches[i] = som.match
+    return matches
 
 
-def _fit(ids: np.ndarray, priors: np.ndarray, X: np.ndarray, config: PppConfig) -> GaussianMixture:
-    """The matched-vector mixture of X's rows ``ids``, unit priors ``priors``.
+def _fit(match: CodebookMatchSet, X: np.ndarray, config: PppConfig) -> GaussianMixture:
+    """The mixture of X's rows at the match's ids, started from its unit priors.
 
     EM sees every unit's matched vector, prior zero or not. Units that matched
     one instance share one row, so EM runs on the distinct matched rows, in
     order of first occurrence, each counted once per unit that matched it.
     """
-    match = CodebookMatchSet(ids, X[ids], priors)
     start = init_gmm_from_codebook(match, X, config.covariance_mode)
+    ids = match.matched_instance_ids
     _, first, counts = np.unique(ids, return_index=True, return_counts=True)
     if first.size == ids.size:
-        return fit_em(start, match.matched_vectors)
+        return fit_em(start, X[ids])
     order = np.argsort(first)
-    return fit_em(start, match.matched_vectors[first[order]], counts=counts[order])
+    return fit_em(start, X[ids[first[order]]], counts=counts[order])
 
 
 def _ended(seed: int, core_set: IndexSet, outcome: str) -> SplitEvaluation:
@@ -269,27 +274,6 @@ def _ended(seed: int, core_set: IndexSet, outcome: str) -> SplitEvaluation:
         seed, None, core_set, (empty, empty), (np.array([]), np.array([])), (0.0, 0.0), None,
         outcome,
     )
-
-
-def _child_matches(
-    config: PppConfig, X: np.ndarray, seeds: list[int], bisected: list
-) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Row ids and priors of the child maps of every bisected attempt, by (attempt, side).
-
-    Each side's columns are sliced from X only to make its frame; the maps
-    train in lockstep in groups that train on one shape.
-    """
-    by_shape = defaultdict(list)  # training shape -> (attempt, side, frame)
-    for i, _, columns in bisected:
-        for side, cols in enumerate(columns):
-            Yc = _frame(X[:, cols])
-            by_shape[Yc.shape].append((i, side, Yc))
-    children = {}
-    for group in by_shape.values():
-        child_seeds = [derive_seed(seeds[i], "child", side) for i, side, _ in group]
-        found = _quantize(config, [Yc for _, _, Yc in group], child_seeds)
-        children.update(((i, side), m) for (i, side, _), m in zip(group, found))
-    return children
 
 
 def evaluate_splits(
@@ -307,16 +291,16 @@ def evaluate_splits(
        matrix's frame (see :func:`_frame`);
     2. per attempt, the parent mixture, its core set and the k-means bisection
        of the feature columns;
-    3. the child maps of every attempt that got this far, trained in lockstep
-       in groups that train on one shape;
+    3. the child maps of every attempt that got this far, in one
+       :func:`_quantize` call;
     4. per attempt, the child mixtures, posteriors and overlaps.
 
-    Between phases an attempt holds only its maps' matched row ids and unit
-    priors, its core set and its column split, and during phase 3 its child
-    maps' frames, at most n x min(n, d) elements each. No array with the
-    node's d columns outlives the one step it is sliced for: the matched rows
-    and child matrices are taken from the node matrix when a fit or the
-    posteriors need them and dropped after.
+    Between phases an attempt holds only its maps' codebook matches (matched
+    row ids and unit priors), its core set and its column split; during phase
+    3 it also holds its child maps' frames, at most n x min(n, d) elements
+    each. No array with the node's d columns outlives the one step it is
+    sliced for: a fit or the posteriors read the matched rows from the node
+    matrix, or from a child's columns of it, and drop them after.
 
     Every attempt's randomness (three quantizations, the k-means init) is
     derived from its seed, so each result is a pure function of
@@ -331,7 +315,7 @@ def evaluate_splits(
     bisected = []  # (attempt, core set, column pair) per bisected attempt
     for i, (seed, parent) in enumerate(zip(seeds, parents)):
         try:
-            scores0 = mixture_scores(_fit(*parent, X, config), X)
+            scores0 = mixture_scores(_fit(parent, X, config), X)
         except _FIT_ERRORS as exc:
             results[i] = _ended(seed, empty, _FIT_FAILURES[type(exc)])
             continue
@@ -347,20 +331,22 @@ def evaluate_splits(
         columns = (np.flatnonzero(km.assignment == 0), np.flatnonzero(km.assignment == 1))
         bisected.append((i, core_set, columns))
 
-    children = _child_matches(config, X, seeds, bisected)
+    # each side's columns are sliced from X only to make its frame
+    children = _quantize(
+        config,
+        [_frame(X[:, cols]) for _, _, columns in bisected for cols in columns],
+        [derive_seed(seeds[i], "child", side) for i, _, _ in bisected for side in (0, 1)],
+    )
     n_cols = len(node.feature_set)
-    for i, core_set, columns in bisected:
-        ids, priors = parents[i]
+    for (i, core_set, columns), sides in zip(bisected, zip(children[::2], children[1::2])):
         try:
-            mixtures = [_fit(*children.pop((i, side)), X[:, cols], config)
-                        for side, cols in enumerate(columns)]
-            match0 = CodebookMatchSet(ids, X[ids], priors)
-            post_a, post_b = child_posteriors(match0, *mixtures, *columns)
+            mixtures = [_fit(m, X[:, cols], config) for m, cols in zip(sides, columns)]
+            post_a, post_b = child_posteriors(parents[i], X, *mixtures, *columns)
         except _FIT_ERRORS as exc:
             results[i] = _ended(seeds[i], core_set, _FIT_FAILURES[type(exc)])
             continue
-        set_a = _units_to_instances(post_a, config.score_threshold, ids, node.instance_set)
-        set_b = _units_to_instances(post_b, config.score_threshold, ids, node.instance_set)
+        set_a = _units_to_instances(post_a, config.score_threshold, parents[i], node.instance_set)
+        set_b = _units_to_instances(post_b, config.score_threshold, parents[i], node.instance_set)
         overlap_a = overlap_fraction(set_a, core_set)
         overlap_b = overlap_fraction(set_b, core_set)
         feature_split = tuple(node.feature_set.select(IndexSet(c, n_cols)) for c in columns)

@@ -142,6 +142,13 @@ def export_tree_json(tree: PppTree, path, feature_ids=None) -> None:
     _write_json(tree_to_dict(tree, feature_ids), path)
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if JSON read it as an integer, else ``ValueError`` (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_tree_json(path) -> tuple[PppTree, list | None]:
     """Rebuild the tree skeleton (paths, feature sets, statuses) from JSON.
 
@@ -150,17 +157,18 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
     Each node names its features once and has a resolved status; an internal
     node has two children and a leaf none. The root must hold every feature
     and each internal node's children must partition its features, so every
-    cut covers each feature once. A name table has one distinct string per feature.
+    cut covers each feature once. A name table has one distinct string per
+    feature. Feature ids and the two counts must be JSON integers.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         doc = json.loads(raw)
-        n_features = int(doc["n_features"])
-        n_instances = int(doc["n_instances"])
+        n_features = _json_int(doc["n_features"], "n_features")
+        n_instances = _json_int(doc["n_instances"], "n_instances")
 
         def build(node_doc) -> PppNode:
-            ids = [int(i) for i in node_doc["feature_ids"]]
+            ids = [_json_int(i, "a feature id") for i in node_doc["feature_ids"]]
             node = PppNode(
                 IndexSet.from_iterable(ids, n_features),
                 IndexSet(np.array([], dtype=np.int64), n_instances),

@@ -18,13 +18,15 @@ and no (K, n, d) block, and a result that rounding takes below 0 is clipped
 at 0. einsum, unlike a BLAS product, gives a row the same bits whichever
 rows are scored with it and however many threads BLAS runs.
 
-A map's matched rows repeat: several units often match one instance. So
-:func:`init_gmm_from_codebook` starts one component per distinct matched
-instance, and :func:`fit_em` takes an optional per-row ``counts`` that lets EM
-see each distinct row once, weighted by its multiplicity. Both fit the density
-of the repeated rows and units up to rounding. With ``counts=None`` every row
-counts once, with the arithmetic of iterating :func:`em_step`, and a match
-with no repeated instance starts one component per unit.
+A codebook match holds row ids, not rows: :func:`init_gmm_from_codebook`
+reads each unit's matched vector from the data matrix at its id. The ids
+repeat, as several units often match one instance. So the start has one
+component per distinct matched instance, and :func:`fit_em` takes an optional
+per-row ``counts`` that lets EM see each distinct row once, weighted by its
+multiplicity. Both fit the density of the repeated rows and units up to
+rounding. With ``counts=None`` every row counts once, with the arithmetic of
+iterating :func:`em_step`, and a match with no repeated instance starts one
+component per unit.
 
 scipy is still required, for its compiled LAPACK wrapper: the triangular
 solve is the ``dtrtrs`` of ``scipy/linalg/_flapack``. Importing this module
@@ -407,12 +409,13 @@ def init_gmm_from_codebook(
 ) -> GaussianMixture:
     """Seed a mixture from a codebook match.
 
-    Units with prior zero are dropped. The rest give one component per
-    distinct matched instance, in order of first occurrence: its mean is that
-    instance's matched vector and its weight the summed prior of the units
-    that matched it, renormalized. Every component starts from the same
-    diagonal covariance, the global per-column variance of ``data`` plus
-    ``reg_epsilon`` (default ``1e-6 *`` mean column variance, floored at 1e-12).
+    ``match`` indexes the rows of ``data``. Units with prior zero are
+    dropped. The rest give one component per distinct matched instance, in
+    order of first occurrence: its mean is that instance's row of ``data``
+    and its weight the summed prior of the units that matched it,
+    renormalized. Every component starts from the same diagonal covariance,
+    the global per-column variance of ``data`` plus ``reg_epsilon`` (default
+    ``1e-6 *`` mean column variance, floored at 1e-12).
 
     Merging units is exact: components with one mean and one covariance stay
     proportional under EM, so the merged start fits the same density up to
@@ -420,8 +423,6 @@ def init_gmm_from_codebook(
     one component per unit, with the weights of the unmerged start bit for bit.
     """
     X = as_matrix(data)
-    if match.matched_vectors.shape[1] != X.shape[1]:
-        raise DimensionError("matched vectors and data disagree on dimension")
     keep = match.priors > 0
     if not keep.any():
         raise DegenerateModel("every unit has prior zero")
@@ -434,15 +435,13 @@ def init_gmm_from_codebook(
         raise ConfigError("reg_epsilon must be positive")
     start_var = base_var + reg_epsilon
     # a bin's sum starts from 0.0, so an instance matched once keeps its prior's bits
-    _, first, inverse = np.unique(
-        match.matched_instance_ids[keep], return_index=True, return_inverse=True
-    )
+    ids = match.matched_instance_ids[keep]
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)
     priors = np.bincount(inverse, weights=match.priors[keep])[order]
     weights = priors / priors.sum()
     start_cov = start_var if covariance_mode == "diagonal" else np.diag(start_var)
     covs = np.repeat(start_cov[None], weights.size, axis=0)
     return GaussianMixture(
-        weights, match.matched_vectors[keep][first[order]], covs, covariance_mode,
-        float(reg_epsilon),
+        weights, X[ids[first[order]]], covs, covariance_mode, float(reg_epsilon)
     )

@@ -2,9 +2,10 @@
 
 A small rectangular grid of codebook vectors is trained online on the rows of a
 matrix. The trained map then summarizes the data three ways: a hit count per
-unit, the data row nearest to each unit (the matched vector), and a prior over
-units built from the hit counts. Downstream mixture models are seeded from the
-matched vectors and priors.
+unit, the index of the data row nearest to each unit (its matched instance),
+and a prior over units built from the hit counts. A unit's matched vector is
+the data row at its matched id, read from the matrix by whoever needs it;
+downstream mixture models are seeded from those rows and the priors.
 """
 
 from __future__ import annotations
@@ -80,16 +81,16 @@ class SomModel:
 
 @dataclass(frozen=True, eq=False)
 class CodebookMatchSet:
-    """One data row per unit, with a prior over units.
+    """One data row index per unit, with a prior over units.
 
-    ``matched_instance_ids[k]`` is the row index nearest to unit k's codebook
-    vector and ``matched_vectors[k]`` a copy of that row. ``priors`` is
-    nonnegative and sums to one (an all-zero vector is representable so that
-    degenerate inputs can be rejected downstream).
+    ``matched_instance_ids[k]`` is the index of the row nearest to unit k's
+    codebook vector; unit k's matched vector is ``X[matched_instance_ids[k]]``
+    of the matrix X the map was matched against, which the match does not
+    copy. ``priors`` is nonnegative and sums to one (an all-zero vector is
+    representable so that degenerate inputs can be rejected downstream).
     """
 
     matched_instance_ids: np.ndarray
-    matched_vectors: np.ndarray
     priors: np.ndarray
 
     def __post_init__(self):
@@ -302,7 +303,7 @@ def train_soms(soms: Iterable[SomModel], data: Sequence) -> list[SomModel]:
         hits = np.bincount(bmu, minlength=k).astype(np.int64)
         ids = np.argmin(sq, axis=0).astype(np.int64)
         # the hits sum to n, so these are the codebook_priors of the trained map
-        match = CodebookMatchSet(ids, X[ids], hits / n)
+        match = CodebookMatchSet(ids, hits / n)
         trained.append(SomModel(c, codebook, hits, float(sq[np.arange(n), bmu].mean()), match))
     return trained
 
@@ -337,4 +338,4 @@ def codebook_match(som: SomModel, data) -> CodebookMatchSet:
         raise DimensionError("data and codebook dimensions differ")
     sq = sq_distances(X, som.codebook)
     ids = np.argmin(sq, axis=0).astype(np.int64)
-    return CodebookMatchSet(ids, X[ids].copy(), codebook_priors(som))
+    return CodebookMatchSet(ids, codebook_priors(som))

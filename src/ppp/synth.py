@@ -116,6 +116,8 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
         raise ValidationError("label arrays must have equal length")
     if a.size == 0:
         raise ValidationError("label arrays must be non-empty")
+    if a.size == 1:
+        return 1.0  # one item has a single partition, so the two are identical
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     contingency = np.zeros((ai.max() + 1, bi.max() + 1))

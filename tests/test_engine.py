@@ -105,11 +105,9 @@ class TestSplitObjective:
                 assert b == pytest.approx(100.0, abs=1e-6)
 
 
-def _match_set(vectors, priors):
-    vectors = np.asarray(vectors, dtype=float)
-    return CodebookMatchSet(
-        np.arange(len(vectors)), vectors, np.asarray(priors, dtype=float)
-    )
+def _match_set(priors):
+    """A match of the first ``len(priors)`` rows, one per unit."""
+    return CodebookMatchSet(np.arange(len(priors)), np.asarray(priors, dtype=float))
 
 
 def _isotropic(means, weight=None):
@@ -125,7 +123,7 @@ class TestChildPosteriors:
         vectors = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
         g = _isotropic([[0.0, 0.0], [1.0, 1.0]])
         cols = [0, 1]
-        post_a, post_b = child_posteriors(_match_set(vectors, [0.3, 0.3, 0.4]), g, g, cols, cols)
+        post_a, post_b = child_posteriors(_match_set([0.3, 0.3, 0.4]), vectors, g, g, cols, cols)
         np.testing.assert_allclose(post_a, 0.5, rtol=1e-12)
         np.testing.assert_allclose(post_b, 0.5, rtol=1e-12)
 
@@ -133,7 +131,7 @@ class TestChildPosteriors:
         vectors = np.zeros((3, 2))
         g = _isotropic([[0.0, 0.0]])
         cols = [0, 1]
-        post_a, post_b = child_posteriors(_match_set(vectors, [0.5, 0.0, 0.5]), g, g, cols, cols)
+        post_a, post_b = child_posteriors(_match_set([0.5, 0.0, 0.5]), vectors, g, g, cols, cols)
         assert post_a[1] == 0.0 and post_b[1] == 0.0
         assert post_a[0] == 0.5
 
@@ -143,14 +141,14 @@ class TestChildPosteriors:
         ga = _isotropic(rng.standard_normal((2, 3)))
         gb = _isotropic(rng.standard_normal((3, 3)))
         priors = rng.dirichlet(np.ones(8))
-        post_a, post_b = child_posteriors(_match_set(vectors, priors), ga, gb, [0, 1, 2], [0, 1, 2])
+        post_a, post_b = child_posteriors(_match_set(priors), vectors, ga, gb, [0, 1, 2], [0, 1, 2])
         np.testing.assert_allclose(post_a + post_b, 1.0, atol=1e-12)
 
     def test_competitive_favors_the_nearer_mixture(self):
         vectors = np.array([[0.0, 0.0], [10.0, 10.0]])
         ga = _isotropic([[0.0, 0.0]])
         gb = _isotropic([[10.0, 10.0]])
-        post_a, _ = child_posteriors(_match_set(vectors, [0.5, 0.5]), ga, gb, [0, 1], [0, 1])
+        post_a, _ = child_posteriors(_match_set([0.5, 0.5]), vectors, ga, gb, [0, 1], [0, 1])
         assert post_a[0] > 0.999
         assert post_a[1] < 0.001
 
@@ -161,9 +159,7 @@ class TestChildPosteriors:
         ga = _isotropic(rng.standard_normal((2, 2)))
         gb = _isotropic(rng.standard_normal((2, 2)))
         priors = np.full(5, 0.2)
-        post_a, post_b = child_posteriors(
-            _match_set(vectors, priors), ga, gb, [0, 2], [1, 3]
-        )
+        post_a, post_b = child_posteriors(_match_set(priors), vectors, ga, gb, [0, 2], [1, 3])
         dens_a = np.array([mixture_pdf(ga, v) for v in vectors[:, [0, 2]]])
         dens_b = np.array([mixture_pdf(gb, v) for v in vectors[:, [1, 3]]])
         np.testing.assert_allclose(post_a, dens_a / (dens_a + dens_b), rtol=1e-12)
@@ -198,10 +194,27 @@ class TestQuantize:
         seeds = [7, 8, 9]
         got = engine_mod._quantize(PppConfig(), frames, seeds)
         soms = [init_som(default_som_config(shape[0], s), X) for X, s in zip(matrices, seeds)]
-        for X, (ids, priors), som in zip(matrices, got, train_soms(soms, matrices)):
+        for X, match, som in zip(matrices, got, train_soms(soms, matrices)):
+            ids = match.matched_instance_ids
             assert np.array_equal(ids, som.match.matched_instance_ids)
-            assert np.array_equal(X[ids], som.match.matched_vectors)
-            assert np.array_equal(priors, som.match.priors)
+            assert np.array_equal(X[ids], X[som.match.matched_instance_ids])
+            assert np.array_equal(match.priors, som.match.priors)
+
+    def test_frames_of_two_shapes_interleaved(self, monkeypatch):
+        """Each shape's maps train in one lockstep call, and each match is,
+        bit for bit, what its map gives trained alone, in the frames' order."""
+        rng = np.random.default_rng(8)
+        frames = [rng.standard_normal(shape) for shape in
+                  [(30, 5), (30, 7), (30, 5), (30, 7), (30, 7)]]
+        seeds = [3, 4, 5, 6, 7]
+        calls = _trained_shapes(monkeypatch)
+        got = engine_mod._quantize(PppConfig(), frames, seeds)
+        assert calls == [[(30, 5)] * 2, [(30, 7)] * 3]
+        assert len(got) == len(frames)
+        for Y, seed, match in zip(frames, seeds, got):
+            som = train_soms([init_som(default_som_config(30, seed), Y)], [Y])[0]
+            assert np.array_equal(match.matched_instance_ids, som.match.matched_instance_ids)
+            assert np.array_equal(match.priors, som.match.priors)
 
     @pytest.mark.parametrize("shape", [(48, 640), (10, 320), (3, 4)])
     def test_duplicate_or_zero_row_trains_on_the_matrix(self, shape):
@@ -228,18 +241,21 @@ class TestQuantize:
         real = engine_mod.init_gmm_from_codebook
 
         def init(match, data, mode):
-            starts.append((match, data))
-            return real(match, data, mode)
+            start = real(match, data, mode)
+            starts.append((match, data, start))
+            return start
 
         monkeypatch.setattr(engine_mod, "init_gmm_from_codebook", init)
         node = PppNode(IndexSet.full(90), IndexSet.full(12))
         evaluate_split(node, DesignMatrix.ingest(X), PppConfig(), 1)
         assert len(starts) == 3
         assert np.array_equal(starts[0][1], X)
-        assert sum(data.shape[1] for _, data in starts[1:]) == 90
-        for match, data in starts:
-            assert match.matched_vectors.shape == (len(match), data.shape[1])
-            assert np.array_equal(match.matched_vectors, data[match.matched_instance_ids])
+        assert sum(data.shape[1] for _, data, _ in starts[1:]) == 90
+        for match, data, start in starts:
+            ids = match.matched_instance_ids[match.priors > 0]
+            _, first = np.unique(ids, return_index=True)
+            assert start.means.shape == (first.size, data.shape[1])
+            assert np.array_equal(start.means, data[ids[np.sort(first)]])
 
     @staticmethod
     def _one_attempt(monkeypatch, shape):
@@ -266,18 +282,18 @@ class TestFit:
         distinct matched rows scores the node rows as a fit of one component per
         positive-prior unit on every unit's matched vector does."""
         X = planted.matrix.values
-        ids, priors = engine_mod._quantize(PppConfig(), [X], [11])[0]
-        match = CodebookMatchSet(ids, X[ids], priors)
-        assert np.unique(match.matched_instance_ids).size < len(match)
-        got = engine_mod._fit(ids, priors, X, PppConfig())
+        match = engine_mod._quantize(PppConfig(), [X], [11])[0]
+        ids = match.matched_instance_ids
+        assert np.unique(ids).size < len(match)
+        got = engine_mod._fit(match, X, PppConfig())
         keep = match.priors > 0
         start = init_gmm_from_codebook(match, X)
         unmerged = GaussianMixture(
-            match.priors[keep] / match.priors[keep].sum(), match.matched_vectors[keep],
+            match.priors[keep] / match.priors[keep].sum(), X[ids][keep],
             np.repeat(start.covariances[:1], keep.sum(), axis=0), start.covariance_mode,
             start.reg_epsilon,
         )
-        want = fit_em(unmerged, match.matched_vectors)
+        want = fit_em(unmerged, X[ids])
         assert got.n_iterations == want.n_iterations
         got_scores, want_scores = mixture_scores(got, X), mixture_scores(want, X)
         np.testing.assert_allclose(got_scores.log_density, want_scores.log_density, rtol=1e-8)
@@ -289,7 +305,7 @@ class TestFit:
         ids = np.arange(0, 120, 3)
         seen = []
         monkeypatch.setattr(engine_mod, "fit_em", lambda g, data, **kw: seen.append((data, kw)))
-        engine_mod._fit(ids, np.full(ids.size, 1 / ids.size), X, PppConfig())
+        engine_mod._fit(CodebookMatchSet(ids, np.full(ids.size, 1 / ids.size)), X, PppConfig())
         assert np.array_equal(seen[0][0], X[ids]) and seen[0][1] == {}
 
 

@@ -234,6 +234,22 @@ class TestTreeJson:
         p.write_text(tree(node("", [0, 1]), feature_names=["b", "a"]))
         assert load_tree_json(p)[1] == ["b", "a"]
 
+    @pytest.mark.parametrize("spelling", [0.9, "0", True], ids=["float", "string", "bool"])
+    def test_non_integer_ids_rejected(self, spelling, tmp_path):
+        """A feature id or count that JSON does not read as an integer is
+        refused, not truncated or coerced into an id the file does not state."""
+        def doc(ids=(0, 1), **counts):
+            root = {"path": "", "status": "leaf_terminal", "feature_ids": list(ids),
+                    "children": None}
+            return {"n_instances": 4, "n_features": 2, **counts, "root": root}
+
+        p = tmp_path / "bad.json"
+        ids = [0, spelling] if spelling is True else [spelling, 1]
+        for bad in (doc(ids=ids), doc(n_features=spelling), doc(n_instances=spelling)):
+            p.write_text(json.dumps(bad))
+            with pytest.raises(FormatError, match="must be an integer"):
+                load_tree_json(p)
+
     def test_export_is_deterministic(self, small_tree, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         export_tree_json(small_tree, p1)

@@ -754,16 +754,16 @@ class TestMixtureScores:
 
 
 class TestInitFromCodebook:
-    def _match(self, vectors, priors, ids=None):
-        vectors = np.asarray(vectors, dtype=float)
+    def _match(self, priors, ids=None):
+        """A match of ``ids`` (default: the first ``len(priors)`` rows)."""
         if ids is None:
-            ids = np.arange(len(vectors))
-        return CodebookMatchSet(np.asarray(ids), vectors, np.asarray(priors, dtype=float))
+            ids = np.arange(len(priors))
+        return CodebookMatchSet(np.asarray(ids), np.asarray(priors, dtype=float))
 
     def test_means_are_matched_vectors(self):
         rng = np.random.default_rng(15)
         X = rng.standard_normal((10, 3))
-        match = self._match(X[:4], [0.25] * 4)
+        match = self._match([0.25] * 4)
         g = init_gmm_from_codebook(match, X)
         np.testing.assert_array_equal(g.means, X[:4])
         np.testing.assert_allclose(g.weights, 0.25)
@@ -773,15 +773,15 @@ class TestInitFromCodebook:
         their summed prior, in order of first occurrence."""
         X = np.random.default_rng(19).standard_normal((10, 3))
         ids = [4, 2, 4, 7, 2]
-        g = init_gmm_from_codebook(self._match(X[ids], [0.1, 0.2, 0.3, 0.25, 0.15], ids), X)
+        g = init_gmm_from_codebook(self._match([0.1, 0.2, 0.3, 0.25, 0.15], ids), X)
         np.testing.assert_array_equal(g.means, X[[4, 2, 7]])
         np.testing.assert_allclose(g.weights, [0.4, 0.35, 0.25], rtol=1e-12)
 
     def test_zero_prior_unit_on_a_shared_instance_adds_nothing(self):
         X = np.random.default_rng(20).standard_normal((10, 3))
-        alone = init_gmm_from_codebook(self._match(X[[4, 2]], [0.4, 0.6], [4, 2]), X)
+        alone = init_gmm_from_codebook(self._match([0.4, 0.6], [4, 2]), X)
         ids = [2, 4, 2]
-        g = init_gmm_from_codebook(self._match(X[ids], [0.0, 0.4, 0.6], ids), X)
+        g = init_gmm_from_codebook(self._match([0.0, 0.4, 0.6], ids), X)
         assert np.array_equal(g.means, alone.means)
         assert np.array_equal(g.weights, alone.weights)
 
@@ -791,7 +791,7 @@ class TestInitFromCodebook:
         X = rng.standard_normal((30, 3))
         ids = rng.integers(0, 8, size=20)
         priors = rng.dirichlet(np.ones(20))
-        g = init_gmm_from_codebook(self._match(X[ids], priors, ids), X, covariance_mode=mode)
+        g = init_gmm_from_codebook(self._match(priors, ids), X, covariance_mode=mode)
         assert g.n_components == np.unique(ids).size < ids.size
         unmerged = GaussianMixture(
             priors, X[ids], np.repeat(g.covariances[:1], ids.size, axis=0), mode, g.reg_epsilon
@@ -806,21 +806,21 @@ class TestInitFromCodebook:
         X = rng.standard_normal((12, 3))
         ids = rng.permutation(12)[:9]
         priors = rng.dirichlet(np.ones(9))
-        g = init_gmm_from_codebook(self._match(X[ids], priors, ids), X)
+        g = init_gmm_from_codebook(self._match(priors, ids), X)
         assert np.array_equal(g.means, X[ids])
         assert np.array_equal(g.weights, priors / priors.sum())
 
     def test_zero_prior_units_dropped(self):
         rng = np.random.default_rng(16)
         X = rng.standard_normal((10, 3))
-        match = self._match(X[:3], [0.5, 0.0, 0.5])
+        match = self._match([0.5, 0.0, 0.5])
         g = init_gmm_from_codebook(match, X)
         assert g.n_components == 2
         np.testing.assert_allclose(g.weights, 0.5)
 
     def test_all_zero_priors_rejected(self):
         X = np.eye(3)
-        match = self._match(X[:2], [0.0, 0.0])
+        match = self._match([0.0, 0.0])
         with pytest.raises(DegenerateModel):
             init_gmm_from_codebook(match, X)
 
@@ -828,12 +828,12 @@ class TestInitFromCodebook:
         """The mixture the start would build rejects the mode, as every mixture does."""
         X = np.eye(3)
         with pytest.raises(ConfigError, match="covariance_mode must be one of"):
-            init_gmm_from_codebook(self._match(X[:2], [0.5, 0.5]), X, covariance_mode="diag")
+            init_gmm_from_codebook(self._match([0.5, 0.5]), X, covariance_mode="diag")
 
     def test_initial_covariance_is_global_diagonal(self):
         rng = np.random.default_rng(17)
         X = rng.standard_normal((20, 2)) * np.array([1.0, 3.0])
-        match = self._match(X[:2], [0.5, 0.5])
+        match = self._match([0.5, 0.5])
         g = init_gmm_from_codebook(match, X, covariance_mode="full", reg_epsilon=1e-8)
         expected = np.diag(X.var(axis=0) + 1e-8)
         for cov in g.covariances:
@@ -842,20 +842,14 @@ class TestInitFromCodebook:
     def test_default_mode_follows_width(self):
         rng = np.random.default_rng(18)
         narrow = rng.standard_normal((30, 4))
-        match = self._match(narrow[:3], [1 / 3] * 3)
+        match = self._match([1 / 3] * 3)
         assert init_gmm_from_codebook(match, narrow).covariance_mode == "full"
         wide = rng.standard_normal((60, 51))
-        match_w = self._match(wide[:3], [1 / 3] * 3)
+        match_w = self._match([1 / 3] * 3)
         assert init_gmm_from_codebook(match_w, wide).covariance_mode == "diagonal"
-
-    def test_dimension_mismatch(self):
-        X = np.zeros((4, 3))
-        match = self._match(np.zeros((2, 2)), [0.5, 0.5])
-        with pytest.raises(DimensionError):
-            init_gmm_from_codebook(match, X)
 
     def test_nonpositive_reg_rejected(self):
         X = np.eye(3)
-        match = self._match(X[:2], [0.5, 0.5])
+        match = self._match([0.5, 0.5])
         with pytest.raises(ConfigError):
             init_gmm_from_codebook(match, X, reg_epsilon=0.0)

@@ -381,7 +381,7 @@ class TestTrainSoms:
         for got, X in zip(train_soms(soms, data), data):
             want = codebook_match(got, X)
             assert np.array_equal(got.match.matched_instance_ids, want.matched_instance_ids)
-            assert np.array_equal(got.match.matched_vectors, want.matched_vectors)
+            assert np.array_equal(X[got.match.matched_instance_ids], X[want.matched_instance_ids])
             assert np.array_equal(got.match.priors, want.priors)
 
     def test_untrained_map_has_no_match(self):
@@ -473,7 +473,7 @@ class TestCodebookMatch:
         som = SomModel(SomConfig(2, 2), X.copy(), np.ones(4, dtype=np.int64))
         match = codebook_match(som, X)
         np.testing.assert_array_equal(match.matched_instance_ids, [0, 1, 2, 3])
-        np.testing.assert_array_equal(match.matched_vectors, X)
+        np.testing.assert_array_equal(X[match.matched_instance_ids], X)
 
     def test_far_unit_still_matched(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -502,11 +502,11 @@ class TestCodebookMatch:
 class TestCodebookMatchSet:
     def test_priors_must_sum_to_one(self):
         with pytest.raises(ConfigError):
-            CodebookMatchSet(np.array([0, 1]), np.zeros((2, 2)), [0.4, 0.5])
+            CodebookMatchSet(np.array([0, 1]), [0.4, 0.5])
 
     def test_nan_prior_rejected(self):
         with pytest.raises(ConfigError):
-            CodebookMatchSet(np.array([0, 1]), np.zeros((2, 2)), [np.nan, 0.5])
+            CodebookMatchSet(np.array([0, 1]), [np.nan, 0.5])
 
 
 class TestCodebookPriors:

@@ -148,6 +148,11 @@ class TestAdjustedRandIndex:
     def test_both_all_singletons(self):
         assert adjusted_rand_index([0, 1, 2], [2, 0, 1]) == 1.0
 
+    def test_single_item_is_identical(self):
+        """Two one-item partitions are the same partition, with no 0/0."""
+        assert adjusted_rand_index([0], [0]) == 1.0
+        assert adjusted_rand_index([3], [7]) == 1.0
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             adjusted_rand_index([0, 1], [0, 1, 2])
