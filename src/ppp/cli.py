@@ -37,7 +37,7 @@ from .synth import PlantedSpec, generate_planted, repeatability_trial
 
 log = logging.getLogger(__name__)
 
-_USAGE_ERRORS = (ConfigError, ParseError, FormatError, ValidationError, FileNotFoundError)
+_USAGE_ERRORS = (ConfigError, ParseError, FormatError, ValidationError)
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -162,14 +162,20 @@ def _load_input(args):
     path = args.input
     if path is None:
         raise ConfigError("--input is required")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"input file {path} does not exist")
-    return load_csv(
-        path,
-        has_header=bool(args.has_header),
-        id_column=bool(args.id_column),
-        delimiter="," if args.delimiter is None else args.delimiter,
-    )
+    try:
+        return load_csv(path, has_header=bool(args.has_header), id_column=bool(args.id_column),
+                        delimiter="," if args.delimiter is None else args.delimiter)
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file {path}: {exc}") from None
+
+
+def _out_dir(path) -> Path:
+    """The output directory at ``path``, made if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from None
+    return Path(path)
 
 
 def _manifest(command, args, config, out_paths: dict) -> RunManifest:
@@ -191,12 +197,11 @@ def run_cluster(args) -> int:
     _apply_config_file(args)
     config = _build_config(args)
     matrix = _load_input(args)
+    out = _out_dir(args.out)
     cut_depth = args.cut_depth
 
     tree = build_tree(matrix, config, threads=args.threads or 1)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "tree": out / "tree.json",
         "assignment": out / "assignment.csv",
@@ -238,8 +243,7 @@ def run_synth(args) -> int:
     )
     planted = generate_planted(spec)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     paths = {"data": out / "planted.csv", "labels": out / "labels.csv", "manifest": out / "manifest.json"}
     export_matrix_csv(planted.matrix, paths["data"])
     with open(paths["labels"], "w", newline="") as fh:
@@ -267,11 +271,10 @@ def run_bench(args) -> int:
     _apply_config_file(args)
     config = _build_config(args)
     matrix = _load_input(args)
+    out = _out_dir(args.out)
 
     report = repeatability_trial(matrix, config, args.seeds, threads=args.threads or 1)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {"report": out / "report.json", "per_seed": out / "report.csv", "manifest": out / "manifest.json"}
     export_report(report, paths["report"], paths["per_seed"])
     write_manifest(_manifest("bench", args, config, paths), paths["manifest"])
@@ -285,16 +288,14 @@ def run_bench(args) -> int:
 
 
 def run_cut(args) -> int:
-    tree, feature_names = load_tree_json(args.tree)
-    depth = args.cut_depth
+    try:
+        tree, feature_names = load_tree_json(args.tree)
+    except OSError as exc:
+        raise ConfigError(f"cannot read tree file {args.tree}: {exc}") from None
     out = Path(args.out)
-    if out.suffix:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        target = out
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        target = out / "assignment.csv"
-    clusters = export_assignment_csv(tree, target, depth=depth, feature_ids=feature_names)
+    target = out if out.suffix else out / "assignment.csv"
+    _out_dir(target.parent)
+    clusters = export_assignment_csv(tree, target, depth=args.cut_depth, feature_ids=feature_names)
     print(f"clusters: {len(clusters)}; wrote {target}")
     return 0
 

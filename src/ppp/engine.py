@@ -261,8 +261,6 @@ def _fit(match: CodebookMatchSet, X: np.ndarray, config: PppConfig) -> GaussianM
     start = init_gmm_from_codebook(match, X, config.covariance_mode)
     ids = match.matched_instance_ids
     _, first, counts = np.unique(ids, return_index=True, return_counts=True)
-    if first.size == ids.size:
-        return fit_em(start, X[ids])
     order = np.argsort(first)
     return fit_em(start, X[ids[first[order]]], counts=counts[order])
 
@@ -276,91 +274,91 @@ def _ended(seed: int, core_set: IndexSet, outcome: str) -> SplitEvaluation:
     )
 
 
+def _attempt(node: PppNode, X: np.ndarray, frame: np.ndarray, config: PppConfig, seed: int):
+    """One seeded split attempt on the node matrix X, as a generator.
+
+    It yields its map requests, a list of ``(frame, map seed)`` pairs, is sent
+    their codebook matches in order, and returns its :class:`SplitEvaluation`:
+
+    1. its parent map, on ``frame``, the :func:`_frame` of X;
+    2. the parent mixture, its core set and the k-means bisection of the
+       feature columns;
+    3. its two child maps, each on the frame of one side's columns of X;
+    4. the child mixtures, posteriors and overlaps.
+
+    A failed model fit (``SingularCovariance``, ``DegenerateModel``) or
+    bisection (``DegenerateSplit``) ends the attempt with its outcome, at the
+    first of: parent fit, bisection, child side 0, side 1. Other errors
+    propagate.
+
+    Suspended at step 3, an attempt holds only its parent match (matched row
+    ids and unit priors), its core set and its column split, besides the X
+    and ``frame`` that all attempts on the node share. No array with the
+    node's d columns outlives the one step it is sliced for. All randomness
+    (three maps, the k-means init) derives from ``seed``.
+    """
+    (parent,) = yield [(frame, derive_seed(seed, "parent"))]
+    try:
+        scores = mixture_scores(_fit(parent, X, config), X)
+    except _FIT_ERRORS as exc:
+        empty = IndexSet(np.array([], dtype=np.int64), node.instance_set.universe_size)
+        return _ended(seed, empty, _FIT_FAILURES[type(exc)])
+    core_local = gamma_set(scores.normalized, config.score_threshold)
+    core_set = node.instance_set.select(core_local)
+    # the bisection sees the core rows, or all node rows when the core is too small
+    rows = X[core_local.indices] if len(core_local) >= 2 else X
+    try:
+        km = kmeans_bisect(rows.T, derive_seed(seed, "bisect"))  # a point per feature column
+    except DegenerateSplit:
+        return _ended(seed, core_set, "degenerate_split")
+    columns = (np.flatnonzero(km.assignment == 0), np.flatnonzero(km.assignment == 1))
+    del scores, core_local, rows, km  # the core rows must not wait out the child maps
+
+    # each side's columns are sliced from X only to make its frame
+    sides = yield [(_frame(X[:, cols]), derive_seed(seed, "child", side))
+                   for side, cols in enumerate(columns)]
+    try:
+        mixtures = [_fit(m, X[:, cols], config) for m, cols in zip(sides, columns)]
+        posteriors = child_posteriors(parent, X, *mixtures, *columns)
+    except _FIT_ERRORS as exc:
+        return _ended(seed, core_set, _FIT_FAILURES[type(exc)])
+    child_sets = tuple(_units_to_instances(p, config.score_threshold, parent, node.instance_set)
+                       for p in posteriors)
+    overlaps = tuple(overlap_fraction(c, core_set) for c in child_sets)
+    feature_split = tuple(node.feature_set.select(IndexSet(c, len(node.feature_set)))
+                          for c in columns)
+    score = split_objective(*overlaps)
+    return SplitEvaluation(seed, feature_split, core_set, child_sets, posteriors, overlaps, score,
+                           "ok" if score is not None else "no_overlap")
+
+
 def evaluate_splits(
     node: PppNode, data: DesignMatrix, config: PppConfig, seeds: list[int]
 ) -> list[SplitEvaluation]:
-    """Run several seeded split attempts on a node, their SOMs trained in lockstep.
+    """Run one :func:`_attempt` per seed on a node, their maps trained in lockstep.
 
-    Result ``i`` is what attempt ``seeds[i]`` gives alone. A
-    ``SingularCovariance`` or ``DegenerateModel`` from a model fit ends its
-    attempt with outcome ``singular_cov`` or ``degenerate_model`` (the parent
-    fit's first, then child side 0's, then side 1's); other errors propagate.
-    The work runs in four phases:
-
-    1. the parent maps of every attempt, trained in lockstep on the node
-       matrix's frame (see :func:`_frame`);
-    2. per attempt, the parent mixture, its core set and the k-means bisection
-       of the feature columns;
-    3. the child maps of every attempt that got this far, in one
-       :func:`_quantize` call;
-    4. per attempt, the child mixtures, posteriors and overlaps.
-
-    Between phases an attempt holds only its maps' codebook matches (matched
-    row ids and unit priors), its core set and its column split; during phase
-    3 it also holds its child maps' frames, at most n x min(n, d) elements
-    each. No array with the node's d columns outlives the one step it is
-    sliced for: a fit or the posteriors read the matched rows from the node
-    matrix, or from a child's columns of it, and drop them after.
-
-    Every attempt's randomness (three quantizations, the k-means init) is
-    derived from its seed, so each result is a pure function of
-    (node, data, config, seed), whichever attempts share the batch.
+    Result ``i`` is what attempt ``seeds[i]`` gives alone. The node matrix and
+    its frame are made once and shared. Each round gathers the map requests
+    of every running attempt in seed order, trains them in one
+    :func:`_quantize` call, drops the frames and sends each attempt its
+    matches, until every attempt has returned.
     """
     X = submatrix(data, node.instance_set, node.feature_set).values
+    frame = _frame(X)
+    attempts = [_attempt(node, X, frame, config, seed) for seed in seeds]
     results: list[SplitEvaluation | None] = [None] * len(seeds)
-    parent_seeds = [derive_seed(s, "parent") for s in seeds]
-    parents = _quantize(config, [_frame(X)] * len(seeds), parent_seeds)
-
-    empty = IndexSet(np.array([], dtype=np.int64), data.n_instances)
-    bisected = []  # (attempt, core set, column pair) per bisected attempt
-    for i, (seed, parent) in enumerate(zip(seeds, parents)):
-        try:
-            scores0 = mixture_scores(_fit(parent, X, config), X)
-        except _FIT_ERRORS as exc:
-            results[i] = _ended(seed, empty, _FIT_FAILURES[type(exc)])
-            continue
-        core_local = gamma_set(scores0.normalized, config.score_threshold)
-        core_set = node.instance_set.select(core_local)
-        # the bisection sees the core rows, or all node rows when the core is too small
-        rows = X[core_local.indices] if len(core_local) >= 2 else X
-        try:
-            km = kmeans_bisect(rows.T, derive_seed(seed, "bisect"))  # a point per feature column
-        except DegenerateSplit:
-            results[i] = _ended(seed, core_set, "degenerate_split")
-            continue
-        columns = (np.flatnonzero(km.assignment == 0), np.flatnonzero(km.assignment == 1))
-        bisected.append((i, core_set, columns))
-
-    # each side's columns are sliced from X only to make its frame
-    children = _quantize(
-        config,
-        [_frame(X[:, cols]) for _, _, columns in bisected for cols in columns],
-        [derive_seed(seeds[i], "child", side) for i, _, _ in bisected for side in (0, 1)],
-    )
-    n_cols = len(node.feature_set)
-    for (i, core_set, columns), sides in zip(bisected, zip(children[::2], children[1::2])):
-        try:
-            mixtures = [_fit(m, X[:, cols], config) for m, cols in zip(sides, columns)]
-            post_a, post_b = child_posteriors(parents[i], X, *mixtures, *columns)
-        except _FIT_ERRORS as exc:
-            results[i] = _ended(seeds[i], core_set, _FIT_FAILURES[type(exc)])
-            continue
-        set_a = _units_to_instances(post_a, config.score_threshold, parents[i], node.instance_set)
-        set_b = _units_to_instances(post_b, config.score_threshold, parents[i], node.instance_set)
-        overlap_a = overlap_fraction(set_a, core_set)
-        overlap_b = overlap_fraction(set_b, core_set)
-        feature_split = tuple(node.feature_set.select(IndexSet(c, n_cols)) for c in columns)
-        score = split_objective(overlap_a, overlap_b)
-        results[i] = SplitEvaluation(
-            seeds[i],
-            feature_split,
-            core_set,
-            (set_a, set_b),
-            (post_a, post_b),
-            (overlap_a, overlap_b),
-            score,
-            "ok" if score is not None else "no_overlap",
-        )
+    asked = {i: next(a) for i, a in enumerate(attempts)}  # attempt -> its map requests
+    while asked:
+        frames, map_seeds = zip(*(r for rs in asked.values() for r in rs))
+        matches = iter(_quantize(config, list(frames), list(map_seeds)))
+        sizes = {i: len(rs) for i, rs in asked.items()}
+        del frames, asked  # the frames go before any attempt resumes
+        asked = {}
+        for i, size in sizes.items():
+            try:
+                asked[i] = attempts[i].send([next(matches) for _ in range(size)])
+            except StopIteration as done:
+                results[i] = done.value
     return results
 
 
@@ -397,7 +395,7 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
 
     # A batch holds, per attempt, maps of K x min(n, d) elements and frames of
     # at most n x min(n, d), never a copy with the node's d columns (see
-    # evaluate_splits); 2 * width * K * min(n, d) elements fill one block. So a
+    # _attempt); 2 * width * K * min(n, d) elements fill one block. So a
     # 48 x 640 node (K = 48) runs up to 14 attempts at a time, a 300 x 300 node
     # (K = 64) one.
     n, d = len(node.instance_set), len(node.feature_set)

@@ -199,10 +199,30 @@ class TestCluster:
                 assert child_a == child_b == 0
 
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
-        rc = main(["cluster", "--input", str(tmp_path / "ghost.csv"),
-                   "--out", str(tmp_path / "o")])
+        ghost = tmp_path / "ghost.csv"
+        for make in (False, True):  # a missing file, then a directory
+            if make:
+                ghost.mkdir()
+            rc = main(["cluster", "--input", str(ghost), "--out", str(tmp_path / "o")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "ghost.csv" in err and "run failed" not in err
+
+    @pytest.mark.parametrize("subcommand", ["cluster", "bench"])
+    def test_out_file_fails_before_any_tree(self, tmp_path, capsys, monkeypatch, subcommand):
+        import ppp.synth as synth_mod
+
+        built = []
+        for module in (cli_mod, synth_mod):
+            monkeypatch.setattr(module, "build_tree", lambda *a, **kw: built.append(a))
+        data = _make_planted(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        rc = main([subcommand, "--input", str(data), "--out", str(out)])
         assert rc == 2
-        assert "ghost.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "taken" in err and "run failed" not in err
+        assert built == []
 
     @pytest.mark.parametrize("subcommand", ["cluster", "bench"])
     def test_bad_setting_fails_before_the_input_is_read(self, tmp_path, capsys, subcommand):
@@ -606,6 +626,11 @@ class TestCut:
         assert not (out / "assignment.csv").exists()
 
     def test_missing_tree_is_usage_error(self, tmp_path, capsys):
-        rc = main(["cut", "--tree", str(tmp_path / "ghost.json"),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
+        ghost = tmp_path / "ghost.json"
+        for make in (False, True):  # a missing file, then a directory
+            if make:
+                ghost.mkdir()
+            rc = main(["cut", "--tree", str(ghost), "--out", str(tmp_path / "o")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "ghost.json" in err and "run failed" not in err

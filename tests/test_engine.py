@@ -300,13 +300,15 @@ class TestFit:
         np.testing.assert_allclose(got_scores.normalized, want_scores.normalized, atol=1e-12)
 
     def test_distinct_matched_rows_fit_every_unit(self, planted, monkeypatch):
-        """A match with no repeated instance hands EM every matched vector, uncounted."""
+        """A match with no repeated instance hands EM every matched vector, each counted once."""
         X = planted.matrix.values
         ids = np.arange(0, 120, 3)
         seen = []
         monkeypatch.setattr(engine_mod, "fit_em", lambda g, data, **kw: seen.append((data, kw)))
         engine_mod._fit(CodebookMatchSet(ids, np.full(ids.size, 1 / ids.size)), X, PppConfig())
-        assert np.array_equal(seen[0][0], X[ids]) and seen[0][1] == {}
+        (data, kw), = seen
+        assert np.array_equal(data, X[ids])
+        assert list(kw) == ["counts"] and np.array_equal(kw["counts"], np.ones(ids.size))
 
 
 class TestEvaluateSplit:
@@ -413,11 +415,14 @@ class TestEvaluateSplits:
         for seed, got in zip(seeds, batch):
             _same_evaluation(got, evaluate_split(node, data, config, seed))
 
-    def test_batch_memory_is_not_per_attempt_node_copies(self):
-        """Between phases an attempt holds no array with the node's 640
-        columns, so six attempts peak under 1.5 times the memory of one."""
+    @pytest.mark.parametrize("threshold", [0.5, 0.05])
+    def test_batch_memory_is_not_per_attempt_node_copies(self, threshold):
+        """A suspended attempt holds no array with the node's 640 columns, so
+        six attempts peak under 1.5 times the memory of one. At threshold 0.05
+        the cores hold several rows, so an attempt that kept its core rows
+        across its child maps would fail this."""
         node, data = self._genes_node()
-        config = PppConfig(master_seed=1)
+        config = PppConfig(master_seed=1, score_threshold=threshold)
         evaluate_splits(node, data, config, [1])  # caches and lazy imports first
 
         def peak(count):
