@@ -88,7 +88,11 @@ class IndexSet:
     universe_size: int
 
     def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=np.int64).ravel()
+        indices = np.asarray(self.indices)
+        # a cast would truncate 1.7 to 1; an empty list's float dtype is harmless
+        if indices.size and not np.issubdtype(indices.dtype, np.integer):
+            raise ValidationError(f"indices must be integers, got dtype {indices.dtype}")
+        indices = indices.astype(np.int64, copy=False).ravel()
         if self.universe_size < 0:
             raise ValidationError("universe_size must be nonnegative")
         if indices.size:

@@ -21,7 +21,13 @@ from typing import Iterator
 import numpy as np
 
 from .data import _BLOCK_ELEMENTS, DesignMatrix, IndexSet, derive_seed, submatrix
-from .errors import ConfigError, DegenerateModel, DegenerateSplit, SingularCovariance
+from .errors import (
+    ConfigError,
+    DegenerateModel,
+    DegenerateSplit,
+    SingularCovariance,
+    ValidationError,
+)
 from .gmm import (
     COVARIANCE_MODES,
     GaussianMixture,
@@ -437,9 +443,22 @@ def build_tree(data: DesignMatrix, config: PppConfig, threads: int = 1) -> PppTr
     The open nodes of each level grow on ``threads`` workers (at least 1, else
     ``ConfigError``); node seeds depend only on (master seed, path, attempt),
     so the result is identical for every thread count.
+
+    Entries must stay within ``sqrt(max float / (4 max(n, d)))`` in
+    magnitude (4.7e152 at 200x16, 2.7e152 at 48x640), so that no sum
+    of squares over a row, a column or a difference of rows overflows; larger
+    entries raise ``ValidationError``.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
+    X = data.values
+    bound = float(np.sqrt(np.finfo(float).max / (4 * max(X.shape))))
+    row, col = np.unravel_index(np.argmax(np.abs(X)), X.shape)
+    if abs(X[row, col]) > bound:
+        raise ValidationError(
+            f"entry ({row}, {col}) = {X[row, col]:.6g} exceeds {bound:.3g} in magnitude, the "
+            f"most a {X.shape[0]}x{X.shape[1]} matrix takes before its sums of squares overflow"
+        )
     root = PppNode(IndexSet.full(data.n_features), IndexSet.full(data.n_instances))
     frontier = [root]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -415,7 +415,8 @@ def init_gmm_from_codebook(
     and its weight the summed prior of the units that matched it,
     renormalized. Every component starts from the same diagonal covariance,
     the global per-column variance of ``data`` plus ``reg_epsilon`` (default
-    ``1e-6 *`` mean column variance, floored at 1e-12).
+    ``1e-6 *`` mean column variance, or the smallest positive normal float
+    when that is smaller, so that rows that are all alike still get a ridge).
 
     Merging units is exact: components with one mean and one covariance stay
     proportional under EM, so the merged start fits the same density up to
@@ -430,7 +431,7 @@ def init_gmm_from_codebook(
         covariance_mode = default_covariance_mode(X.shape[1])
     base_var = X.var(axis=0)
     if reg_epsilon is None:
-        reg_epsilon = max(1e-6 * float(base_var.mean()), 1e-12)
+        reg_epsilon = max(1e-6 * float(base_var.mean()), np.finfo(float).tiny)
     if reg_epsilon <= 0:
         raise ConfigError("reg_epsilon must be positive")
     start_var = base_var + reg_epsilon

@@ -22,10 +22,8 @@ import numpy as np
 from .data import as_matrix, derive_seed, sq_distances
 from .errors import ConfigError, DimensionError
 
-# training steps per block of precomputed neighborhood kernel rows
-_TABLE_STEPS = 4096
-# drawn-row elements gathered per chunk of steps (64 KB of float64), small
-# enough to stay in cache next to the codebooks
+# elements per chunk of training steps, its drawn rows plus their kernel rows
+# (64 KB of float64), small enough to stay in cache next to the codebooks
 _ROW_ELEMENTS = 8192
 
 
@@ -244,8 +242,8 @@ def train_soms(soms: Iterable[SomModel], data: Sequence) -> list[SomModel]:
     einsum adds each norm as the single-map ``"kd,kd->k"`` does. The grid
     distances take only a few distinct values, so the kernel rows come from a
     table of ``_neighborhood`` over (step, distance level), shared by the
-    maps. The table is built ``_TABLE_STEPS`` steps at a time and the drawn
-    data rows are gathered about ``_ROW_ELEMENTS`` elements at a time.
+    maps. The steps run in chunks of about ``_ROW_ELEMENTS`` elements, each
+    gathering its drawn data rows and building its own table rows.
     """
     matrices = [as_matrix(x) for x in data]
     configs = []
@@ -279,21 +277,18 @@ def train_soms(soms: Iterable[SomModel], data: Sequence) -> list[SomModel]:
     levels, level_of = _grid_levels(config.grid_rows, config.grid_cols)
     diff = np.empty_like(codebooks)
     d2 = np.empty(codebooks.shape[:2], dtype=codebooks.dtype)
-    chunk = max(1, _ROW_ELEMENTS // (len(configs) * dim))
+    chunk = max(1, _ROW_ELEMENTS // (len(configs) * dim + len(levels)))
     rows = np.empty((min(chunk, total), len(configs), 1, dim), dtype=matrices[0].dtype)
     subtract, einsum, winners, levels_of = np.subtract, np.einsum, d2.argmin, level_of.take
-    for start in range(0, total, _TABLE_STEPS):
-        steps = np.arange(start, min(start + _TABLE_STEPS, total))
-        table = _neighborhood(config, levels[None, :], steps[:, None], total)
-        for first in range(0, len(steps), chunk):
-            drawn = slice(start + first, start + min(first + chunk, len(steps)))
-            for a, X in enumerate(matrices):
-                rows[:drawn.stop - drawn.start, a, 0] = X[draws[a, drawn]]
-            for row, x in zip(table[first:first + chunk], rows):
-                subtract(codebooks, x, out=diff)
-                einsum("akd,akd->ak", diff, diff, out=d2)
-                diff *= row.take(levels_of(winners(1), 0))
-                codebooks -= diff
+    for start in range(0, total, chunk):
+        steps = np.arange(start, min(start + chunk, total))
+        for a, X in enumerate(matrices):
+            rows[:len(steps), a, 0] = X[draws[a, steps]]
+        for row, x in zip(_neighborhood(config, levels[None, :], steps[:, None], total), rows):
+            subtract(codebooks, x, out=diff)
+            einsum("akd,akd->ak", diff, diff, out=d2)
+            diff *= row.take(levels_of(winners(1), 0))
+            codebooks -= diff
     del diff, rows  # the closing pass needs their memory for its own distances
 
     trained = []

@@ -295,6 +295,21 @@ class TestCluster:
         rc = main(["cluster", "--input", str(thin), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("subcommand, instances, features",
+                             [("cluster", 200, 16), ("cluster", 48, 640), ("bench", 200, 16)])
+    def test_entries_too_large_to_square_are_usage_errors(
+        self, tmp_path, capsys, subcommand, instances, features
+    ):
+        data = _make_planted(tmp_path, instances=instances, features=features, seed=1)
+        big = tmp_path / "big.csv"
+        np.savetxt(big, load_csv(data).values * 1e160, delimiter=",", fmt="%.17g")
+        out = tmp_path / "o"
+        rc = main([subcommand, "--input", str(big), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "exceeds" in err and "run failed" not in err
+        assert list(out.iterdir()) == []  # nothing written, no tree.json or report.json
+
 
 class TestDeterminism:
     def test_two_runs_byte_identical(self, tmp_path):

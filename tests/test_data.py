@@ -108,6 +108,14 @@ class TestIndexSet:
         with pytest.raises(IndexOutOfBounds):
             IndexSet(np.array([-1, 0]), 3)
 
+    def test_non_integer_indices_rejected(self):
+        """A cast would truncate 0.5 and 1.7 to 0 and 1 without a word."""
+        for indices in (np.array([0.5, 1.7]), np.array([0.0, 2.0]), np.array([True, False])):
+            with pytest.raises(ValidationError, match="integers"):
+                IndexSet(indices, 3)
+        assert len(IndexSet([], 3)) == 0  # an empty list's dtype is float
+        assert IndexSet(np.array([0, 2], dtype=np.uint8), 3).indices.tolist() == [0, 2]
+
     def test_from_iterable_sorts_and_dedups(self):
         s = IndexSet.from_iterable([4, 1, 4, 2], 5)
         assert s.indices.tolist() == [1, 2, 4]

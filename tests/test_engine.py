@@ -24,10 +24,16 @@ from ppp.engine import (
     overlap_fraction,
     split_objective,
 )
-from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCovariance
+from ppp.errors import (
+    ConfigError,
+    DegenerateModel,
+    DimensionError,
+    SingularCovariance,
+    ValidationError,
+)
 from ppp.gmm import GaussianMixture, fit_em, init_gmm_from_codebook, mixture_scores
 from ppp.som import CodebookMatchSet, default_grid, default_som_config, init_som, train_soms
-from ppp.synth import PlantedSpec, generate_planted
+from ppp.synth import PlantedSpec, adjusted_rand_index, generate_planted
 from support import mixture_pdf
 
 
@@ -731,6 +737,26 @@ class TestGrowNodeOnData:
             assert got <= set(range(120))
             assert len(got) >= 1
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_root_does_not_depend_on_the_data_scale(self, seed):
+        """Scaling by a power of two is exact, and the mixture ridge follows
+        the data's variance, so tiny scales split the root as scale 1 does.
+        Only the root is compared: deeper nodes still vary with rounding."""
+        X = generate_planted(PlantedSpec.even(200, 16, (2, 2), seed=seed)).matrix.values
+
+        def root(scale):
+            node = PppNode(IndexSet.full(16), IndexSet.full(200))
+            grow_node(node, DesignMatrix.ingest(X * scale), PppConfig(master_seed=1))
+            best = node.best_eval
+            if best is None:
+                return node.status, None, None
+            return node.status, [s.indices.tolist() for s in best.feature_split], best.score
+
+        want = root(1.0)
+        assert want[0] == "internal"
+        for exponent in (-30, -60):
+            assert root(2.0 ** exponent) == want
+
     def test_children_carry_gamma_sets(self, planted):
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
         grow_node(node, planted.matrix, PppConfig(master_seed=3))
@@ -835,6 +861,18 @@ class TestBuildTree:
     def test_thread_count_below_one_rejected(self, planted, threads):
         with pytest.raises(ConfigError):
             build_tree(planted.matrix, PppConfig(), threads=threads)
+
+    @pytest.mark.parametrize("n, d", [(200, 16), (48, 640)])
+    def test_entries_whose_squares_overflow_are_rejected(self, n, d):
+        """At 1e160 sums of squares overflow (at 48 x 640 the run used to end
+        with one cluster); at 1e150 the planted blocks are still found."""
+        planted = generate_planted(PlantedSpec.even(n, d, (2, 2), seed=1))
+        config = PppConfig(master_seed=1)
+        with pytest.raises(ValidationError, match="exceeds"):
+            build_tree(DesignMatrix.ingest(planted.matrix.values * 1e160), config)
+        tree = build_tree(DesignMatrix.ingest(planted.matrix.values * 1e150), config)
+        labels = cluster_labels(cut_tree(tree, 1), d)
+        assert adjusted_rand_index(labels, planted.feature_labels) == 1.0
 
     def test_hierarchical_coarse_split_first(self):
         """Two-level planted structure: the root must take the large-gap

@@ -269,6 +269,13 @@ class TestTrainSom:
             train_som(som, np.zeros((4, 2)))
 
 
+def _chunk_steps(monkeypatch, steps, n_maps, dim, grid):
+    """Shrink the element budget so that lockstep training of ``n_maps`` maps
+    of ``dim`` columns on ``grid`` runs ``steps`` steps per chunk."""
+    levels, _ = som_mod._grid_levels(*grid)
+    monkeypatch.setattr(som_mod, "_ROW_ELEMENTS", steps * (n_maps * dim + len(levels)))
+
+
 def _structured_rows(seed, n, d):
     """Gaussian rows around three offsets, so the map has clusters to find."""
     rng = np.random.default_rng(seed)
@@ -299,7 +306,9 @@ class TestTrainSomMatchesReference:
         self._assert_same_training(som, X)
 
     def test_kernel_table_blocks_split_mid_epoch(self, monkeypatch):
-        monkeypatch.setattr(som_mod, "_TABLE_STEPS", 7)
+        """7-step chunks split the 30-step epochs; each chunk's kernel rows
+        must follow the schedule at its steps' numbers within the run."""
+        _chunk_steps(monkeypatch, 7, 1, 4, (3, 4))
         X = _structured_rows(3, 30, 4)
         self._assert_same_training(init_som(SomConfig(3, 4, seed=3), X), X)
 
@@ -358,16 +367,22 @@ class TestTrainSoms:
     @pytest.mark.parametrize("n_maps", [1, 2, 5])
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
     @pytest.mark.parametrize("n, d, grid, kw", CASES)
-    def test_each_map_equals_training_alone(self, n, d, grid, kw, n_maps, shared):
+    def test_each_map_equals_training_alone(
+        self, n, d, grid, kw, n_maps, shared, monkeypatch
+    ):
         soms, data = self._maps(n, d, grid, kw, n_maps, shared)
-        together = train_soms(soms, data)
-        assert len(together) == n_maps
-        for som, X, got in zip(soms, data, together):
-            for want in (train_som(som, X), train_som_reference(som, X)):
-                assert np.array_equal(got.codebook, want.codebook)
-                assert np.array_equal(got.hit_counts, want.hit_counts)
-                assert got.final_qe == want.final_qe
-            assert got.config == som.config
+        references = [train_som_reference(som, X) for som, X in zip(soms, data)]
+        for steps in (None, 3):  # the default budget, then chunks of 3 steps
+            if steps is not None:
+                _chunk_steps(monkeypatch, steps, n_maps, d, grid)
+            together = train_soms(soms, data)
+            assert len(together) == n_maps
+            for som, X, got, reference in zip(soms, data, together, references):
+                for want in (train_som(som, X), reference):
+                    assert np.array_equal(got.codebook, want.codebook)
+                    assert np.array_equal(got.hit_counts, want.hit_counts)
+                    assert got.final_qe == want.final_qe
+                assert got.config == som.config
 
     def test_more_units_than_rows_warns_at_init(self):
         X = _structured_rows(5, 5, 3)
