@@ -7,8 +7,6 @@ often the root bipartition agrees. The CLI form of the same experiment is
 `ppp bench --input data.csv --seeds 0..9`.
 """
 
-import numpy as np
-
 from ppp.engine import PppConfig
 from ppp.synth import PlantedSpec, adjusted_rand_index, generate_planted, repeatability_trial
 

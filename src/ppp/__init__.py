@@ -56,7 +56,6 @@ from .som import (
     SomConfig,
     SomModel,
     codebook_match,
-    codebook_priors,
     default_grid,
     default_som_config,
     find_bmu,
@@ -86,7 +85,7 @@ __all__ = [
     "GaussianMixture", "MixtureScores", "em_step", "fit_em", "init_gmm_from_codebook",
     "log_likelihood", "mixture_log_density", "mixture_scores", "responsibilities",
     "KmeansResult", "kmeans_bisect", "kmeans_objective", "lloyd_iterate",
-    "CodebookMatchSet", "SomConfig", "SomModel", "codebook_match", "codebook_priors",
+    "CodebookMatchSet", "SomConfig", "SomModel", "codebook_match",
     "default_grid", "default_som_config", "find_bmu", "init_som",
     "quantization_error", "train_som",
     "PlantedData", "PlantedSpec", "StabilityReport", "adjusted_rand_index",

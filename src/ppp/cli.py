@@ -8,12 +8,10 @@ codes: 0 success, 1 a run failed partway, 2 bad usage or bad input.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import os
 import sys
-from dataclasses import fields
-from datetime import datetime, timezone
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +20,6 @@ from ._version import __version__
 from .engine import PppConfig, accepted_posterior_by_depth, build_tree
 from .errors import ConfigError, FormatError, ParseError, PppError, ValidationError
 from .fileio import (
-    RunManifest,
-    config_to_dict,
     export_assignment_csv,
     export_diagnostics_csv,
     export_matrix_csv,
@@ -178,21 +174,6 @@ def _out_dir(path) -> Path:
     return Path(path)
 
 
-def _manifest(command, args, config, out_paths: dict) -> RunManifest:
-    input_path = getattr(args, "input", None)
-    return RunManifest(
-        command=command,
-        input_path=input_path,
-        output_paths={k: str(v) for k, v in out_paths.items()},
-        master_seed=config.master_seed if config is not None else 0,
-        config=config_to_dict(config) if config is not None else {},
-        tool_version=__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(),
-        input_sha256=hashlib.sha256(Path(input_path).read_bytes()).hexdigest()
-        if input_path is not None else None,
-    )
-
-
 def run_cluster(args) -> int:
     _apply_config_file(args)
     config = _build_config(args)
@@ -213,7 +194,8 @@ def run_cluster(args) -> int:
         tree, paths["assignment"], depth=cut_depth, feature_ids=matrix.feature_ids
     )
     export_diagnostics_csv(tree, paths["diagnostics"])
-    write_manifest(_manifest("cluster", args, config, paths), paths["manifest"])
+    write_manifest(paths["manifest"], "cluster", paths, config.master_seed, asdict(config),
+                   args.input)
 
     print(f"clusters: {len(clusters)} ({'leaves' if cut_depth is None else f'depth {cut_depth}'})")
     by_depth = accepted_posterior_by_depth(tree)
@@ -252,17 +234,10 @@ def run_synth(args) -> int:
             fh.write(f"instance,{i},{int(label)}\n")
         for j, label in enumerate(planted.feature_labels):
             fh.write(f"feature,{j},{int(label)}\n")
-    manifest = _manifest("synth", args, None, paths)
-    manifest.master_seed = seed
-    manifest.config = {
-        "instances": args.instances,
-        "features": args.features,
-        "blocks": "{}x{}".format(*args.blocks),
-        "gap": args.gap,
-        "noise": args.noise,
-        "seed": seed,
-    }
-    write_manifest(manifest, paths["manifest"])
+    settings = {"instances": args.instances, "features": args.features,
+                "blocks": "{}x{}".format(*args.blocks), "gap": args.gap, "noise": args.noise,
+                "seed": seed}
+    write_manifest(paths["manifest"], "synth", paths, seed, settings)
     print(f"wrote {paths['data']} ({args.instances}x{args.features}) and {paths['labels']}")
     return 0
 
@@ -277,7 +252,8 @@ def run_bench(args) -> int:
 
     paths = {"report": out / "report.json", "per_seed": out / "report.csv", "manifest": out / "manifest.json"}
     export_report(report, paths["report"], paths["per_seed"])
-    write_manifest(_manifest("bench", args, config, paths), paths["manifest"])
+    write_manifest(paths["manifest"], "bench", paths, config.master_seed, asdict(config),
+                   args.input)
 
     off_diagonal = report.pairwise_ari[~np.eye(len(args.seeds), dtype=bool)]
     mean_ari = float(off_diagonal.mean()) if off_diagonal.size else 1.0

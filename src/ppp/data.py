@@ -107,8 +107,11 @@ class IndexSet:
 
     @classmethod
     def from_iterable(cls, indices, universe_size: int) -> "IndexSet":
-        """Sort, deduplicate and wrap an arbitrary index collection."""
-        return cls(np.unique(np.asarray(list(indices), dtype=np.int64)), universe_size)
+        """Sort, deduplicate and wrap an arbitrary index collection.
+
+        No cast: floats, and ints past int64 (object dtype), fail the integer check.
+        """
+        return cls(np.unique(np.asarray(list(indices))), universe_size)
 
     @classmethod
     def full(cls, universe_size: int) -> "IndexSet":

@@ -8,15 +8,17 @@ embeds wall-clock state.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
 from .data import DesignMatrix, IndexSet
-from .engine import RESOLVED_STATUSES, PppNode, PppTree, cut_tree
+from .engine import RESOLVED_STATUSES, PppNode, PppTree, cluster_labels, cut_tree
 from .errors import FormatError, IndexOutOfBounds, ParseError, ValidationError
 
 
@@ -155,7 +157,8 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
     Attempt details and instance memberships are not reconstructed; the result
     carries what cutting needs, plus the stored feature name table (or None).
     Each node names its features once and has a resolved status; an internal
-    node has two children and a leaf none. The root must hold every feature
+    node has two children and a leaf none. The root's path is empty and child
+    i's path is its parent's plus ``str(i)``. The root must hold every feature
     and each internal node's children must partition its features, so every
     cut covers each feature once. A name table has one distinct string per
     feature. Feature ids and the two counts must be JSON integers.
@@ -167,12 +170,14 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
         n_features = _json_int(doc["n_features"], "n_features")
         n_instances = _json_int(doc["n_instances"], "n_instances")
 
-        def build(node_doc) -> PppNode:
+        def build(node_doc, at: str) -> PppNode:
+            if node_doc["path"] != at:
+                raise ValueError(f"node {at!r} is stored with path {node_doc['path']!r}")
             ids = [_json_int(i, "a feature id") for i in node_doc["feature_ids"]]
             node = PppNode(
                 IndexSet.from_iterable(ids, n_features),
                 IndexSet(np.array([], dtype=np.int64), n_instances),
-                path=str(node_doc["path"]),
+                path=at,
                 status=str(node_doc["status"]),
             )
             if len(node.feature_set) != len(ids):
@@ -187,7 +192,7 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
                     f"expected {expected}"
                 )
             if children:
-                node.children = tuple(build(c) for c in children)
+                node.children = tuple(build(c, at + str(i)) for i, c in enumerate(children))
                 sides = [c.feature_set.indices for c in node.children]
                 if not np.array_equal(np.sort(np.concatenate(sides)), node.feature_set.indices):
                     raise ValueError(
@@ -195,7 +200,7 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
                     )
             return node
 
-        root = build(doc["root"])
+        root = build(doc["root"], "")
         if len(root.feature_set) != n_features:
             raise ValueError(f"the root holds {len(root.feature_set)} of {n_features} features")
         names = doc.get("feature_names")
@@ -214,17 +219,11 @@ def export_assignment_csv(
 ) -> list[IndexSet]:
     """Write ``cut_tree(tree, depth)`` as feature_id,cluster_id rows and return it."""
     clusters = cut_tree(tree, depth)
-    pairs = []
-    for ci, cluster in enumerate(clusters):
-        for i in cluster.indices:
-            name = feature_ids[int(i)] if feature_ids is not None else int(i)
-            pairs.append((int(i), name, ci))
-    pairs.sort()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature_id", "cluster_id"])
-        for _, name, ci in pairs:
-            writer.writerow([name, ci])
+        for i, ci in enumerate(cluster_labels(clusters, tree.n_features).tolist()):
+            writer.writerow([i if feature_ids is None else feature_ids[i], ci])
     return clusters
 
 
@@ -282,26 +281,25 @@ def export_report(report, json_path, csv_path) -> None:
             )
 
 
-@dataclass(eq=False)
-class RunManifest:
-    """Everything needed to reproduce a run, written next to its outputs."""
+def write_manifest(path, command, outputs: dict, master_seed: int, config: dict,
+                   input_path=None) -> None:
+    """Write everything needed to reproduce a run next to its outputs.
 
-    command: str
-    input_path: str | None
-    output_paths: dict
-    master_seed: int
-    config: dict
-    tool_version: str = __version__
-    created_utc: str = ""
-    input_sha256: str | None = None  # digest of the input file's bytes
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def write_manifest(manifest: RunManifest, path) -> None:
-    """Atomic write: the manifest appears complete or not at all."""
-    _write_json(manifest.to_dict(), path)
+    The manifest records the input file's SHA-256 (null without an input), the
+    tool version and the UTC time. The write is atomic: the manifest appears
+    complete or not at all.
+    """
+    _write_json({
+        "command": command,
+        "input_path": input_path,
+        "output_paths": {k: str(v) for k, v in outputs.items()},
+        "master_seed": master_seed,
+        "config": config,
+        "tool_version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "input_sha256": None if input_path is None
+        else hashlib.sha256(Path(input_path).read_bytes()).hexdigest(),
+    }, path)
 
 
 def _write_json(doc, path) -> None:
@@ -311,10 +309,3 @@ def _write_json(doc, path) -> None:
         fh.write(text)
     os.replace(tmp, path)
 
-
-def config_to_dict(config) -> dict:
-    d = asdict(config)
-    for key, value in d.items():
-        if isinstance(value, tuple):
-            d[key] = list(value)
-    return d

@@ -268,7 +268,6 @@ def train_soms(soms: Iterable[SomModel], data: Sequence) -> list[SomModel]:
         raise ConfigError("train_soms needs one matrix per map")
     if not configs:
         return []
-    k = config.n_units
     total = config.epochs * n
     draws = np.stack([
         np.random.default_rng(derive_seed(c.seed, "train")).integers(0, n, size=total)
@@ -290,47 +289,36 @@ def train_soms(soms: Iterable[SomModel], data: Sequence) -> list[SomModel]:
             diff *= row.take(levels_of(winners(1), 0))
             codebooks -= diff
     del diff, rows  # the closing pass needs their memory for its own distances
+    return [SomModel(c, cb, *_assign(cb, X)) for c, X, cb in zip(configs, matrices, codebooks)]
 
-    trained = []
-    for c, X, codebook in zip(configs, matrices, codebooks):
-        sq = sq_distances(X, codebook)
-        bmu = np.argmin(sq, axis=1)
-        hits = np.bincount(bmu, minlength=k).astype(np.int64)
-        ids = np.argmin(sq, axis=0).astype(np.int64)
-        # the hits sum to n, so these are the codebook_priors of the trained map
-        match = CodebookMatchSet(ids, hits / n)
-        trained.append(SomModel(c, codebook, hits, float(sq[np.arange(n), bmu].mean()), match))
-    return trained
+
+def _assign(codebook: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, float, CodebookMatchSet]:
+    """Hit counts, mean squared BMU distance and match of the rows of X.
+
+    One distance pass: each row is counted at its BMU (ties to the lowest
+    unit), and each unit is matched to its nearest row (ties to the lowest
+    row), with the hit shares as priors.
+    """
+    sq = sq_distances(X, codebook)
+    bmu = np.argmin(sq, axis=1)
+    hits = np.bincount(bmu, minlength=codebook.shape[0]).astype(np.int64)
+    qe = float(sq[np.arange(X.shape[0]), bmu].mean())
+    return hits, qe, CodebookMatchSet(np.argmin(sq, axis=0).astype(np.int64), hits / X.shape[0])
+
+
+def _rows_for(som: SomModel, data) -> np.ndarray:
+    X = as_matrix(data)
+    if X.shape[1] != som.codebook.shape[1]:
+        raise DimensionError("data and codebook dimensions differ")
+    return X
 
 
 def quantization_error(som: SomModel, data) -> float:
     """Mean squared distance from each row to its BMU under this codebook."""
-    X = as_matrix(data)
-    if X.shape[1] != som.codebook.shape[1]:
-        raise DimensionError("data and codebook dimensions differ")
-    return float(sq_distances(X, som.codebook).min(axis=1).mean())
-
-
-def codebook_priors(som: SomModel) -> np.ndarray:
-    """Prior over units: normalized hit counts.
-
-    A map with no recorded hits falls back to a uniform prior (with a
-    warning); a unit with zero hits keeps prior zero otherwise.
-    """
-    hits = som.hit_counts.astype(float)
-    total = hits.sum()
-    if total <= 0.0:
-        warnings.warn("codebook has no recorded hits; using a uniform prior", stacklevel=2)
-        k = som.config.n_units
-        return np.full(k, 1.0 / k)
-    return hits / total
+    return _assign(som.codebook, _rows_for(som, data))[1]
 
 
 def codebook_match(som: SomModel, data) -> CodebookMatchSet:
-    """Nearest data row per unit (ties to the lowest row index), plus priors."""
-    X = as_matrix(data)
-    if X.shape[1] != som.codebook.shape[1]:
-        raise DimensionError("data and codebook dimensions differ")
-    sq = sq_distances(X, som.codebook)
-    ids = np.argmin(sq, axis=0).astype(np.int64)
-    return CodebookMatchSet(ids, codebook_priors(som))
+    """Nearest data row per unit (ties to the lowest row index), with the
+    rows' hit shares as priors."""
+    return _assign(som.codebook, _rows_for(som, data))[2]

@@ -6,9 +6,10 @@ must equal it bit for bit, and the centred diagonal contraction must agree
 with it up to rounding. The single-vector helpers below it serve as test
 oracles only.
 ``train_som_reference`` is the plain online SOM loop (two difference arrays
-and one ``exp`` per step) and ``sq_distances_reference`` the one-shot
-broadcast distance kernel; the fused loop in ``ppp.som.train_som`` and the
-row-chunked ``ppp.data.sq_distances`` must equal them bit for bit.
+and one ``exp`` per step) closed by a per-unit scan for the match, and
+``sq_distances_reference`` the one-shot broadcast distance kernel; the fused
+loop in ``ppp.som.train_som`` and the row-chunked ``ppp.data.sq_distances``
+must equal them bit for bit.
 
 The restart guarantee is corpus-scoped on purpose. With naive seeded
 initialization the global bipartition optimum is not always reachable: there
@@ -29,7 +30,7 @@ from ppp.data import as_matrix, derive_seed
 from ppp.errors import DimensionError, SingularCovariance
 from ppp.gmm import GaussianMixture, mixture_log_density
 from ppp.kmeans import kmeans_objective
-from ppp.som import SomModel, _grid_sqdist, _neighborhood
+from ppp.som import CodebookMatchSet, SomModel, _grid_sqdist, _neighborhood
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -122,7 +123,11 @@ def sq_distances_reference(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def train_som_reference(som: SomModel, data) -> SomModel:
-    """The online SOM loop step by step, then the closing assignment pass."""
+    """The online SOM loop step by step, then the closing assignment pass.
+
+    The match is a per-unit scan of the rows (ties to the lowest row) with
+    priors ``hits / n``.
+    """
     X = as_matrix(data)
     n = X.shape[0]
     config = som.config
@@ -141,4 +146,11 @@ def train_som_reference(som: SomModel, data) -> SomModel:
     sq = sq_distances_reference(X, codebook)
     bmu = np.argmin(sq, axis=1)
     hits = np.bincount(bmu, minlength=config.n_units).astype(np.int64)
-    return SomModel(config, codebook, hits, float(sq[np.arange(n), bmu].mean()))
+    # each unit scans the rows in order and keeps the first strictly nearer one
+    ids = np.zeros(config.n_units, dtype=np.int64)
+    for k in range(config.n_units):
+        for i in range(1, n):
+            if sq[i, k] < sq[ids[k], k]:
+                ids[k] = i
+    match = CodebookMatchSet(ids, hits / n)
+    return SomModel(config, codebook, hits, float(sq[np.arange(n), bmu].mean()), match)

@@ -26,7 +26,7 @@ from ppp.gmm import (
     log_likelihood,
     responsibilities,
 )
-from ppp.kmeans import kmeans_bisect, kmeans_objective, lloyd_iterate
+from ppp.kmeans import kmeans_bisect, lloyd_iterate
 from ppp.som import SomConfig, find_bmu, init_som, quantization_error, train_som
 from ppp.synth import PlantedSpec, adjusted_rand_index, generate_planted, repeatability_trial
 

@@ -548,6 +548,33 @@ class TestBench:
         assert not (out / "report.json").exists()
 
 
+class TestManifest:
+    @pytest.mark.parametrize("subcommand", ["cluster", "bench", "synth"])
+    def test_eight_keys(self, tmp_path, subcommand):
+        """Each subcommand's manifest records its seed, and the digest of its
+        input bytes (null for synth, which reads none)."""
+        data = _make_planted(tmp_path)
+        out = tmp_path / "o"
+        if subcommand == "synth":
+            argv = ["synth", "--out", str(out), "--instances", "30", "--features", "4"]
+        else:
+            argv = [subcommand, "--input", str(data), "--out", str(out)]
+        argv += ["--seed", "9"] + (["--seeds", "0,1"] if subcommand == "bench" else [])
+        assert main(argv) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert sorted(doc) == ["command", "config", "created_utc", "input_path",
+                               "input_sha256", "master_seed", "output_paths", "tool_version"]
+        assert doc["command"] == subcommand
+        assert doc["master_seed"] == 9
+        assert doc["output_paths"]["manifest"] == str(out / "manifest.json")
+        if subcommand == "synth":
+            assert doc["input_path"] is None and doc["input_sha256"] is None
+            assert doc["config"]["seed"] == 9
+        else:
+            assert doc["input_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+            assert doc["config"]["master_seed"] == 9
+
+
 class TestCut:
     def test_recut_saved_tree(self, tmp_path):
         data = _make_planted(tmp_path)
@@ -627,9 +654,17 @@ class TestCut:
         *({"n_instances": 1, "n_features": 2, "feature_names": names,
            "root": {"path": "", "status": "leaf_terminal", "feature_ids": [0, 1]}}
           for names in (["a"], "ab", ["a", "a"])),
+        {"n_instances": 1, "n_features": 2,
+         "root": {"path": "", "status": "leaf_terminal", "feature_ids": [0, 2**70]}},
+        {"n_instances": 1, "n_features": 2,
+         "root": {"path": "", "status": "internal", "feature_ids": [0, 1], "children": [
+             {"path": "00", "status": "leaf_terminal", "feature_ids": [0]},
+             {"path": "1", "status": "leaf_terminal", "feature_ids": [1]},
+         ]}},
     ], ids=["not-json", "out-of-range-id", "overlapping-children", "repeated-id",
             "unknown-status", "childless-internal", "leaf-with-children",
-            "short-name-table", "string-name-table", "repeated-name"])
+            "short-name-table", "string-name-table", "repeated-name", "huge-id",
+            "path-off-shape"])
     def test_malformed_tree_is_usage_error(self, tmp_path, capsys, doc):
         tree = tmp_path / "tree.json"
         tree.write_text(doc if isinstance(doc, str) else json.dumps(doc))

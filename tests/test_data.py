@@ -120,6 +120,15 @@ class TestIndexSet:
         s = IndexSet.from_iterable([4, 1, 4, 2], 5)
         assert s.indices.tolist() == [1, 2, 4]
 
+    def test_from_iterable_rejects_what_a_cast_would_change(self):
+        """Floats would truncate and ints past int64 would overflow; both are
+        refused with the constructor's error, not cast."""
+        for indices in ([0.5, 1.7], [2**70], [1, 2**70]):
+            with pytest.raises(ValidationError, match="integers"):
+                IndexSet.from_iterable(indices, 3)
+        assert len(IndexSet.from_iterable([], 3)) == 0
+        assert IndexSet.from_iterable(np.array([2, 0]), 3).indices.tolist() == [0, 2]
+
     def test_full(self):
         s = IndexSet.full(4)
         assert s.indices.tolist() == [0, 1, 2, 3]

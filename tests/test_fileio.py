@@ -1,6 +1,9 @@
 """CSV ingestion and the export formats."""
 
+import hashlib
 import json
+from dataclasses import asdict
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -9,8 +12,6 @@ from ppp.data import DesignMatrix, IndexSet, derive_seed
 from ppp.engine import PppConfig, PppNode, PppTree, build_tree, cut_tree
 from ppp.errors import FormatError, ParseError, ValidationError
 from ppp.fileio import (
-    RunManifest,
-    config_to_dict,
     export_assignment_csv,
     export_diagnostics_csv,
     export_matrix_csv,
@@ -223,6 +224,9 @@ class TestTreeJson:
             tree(node("", [0, 1]), feature_names="ab"),  # a string, not a list of names
             tree(node("", [0, 1]), feature_names=["a", "a"]),  # one name twice
             tree(node("", [0, 1]), feature_names=["a", 2]),  # a name that is not a string
+            tree(node("0", [0, 1])),  # a root path that is not empty
+            tree(node("", [0, 1], [node("00", [0]), node("1", [1])])),  # "00" at depth 1
+            tree(node("", [0, 1], [node("1", [0]), node("0", [1])])),  # children swapped
         ]
         p = tmp_path / "bad.json"
         for text in cases:
@@ -356,24 +360,20 @@ class TestReportExport:
 
 class TestManifest:
     def test_written_fields(self, tmp_path):
-        manifest = RunManifest(
-            command="cluster",
-            input_path="in.csv",
-            output_paths={"tree": "tree.json"},
-            master_seed=7,
-            config=config_to_dict(PppConfig(master_seed=7, som_grid=(3, 5))),
-            created_utc="2026-01-01T00:00:00Z",
-        )
+        data = _write(tmp_path / "in.csv", "1,2\n3,4\n")
         p = tmp_path / "manifest.json"
-        write_manifest(manifest, p)
+        config = asdict(PppConfig(master_seed=7, som_grid=(3, 5)))
+        write_manifest(p, "cluster", {"tree": tmp_path / "tree.json"}, 7, config, str(data))
         doc = json.loads(p.read_text())
+        assert sorted(doc) == ["command", "config", "created_utc", "input_path",
+                               "input_sha256", "master_seed", "output_paths", "tool_version"]
         assert doc["command"] == "cluster"
+        assert doc["input_path"] == str(data)
+        assert doc["input_sha256"] == hashlib.sha256(b"1,2\n3,4\n").hexdigest()
+        assert doc["output_paths"] == {"tree": str(tmp_path / "tree.json")}
         assert doc["master_seed"] == 7
         assert doc["config"]["som_grid"] == [3, 5]
+        assert doc["config"]["max_split_attempts"] == 20
         assert doc["tool_version"]
+        assert datetime.fromisoformat(doc["created_utc"]).tzinfo is not None
         assert not (tmp_path / "manifest.json.tmp").exists()
-
-    def test_config_dict_is_json_ready(self):
-        doc = config_to_dict(PppConfig())
-        json.dumps(doc)
-        assert doc["max_split_attempts"] == 20

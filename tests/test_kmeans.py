@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ppp.kmeans as kmeans
 import support
 from ppp.errors import DegenerateSplit
-from ppp.kmeans import KmeansResult, kmeans_bisect, kmeans_objective, lloyd_iterate
+from ppp.kmeans import kmeans_bisect, kmeans_objective, lloyd_iterate
 
 
 def _brute_force_best(points):

@@ -1,7 +1,6 @@
 """Map training, winner search, matching and priors."""
 
 import dataclasses
-import math
 import tracemalloc
 import warnings
 
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppp.som as som_mod
-from ppp.data import DesignMatrix
 from ppp.errors import ConfigError, DimensionError
 from ppp.som import (
     CodebookMatchSet,
@@ -21,7 +19,6 @@ from ppp.som import (
     _neighborhood,
     _schedule,
     codebook_match,
-    codebook_priors,
     default_grid,
     default_som_config,
     find_bmu,
@@ -319,6 +316,8 @@ class TestTrainSomMatchesReference:
         assert np.array_equal(got.codebook, want.codebook)
         assert np.array_equal(got.hit_counts, want.hit_counts)
         assert got.final_qe == want.final_qe
+        assert np.array_equal(got.match.matched_instance_ids, want.match.matched_instance_ids)
+        assert np.array_equal(got.match.priors, want.match.priors)
 
     @pytest.mark.parametrize(
         "grid, sigma",
@@ -392,12 +391,16 @@ class TestTrainSoms:
             assert np.array_equal(got.codebook, train_som_reference(som, X).codebook)
 
     def test_match_is_the_codebook_match_of_the_training_rows(self):
+        """Each unit's matched row is the reference scan's nearest row, and
+        the priors are the hit shares: proportional to the hits, summing to one."""
         soms, data = self._maps(60, 5, (3, 4), {}, 3, shared=False)
-        for got, X in zip(train_soms(soms, data), data):
-            want = codebook_match(got, X)
+        for som, got, X in zip(soms, train_soms(soms, data), data):
+            want = train_som_reference(som, X).match
             assert np.array_equal(got.match.matched_instance_ids, want.matched_instance_ids)
-            assert np.array_equal(X[got.match.matched_instance_ids], X[want.matched_instance_ids])
             assert np.array_equal(got.match.priors, want.priors)
+            assert np.array_equal(got.match.priors, got.hit_counts / 60)
+            assert np.all(got.match.priors >= 0)
+            assert abs(got.match.priors.sum() - 1.0) < 1e-12
 
     def test_untrained_map_has_no_match(self):
         X = _structured_rows(1, 10, 2)
@@ -506,6 +509,17 @@ class TestCodebookMatch:
             dists = ((X - vec) ** 2).sum(axis=1)
             assert match.matched_instance_ids[k] == int(np.argmin(dists))
 
+    def test_untrained_map_gets_the_rows_hit_shares(self):
+        """Priors come from the matched rows, not from the map's recorded hits."""
+        X = np.array([[0.0, 0.0], [0.2, 0.0], [5.0, 5.0], [0.1, 0.1]])
+        som = SomModel(SomConfig(1, 2), np.array([[0.0, 0.0], [5.0, 5.0]]),
+                       np.zeros(2, dtype=np.int64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = codebook_match(som, X)
+        np.testing.assert_array_equal(match.priors, [0.75, 0.25])
+        np.testing.assert_array_equal(match.matched_instance_ids, [0, 2])
+
     def test_tie_goes_to_lowest_row(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [5.0, 5.0]])
         codebook = np.array([[0.0, 0.0], [5.0, 5.0]])
@@ -522,40 +536,6 @@ class TestCodebookMatchSet:
     def test_nan_prior_rejected(self):
         with pytest.raises(ConfigError):
             CodebookMatchSet(np.array([0, 1]), [np.nan, 0.5])
-
-
-class TestCodebookPriors:
-    def _som_with_hits(self, hits):
-        hits = np.asarray(hits, dtype=np.int64)
-        cfg = SomConfig(1, hits.size) if hits.size > 1 else SomConfig(1, 2)
-        return SomModel(cfg, np.zeros((hits.size, 2)), hits)
-
-    def test_uniform_hits_uniform_prior(self):
-        priors = codebook_priors(self._som_with_hits([3, 3, 3, 3]))
-        np.testing.assert_allclose(priors, 0.25)
-
-    def test_all_mass_on_one_unit(self):
-        priors = codebook_priors(self._som_with_hits([4, 0]))
-        np.testing.assert_array_equal(priors, [1.0, 0.0])
-
-    def test_proportional_to_hits(self):
-        priors = codebook_priors(self._som_with_hits([1, 3]))
-        np.testing.assert_allclose(priors, [0.25, 0.75])
-
-    def test_no_hits_falls_back_to_uniform(self):
-        with pytest.warns(UserWarning, match="no recorded hits"):
-            priors = codebook_priors(self._som_with_hits([0, 0, 0]))
-        np.testing.assert_allclose(priors, 1.0 / 3.0)
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            hits = rng.integers(0, 10, size=6)
-            if hits.sum() == 0:
-                continue
-            priors = codebook_priors(self._som_with_hits(hits))
-            assert abs(priors.sum() - 1.0) < 1e-12
-            assert np.all(priors >= 0)
 
 
 class TestDefaultSomConfig:

@@ -11,9 +11,7 @@ from ppp.data import IndexSet
 from ppp.engine import PppConfig, PppNode, PppTree
 from ppp.errors import ConfigError, ValidationError
 from ppp.synth import (
-    PlantedData,
     PlantedSpec,
-    StabilityReport,
     adjusted_rand_index,
     canonical_split,
     generate_planted,
