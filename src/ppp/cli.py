@@ -37,7 +37,7 @@ _USAGE_ERRORS = (ConfigError, ParseError, FormatError, ValidationError)
 
 
 def _grid(text: str) -> tuple[int, int]:
-    """``RxC`` type of ``--som-grid`` and ``synth --blocks``."""
+    """``RxC`` type of ``synth --blocks``."""
     try:
         rows, cols = text.lower().split("x")
         return int(rows), int(cols)
@@ -79,13 +79,6 @@ def _delimiter(text: str) -> str:
     config file cannot hold (its values are stripped); ``load_csv`` checks
     that a delimiter is one character."""
     return "\t" if text == "\\t" else text
-
-
-def _cov_mode(text: str) -> str:
-    """``--cov-mode`` type: ``full`` or ``diag``, read as the covariance mode it names."""
-    if text not in ("full", "diag"):
-        raise argparse.ArgumentTypeError(f"must be one of full, diag, got {text!r}")
-    return "diagonal" if text == "diag" else text
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -290,11 +283,6 @@ def _add_common_config_flags(sub) -> None:
     sub.add_argument("--config", help="key = value settings file (flags win)")
     sub.add_argument("--seed", dest="master_seed", type=int, default=None,
                      help="master random seed")
-    sub.add_argument("--som-grid", type=_grid, default=None, metavar="RxC",
-                     help="map grid, e.g. 8x8 (default sized per node)")
-    sub.add_argument("--cov-mode", dest="covariance_mode", type=_cov_mode, default=None,
-                     metavar="{full,diag}",
-                     help="mixture covariance shape (default size-based)")
     sub.add_argument("--max-split-attempts", type=int, default=None,
                      help="seeded attempts per node (default 20)")
     sub.add_argument("--patience", type=int, default=None,
@@ -333,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance x feature block counts (default 2x2)")
     synth.add_argument("--gap", type=float, default=4.0, help="block mean separation")
     synth.add_argument("--noise", type=float, default=1.0, help="noise sigma")
-    synth.add_argument("--seed", type=int, default=None, help="generator seed")
+    synth.add_argument("--seed", type=_at_least(0), default=None, help="generator seed")
     synth.set_defaults(func=run_synth)
 
     bench = subs.add_parser("bench", help="measure run-to-run stability")

@@ -29,7 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .gmm import (
-    COVARIANCE_MODES,
     GaussianMixture,
     fit_em,
     init_gmm_from_codebook,
@@ -54,14 +53,14 @@ _FIT_ERRORS = tuple(_FIT_FAILURES)
 class PppConfig:
     """Tunables for one clustering run.
 
-    ``som_grid`` None lets each node pick a grid from its own row count.
-    Maps train for 5 epochs and EM runs with ``fit_em``'s tolerance, iteration
-    cap and ``init_gmm_from_codebook``'s variance-scaled ridge.
+    Each node sizes its map grid from its own row count (``default_grid``)
+    and picks full or diagonal covariance from its own column count
+    (``default_covariance_mode``). Maps train for 5 epochs and EM runs with
+    ``fit_em``'s tolerance, iteration cap and ``init_gmm_from_codebook``'s
+    variance-scaled ridge.
     """
 
     master_seed: int = 0
-    som_grid: tuple[int, int] | None = None
-    covariance_mode: str | None = None
     max_split_attempts: int = 20
     patience: int = 5
     score_threshold: float = 0.5
@@ -73,10 +72,6 @@ class PppConfig:
             raise ConfigError("patience must be at least 1")
         if not (0.0 < self.score_threshold < 1.0):
             raise ConfigError("score_threshold must lie in (0, 1)")
-        if self.covariance_mode is not None and self.covariance_mode not in COVARIANCE_MODES:
-            raise ConfigError(f"covariance_mode must be one of {COVARIANCE_MODES}")
-        # the grid is checked by building the map config it describes
-        default_som_config(2, grid=self.som_grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,9 +228,7 @@ def _frame(X: np.ndarray) -> np.ndarray:
     return Y if spanned.all() and np.isfinite(Y).all() else X
 
 
-def _quantize(
-    config: PppConfig, frames: list[np.ndarray], seeds: list[int]
-) -> list[CodebookMatchSet]:
+def _quantize(frames: list[np.ndarray], seeds: list[int]) -> list[CodebookMatchSet]:
     """The codebook match of one SOM per frame, in the order of the frames.
 
     Map i trains on ``frames[i]``, the :func:`_frame` of some matrix, seeded by
@@ -250,21 +243,20 @@ def _quantize(
         by_shape[Y.shape].append(i)
     matches = [None] * len(frames)
     for (n, _), group in by_shape.items():
-        soms = (init_som(default_som_config(n, seeds[i], config.som_grid), frames[i])
-                for i in group)
+        soms = (init_som(default_som_config(n, seeds[i]), frames[i]) for i in group)
         for i, som in zip(group, train_soms(soms, [frames[i] for i in group])):
             matches[i] = som.match
     return matches
 
 
-def _fit(match: CodebookMatchSet, X: np.ndarray, config: PppConfig) -> GaussianMixture:
+def _fit(match: CodebookMatchSet, X: np.ndarray) -> GaussianMixture:
     """The mixture of X's rows at the match's ids, started from its unit priors.
 
     EM sees every unit's matched vector, prior zero or not. Units that matched
     one instance share one row, so EM runs on the distinct matched rows, in
     order of first occurrence, each counted once per unit that matched it.
     """
-    start = init_gmm_from_codebook(match, X, config.covariance_mode)
+    start = init_gmm_from_codebook(match, X)
     ids = match.matched_instance_ids
     _, first, counts = np.unique(ids, return_index=True, return_counts=True)
     order = np.argsort(first)
@@ -305,7 +297,7 @@ def _attempt(node: PppNode, X: np.ndarray, frame: np.ndarray, config: PppConfig,
     """
     (parent,) = yield [(frame, derive_seed(seed, "parent"))]
     try:
-        scores = mixture_scores(_fit(parent, X, config), X)
+        scores = mixture_scores(_fit(parent, X), X)
     except _FIT_ERRORS as exc:
         empty = IndexSet(np.array([], dtype=np.int64), node.instance_set.universe_size)
         return _ended(seed, empty, _FIT_FAILURES[type(exc)])
@@ -324,7 +316,7 @@ def _attempt(node: PppNode, X: np.ndarray, frame: np.ndarray, config: PppConfig,
     sides = yield [(_frame(X[:, cols]), derive_seed(seed, "child", side))
                    for side, cols in enumerate(columns)]
     try:
-        mixtures = [_fit(m, X[:, cols], config) for m, cols in zip(sides, columns)]
+        mixtures = [_fit(m, X[:, cols]) for m, cols in zip(sides, columns)]
         posteriors = child_posteriors(parent, X, *mixtures, *columns)
     except _FIT_ERRORS as exc:
         return _ended(seed, core_set, _FIT_FAILURES[type(exc)])
@@ -356,7 +348,7 @@ def evaluate_splits(
     asked = {i: next(a) for i, a in enumerate(attempts)}  # attempt -> its map requests
     while asked:
         frames, map_seeds = zip(*(r for rs in asked.values() for r in rs))
-        matches = iter(_quantize(config, list(frames), list(map_seeds)))
+        matches = iter(_quantize(list(frames), list(map_seeds)))
         sizes = {i: len(rs) for i, rs in asked.items()}
         del frames, asked  # the frames go before any attempt resumes
         asked = {}
@@ -405,7 +397,7 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     # 48 x 640 node (K = 48) runs up to 14 attempts at a time, a 300 x 300 node
     # (K = 64) one.
     n, d = len(node.instance_set), len(node.feature_set)
-    n_units = default_som_config(n, 0, config.som_grid).n_units
+    n_units = default_som_config(n).n_units
     width = max(1, _BLOCK_ELEMENTS // (2 * n_units * min(n, d)))
     best: SplitEvaluation | None = None
     stale = 0

@@ -161,7 +161,8 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
     i's path is its parent's plus ``str(i)``. The root must hold every feature
     and each internal node's children must partition its features, so every
     cut covers each feature once. A name table has one distinct string per
-    feature. Feature ids and the two counts must be JSON integers.
+    feature. Feature ids and the two counts must be JSON integers. A tree
+    nested past Python's recursion limit is refused like any other.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -210,7 +211,8 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
         ):
             raise ValueError(f"feature_names must be null or {n_features} distinct strings")
         return PppTree(root, n_instances, n_features), names
-    except (KeyError, TypeError, ValueError, IndexOutOfBounds, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, IndexOutOfBounds, ValidationError,
+            RecursionError) as exc:
         raise FormatError(f"{path} is not a tree export: {exc}") from None
 
 

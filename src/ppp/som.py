@@ -116,14 +116,9 @@ def default_grid(n_instances: int) -> tuple[int, int]:
     return rows, cols
 
 
-def default_som_config(
-    n_instances: int,
-    seed: int = 0,
-    grid: tuple[int, int] | None = None,
-) -> SomConfig:
-    """A ready-to-use config: ``grid``, or else the size-based default grid."""
-    rows, cols = grid if grid is not None else default_grid(n_instances)
-    return SomConfig(rows, cols, seed=seed)
+def default_som_config(n_instances: int, seed: int = 0) -> SomConfig:
+    """A ready-to-use config on the size-based default grid."""
+    return SomConfig(*default_grid(n_instances), seed=seed)
 
 
 def _grid_sqdist(config: SomConfig) -> np.ndarray:

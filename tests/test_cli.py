@@ -47,6 +47,19 @@ def _make_planted(tmp_path, **overrides):
     return out / "planted.csv"
 
 
+def _chain_tree_json(depth: int) -> str:
+    """A valid tree.json whose internal nodes split one leaf feature off, ``depth`` levels deep.
+
+    Built as text: ``json.dumps`` itself recurses once per nesting level.
+    """
+    node = json.dumps({"path": "1" * depth, "status": "leaf_terminal", "feature_ids": [depth]})
+    for k in reversed(range(depth)):
+        leaf = json.dumps({"path": "1" * k + "0", "status": "leaf_terminal", "feature_ids": [k]})
+        node = (f'{{"path": "{"1" * k}", "status": "internal", '
+                f'"feature_ids": {list(range(k, depth + 1))}, "children": [{leaf}, {node}]}}')
+    return f'{{"n_instances": 1, "n_features": {depth + 1}, "root": {node}}}'
+
+
 def _cluster_actions():
     subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand")
     return subcommands.choices["cluster"]._actions
@@ -76,10 +89,9 @@ class TestParsers:
     def test_values_arrive_parsed(self):
         """Every value is in its final form once argparse is done."""
         parser = build_parser()
-        args = parser.parse_args(["cluster", "--out", "o", "--som-grid", "3x4",
-                                  "--cov-mode", "diag", "--threads", "2", "--cut-depth", "0"])
-        assert (args.som_grid, args.covariance_mode, args.threads, args.cut_depth) == \
-            ((3, 4), "diagonal", 2, 0)
+        args = parser.parse_args(["cluster", "--out", "o", "--threshold", "0.4",
+                                  "--threads", "2", "--cut-depth", "0"])
+        assert (args.score_threshold, args.threads, args.cut_depth) == (0.4, 2, 0)
         assert parser.parse_args(["synth", "--out", "o"]).blocks == (2, 2)
         assert parser.parse_args(["bench", "--out", "o"]).seeds == list(range(10))
 
@@ -107,6 +119,13 @@ class TestSynth:
             main(["synth", "--out", str(tmp_path / "o"), "--blocks", "nope"])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_config_flag_is_gone(self, tmp_path):
@@ -168,7 +187,7 @@ class TestCluster:
         rounded = tmp_path / "rounded.csv"
         np.savetxt(rounded, np.round(np.loadtxt(src, delimiter=",")), fmt="%d", delimiter=",")
         out = tmp_path / "res"
-        rc = main(["cluster", "--input", str(rounded), "--out", str(out), "--cov-mode", "full"])
+        rc = main(["cluster", "--input", str(rounded), "--out", str(out)])
         assert rc == 0
         assert json.loads((out / "tree.json").read_text())["root"]["status"]
         rows = (out / "diagnostics.csv").read_text().strip().split("\n")[1:]
@@ -227,11 +246,11 @@ class TestCluster:
     @pytest.mark.parametrize("subcommand", ["cluster", "bench"])
     def test_bad_setting_fails_before_the_input_is_read(self, tmp_path, capsys, subcommand):
         out = tmp_path / "o"
-        rc = main([subcommand, "--som-grid", "1x1", "--input", str(tmp_path / "missing.csv"),
+        rc = main([subcommand, "--threshold", "2", "--input", str(tmp_path / "missing.csv"),
                    "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "grid" in err and "missing.csv" not in err
+        assert "score_threshold" in err and "missing.csv" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--threads", "--cut-depth"])
@@ -338,8 +357,8 @@ class TestDeterminism:
 # one valid value per config-file key; "true" marks a store_true flag
 FILE_SETTINGS = [
     ("has-header", "true"), ("id-column", "true"), ("delimiter", ";"),
-    ("seed", "7"), ("som-grid", "3x4"), ("cov-mode", "diag"), ("max-split-attempts", "4"),
-    ("patience", "2"), ("threshold", "0.4"), ("threads", "2"), ("cut-depth", "1"),
+    ("seed", "7"), ("max-split-attempts", "4"), ("patience", "2"), ("threshold", "0.4"),
+    ("threads", "2"), ("cut-depth", "1"),
 ]
 
 
@@ -378,8 +397,8 @@ class TestConfigFile:
         assert type(from_file[dest]) is type(expected)
 
     @pytest.mark.parametrize("key,text", [
-        ("cov-mode", "diagonal"), ("seed", "seven"), ("cut-depth", "-1"), ("threshold", "x"),
-        ("som-grid", "3by4"), ("threads", "0"), ("threads", "-3"),
+        ("seed", "seven"), ("cut-depth", "-1"), ("threshold", "x"), ("threads", "0"),
+        ("threads", "-3"),
     ])
     def test_bad_value_fails_in_file_and_flag(self, tmp_path, capsys, key, text):
         data = _make_planted(tmp_path)
@@ -446,9 +465,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key,text", [
         ("som-epochs", "5"), ("em-tol", "1e-4"), ("em-max-iter", "100"), ("reg-eps", "1e-6"),
+        ("som-grid", "8x8"), ("cov-mode", "full"),
     ])
     def test_fixed_tree_constants_are_not_settings(self, tmp_path, capsys, key, text):
-        """Map epochs, EM tolerance, EM iteration cap and ridge are constants."""
+        """Map epochs, EM tolerance, EM iteration cap and ridge are constants; each
+        node sizes its map grid from its rows and picks its covariance shape from
+        its columns."""
         data = _make_planted(tmp_path)
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
@@ -661,10 +683,11 @@ class TestCut:
              {"path": "00", "status": "leaf_terminal", "feature_ids": [0]},
              {"path": "1", "status": "leaf_terminal", "feature_ids": [1]},
          ]}},
+        _chain_tree_json(600),
     ], ids=["not-json", "out-of-range-id", "overlapping-children", "repeated-id",
             "unknown-status", "childless-internal", "leaf-with-children",
             "short-name-table", "string-name-table", "repeated-name", "huge-id",
-            "path-off-shape"])
+            "path-off-shape", "too-deep"])
     def test_malformed_tree_is_usage_error(self, tmp_path, capsys, doc):
         tree = tmp_path / "tree.json"
         tree.write_text(doc if isinstance(doc, str) else json.dumps(doc))

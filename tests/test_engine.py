@@ -31,7 +31,13 @@ from ppp.errors import (
     SingularCovariance,
     ValidationError,
 )
-from ppp.gmm import GaussianMixture, fit_em, init_gmm_from_codebook, mixture_scores
+from ppp.gmm import (
+    GaussianMixture,
+    default_covariance_mode,
+    fit_em,
+    init_gmm_from_codebook,
+    mixture_scores,
+)
 from ppp.som import CodebookMatchSet, default_grid, default_som_config, init_som, train_soms
 from ppp.synth import PlantedSpec, adjusted_rand_index, generate_planted
 from support import mixture_pdf
@@ -198,7 +204,7 @@ class TestQuantize:
         frames = [engine_mod._frame(X) for X in matrices]
         assert all(Y.shape == (shape[0], shape[0]) for Y in frames)
         seeds = [7, 8, 9]
-        got = engine_mod._quantize(PppConfig(), frames, seeds)
+        got = engine_mod._quantize(frames, seeds)
         soms = [init_som(default_som_config(shape[0], s), X) for X, s in zip(matrices, seeds)]
         for X, match, som in zip(matrices, got, train_soms(soms, matrices)):
             ids = match.matched_instance_ids
@@ -214,7 +220,7 @@ class TestQuantize:
                   [(30, 5), (30, 7), (30, 5), (30, 7), (30, 7)]]
         seeds = [3, 4, 5, 6, 7]
         calls = _trained_shapes(monkeypatch)
-        got = engine_mod._quantize(PppConfig(), frames, seeds)
+        got = engine_mod._quantize(frames, seeds)
         assert calls == [[(30, 5)] * 2, [(30, 7)] * 3]
         assert len(got) == len(frames)
         for Y, seed, match in zip(frames, seeds, got):
@@ -246,8 +252,8 @@ class TestQuantize:
         starts = []
         real = engine_mod.init_gmm_from_codebook
 
-        def init(match, data, mode):
-            start = real(match, data, mode)
+        def init(match, data):
+            start = real(match, data)
             starts.append((match, data, start))
             return start
 
@@ -288,10 +294,10 @@ class TestFit:
         distinct matched rows scores the node rows as a fit of one component per
         positive-prior unit on every unit's matched vector does."""
         X = planted.matrix.values
-        match = engine_mod._quantize(PppConfig(), [X], [11])[0]
+        match = engine_mod._quantize([X], [11])[0]
         ids = match.matched_instance_ids
         assert np.unique(ids).size < len(match)
-        got = engine_mod._fit(match, X, PppConfig())
+        got = engine_mod._fit(match, X)
         keep = match.priors > 0
         start = init_gmm_from_codebook(match, X)
         unmerged = GaussianMixture(
@@ -311,7 +317,7 @@ class TestFit:
         ids = np.arange(0, 120, 3)
         seen = []
         monkeypatch.setattr(engine_mod, "fit_em", lambda g, data, **kw: seen.append((data, kw)))
-        engine_mod._fit(CodebookMatchSet(ids, np.full(ids.size, 1 / ids.size)), X, PppConfig())
+        engine_mod._fit(CodebookMatchSet(ids, np.full(ids.size, 1 / ids.size)), X)
         (data, kw), = seen
         assert np.array_equal(data, X[ids])
         assert list(kw) == ["counts"] and np.array_equal(kw["counts"], np.ones(ids.size))
@@ -831,6 +837,22 @@ class TestBuildTree:
         assert tree.root.is_leaf
         assert tree.root.status == "leaf_unsplittable"
 
+    def test_each_fit_picks_its_covariance_shape_from_its_columns(self, monkeypatch):
+        """Diagonal over more than 50 columns, full otherwise, per fit: a
+        48 x 120 planted tree fits mixtures on both sides of that line."""
+        seen = []
+        real = engine_mod.fit_em
+
+        def fit(g, data, **kwargs):
+            seen.append((g.covariance_mode, data.shape[1]))
+            return real(g, data, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "fit_em", fit)
+        spec = PlantedSpec.even(48, 120, (2, 2), gap=4.0, noise_sigma=1.0, seed=1)
+        build_tree(generate_planted(spec).matrix, PppConfig(master_seed=0))
+        assert {d > 50 for _, d in seen} == {True, False}
+        assert all(mode == default_covariance_mode(d) for mode, d in seen)
+
     def test_planted_root_recovered(self, planted):
         tree = build_tree(planted.matrix, PppConfig(master_seed=3))
         assert _blocks(tree.root) == frozenset(
@@ -984,11 +1006,11 @@ class TestPppConfig:
         {"patience": 0},
         {"score_threshold": 0.0},
         {"score_threshold": 1.0},
-        {"covariance_mode": "diag"},
-        {"som_grid": (0, 2)},
-        {"som_grid": (2, 0)},
+        {"max_split_attempts": -1},
+        {"patience": -1},
+        {"score_threshold": -0.5},
         {"score_threshold": float("nan")},
-        {"som_grid": (1, 1)},
+        {"score_threshold": float("inf")},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -1019,7 +1041,3 @@ class TestPppConfig:
             1.0, max(som_cfg.grid_rows, som_cfg.grid_cols) / 2.0
         )
         assert som_cfg.sigma_end == 0.5
-
-    def test_grid_override(self, monkeypatch):
-        som_cfg = self._parent_som_config(monkeypatch, PppConfig(som_grid=(3, 5)), 100, 0)
-        assert (som_cfg.grid_rows, som_cfg.grid_cols) == (3, 5)

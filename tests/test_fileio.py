@@ -362,7 +362,7 @@ class TestManifest:
     def test_written_fields(self, tmp_path):
         data = _write(tmp_path / "in.csv", "1,2\n3,4\n")
         p = tmp_path / "manifest.json"
-        config = asdict(PppConfig(master_seed=7, som_grid=(3, 5)))
+        config = asdict(PppConfig(master_seed=7, score_threshold=0.25))
         write_manifest(p, "cluster", {"tree": tmp_path / "tree.json"}, 7, config, str(data))
         doc = json.loads(p.read_text())
         assert sorted(doc) == ["command", "config", "created_utc", "input_path",
@@ -372,8 +372,8 @@ class TestManifest:
         assert doc["input_sha256"] == hashlib.sha256(b"1,2\n3,4\n").hexdigest()
         assert doc["output_paths"] == {"tree": str(tmp_path / "tree.json")}
         assert doc["master_seed"] == 7
-        assert doc["config"]["som_grid"] == [3, 5]
-        assert doc["config"]["max_split_attempts"] == 20
+        assert doc["config"] == {"master_seed": 7, "max_split_attempts": 20, "patience": 5,
+                                 "score_threshold": 0.25}
         assert doc["tool_version"]
         assert datetime.fromisoformat(doc["created_utc"]).tzinfo is not None
         assert not (tmp_path / "manifest.json.tmp").exists()
