@@ -7,7 +7,13 @@ fine second, and the cuts at successive depths should track both levels.
 
 import numpy as np
 
-from ppp.engine import PppConfig, accepted_posterior_by_depth, build_tree, cut_tree
+from ppp.engine import (
+    PppConfig,
+    accepted_posterior_by_depth,
+    build_tree,
+    cluster_labels,
+    cut_tree,
+)
 from ppp.synth import PlantedSpec, adjusted_rand_index, generate_planted
 
 
@@ -46,10 +52,7 @@ def main():
     for depth, truth, label in [(1, coarse, "coarse halves"),
                                 (None, fine, "fine blocks")]:
         clusters = cut_tree(tree, depth)
-        labels = np.empty(tree.n_features, dtype=int)
-        for k, cluster in enumerate(clusters):
-            labels[cluster.indices] = k
-        ari = adjusted_rand_index(labels, truth)
+        ari = adjusted_rand_index(cluster_labels(clusters, tree.n_features), truth)
         shown = "leaves" if depth is None else f"depth {depth}"
         print(f"\ncut at {shown}: {len(clusters)} clusters, "
               f"ARI vs planted {label}: {ari:.3f}")

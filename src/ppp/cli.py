@@ -22,6 +22,7 @@ from .errors import ConfigError, FormatError, ParseError, PppError, ValidationEr
 from .fileio import (
     export_assignment_csv,
     export_diagnostics_csv,
+    export_labels_csv,
     export_matrix_csv,
     export_report,
     export_tree_json,
@@ -94,7 +95,7 @@ def _file_value(action: argparse.Action, text: str):
 
 
 def _load_config_file(path: str, settable=None) -> dict:
-    """Flat key = value lines; '#' starts a comment.
+    """Flat key = value lines of UTF-8 text; '#' starts a comment.
 
     The keys are the ``cluster`` flags apart from the paths, spelled without
     the leading dashes; a key whose destination is not in ``settable`` (the
@@ -109,7 +110,7 @@ def _load_config_file(path: str, settable=None) -> dict:
     }
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -128,6 +129,8 @@ def _load_config_file(path: str, settable=None) -> dict:
                     raise ConfigError(f"{where}: {key}: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     return values
 
 
@@ -207,30 +210,24 @@ def run_cluster(args) -> int:
 
 
 def run_synth(args) -> int:
-    seed = args.seed or 0
     spec = PlantedSpec.even(
         n_instances=args.instances,
         n_features=args.features,
         shape=args.blocks,
         gap=args.gap,
         noise_sigma=args.noise,
-        seed=seed,
+        seed=args.seed,
     )
     planted = generate_planted(spec)
 
     out = _out_dir(args.out)
     paths = {"data": out / "planted.csv", "labels": out / "labels.csv", "manifest": out / "manifest.json"}
     export_matrix_csv(planted.matrix, paths["data"])
-    with open(paths["labels"], "w", newline="") as fh:
-        fh.write("axis,index,block\n")
-        for i, label in enumerate(planted.instance_labels):
-            fh.write(f"instance,{i},{int(label)}\n")
-        for j, label in enumerate(planted.feature_labels):
-            fh.write(f"feature,{j},{int(label)}\n")
+    export_labels_csv(planted.instance_labels, planted.feature_labels, paths["labels"])
     settings = {"instances": args.instances, "features": args.features,
                 "blocks": "{}x{}".format(*args.blocks), "gap": args.gap, "noise": args.noise,
-                "seed": seed}
-    write_manifest(paths["manifest"], "synth", paths, seed, settings)
+                "seed": args.seed}
+    write_manifest(paths["manifest"], "synth", paths, args.seed, settings)
     print(f"wrote {paths['data']} ({args.instances}x{args.features}) and {paths['labels']}")
     return 0
 
@@ -321,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance x feature block counts (default 2x2)")
     synth.add_argument("--gap", type=float, default=4.0, help="block mean separation")
     synth.add_argument("--noise", type=float, default=1.0, help="noise sigma")
-    synth.add_argument("--seed", type=_at_least(0), default=None, help="generator seed")
+    synth.add_argument("--seed", type=_at_least(0), default=0, help="generator seed (default 0)")
     synth.set_defaults(func=run_synth)
 
     bench = subs.add_parser("bench", help="measure run-to-run stability")

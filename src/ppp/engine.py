@@ -66,10 +66,12 @@ class PppConfig:
     score_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.max_split_attempts < 1:
-            raise ConfigError("max_split_attempts must be at least 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be at least 1")
+        for name in ("max_split_attempts", "patience"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if not (0.0 < self.score_threshold < 1.0):
             raise ConfigError("score_threshold must lie in (0, 1)")
 
@@ -473,18 +475,10 @@ def cut_tree(tree: PppTree, depth: int | None = None) -> list[IndexSet]:
     """
     if depth is not None and depth < 0:
         raise ConfigError("cut depth must be nonnegative")
-    clusters: list[IndexSet] = []
-
-    def visit(node: PppNode) -> None:
-        at_frontier = node.is_leaf or (depth is not None and node.depth == depth)
-        if at_frontier:
-            clusters.append(node.feature_set)
-            return
-        for child in node.children:
-            visit(child)
-
-    visit(tree.root)
-    return clusters
+    return [
+        n.feature_set for n in tree.nodes()
+        if (n.is_leaf and (depth is None or n.depth <= depth)) or n.depth == depth
+    ]
 
 
 def cluster_labels(clusters: list[IndexSet], n_features: int) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Every writer emits deterministic bytes for identical inputs: keys are sorted,
 floats use their shortest round-trip repr, and nothing except the manifest
-embeds wall-clock state.
+embeds wall-clock state. Files are read and written as UTF-8 whatever the
+locale, and every artifact goes through ``_write``, so it appears complete or
+not at all.
 """
 
 from __future__ import annotations
@@ -28,14 +30,19 @@ def load_csv(
     """Read a numeric CSV into a DesignMatrix.
 
     ``has_header`` consumes the first line as feature names; ``id_column``
-    consumes the first column as instance ids. Cells must parse as finite
-    floats. Errors carry zero-based (row, col) positions in data coordinates,
-    counted after the header and id column are stripped.
+    consumes the first column as instance ids. The file is UTF-8, with or
+    without a byte order mark, and blank lines are skipped. Cells must parse
+    as finite floats. Errors carry zero-based (row, col) positions in data
+    coordinates, counted after blank lines, the header and the id column are
+    stripped.
     """
     if len(delimiter) != 1:
         raise FormatError(f"delimiter must be one character, got {delimiter!r}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise FormatError(f"{path} is empty")
 
@@ -94,15 +101,24 @@ def _fmt(value: float) -> str:
 
 def export_matrix_csv(m: DesignMatrix, path) -> None:
     """Write a matrix so that load_csv round-trips it exactly."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        has_ids = m.instance_ids is not None
+    has_ids = m.instance_ids is not None
+
+    def rows():
         if m.feature_ids is not None:
-            header = (["id"] if has_ids else []) + list(m.feature_ids)
-            writer.writerow(header)
+            yield (["id"] if has_ids else []) + list(m.feature_ids)
         for i in range(m.n_instances):
-            row = [m.instance_ids[i]] if has_ids else []
-            writer.writerow(row + [_fmt(v) for v in m.values[i]])
+            yield ([m.instance_ids[i]] if has_ids else []) + [_fmt(v) for v in m.values[i]]
+
+    _write_csv(path, rows())
+
+
+def export_labels_csv(instance_labels, feature_labels, path) -> None:
+    """Planted block labels as axis,index,block rows, the instances first."""
+    _write_csv(path, [
+        ("axis", "index", "block"),
+        *(("instance", i, int(block)) for i, block in enumerate(instance_labels)),
+        *(("feature", j, int(block)) for j, block in enumerate(feature_labels)),
+    ])
 
 
 def _node_dict(node: PppNode) -> dict:
@@ -221,11 +237,9 @@ def export_assignment_csv(
 ) -> list[IndexSet]:
     """Write ``cut_tree(tree, depth)`` as feature_id,cluster_id rows and return it."""
     clusters = cut_tree(tree, depth)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_id", "cluster_id"])
-        for i, ci in enumerate(cluster_labels(clusters, tree.n_features).tolist()):
-            writer.writerow([i if feature_ids is None else feature_ids[i], ci])
+    names = range(tree.n_features) if feature_ids is None else feature_ids
+    labels = cluster_labels(clusters, tree.n_features).tolist()
+    _write_csv(path, [("feature_id", "cluster_id"), *zip(names, labels)])
     return clusters
 
 
@@ -235,15 +249,16 @@ def export_diagnostics_csv(tree: PppTree, path) -> None:
     Columns: node_path,attempt,seed,phi1,phi2,phi,outcome,core,child_a,child_b,
     the last three the instance counts of the attempt's core and child sets.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_path", "attempt", "seed", "phi1", "phi2", "phi", "outcome",
-                         "core", "child_a", "child_b"])
+    def rows():
+        yield ["node_path", "attempt", "seed", "phi1", "phi2", "phi", "outcome",
+               "core", "child_a", "child_b"]
         for node in tree.nodes():
             for i, a in enumerate(node.attempts):
                 phi = "" if a.score is None else _fmt(a.score)
-                writer.writerow([node.path, i, a.attempt_seed, *map(_fmt, a.overlaps), phi,
-                                 a.outcome, len(a.core_set), *map(len, a.child_sets)])
+                yield [node.path, i, a.attempt_seed, *map(_fmt, a.overlaps), phi,
+                       a.outcome, len(a.core_set), *map(len, a.child_sets)]
+
+    _write_csv(path, rows())
 
 
 def report_to_dict(report) -> dict:
@@ -270,17 +285,18 @@ def export_report(report, json_path, csv_path) -> None:
     """Stability report as a JSON summary plus a per-seed CSV."""
     _write_json(report_to_dict(report), json_path)
     modal_split = report.split_frequencies[0][0]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "root_split_sizes", "root_score", "n_leaf_clusters", "matches_modal"])
+
+    def rows():
+        yield ["seed", "root_split_sizes", "root_score", "n_leaf_clusters", "matches_modal"]
         for pos, seed in enumerate(report.seeds):
             split = report.root_splits[pos]
             sizes = "" if split is None else "+".join(str(len(side)) for side in split)
             score = report.root_scores[pos]
             n_clusters = int(report.leaf_labels[pos].max()) + 1
-            writer.writerow(
-                [seed, sizes, "" if score is None else _fmt(score), n_clusters, split == modal_split]
-            )
+            yield [seed, sizes, "" if score is None else _fmt(score), n_clusters,
+                   split == modal_split]
+
+    _write_csv(csv_path, rows())
 
 
 def write_manifest(path, command, outputs: dict, master_seed: int, config: dict,
@@ -288,8 +304,7 @@ def write_manifest(path, command, outputs: dict, master_seed: int, config: dict,
     """Write everything needed to reproduce a run next to its outputs.
 
     The manifest records the input file's SHA-256 (null without an input), the
-    tool version and the UTC time. The write is atomic: the manifest appears
-    complete or not at all.
+    tool version and the UTC time.
     """
     _write_json({
         "command": command,
@@ -304,10 +319,28 @@ def write_manifest(path, command, outputs: dict, master_seed: int, config: dict,
     }, path)
 
 
+def _write(path, fill) -> None:
+    """Write a UTF-8 text file whole or not at all.
+
+    ``fill(fh)`` writes into ``path.tmp``, which then replaces ``path``; if
+    ``fill`` fails, the partial file is removed. Line ends are written as
+    given, whatever the platform.
+    """
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fill(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path, rows) -> None:
+    """CSV records ended by CRLF, streamed from ``rows`` (the header first)."""
+    _write(path, lambda fh: csv.writer(fh).writerows(rows))
+
+
 def _write_json(doc, path) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    _write(path, lambda fh: fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n"))
 

@@ -4,7 +4,10 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,7 +28,8 @@ from ppp.cli import (
 from ppp.engine import PppConfig
 from ppp.fileio import load_csv
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _make_planted(tmp_path, **overrides):
@@ -93,6 +97,7 @@ class TestParsers:
                                   "--threads", "2", "--cut-depth", "0"])
         assert (args.score_threshold, args.threads, args.cut_depth) == (0.4, 2, 0)
         assert parser.parse_args(["synth", "--out", "o"]).blocks == (2, 2)
+        assert parser.parse_args(["synth", "--out", "o"]).seed == 0
         assert parser.parse_args(["bench", "--out", "o"]).seeds == list(range(10))
 
 
@@ -308,6 +313,29 @@ class TestCluster:
         assert rc == 2
         assert "'x'" in capsys.readouterr().err
 
+    def test_latin1_input_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"G\xe8ne,b\n1,2\n3,4\n")
+        rc = main(["cluster", "--input", str(bad), "--out", str(tmp_path / "o"),
+                   "--has-header"])
+        assert rc == 2
+        assert f"{bad} is not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda raw: b"\xef\xbb\xbf" + raw, id="byte-order-mark"),
+        pytest.param(lambda raw: raw + b"\n", id="blank-line"),
+    ])
+    def test_input_edits_that_change_no_artifact(self, tmp_path, edit):
+        data = _make_planted(tmp_path, instances=40, features=6)
+        edited = tmp_path / "edited.csv"
+        edited.write_bytes(edit(data.read_bytes()))
+        for name, path in (("plain", data), ("edited", edited)):
+            assert main(["cluster", "--input", str(path), "--out", str(tmp_path / name)]) == 0
+        for artifact in ("tree.json", "assignment.csv", "diagnostics.csv"):
+            plain = (tmp_path / "plain" / artifact).read_bytes()
+            assert (tmp_path / "edited" / artifact).read_bytes() == plain
+
     def test_single_feature_is_usage_error(self, tmp_path, capsys):
         thin = tmp_path / "thin.csv"
         thin.write_text("1\n2\n3\n")
@@ -462,6 +490,20 @@ class TestConfigFile:
                    "--out", str(tmp_path / "o"), "--config", str(cfg)])
         assert rc == 2
         assert "key = value" in capsys.readouterr().err
+
+    def test_latin1_config_is_usage_error(self, tmp_path, capsys):
+        data = _make_planted(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1 # caf\xe9\n")
+        rc = main(["cluster", "--input", str(data),
+                   "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == 2
+        assert f"config file {cfg} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed = 1\n")
+        assert _load_config_file(str(cfg)) == {"master_seed": 1}
 
     @pytest.mark.parametrize("key,text", [
         ("som-epochs", "5"), ("em-tol", "1e-4"), ("em-max-iter", "100"), ("reg-eps", "1e-6"),
@@ -707,3 +749,47 @@ class TestCut:
             assert rc == 2
             err = capsys.readouterr().err
             assert "ghost.json" in err and "run failed" not in err
+
+
+UTF8_MODE = {"PYTHONUTF8": "1"}
+C_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+def _ppp_process(environment: dict, *argv) -> None:
+    """Run ``python -m ppp.cli`` in a child process in which a text ``open``
+    without an encoding is an error; assert that it exits 0."""
+    env = dict(os.environ, **environment)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "ppp.cli", *map(str, argv)],
+        env=env, capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+
+
+class TestLocale:
+    def test_every_subcommand_names_its_encodings(self, tmp_path):
+        _ppp_process(UTF8_MODE, "synth", "--out", tmp_path / "data",
+                     "--instances", "40", "--features", "6", "--seed", "1")
+        data = tmp_path / "data" / "planted.csv"
+        _ppp_process(UTF8_MODE, "cluster", "--input", data, "--out", tmp_path / "run")
+        _ppp_process(UTF8_MODE, "cut", "--tree", tmp_path / "run" / "tree.json",
+                     "--cut-depth", "1", "--out", tmp_path / "cut.csv")
+        _ppp_process(UTF8_MODE, "bench", "--input", data, "--out", tmp_path / "bench",
+                     "--seeds", "0..1")
+
+    def test_c_locale_writes_the_same_bytes(self, tmp_path):
+        """A UTF-8 header clusters to the same artifacts under the C locale."""
+        data = _make_planted(tmp_path, instances=40, features=6)
+        named = tmp_path / "named.csv"
+        header = ",".join(["Gène"] + [f"f{j}" for j in range(1, 6)])
+        named.write_bytes(header.encode("utf-8") + b"\r\n" + data.read_bytes())
+        for name, environment in (("utf8", UTF8_MODE), ("c", C_LOCALE)):
+            _ppp_process(environment, "cluster", "--input", named, "--has-header",
+                         "--out", tmp_path / name)
+        for artifact in ("tree.json", "assignment.csv", "diagnostics.csv"):
+            assert (tmp_path / "c" / artifact).read_bytes() == \
+                (tmp_path / "utf8" / artifact).read_bytes()
+        assert b"\r\nG\xc3\xa8ne," in (tmp_path / "c" / "assignment.csv").read_bytes()

@@ -1011,10 +1011,19 @@ class TestPppConfig:
         {"score_threshold": -0.5},
         {"score_threshold": float("nan")},
         {"score_threshold": float("inf")},
+        {"max_split_attempts": 2.5},
+        {"max_split_attempts": 3.0},
+        {"max_split_attempts": "3"},
+        {"patience": True},
+        {"patience": np.float64(2.0)},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             PppConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = PppConfig(max_split_attempts=np.int64(3), patience=np.int32(2))
+        assert (config.max_split_attempts, config.patience) == (3, 2)
 
     @staticmethod
     def _parent_som_config(monkeypatch, config, n_instances, seed):

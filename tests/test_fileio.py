@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from ppp.data import DesignMatrix, IndexSet, derive_seed
+import ppp.fileio as fileio_mod
+from ppp.cli import main
 from ppp.engine import PppConfig, PppNode, PppTree, build_tree, cut_tree
 from ppp.errors import FormatError, ParseError, ValidationError
 from ppp.fileio import (
     export_assignment_csv,
     export_diagnostics_csv,
+    export_labels_csv,
     export_matrix_csv,
     export_report,
     export_tree_json,
@@ -124,6 +127,35 @@ class TestLoadCsv:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv")
+
+    def test_utf8_header(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes("Gène,b\n1,2\n3,4\n".encode("utf-8"))
+        assert load_csv(p, has_header=True).feature_ids == ("Gène", "b")
+
+    def test_latin1_is_format_error(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"G\xe8ne,b\n1,2\n3,4\n")
+        with pytest.raises(FormatError, match=f"{p} is not UTF-8 text"):
+            load_csv(p, has_header=True)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        np.testing.assert_array_equal(load_csv(p).values, [[1.0, 2.0], [3.0, 4.0]])
+        p.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+        assert load_csv(p, has_header=True).feature_ids == ("a", "b")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = _write(tmp_path / "m.csv", "\na,b\n1,2\n\n3,4\n\n")
+        m = load_csv(p, has_header=True)
+        assert m.feature_ids == ("a", "b")
+        np.testing.assert_array_equal(m.values, [[1.0, 2.0], [3.0, 4.0]])
+        # positions count data rows, not file lines
+        p = _write(tmp_path / "m.csv", "1,2\n\n\n3,x\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(p)
+        assert (exc.value.row, exc.value.col) == (1, 1)
 
 
 class TestMatrixRoundTrip:
@@ -377,3 +409,39 @@ class TestManifest:
         assert doc["tool_version"]
         assert datetime.fromisoformat(doc["created_utc"]).tzinfo is not None
         assert not (tmp_path / "manifest.json.tmp").exists()
+
+    def test_cluster_run_leaves_no_temporary_files(self, tmp_path):
+        data = generate_planted(PlantedSpec.even(40, 6, (2, 2), seed=1))
+        export_matrix_csv(data.matrix, tmp_path / "in.csv")
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(tmp_path / "in.csv"), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "assignment.csv", "diagnostics.csv", "manifest.json", "tree.json"]
+
+
+class TestWrite:
+    def test_utf8_and_line_ends_as_given(self, tmp_path):
+        p = tmp_path / "t.txt"
+        fileio_mod._write(p, lambda fh: fh.write("Gène\r\nb\n"))
+        assert p.read_bytes() == "Gène\r\nb\n".encode("utf-8")
+        assert not (tmp_path / "t.txt.tmp").exists()
+
+    def test_failed_fill_leaves_the_old_file(self, tmp_path):
+        p = _write(tmp_path / "t.csv", "old\n")
+
+        def fill(fh):
+            fh.write("half a file")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            fileio_mod._write(p, fill)
+        assert p.read_text() == "old\n"
+        assert sorted(tmp_path.iterdir()) == [p]
+
+    def test_labels_csv(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        export_labels_csv(np.array([0, 1]), np.array([1, 0, 1]), p)
+        assert p.read_bytes() == (
+            b"axis,index,block\r\ninstance,0,0\r\ninstance,1,1\r\n"
+            b"feature,0,1\r\nfeature,1,0\r\nfeature,2,1\r\n"
+        )
