@@ -185,7 +185,8 @@ def submatrix(m: DesignMatrix, rows: IndexSet, cols: IndexSet) -> DesignMatrix:
             f"selection built for {rows.universe_size}x{cols.universe_size}, "
             f"matrix is {m.n_instances}x{m.n_features}"
         )
-    values = m.values[np.ix_(rows.indices, cols.indices)].copy()
+    # fancy indexing already returns a fresh array
+    values = m.values[np.ix_(rows.indices, cols.indices)]
     instance_ids = None
     if m.instance_ids is not None:
         instance_ids = tuple(m.instance_ids[i] for i in rows.indices)

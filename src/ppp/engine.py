@@ -447,8 +447,9 @@ def build_tree(data: DesignMatrix, config: PppConfig, threads: int = 1) -> PppTr
         raise ConfigError(f"threads must be at least 1, got {threads}")
     X = data.values
     bound = float(np.sqrt(np.finfo(float).max / (4 * max(X.shape))))
-    row, col = np.unravel_index(np.argmax(np.abs(X)), X.shape)
-    if abs(X[row, col]) > bound:
+    if max(X.max(), -X.min()) > bound:
+        # the n x d temporary of abs() is made only to name the entry
+        row, col = np.unravel_index(np.argmax(np.abs(X)), X.shape)
         raise ValidationError(
             f"entry ({row}, {col}) = {X[row, col]:.6g} exceeds {bound:.3g} in magnitude, the "
             f"most a {X.shape[0]}x{X.shape[1]} matrix takes before its sums of squares overflow"

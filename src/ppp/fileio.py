@@ -34,51 +34,67 @@ def load_csv(
     without a byte order mark, and blank lines are skipped. Cells must parse
     as finite floats. Errors carry zero-based (row, col) positions in data
     coordinates, counted after blank lines, the header and the id column are
-    stripped.
+    stripped; the first fault in file order is the one reported.
+
+    Rows are parsed as they are read into a float64 buffer that doubles when
+    full and is trimmed at the end, so the text of only one row is held at a
+    time, never the whole file.
     """
     if len(delimiter) != 1:
         raise FormatError(f"delimiter must be one character, got {delimiter!r}")
+    feature_ids = None
+    instance_ids = [] if id_column else None
+    values = None
+    n = 0
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                for row in reader:
+                    if not row:
+                        continue
+                    if has_header and feature_ids is None:
+                        feature_ids = tuple(row[1:] if id_column else row)
+                        continue
+                    if values is None:
+                        width = len(row)
+                        values = np.empty((16, width - (1 if id_column else 0)))
+                    elif len(row) != width:
+                        raise FormatError(
+                            f"{path}: row {n} has {len(row)} fields, expected {width}"
+                        )
+                    elif n == len(values):
+                        # in place where the allocator can; the new rows are zeroed
+                        values.resize((2 * n, values.shape[1]), refcheck=False)
+                    cells = row
+                    if id_column:
+                        instance_ids.append(cells[0])
+                        cells = cells[1:]
+                    try:
+                        values[n] = list(map(float, cells))
+                    except ValueError:
+                        # parse cell by cell to name the first one that fails
+                        for c, cell in enumerate(cells):
+                            try:
+                                float(cell)
+                            except ValueError:
+                                raise ParseError(
+                                    f"{path}: cell {cell!r} at row {n}, col {c} is not a number",
+                                    row=n,
+                                    col=c,
+                                ) from None
+                    n += 1
+            except csv.Error as exc:
+                raise FormatError(
+                    f"{path}: malformed CSV at line {reader.line_num}: {exc}"
+                ) from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
-    if not rows:
-        raise FormatError(f"{path} is empty")
-
-    feature_ids = None
-    if has_header:
-        header = rows[0]
-        rows = rows[1:]
-        if not rows:
-            raise FormatError(f"{path} has a header but no data rows")
-        feature_ids = tuple(header[1:] if id_column else header)
-
-    width = len(rows[0])
-    instance_ids = [] if id_column else None
-    values = np.empty((len(rows), width - (1 if id_column else 0)))
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise FormatError(
-                f"{path}: row {r} has {len(row)} fields, expected {width}"
-            )
-        cells = row
-        if id_column:
-            instance_ids.append(cells[0])
-            cells = cells[1:]
-        try:
-            values[r] = list(map(float, cells))
-        except ValueError:
-            # parse cell by cell to name the first one that fails
-            for c, cell in enumerate(cells):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: cell {cell!r} at row {r}, col {c} is not a number",
-                        row=r,
-                        col=c,
-                    ) from None
+    if values is None:
+        if feature_ids is None:
+            raise FormatError(f"{path} is empty")
+        raise FormatError(f"{path} has a header but no data rows")
+    values.resize((n, values.shape[1]), refcheck=False)
     if not np.all(np.isfinite(values)):
         r, c = np.argwhere(~np.isfinite(values))[0]
         raise ValidationError(

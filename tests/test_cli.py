@@ -322,6 +322,16 @@ class TestCluster:
         assert f"{bad} is not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_malformed_quoting_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "quote.csv"
+        bad.write_text('1,"2\n' + "3,4\n" * 40000)
+        rc = main(["cluster", "--input", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: malformed CSV at line" in err
+        assert "unexpected failure" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda raw: b"\xef\xbb\xbf" + raw, id="byte-order-mark"),
         pytest.param(lambda raw: raw + b"\n", id="blank-line"),

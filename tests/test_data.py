@@ -203,8 +203,11 @@ class TestSubmatrix:
     def test_returns_fresh_copy(self):
         m = DesignMatrix(np.zeros((3, 3)))
         out = submatrix(m, IndexSet.full(3), IndexSet.full(3))
+        assert not np.shares_memory(out.values, m.values)
         out.values[0, 0] = 99.0
         assert m.values[0, 0] == 0.0
+        part = submatrix(m, IndexSet.from_iterable([1, 2], 3), IndexSet.from_iterable([0, 2], 3))
+        assert not np.shares_memory(part.values, m.values)
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import tracemalloc
 from dataclasses import asdict
 from datetime import datetime
 
@@ -93,6 +95,42 @@ class TestLoadCsv:
         p = _write(tmp_path / "m.csv", "\n".join(",".join(row) for row in cells) + "\n")
         want = np.array([[float(c) for c in row] for row in cells])
         assert load_csv(p).values.tobytes() == want.tobytes()
+        # tall, with a header, an id column and blank lines: 1000 rows cross
+        # every doubling of the row buffer, and its trim
+        values = rng.standard_normal((1000, 5)) * 10.0 ** rng.integers(-300, 300, (1000, 5))
+        cells = [list(map(repr, row)) for row in values.tolist()]
+        cells[17][:3] = ["-0.0", " 7", "1_000"]
+        lines = ["id,a,b,c,d,e", ""] + [f"r{i}," + ",".join(row) for i, row in enumerate(cells)]
+        lines[300:300] = ["", ""]
+        p = _write(tmp_path / "tall.csv", "\n".join(lines) + "\n\n")
+        m = load_csv(p, has_header=True, id_column=True)
+        want = np.array([[float(c) for c in row] for row in cells])
+        assert m.values.tobytes() == want.tobytes()
+        assert m.instance_ids == tuple(f"r{i}" for i in range(1000))
+        assert m.feature_ids == ("a", "b", "c", "d", "e")
+
+    def test_peak_memory_is_a_few_matrices(self, tmp_path):
+        rng = np.random.default_rng(4)
+        text = "".join(",".join(map(repr, row)) + "\n"
+                       for row in rng.standard_normal((2000, 500)).tolist())
+        p = _write(tmp_path / "m.csv", text)
+        del text
+        tracemalloc.start()
+        try:
+            m = load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.values.shape == (2000, 500)
+        # holding every cell as a str until the last row peaks at about 10x
+        assert peak <= 3 * m.values.nbytes
+
+    def test_malformed_quoting_is_format_error(self, tmp_path):
+        # the open quote swallows the lines after it until the field limit
+        p = _write(tmp_path / "m.csv", '1,"2\n' + "3,4\n" * 40000)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(p))}: malformed CSV at line \d+: "
+                                              r"field larger than field limit"):
+            load_csv(p)
 
     def test_ragged_rows_rejected(self, tmp_path):
         p = _write(tmp_path / "m.csv", "1,2\n3,4,5\n")
