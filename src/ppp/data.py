@@ -21,18 +21,21 @@ def derive_seed(*parts) -> int:
     Built on SHA-256 so the derived streams are identical across processes and
     platforms; the builtin ``hash`` is salted per interpreter and would not be.
     """
-    payload = "\x1f".join(repr(p) for p in parts).encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+    payload = "\x1f".join(repr(int(p) if isinstance(p, np.integer) else p) for p in parts)
+    return int.from_bytes(hashlib.sha256(payload.encode()).digest()[:8], "big")
 
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """A dense instances-by-features matrix with optional string labels.
 
-    ``values`` is an (n_instances, n_features) float array whose entries are all
-    finite. ``instance_ids`` and ``feature_ids``, when given, are unique label
-    tuples matching the corresponding axis length. Fresh inputs are expected to
-    be at least 2x2 (use :meth:`ingest`); derived restrictions may be thinner.
+    ``values`` is an (n_instances, n_features) float array of finite entries
+    at most ``sqrt(max float / (4 max(n, d)))`` in magnitude (2.7e152 at
+    48x640), so that no sum of squares over a row, a column or a difference of
+    rows overflows; no other module checks this rule. ``instance_ids`` and
+    ``feature_ids``, when given, are unique label tuples matching the
+    corresponding axis length. Fresh inputs are expected to be at least 2x2
+    (use :meth:`ingest`); derived restrictions may be thinner.
     """
 
     values: np.ndarray
@@ -43,10 +46,19 @@ class DesignMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValidationError(f"matrix must be 2-D, got ndim={values.ndim}")
-        if values.shape[0] < 1 or values.shape[1] < 1:
+        n, d = values.shape
+        if n < 1 or d < 1:
             raise ValidationError(f"matrix must be non-empty, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("matrix entries must all be finite")
+        bound = float(np.sqrt(np.finfo(float).max / (4 * max(n, d))))
+        # NaN fails the comparison; an n x d temporary is made only to name the entry
+        if not max(values.max(), -values.min()) <= bound:
+            row, col = np.unravel_index(np.argmin(np.abs(values) <= bound), values.shape)
+            if not np.isfinite(values[row, col]):
+                raise ValidationError(f"non-finite value at row {row}, col {col}")
+            raise ValidationError(
+                f"entry ({row}, {col}) = {values[row, col]:.6g} exceeds {bound:.3g} in magnitude, "
+                f"the most a {n}x{d} matrix takes before its sums of squares overflow"
+            )
         object.__setattr__(self, "values", values)
         for name, labels, length in (
             ("instance_ids", self.instance_ids, values.shape[0]),

@@ -26,7 +26,6 @@ from .errors import (
     DegenerateModel,
     DegenerateSplit,
     SingularCovariance,
-    ValidationError,
 )
 from .gmm import (
     GaussianMixture,
@@ -66,12 +65,14 @@ class PppConfig:
     score_threshold: float = 0.5
 
     def __post_init__(self):
-        for name in ("max_split_attempts", "patience"):
+        for name in ("master_seed", "max_split_attempts", "patience"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
+            if name != "master_seed" and value < 1:
                 raise ConfigError(f"{name} must be at least 1")
+            # a Python int, so np.int64(3) seeds the tree that 3 seeds
+            object.__setattr__(self, name, int(value))
         if not (0.0 < self.score_threshold < 1.0):
             raise ConfigError("score_threshold must lie in (0, 1)")
 
@@ -436,24 +437,11 @@ def build_tree(data: DesignMatrix, config: PppConfig, threads: int = 1) -> PppTr
 
     The open nodes of each level grow on ``threads`` workers (at least 1, else
     ``ConfigError``); node seeds depend only on (master seed, path, attempt),
-    so the result is identical for every thread count.
-
-    Entries must stay within ``sqrt(max float / (4 max(n, d)))`` in
-    magnitude (4.7e152 at 200x16, 2.7e152 at 48x640), so that no sum
-    of squares over a row, a column or a difference of rows overflows; larger
-    entries raise ``ValidationError``.
+    so the result is identical for every thread count. ``DesignMatrix``
+    has already checked that no sum of squares over the entries overflows.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    X = data.values
-    bound = float(np.sqrt(np.finfo(float).max / (4 * max(X.shape))))
-    if max(X.max(), -X.min()) > bound:
-        # the n x d temporary of abs() is made only to name the entry
-        row, col = np.unravel_index(np.argmax(np.abs(X)), X.shape)
-        raise ValidationError(
-            f"entry ({row}, {col}) = {X[row, col]:.6g} exceeds {bound:.3g} in magnitude, the "
-            f"most a {X.shape[0]}x{X.shape[1]} matrix takes before its sums of squares overflow"
-        )
     root = PppNode(IndexSet.full(data.n_features), IndexSet.full(data.n_instances))
     frontier = [root]
     with ThreadPoolExecutor(max_workers=threads) as pool:

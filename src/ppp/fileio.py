@@ -32,9 +32,9 @@ def load_csv(
     ``has_header`` consumes the first line as feature names; ``id_column``
     consumes the first column as instance ids. The file is UTF-8, with or
     without a byte order mark, and blank lines are skipped. Cells must parse
-    as finite floats. Errors carry zero-based (row, col) positions in data
-    coordinates, counted after blank lines, the header and the id column are
-    stripped; the first fault in file order is the one reported.
+    as floats that ``DesignMatrix`` accepts. Errors name the file and carry
+    zero-based (row, col) data positions, counted after blank lines, the
+    header and the id column are stripped; the first fault in file order wins.
 
     Rows are parsed as they are read into a float64 buffer that doubles when
     full and is trimmed at the end, so the text of only one row is held at a
@@ -95,20 +95,15 @@ def load_csv(
             raise FormatError(f"{path} is empty")
         raise FormatError(f"{path} has a header but no data rows")
     values.resize((n, values.shape[1]), refcheck=False)
-    if not np.all(np.isfinite(values)):
-        r, c = np.argwhere(~np.isfinite(values))[0]
-        raise ValidationError(
-            f"{path}: non-finite value at row {int(r)}, col {int(c)}"
-        )
     if feature_ids is not None and len(feature_ids) != values.shape[1]:
         raise FormatError(
             f"{path}: header names {len(feature_ids)} columns, data has {values.shape[1]}"
         )
-    return DesignMatrix.ingest(
-        values,
-        tuple(instance_ids) if instance_ids is not None else None,
-        feature_ids,
-    )
+    ids = None if instance_ids is None else tuple(instance_ids)
+    try:
+        return DesignMatrix.ingest(values, ids, feature_ids)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _fmt(value: float) -> str:
@@ -319,9 +314,15 @@ def write_manifest(path, command, outputs: dict, master_seed: int, config: dict,
                    input_path=None) -> None:
     """Write everything needed to reproduce a run next to its outputs.
 
-    The manifest records the input file's SHA-256 (null without an input), the
-    tool version and the UTC time.
+    The manifest records the input file's SHA-256 (null without an input),
+    hashed in 1 MiB chunks, the tool version and the UTC time.
     """
+    sha = None
+    if input_path is not None:
+        sha, chunk = hashlib.sha256(), memoryview(bytearray(1 << 20))
+        with open(input_path, "rb") as fh:
+            while size := fh.readinto(chunk):
+                sha.update(chunk[:size])
     _write_json({
         "command": command,
         "input_path": input_path,
@@ -330,8 +331,7 @@ def write_manifest(path, command, outputs: dict, master_seed: int, config: dict,
         "config": config,
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "input_sha256": None if input_path is None
-        else hashlib.sha256(Path(input_path).read_bytes()).hexdigest(),
+        "input_sha256": None if sha is None else sha.hexdigest(),
     }, path)
 
 

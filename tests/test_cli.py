@@ -133,6 +133,12 @@ class TestSynth:
         assert "must be at least 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_entries_too_large_to_square_are_usage_errors(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "o"), "--gap", "1e300"])
+        assert rc == 2
+        assert "exceeds" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_flag_is_gone(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
         cfg.write_text("seed = 3\n")
@@ -365,7 +371,16 @@ class TestCluster:
         assert rc == 2
         err = capsys.readouterr().err
         assert "exceeds" in err and "run failed" not in err
-        assert list(out.iterdir()) == []  # nothing written, no tree.json or report.json
+        assert not out.exists()  # refused on reading, before the output directory is made
+
+    def test_duplicate_header_names_name_the_file(self, tmp_path, capsys):
+        dup = tmp_path / "dup.csv"
+        dup.write_text("g,g\n1,2\n3,4\n")
+        out = tmp_path / "o"
+        rc = main(["cluster", "--input", str(dup), "--out", str(out), "--has-header"])
+        assert rc == 2
+        assert f"error: {dup}: feature_ids contains duplicates" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -35,6 +35,9 @@ class TestDeriveSeed:
         assert derive_seed(7, "edon", 3) != base
         assert derive_seed(7, "node", 4) != base
 
+    def test_numpy_integer_hashes_as_python_int(self):
+        assert derive_seed(np.int64(3), "node", np.int32(2)) == derive_seed(3, "node", 2)
+
     def test_part_types_not_conflated(self):
         """The string "10" and the int 10 must produce different streams."""
         assert derive_seed(0, "10") != derive_seed(0, 10)
@@ -70,6 +73,42 @@ class TestDesignMatrix:
         bad[1, 0] = np.inf
         with pytest.raises(ValidationError):
             DesignMatrix(bad)
+
+    def test_first_bad_entry_is_named(self):
+        bad = np.ones((3, 2))
+        bad[2, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"^non-finite value at row 2, col 0$"):
+            DesignMatrix(bad)
+        bad[1, 1] = -np.inf
+        with pytest.raises(ValidationError, match=r"^non-finite value at row 1, col 1$"):
+            DesignMatrix(bad)
+        bad[0, 1] = 1e200
+        with pytest.raises(ValidationError, match=r"^entry \(0, 1\) = 1e\+200 exceeds"):
+            DesignMatrix(bad)
+
+    @pytest.mark.parametrize("n, d", [(200, 16), (48, 640)])
+    def test_entries_whose_squares_overflow_are_rejected(self, n, d):
+        x = np.random.default_rng(1).standard_normal((n, d))
+        bound = np.sqrt(np.finfo(float).max / (4 * max(n, d)))
+        row, col = divmod(int(np.argmax(np.abs(x) * 1e160 > bound)), d)
+        with pytest.raises(ValidationError) as exc:
+            DesignMatrix.ingest(x * 1e160)
+        assert str(exc.value) == (
+            f"entry ({row}, {col}) = {x[row, col] * 1e160:.6g} exceeds {bound:.3g} in magnitude, "
+            f"the most a {n}x{d} matrix takes before its sums of squares overflow"
+        )
+        assert DesignMatrix.ingest(x * 1e150).values.shape == (n, d)
+
+    def test_check_makes_no_matrix_sized_temporary(self):
+        values = np.random.default_rng(2).standard_normal((2000, 500))
+        tracemalloc.start()
+        try:
+            DesignMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an n x d boolean temporary alone is values.nbytes / 8
+        assert peak < values.nbytes / 16
 
     def test_label_length_checked(self):
         with pytest.raises(ValidationError):

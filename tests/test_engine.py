@@ -873,6 +873,15 @@ class TestBuildTree:
         t2 = build_tree(planted.matrix, cfg)
         assert self._snapshot(t1) == self._snapshot(t2)
 
+    def test_numpy_integer_seed_grows_the_same_tree(self, planted):
+        """`PppConfig(master_seed=s) for s in np.arange(n)` reproduces `--seed s`."""
+        config = PppConfig(master_seed=np.int64(3))
+        assert type(config.master_seed) is int
+        a, b = (build_tree(planted.matrix, c) for c in (config, PppConfig(master_seed=3)))
+        seeds = [[e.attempt_seed for n in t.nodes() for e in n.attempts] for t in (a, b)]
+        assert seeds[0] == seeds[1]
+        assert self._snapshot(a) == self._snapshot(b)
+
     def test_thread_count_does_not_change_result(self, planted):
         cfg = PppConfig(master_seed=3)
         assert self._snapshot(build_tree(planted.matrix, cfg)) == self._snapshot(
@@ -1016,6 +1025,9 @@ class TestPppConfig:
         {"max_split_attempts": "3"},
         {"patience": True},
         {"patience": np.float64(2.0)},
+        {"master_seed": True},
+        {"master_seed": 3.0},
+        {"master_seed": "3"},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):

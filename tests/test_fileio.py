@@ -89,7 +89,8 @@ class TestLoadCsv:
 
     def test_wide_file_equals_float_per_cell(self, tmp_path):
         rng = np.random.default_rng(3)
-        values = rng.standard_normal((48, 640)) * 10.0 ** rng.integers(-300, 300, (48, 640))
+        # magnitudes up to 1e150, below the most a matrix entry may hold (2.6e152 here)
+        values = rng.standard_normal((48, 640)) * 10.0 ** rng.integers(-300, 150, (48, 640))
         cells = [list(map(repr, row)) for row in values.tolist()]
         cells[0][:6] = ["-0.0", " 7", "1_000", "1E5", "+.5", "0"]
         p = _write(tmp_path / "m.csv", "\n".join(",".join(row) for row in cells) + "\n")
@@ -97,7 +98,7 @@ class TestLoadCsv:
         assert load_csv(p).values.tobytes() == want.tobytes()
         # tall, with a header, an id column and blank lines: 1000 rows cross
         # every doubling of the row buffer, and its trim
-        values = rng.standard_normal((1000, 5)) * 10.0 ** rng.integers(-300, 300, (1000, 5))
+        values = rng.standard_normal((1000, 5)) * 10.0 ** rng.integers(-300, 150, (1000, 5))
         cells = [list(map(repr, row)) for row in values.tolist()]
         cells[17][:3] = ["-0.0", " 7", "1_000"]
         lines = ["id,a,b,c,d,e", ""] + [f"r{i}," + ",".join(row) for i, row in enumerate(cells)]
@@ -139,7 +140,18 @@ class TestLoadCsv:
 
     def test_non_finite_rejected(self, tmp_path):
         p = _write(tmp_path / "m.csv", "1,2\nnan,4\n")
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(ValidationError,
+                           match=rf"^{re.escape(str(p))}: non-finite value at row 1, col 0$"):
+            load_csv(p)
+
+    def test_matrix_errors_name_the_file(self, tmp_path):
+        p = _write(tmp_path / "m.csv", "a,a\n1,2\n3,4\n")
+        with pytest.raises(ValidationError,
+                           match=rf"^{re.escape(str(p))}: feature_ids contains duplicates$"):
+            load_csv(p, has_header=True)
+        p = _write(tmp_path / "thin.csv", "1\n2\n")
+        with pytest.raises(ValidationError,
+                           match=rf"^{re.escape(str(p))}: need at least 2 instances"):
             load_csv(p)
 
     def test_infinity_rejected(self, tmp_path):
@@ -447,6 +459,20 @@ class TestManifest:
         assert doc["tool_version"]
         assert datetime.fromisoformat(doc["created_utc"]).tzinfo is not None
         assert not (tmp_path / "manifest.json.tmp").exists()
+
+    def test_input_is_hashed_in_chunks(self, tmp_path):
+        data = tmp_path / "big.csv"
+        data.write_bytes(np.random.default_rng(0).bytes(16 << 20))
+        want = hashlib.sha256(data.read_bytes()).hexdigest()
+        p = tmp_path / "manifest.json"
+        tracemalloc.start()
+        try:
+            write_manifest(p, "cluster", {}, 0, {}, str(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+        assert json.loads(p.read_text())["input_sha256"] == want
 
     def test_cluster_run_leaves_no_temporary_files(self, tmp_path):
         data = generate_planted(PlantedSpec.even(40, 6, (2, 2), seed=1))
