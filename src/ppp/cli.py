@@ -259,7 +259,8 @@ def run_cut(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read tree file {args.tree}: {exc}") from None
     out = Path(args.out)
-    target = out if out.suffix else out / "assignment.csv"
+    # an existing directory, or a new path without a suffix, gets assignment.csv inside
+    target = out / "assignment.csv" if out.is_dir() or not out.suffix else out
     _out_dir(target.parent)
     clusters = export_assignment_csv(tree, target, depth=args.cut_depth, feature_ids=feature_names)
     print(f"clusters: {len(clusters)}; wrote {target}")

@@ -30,6 +30,7 @@ from .errors import (
 from .gmm import (
     GaussianMixture,
     fit_em,
+    group_ids,
     init_gmm_from_codebook,
     mixture_log_density,
     mixture_scores,
@@ -258,12 +259,12 @@ def _fit(match: CodebookMatchSet, X: np.ndarray) -> GaussianMixture:
     EM sees every unit's matched vector, prior zero or not. Units that matched
     one instance share one row, so EM runs on the distinct matched rows, in
     order of first occurrence, each counted once per unit that matched it.
+    The start groups the positive-prior units apart: one grouping of all
+    units would order the start's components by all units' first occurrence.
     """
     start = init_gmm_from_codebook(match, X)
-    ids = match.matched_instance_ids
-    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return fit_em(start, X[ids[first[order]]], counts=counts[order])
+    ids, counts = group_ids(match.matched_instance_ids)
+    return fit_em(start, X[ids], counts=counts)
 
 
 def _ended(seed: int, core_set: IndexSet, outcome: str) -> SplitEvaluation:

@@ -95,10 +95,6 @@ def load_csv(
             raise FormatError(f"{path} is empty")
         raise FormatError(f"{path} has a header but no data rows")
     values.resize((n, values.shape[1]), refcheck=False)
-    if feature_ids is not None and len(feature_ids) != values.shape[1]:
-        raise FormatError(
-            f"{path}: header names {len(feature_ids)} columns, data has {values.shape[1]}"
-        )
     ids = None if instance_ids is None else tuple(instance_ids)
     try:
         return DesignMatrix.ingest(values, ids, feature_ids)

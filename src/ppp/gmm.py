@@ -20,13 +20,13 @@ rows are scored with it and however many threads BLAS runs.
 
 A codebook match holds row ids, not rows: :func:`init_gmm_from_codebook`
 reads each unit's matched vector from the data matrix at its id. The ids
-repeat, as several units often match one instance. So the start has one
-component per distinct matched instance, and :func:`fit_em` takes an optional
-per-row ``counts`` that lets EM see each distinct row once, weighted by its
-multiplicity. Both fit the density of the repeated rows and units up to
-rounding. With ``counts=None`` every row counts once, with the arithmetic of
-iterating :func:`em_step`, and a match with no repeated instance starts one
-component per unit.
+repeat, as several units often match one instance, so :func:`group_ids`
+gives the distinct ids in order of first occurrence and their summed
+weights. The start has one component per distinct matched instance, and
+:func:`fit_em` weighs each row by its ``counts``, so EM sees each distinct
+row once. Both fit the density of the repeated rows and units up to rounding.
+EM has one weighted path: ``counts=None`` means unit counts, which
+:func:`em_step`, :func:`log_likelihood` and :func:`responsibilities` use.
 
 scipy is still required, for its compiled LAPACK wrapper: the triangular
 solve is the ``dtrtrs`` of ``scipy/linalg/_flapack``. Importing this module
@@ -241,9 +241,7 @@ def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _e_step(
-    g: GaussianMixture, X: np.ndarray, counts: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
+def _e_step(g: GaussianMixture, X: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, float]:
     """Responsibilities and total log-likelihood of ``g`` from one density pass.
 
     ``counts`` (one per row) weights each row's log-likelihood, as if the row
@@ -253,7 +251,7 @@ def _e_step(
     lse = log_sum_exp(wlp)
     r = np.exp(wlp - lse)
     r /= r.sum(axis=1, keepdims=True)
-    return r, float(lse.sum() if counts is None else counts @ lse[:, 0])
+    return r, float(counts @ lse[:, 0])
 
 
 def _subset(g: GaussianMixture, keep: np.ndarray) -> GaussianMixture:
@@ -267,18 +265,17 @@ def _subset(g: GaussianMixture, keep: np.ndarray) -> GaussianMixture:
 
 
 def _m_step(
-    g: GaussianMixture, X: np.ndarray, r: np.ndarray, counts: np.ndarray | None = None
+    g: GaussianMixture, X: np.ndarray, r: np.ndarray, counts: np.ndarray
 ) -> GaussianMixture:
     """Re-estimate ``g`` from its responsibilities ``r``, dropping dead components.
 
-    With ``counts``, row i's responsibilities weigh ``counts[i]`` times.
+    Row i's responsibilities weigh ``counts[i]`` times.
     Diagonal variances are ``(r.T @ x~²) / mass - mean~²`` in one einsum over
     the rows, where ``~`` is the offset from the updated mixture's centre
     ``weights @ means`` (see :func:`_weighted_log_prob`); they are clipped at
     0 and then get ``reg_epsilon``, so none falls below the ridge.
     """
-    if counts is not None:
-        r = r * counts[:, None]
+    r = r * counts[:, None]
     mass = r.sum(axis=0)
     dead = mass < _DROP_MASS
     if dead.any():
@@ -287,9 +284,7 @@ def _m_step(
             int(dead.sum()), g.n_components, _DROP_MASS,
         )
         g = _subset(g, ~dead)
-        r, _ = _e_step(g, X)
-        if counts is not None:
-            r *= counts[:, None]
+        r = _e_step(g, X, counts)[0] * counts[:, None]
         mass = r.sum(axis=0)
 
     weights = mass / mass.sum()
@@ -327,25 +322,26 @@ def mixture_log_density(g: GaussianMixture, data) -> np.ndarray:
 
 def log_likelihood(g: GaussianMixture, data) -> float:
     """Total log-likelihood of the data rows under the mixture."""
-    return _e_step(g, as_matrix(data))[1]
+    X = as_matrix(data)
+    return _e_step(g, X, np.ones(len(X)))[1]
 
 
 def responsibilities(g: GaussianMixture, data) -> np.ndarray:
     """(n, K) posterior component memberships; every row sums to one."""
-    return _e_step(g, as_matrix(data))[0]
+    X = as_matrix(data)
+    return _e_step(g, X, np.ones(len(X)))[0]
 
 
 def em_step(g: GaussianMixture, data) -> tuple[GaussianMixture, float]:
-    """One E+M pass; returns the updated mixture and its log-likelihood.
+    """One :func:`fit_em` iteration (``tol=0.0, max_iter=1``) and its log-likelihood.
 
     A component whose responsibility mass falls below 1e-12 is dropped, the
     surviving weights are renormalized, and the pass restarts from the trimmed
     mixture (the drop is reported through logging). Covariances get
     ``reg_epsilon`` added on the diagonal when re-estimated.
     """
-    X = as_matrix(data)
-    updated = _m_step(g, X, _e_step(g, X)[0])
-    return updated, _e_step(updated, X)[1]
+    fitted = fit_em(g, data, tol=0.0, max_iter=1)
+    return fitted, fitted.ll_trace[1]
 
 
 def fit_em(
@@ -368,12 +364,10 @@ def fit_em(
     counts fits, up to rounding, what EM on the rows repeated that many times
     fits, with one density pass per distinct row. Its log-likelihood is
     ``counts @ log_density`` and the M-step weighs each row's
-    responsibilities by its count. With ``counts=None`` every row counts once,
-    with the exact arithmetic of iterating :func:`em_step`.
+    responsibilities by its count. ``counts=None`` counts every row once.
     """
     X = as_matrix(data)
-    if counts is not None:
-        counts = np.asarray(counts, dtype=float)
+    counts = np.ones(len(X)) if counts is None else np.asarray(counts, dtype=float)
     r, ll = _e_step(g, X, counts)
     trace = [ll]
     for _ in range(max_iter):
@@ -399,6 +393,17 @@ def mixture_scores(g: GaussianMixture, data) -> MixtureScores:
 def default_covariance_mode(dim: int) -> str:
     """Diagonal beyond 50 columns, full otherwise."""
     return "diagonal" if dim > 50 else "full"
+
+
+def group_ids(ids: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``ids`` in order of first occurrence, and each one's summed weight.
+
+    Without ``weights`` the sum is the number of times the id occurs. A sum
+    starts from 0.0, so an id that occurs once keeps its weight's bits.
+    """
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return ids[first[order]], np.bincount(inverse, weights=weights)[order]
 
 
 def init_gmm_from_codebook(
@@ -435,14 +440,8 @@ def init_gmm_from_codebook(
     if reg_epsilon <= 0:
         raise ConfigError("reg_epsilon must be positive")
     start_var = base_var + reg_epsilon
-    # a bin's sum starts from 0.0, so an instance matched once keeps its prior's bits
-    ids = match.matched_instance_ids[keep]
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    priors = np.bincount(inverse, weights=match.priors[keep])[order]
+    ids, priors = group_ids(match.matched_instance_ids[keep], match.priors[keep])
     weights = priors / priors.sum()
     start_cov = start_var if covariance_mode == "diagonal" else np.diag(start_var)
     covs = np.repeat(start_cov[None], weights.size, axis=0)
-    return GaussianMixture(
-        weights, X[ids[first[order]]], covs, covariance_mode, float(reg_epsilon)
-    )
+    return GaussianMixture(weights, X[ids], covs, covariance_mode, float(reg_epsilon))

@@ -184,8 +184,8 @@ def init_som(config: SomConfig, data) -> SomModel:
             stacklevel=2,
         )
         idx = np.concatenate([rng.permutation(n), rng.integers(0, n, size=k - n)])
-    codebook = X[idx].astype(float).copy()
-    return SomModel(config, codebook, np.zeros(k, dtype=np.int64), None)
+    # fancy indexing of the float matrix is already a fresh float64 copy
+    return SomModel(config, X[idx], np.zeros(k, dtype=np.int64), None)
 
 
 def find_bmu(som: SomModel, x) -> tuple[int, float]:

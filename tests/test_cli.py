@@ -689,6 +689,16 @@ class TestCut:
         assert rc == 0
         assert (cut_dir / "assignment.csv").exists()
 
+    def test_existing_directory_with_a_suffix_gets_default_name(self, tmp_path):
+        """An --out that names an existing directory is a directory, suffix or not."""
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({"n_instances": 1, "n_features": 2, "root": {
+            "path": "", "status": "leaf_terminal", "feature_ids": [0, 1]}}))
+        out = tmp_path / "results.v2"
+        out.mkdir()
+        assert main(["cut", "--tree", str(tree), "--out", str(out)]) == 0
+        assert (out / "assignment.csv").read_text().splitlines()[1:] == ["0,0", "1,0"]
+
     def test_each_subcommand_cuts_once(self, tmp_path, monkeypatch, capsys):
         """The printed cluster count is that of the written cut, not of a second walk."""
         data = _make_planted(tmp_path)

@@ -322,6 +322,33 @@ class TestFit:
         assert np.array_equal(data, X[ids])
         assert list(kw) == ["counts"] and np.array_equal(kw["counts"], np.ones(ids.size))
 
+    def test_start_and_em_rows_group_the_units_apart(self, planted, monkeypatch):
+        """A zero-prior unit matches instance 5 before its first positive-prior
+        unit, with instance 3 in between. The start, taken through this module's
+        names as the benchmark tracer wraps them, orders its components by first
+        positive-prior occurrence (3, 5, 2); EM gets the rows in first occurrence
+        over all units (5, 3, 2), each with its unit count. One grouping for both
+        would put instance 5 first in the start."""
+        X = planted.matrix.values
+        match = CodebookMatchSet(np.array([5, 3, 5, 2, 3, 5]),
+                                 np.array([0.0, 0.25, 0.35, 0.15, 0.25, 0.0]))
+        starts, seen = [], []
+        real_init = engine_mod.init_gmm_from_codebook
+
+        def init(*args):
+            starts.append(real_init(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(engine_mod, "init_gmm_from_codebook", init)
+        monkeypatch.setattr(engine_mod, "fit_em", lambda g, data, **kw: seen.append((g, data, kw)))
+        engine_mod._fit(match, X)
+        (start,), ((g, data, kw),) = starts, seen
+        assert g is start
+        assert np.array_equal(start.means, X[[3, 5, 2]])
+        np.testing.assert_allclose(start.weights, [0.5, 0.35, 0.15], rtol=1e-15)
+        assert np.array_equal(data, X[[5, 3, 2]])
+        assert list(kw) == ["counts"] and kw["counts"].tolist() == [3, 2, 1]
+
 
 class TestEvaluateSplit:
     def test_planted_feature_split_recovered(self, planted):

@@ -170,9 +170,13 @@ class TestLoadCsv:
             load_csv(p, has_header=True)
 
     def test_header_width_mismatch_rejected(self, tmp_path):
+        """DesignMatrix's label-length rule reports it, with the file in front."""
         p = _write(tmp_path / "m.csv", "a,b,c\n1,2\n")
-        with pytest.raises(FormatError, match="header names 3"):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(p))}: "
+                                                  r"feature_ids has 3 entries for axis of 2$"):
             load_csv(p, has_header=True)
+        assert main(["cluster", "--input", str(p), "--out", str(tmp_path / "o"),
+                     "--has-header"]) == 2
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -23,6 +23,7 @@ from ppp.gmm import (
     default_covariance_mode,
     em_step,
     fit_em,
+    group_ids,
     init_gmm_from_codebook,
     log_likelihood,
     log_sum_exp,
@@ -319,7 +320,7 @@ class TestBatchedDensity:
             "g = GaussianMixture(w, X[rng.choice(n, k, replace=False)] + 0.1,\n"
             "                    rng.uniform(50, 60, (k, d)), 'diagonal', 1e-6)\n"
             "h = hashlib.sha256(_weighted_log_prob(g, X).tobytes())\n"
-            "u = _m_step(g, X, responsibilities(g, X))\n"
+            "u = _m_step(g, X, responsibilities(g, X), np.ones(n))\n"
             "for a in (u.weights, u.means, u.covariances): h.update(a.tobytes())\n"
             "print(u.n_components, h.hexdigest())\n"
         )
@@ -537,7 +538,7 @@ class TestFullMStep:
         g = _random_mixture(rng, k, d)
         X = rng.standard_normal((n, d)) * 2
         r = responsibilities(g, X)
-        updated = _m_step(g, X, r)
+        updated = _m_step(g, X, r, np.ones(n))
         weights, means, covs = self._reference(g, X, r)
         assert np.array_equal(updated.weights, weights)
         assert np.array_equal(updated.means, means)
@@ -549,7 +550,7 @@ class TestFullMStep:
         X = rng.standard_normal((40, 7))[:, ::2][:, :3]
         r = responsibilities(g, X)
         _, _, covs = self._reference(g, X, r)
-        assert np.array_equal(_m_step(g, X, r).covariances, covs)
+        assert np.array_equal(_m_step(g, X, r, np.ones(len(X))).covariances, covs)
 
 
 class TestDiagonalMStep:
@@ -575,10 +576,10 @@ class TestDiagonalMStep:
             np.full(k, 1 / k), X[:k] + 0.5, rng.uniform(2.0, 8.0, (k, d)), "diagonal", 1e-6
         )
         r = responsibilities(g, X)
-        counts = rng.integers(1, 5, size=n).astype(float) if counted else None
+        counts = rng.integers(1, 5, size=n).astype(float) if counted else np.ones(n)
         updated = _m_step(g, X, r, counts)
         assert updated.n_components == k
-        weights, means, covs = self._reference(g, X, r if counts is None else r * counts[:, None])
+        weights, means, covs = self._reference(g, X, r * counts[:, None])
         assert np.array_equal(updated.weights, weights)
         assert np.array_equal(updated.means, means)
         assert np.all(updated.covariances >= g.reg_epsilon)
@@ -599,7 +600,7 @@ class TestDiagonalMStep:
         g = GaussianMixture(
             np.array([0.25, 0.75]), np.zeros((2, d)), np.ones((2, d)), "diagonal", 1e-14
         )
-        updated = _m_step(g, X, r)
+        updated = _m_step(g, X, r, np.ones(6))
         assert updated.n_components == 2
         assert np.all(updated.covariances >= 1e-14)
         np.testing.assert_allclose(updated.covariances[0], 1e-14, rtol=0, atol=1e-11)
@@ -661,6 +662,31 @@ class TestFitEm:
         assert fitted.ll_trace == tuple(trace)
         assert np.array_equal(fitted.means, stepped.means)
         assert np.array_equal(fitted.covariances, stepped.covariances)
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_no_counts_is_unit_counts(self, mode):
+        """EM has one weighted path: leaving out ``counts`` is passing ones, bit for bit."""
+        rng = np.random.default_rng(29)
+        g = _random_mixture(rng, 4, 3, mode)
+        X = rng.standard_normal((30, 3))
+        got = fit_em(g, X)
+        want = fit_em(g, X, counts=np.ones(30))
+        assert got.n_iterations > 1
+        assert got.ll_trace == want.ll_trace
+        for name in ("weights", "means", "covariances"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_em_step_is_one_fit_em_iteration(self, mode):
+        rng = np.random.default_rng(30)
+        g = _random_mixture(rng, 4, 3, mode)
+        X = rng.standard_normal((30, 3))
+        stepped, ll = em_step(g, X)
+        fitted = fit_em(g, X, tol=0.0, max_iter=1)
+        assert fitted.n_iterations == 1
+        assert ll == fitted.ll_trace[1]
+        for name in ("weights", "means", "covariances"):
+            assert np.array_equal(getattr(stepped, name), getattr(fitted, name))
 
     def test_component_starved_mid_run_is_dropped(self, caplog):
         """Two sharpening components take over every row; the broad third one
@@ -751,6 +777,20 @@ class TestMixtureScores:
         assert np.exp(s.log_density[1]) == 0.0  # underflows as a raw density
         assert 0.0 < s.normalized[1] < 1e-300 or s.normalized[1] == 0.0
         assert s.normalized[0] == 1.0
+
+
+class TestGroupIds:
+    def test_first_occurrence_order_and_counts(self):
+        ids, counts = group_ids(np.array([7, 2, 7, 9, 2, 7]))
+        assert ids.tolist() == [7, 2, 9]
+        assert counts.tolist() == [3, 2, 1]
+
+    def test_summed_weights_keep_a_single_weight_bits(self):
+        weights = np.array([0.1, 0.2, 0.3, 1 / 3])
+        ids, sums = group_ids(np.array([4, 1, 4, 0]), weights)
+        assert ids.tolist() == [4, 1, 0]
+        assert sums[0] == 0.1 + 0.3
+        assert sums[1] == 0.2 and sums[2] == 1 / 3
 
 
 class TestInitFromCodebook:
