@@ -29,6 +29,7 @@ from .errors import (
 )
 from .gmm import (
     GaussianMixture,
+    default_covariance_mode,
     fit_em,
     group_ids,
     init_gmm_from_codebook,
@@ -54,7 +55,7 @@ class PppConfig:
     """Tunables for one clustering run.
 
     Each node sizes its map grid from its own row count (``default_grid``)
-    and picks full or diagonal covariance from its own column count
+    and picks full or spherical covariance from its own column count
     (``default_covariance_mode``). Maps train for 5 epochs and EM runs with
     ``fit_em``'s tolerance, iteration cap and ``init_gmm_from_codebook``'s
     variance-scaled ridge.
@@ -177,23 +178,19 @@ def split_objective(overlap_a: float, overlap_b: float) -> float | None:
 
 
 def child_posteriors(
-    parent_match: CodebookMatchSet,
-    X: np.ndarray,
-    mixture_a: GaussianMixture,
-    mixture_b: GaussianMixture,
-    columns_a,
-    columns_b,
+    parent_match: CodebookMatchSet, mixture_a: GaussianMixture, mixture_b: GaussianMixture,
+    rows_a: np.ndarray, rows_b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior that each parent matched vector belongs to child a vs child b.
 
-    The matched vectors are the rows of X at the match's ids. Each child
-    mixture sees them restricted to its own columns. The two densities are
-    normalized against each other per vector in log space, so the pair sums to
-    one wherever the unit prior is positive and is zero where it is not.
+    Each child mixture scores its own rows (see :func:`_frame_and_rows`) at the
+    match's ids. The two densities are normalized against each other per
+    vector in log space, so the pair sums to one wherever the unit prior is
+    positive and is zero where it is not.
     """
-    vectors = X[parent_match.matched_instance_ids]
-    log_a = mixture_log_density(mixture_a, vectors[:, columns_a])
-    log_b = mixture_log_density(mixture_b, vectors[:, columns_b])
+    ids = parent_match.matched_instance_ids
+    log_a = mixture_log_density(mixture_a, rows_a[ids])
+    log_b = mixture_log_density(mixture_b, rows_b[ids])
     positive = parent_match.priors > 0
     shift = np.maximum(log_a, log_b)
     ea = np.exp(log_a - shift)
@@ -253,8 +250,16 @@ def _quantize(frames: list[np.ndarray], seeds: list[int]) -> list[CodebookMatchS
     return matches
 
 
-def _fit(match: CodebookMatchSet, X: np.ndarray) -> GaussianMixture:
-    """The mixture of X's rows at the match's ids, started from its unit priors.
+def _frame_and_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X's :func:`_frame`, and the rows mixtures of X's rows fit and score:
+    the frame when X's width makes them spherical, whose densities see rows
+    only through distances, which the frame keeps; else X itself."""
+    frame = _frame(X)
+    return frame, frame if default_covariance_mode(X.shape[1]) == "spherical" else X
+
+
+def _fit(match: CodebookMatchSet, rows: np.ndarray, dim: int) -> GaussianMixture:
+    """The ``dim``-column mixture of the rows at the match's ids, from its unit priors.
 
     EM sees every unit's matched vector, prior zero or not. Units that matched
     one instance share one row, so EM runs on the distinct matched rows, in
@@ -262,9 +267,9 @@ def _fit(match: CodebookMatchSet, X: np.ndarray) -> GaussianMixture:
     The start groups the positive-prior units apart: one grouping of all
     units would order the start's components by all units' first occurrence.
     """
-    start = init_gmm_from_codebook(match, X)
+    start = init_gmm_from_codebook(match, rows, dim=dim)
     ids, counts = group_ids(match.matched_instance_ids)
-    return fit_em(start, X[ids], counts=counts)
+    return fit_em(start, rows[ids], counts=counts)
 
 
 def _ended(seed: int, core_set: IndexSet, outcome: str) -> SplitEvaluation:
@@ -276,17 +281,16 @@ def _ended(seed: int, core_set: IndexSet, outcome: str) -> SplitEvaluation:
     )
 
 
-def _attempt(node: PppNode, X: np.ndarray, frame: np.ndarray, config: PppConfig, seed: int):
+def _attempt(node: PppNode, X: np.ndarray, frame, rows, config: PppConfig, seed: int):
     """One seeded split attempt on the node matrix X, as a generator.
 
     It yields its map requests, a list of ``(frame, map seed)`` pairs, is sent
     their codebook matches in order, and returns its :class:`SplitEvaluation`:
 
-    1. its parent map, on ``frame``, the :func:`_frame` of X;
-    2. the parent mixture, its core set and the k-means bisection of the
-       feature columns;
+    1. its parent map, on ``frame``, and mixture, on ``rows`` (:func:`_frame_and_rows`);
+    2. the parent's core set and the k-means bisection of the feature columns;
     3. its two child maps, each on the frame of one side's columns of X;
-    4. the child mixtures, posteriors and overlaps.
+    4. the child mixtures, on each side's mixture rows, posteriors and overlaps.
 
     A failed model fit (``SingularCovariance``, ``DegenerateModel``) or
     bisection (``DegenerateSplit``) ends the attempt with its outcome, at the
@@ -294,34 +298,34 @@ def _attempt(node: PppNode, X: np.ndarray, frame: np.ndarray, config: PppConfig,
     propagate.
 
     Suspended at step 3, an attempt holds only its parent match (matched row
-    ids and unit priors), its core set and its column split, besides the X
-    and ``frame`` that all attempts on the node share. No array with the
-    node's d columns outlives the one step it is sliced for. All randomness
-    (three maps, the k-means init) derives from ``seed``.
+    ids and unit priors), its core set, its column split and each side's
+    frame and mixture rows, besides the X, ``frame`` and ``rows`` that all
+    attempts on the node share: no array with the node's d columns. All
+    randomness (three maps, the k-means init) derives from ``seed``.
     """
     (parent,) = yield [(frame, derive_seed(seed, "parent"))]
     try:
-        scores = mixture_scores(_fit(parent, X), X)
+        scores = mixture_scores(_fit(parent, rows, X.shape[1]), rows)
     except _FIT_ERRORS as exc:
         empty = IndexSet(np.array([], dtype=np.int64), node.instance_set.universe_size)
         return _ended(seed, empty, _FIT_FAILURES[type(exc)])
     core_local = gamma_set(scores.normalized, config.score_threshold)
     core_set = node.instance_set.select(core_local)
     # the bisection sees the core rows, or all node rows when the core is too small
-    rows = X[core_local.indices] if len(core_local) >= 2 else X
+    core_rows = X[core_local.indices] if len(core_local) >= 2 else X
     try:
-        km = kmeans_bisect(rows.T, derive_seed(seed, "bisect"))  # a point per feature column
+        km = kmeans_bisect(core_rows.T, derive_seed(seed, "bisect"))  # a point per feature column
     except DegenerateSplit:
         return _ended(seed, core_set, "degenerate_split")
     columns = (np.flatnonzero(km.assignment == 0), np.flatnonzero(km.assignment == 1))
-    del scores, core_local, rows, km  # the core rows must not wait out the child maps
+    del scores, core_local, core_rows, km  # the core rows must not wait out the child maps
 
-    # each side's columns are sliced from X only to make its frame
-    sides = yield [(_frame(X[:, cols]), derive_seed(seed, "child", side))
-                   for side, cols in enumerate(columns)]
+    # each side's columns are sliced from X only to make its frame and mixture rows
+    frames, side_rows = zip(*(_frame_and_rows(X[:, cols]) for cols in columns))
+    matches = yield [(f, derive_seed(seed, "child", side)) for side, f in enumerate(frames)]
     try:
-        mixtures = [_fit(m, X[:, cols]) for m, cols in zip(sides, columns)]
-        posteriors = child_posteriors(parent, X, *mixtures, *columns)
+        mixtures = [_fit(m, r, len(cols)) for m, r, cols in zip(matches, side_rows, columns)]
+        posteriors = child_posteriors(parent, *mixtures, *side_rows)
     except _FIT_ERRORS as exc:
         return _ended(seed, core_set, _FIT_FAILURES[type(exc)])
     child_sets = tuple(_units_to_instances(p, config.score_threshold, parent, node.instance_set)
@@ -346,15 +350,15 @@ def evaluate_splits(
     matches, until every attempt has returned.
     """
     X = submatrix(data, node.instance_set, node.feature_set).values
-    frame = _frame(X)
-    attempts = [_attempt(node, X, frame, config, seed) for seed in seeds]
+    frame, rows = _frame_and_rows(X)
+    attempts = [_attempt(node, X, frame, rows, config, seed) for seed in seeds]
     results: list[SplitEvaluation | None] = [None] * len(seeds)
     asked = {i: next(a) for i, a in enumerate(attempts)}  # attempt -> its map requests
     while asked:
         frames, map_seeds = zip(*(r for rs in asked.values() for r in rs))
         matches = iter(_quantize(list(frames), list(map_seeds)))
         sizes = {i: len(rs) for i, rs in asked.items()}
-        del frames, asked  # the frames go before any attempt resumes
+        del frames, asked  # the attempts alone keep the frames they still use
         asked = {}
         for i, size in sizes.items():
             try:
@@ -395,11 +399,11 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
         node.status = "leaf_terminal"
         return node
 
-    # A batch holds, per attempt, maps of K x min(n, d) elements and frames of
-    # at most n x min(n, d), never a copy with the node's d columns (see
-    # _attempt); 2 * width * K * min(n, d) elements fill one block. So a
-    # 48 x 640 node (K = 48) runs up to 14 attempts at a time, a 300 x 300 node
-    # (K = 64) one.
+    # A batch holds, per attempt, maps of K x min(n, d) elements, frames of at
+    # most n x min(n, d) and full-mode rows of at most n x 50, never a copy with
+    # the node's d columns (see _attempt); 2 * width * K * min(n, d) elements
+    # fill one block. So a 48 x 640 node (K = 48) runs up to 14 attempts at a
+    # time, a 300 x 300 node (K = 64) one.
     n, d = len(node.instance_set), len(node.feature_set)
     n_units = default_som_config(n).n_units
     width = max(1, _BLOCK_ELEMENTS // (2 * n_units * min(n, d)))

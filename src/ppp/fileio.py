@@ -179,13 +179,14 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
 
     Attempt details and instance memberships are not reconstructed; the result
     carries what cutting needs, plus the stored feature name table (or None).
-    Each node names its features once and has a resolved status; an internal
-    node has two children and a leaf none. The root's path is empty and child
-    i's path is its parent's plus ``str(i)``. The root must hold every feature
-    and each internal node's children must partition its features, so every
-    cut covers each feature once. A name table has one distinct string per
-    feature. Feature ids and the two counts must be JSON integers. A tree
-    nested past Python's recursion limit is refused like any other.
+    Each node names at least one feature, each once, and has a resolved
+    status; an internal node has two children and a leaf none. The root's
+    path is empty and child i's path is its parent's plus ``str(i)``. The
+    root must hold every feature and each internal node's children must
+    partition its features, so every cut covers each feature once and yields
+    no empty cluster. A name table has one distinct string per feature.
+    Feature ids and the two counts must be JSON integers. A tree nested past
+    Python's recursion limit is refused like any other.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -198,6 +199,8 @@ def load_tree_json(path) -> tuple[PppTree, list | None]:
             if node_doc["path"] != at:
                 raise ValueError(f"node {at!r} is stored with path {node_doc['path']!r}")
             ids = [_json_int(i, "a feature id") for i in node_doc["feature_ids"]]
+            if not ids:
+                raise ValueError(f"node {at!r} holds no features")
             node = PppNode(
                 IndexSet.from_iterable(ids, n_features),
                 IndexSet(np.array([], dtype=np.int64), n_instances),

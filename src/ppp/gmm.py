@@ -11,12 +11,14 @@ responsibilities and the log-likelihood from the same (n, K) matrix of
 weighted log densities, which is built for all components at once (one
 stacked Cholesky factorization, one block of differences and one einsum in
 full mode). Full-mode M-step covariances are one stacked matrix product.
-Diagonal mode expands the squares around the mixture's centre
-``weights @ means``, so its density pass and M-step are each one pass of
-einsum contractions over all components, with (n, d) and (K, d) temporaries
-and no (K, n, d) block, and a result that rounding takes below 0 is clipped
-at 0. einsum, unlike a BLAS product, gives a row the same bits whichever
-rows are scored with it and however many threads BLAS runs.
+A spherical component (σ_k² times the identity, mclust's VII model) sees a
+row only through its distance to the mean, so a spherical mixture carries
+its model dimension D apart from the width of the rows it is fitted on: rows
+with the same distances (``ppp.engine._frame``) fit and score it as the
+D-column rows do, up to rounding. Its passes are einsum contractions over
+all components, with (n, w) and (K, w) temporaries; einsum, unlike a BLAS
+product, gives a row the same bits whichever rows are scored with it and
+however many threads BLAS runs.
 
 A codebook match holds row ids, not rows: :func:`init_gmm_from_codebook`
 reads each unit's matched vector from the data matrix at its id. The ids
@@ -81,18 +83,19 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # responsibility mass below which a component is considered dead
 _DROP_MASS = 1e-12
 
-COVARIANCE_MODES = ("full", "diagonal")
+COVARIANCE_MODES = ("full", "spherical")
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """K weighted Gaussian components sharing one covariance mode, as stacked arrays.
 
-    ``weights`` has shape (K,), ``means`` (K, d) and ``covariances`` (K, d, d)
-    in full mode or (K, d) per-coordinate variances in diagonal mode. Weights
-    are positive and sum to one within 1e-12. ``ll_trace`` is filled by
-    :func:`fit_em` with the per-iteration log-likelihood (first entry is the
-    likelihood of the starting mixture).
+    ``weights`` has shape (K,), ``means`` (K, w) for rows of width w, and
+    ``covariances`` (K, w, w) in full mode or (K,) variances in spherical
+    mode. ``dim`` is the model dimension D (default w), which full mode
+    requires to equal w. Weights are positive and sum to one within 1e-12.
+    ``ll_trace`` is filled by :func:`fit_em` with the per-iteration
+    log-likelihood (first entry is the likelihood of the starting mixture).
     """
 
     weights: np.ndarray
@@ -101,6 +104,7 @@ class GaussianMixture:
     covariance_mode: str
     reg_epsilon: float
     ll_trace: tuple[float, ...] | None = None
+    dim: int | None = None
 
     def __post_init__(self):
         if self.covariance_mode not in COVARIANCE_MODES:
@@ -111,8 +115,11 @@ class GaussianMixture:
             raise DegenerateModel("mixture needs at least one component")
         if self.weights.ndim != 1 or self.means.ndim != 2 or len(self.means) != self.weights.size:
             raise ConfigError("weights must have shape (K,) and means shape (K, d)")
-        k, d = self.means.shape
-        expected = (k, d, d) if self.covariance_mode == "full" else (k, d)
+        k, w = self.means.shape
+        object.__setattr__(self, "dim", w if self.dim is None else int(self.dim))
+        if self.dim < 1 or (self.covariance_mode == "full" and self.dim != w):
+            raise ConfigError(f"{self.covariance_mode} mixture of width {w} has dim {self.dim}")
+        expected = (k, w, w) if self.covariance_mode == "full" else (k,)
         if self.covariances.shape != expected:
             raise ConfigError(
                 f"{self.covariance_mode} covariances must have shape {expected}, "
@@ -127,10 +134,6 @@ class GaussianMixture:
     @property
     def n_components(self) -> int:
         return self.weights.size
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
 
     @property
     def n_iterations(self) -> int | None:
@@ -181,40 +184,35 @@ def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
     transpose (a copy would leave the buffer unsolved), and one einsum per
     block gives the Mahalanobis terms.
 
-    Diagonal mode expands the quadratic form around the mixture's centre
-    ``c = weights @ means``. With ``x~ = x - c``, ``m~ = mean - c`` and
-    ``p = 1 / variance``, a component's Mahalanobis term is
-    ``x~² · p - 2 x~ · (m~ p) + m~² · p``: two (n, d) by (K, d) einsums plus a
-    per-component constant, clipped at 0. Centring keeps the cancellation at
-    the scale of the data's spread, not of its column offsets. ``x~`` is
-    written C-ordered, so einsum sums each entry over the columns in one
-    order for any layout of X.
+    Spherical mode gives component k the log density
+    ``-(D log 2π + D log σ_k² + |x - mean_k|² / σ_k²) / 2``. With the centre
+    ``c = weights @ means``, ``x~ = x - c`` and ``m~ = mean - c``, the distance
+    is ``|x~|² - 2 x~ · m~ + |m~|²``, clipped at 0; centring keeps the
+    cancellation at the scale of the data's spread, and a C-ordered ``x~``
+    makes einsum sum each row in one order for any layout of X.
 
     Both modes reject non-finite data or means with ``ValueError``. The result
     is C-contiguous: the row-wise log-sum over components adds in memory
     order, so a transposed layout would change its last bits.
     """
-    if X.shape[1] != g.dim:
-        raise DimensionError(f"data has {X.shape[1]} columns, mixture dim is {g.dim}")
     n, d = X.shape
+    if d != g.means.shape[1]:
+        raise DimensionError(f"data has {d} columns, mixture means have {g.means.shape[1]}")
     k_total = g.n_components
     means, covs = g.means, g.covariances
     if not (np.isfinite(X).all() and np.isfinite(means).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if g.covariance_mode == "diagonal":
+    if g.covariance_mode == "spherical":
         if not ((covs > 0).all() and np.isfinite(covs).all()):
-            raise SingularCovariance("variance vector must be strictly positive")
-        logdet = np.log(covs).sum(axis=1)
+            raise SingularCovariance("variances must be strictly positive")
+        logdet = g.dim * np.log(covs)
         centre = np.einsum("k,kd->d", g.weights, means)
         xt = np.empty((n, d))  # C-ordered whatever the layout of X
         np.subtract(X, centre, out=xt)
-        precision = 1.0 / covs
         mt = means - centre
-        mp = mt * precision
-        maha = np.einsum("nd,kd->nk", xt * xt, precision)
-        maha -= 2.0 * np.einsum("nd,kd->nk", xt, mp)
-        maha += np.einsum("kd,kd->k", mt, mp)
-        np.maximum(maha, 0.0, out=maha)
+        maha = (np.einsum("nd,kd->nk", xt, -2.0 * mt) + np.einsum("nd,nd->n", xt, xt)[:, None]
+                + np.einsum("kd,kd->k", mt, mt))
+        maha = np.maximum(maha, 0.0) / covs
     else:
         try:
             chol = np.linalg.cholesky(covs)
@@ -237,7 +235,7 @@ def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
                     raise SingularCovariance("covariance factor is singular")
             np.einsum("knd,knd->kn", diff, diff, out=maha.T[start:stop])
     out = np.empty((n, k_total))
-    np.add(np.log(g.weights), -0.5 * ((d * _LOG_2PI + logdet) + maha), out=out)
+    np.add(np.log(g.weights), -0.5 * ((g.dim * _LOG_2PI + logdet) + maha), out=out)
     return out
 
 
@@ -254,26 +252,15 @@ def _e_step(g: GaussianMixture, X: np.ndarray, counts: np.ndarray) -> tuple[np.n
     return r, float(counts @ lse[:, 0])
 
 
-def _subset(g: GaussianMixture, keep: np.ndarray) -> GaussianMixture:
-    weights = g.weights[keep]
-    # Python's left-to-right sum: np.sum adds pairwise once K >= 8, which moves
-    # the last bits of the renormalized weights
-    weights = weights / sum(weights.tolist())
-    return GaussianMixture(
-        weights, g.means[keep], g.covariances[keep], g.covariance_mode, g.reg_epsilon
-    )
-
-
 def _m_step(
     g: GaussianMixture, X: np.ndarray, r: np.ndarray, counts: np.ndarray
 ) -> GaussianMixture:
     """Re-estimate ``g`` from its responsibilities ``r``, dropping dead components.
 
-    Row i's responsibilities weigh ``counts[i]`` times.
-    Diagonal variances are ``(r.T @ x~²) / mass - mean~²`` in one einsum over
-    the rows, where ``~`` is the offset from the updated mixture's centre
-    ``weights @ means`` (see :func:`_weighted_log_prob`); they are clipped at
-    0 and then get ``reg_epsilon``, so none falls below the ridge.
+    Row i's responsibilities weigh ``counts[i]`` times. A spherical variance
+    is ``(r.T @ |x~|²) / mass - |mean~|²``, clipped at 0, over D, with ``~``
+    the offset from the updated centre (see :func:`_weighted_log_prob`). Every
+    variance then gets ``reg_epsilon``, so none falls below the ridge.
     """
     r = r * counts[:, None]
     mass = r.sum(axis=0)
@@ -283,23 +270,23 @@ def _m_step(
             "dropping %d of %d components with responsibility mass below %g",
             int(dead.sum()), g.n_components, _DROP_MASS,
         )
-        g = _subset(g, ~dead)
+        keep = g.weights[~dead]
+        # Python's left-to-right sum: np.sum adds pairwise once K >= 8, which
+        # moves the last bits of the renormalized weights
+        g = replace(g, weights=keep / sum(keep.tolist()), means=g.means[~dead],
+                    covariances=g.covariances[~dead])
         r = _e_step(g, X, counts)[0] * counts[:, None]
         mass = r.sum(axis=0)
 
     weights = mass / mass.sum()
     means = (r.T @ X) / mass[:, None]
-    if g.covariance_mode == "diagonal":
+    if g.covariance_mode == "spherical":
         centre = np.einsum("k,kd->d", weights, means)
-        sq = np.empty(X.shape)
-        np.subtract(X, centre, out=sq)
-        np.square(sq, out=sq)
-        covs = np.einsum("nk,nd->kd", r, sq)
-        covs /= mass[:, None]
-        shifted = means - centre
-        covs -= np.square(shifted, out=shifted)
-        np.maximum(covs, 0.0, out=covs)
-        covs += g.reg_epsilon
+        xt = np.empty(X.shape)
+        np.subtract(X, centre, out=xt)
+        mt = means - centre
+        covs = np.einsum("nk,n->k", r, np.einsum("nd,nd->n", xt, xt)) / mass
+        covs = np.maximum(covs - np.einsum("kd,kd->k", mt, mt), 0.0) / g.dim + g.reg_epsilon
     else:
         # (K, n, d) differences and weighted differences, freed as soon as they are used
         diff = np.empty((g.n_components,) + X.shape)
@@ -311,7 +298,7 @@ def _m_step(
         covs /= mass[:, None, None]
         diag = np.arange(g.dim)
         covs[:, diag, diag] += g.reg_epsilon
-    return GaussianMixture(weights, means, covs, g.covariance_mode, g.reg_epsilon)
+    return GaussianMixture(weights, means, covs, g.covariance_mode, g.reg_epsilon, dim=g.dim)
 
 
 def mixture_log_density(g: GaussianMixture, data) -> np.ndarray:
@@ -338,7 +325,7 @@ def em_step(g: GaussianMixture, data) -> tuple[GaussianMixture, float]:
     A component whose responsibility mass falls below 1e-12 is dropped, the
     surviving weights are renormalized, and the pass restarts from the trimmed
     mixture (the drop is reported through logging). Covariances get
-    ``reg_epsilon`` added on the diagonal when re-estimated.
+    ``reg_epsilon`` added (on the diagonal in full mode) when re-estimated.
     """
     fitted = fit_em(g, data, tol=0.0, max_iter=1)
     return fitted, fitted.ll_trace[1]
@@ -391,8 +378,8 @@ def mixture_scores(g: GaussianMixture, data) -> MixtureScores:
 
 
 def default_covariance_mode(dim: int) -> str:
-    """Diagonal beyond 50 columns, full otherwise."""
-    return "diagonal" if dim > 50 else "full"
+    """Spherical beyond 50 columns, full otherwise."""
+    return "spherical" if dim > 50 else "full"
 
 
 def group_ids(ids: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
@@ -411,17 +398,20 @@ def init_gmm_from_codebook(
     data,
     covariance_mode: str | None = None,
     reg_epsilon: float | None = None,
+    dim: int | None = None,
 ) -> GaussianMixture:
-    """Seed a mixture from a codebook match.
+    """Seed a mixture of model dimension ``dim`` (default: the width of ``data``).
 
     ``match`` indexes the rows of ``data``. Units with prior zero are
     dropped. The rest give one component per distinct matched instance, in
     order of first occurrence: its mean is that instance's row of ``data``
     and its weight the summed prior of the units that matched it,
-    renormalized. Every component starts from the same diagonal covariance,
-    the global per-column variance of ``data`` plus ``reg_epsilon`` (default
-    ``1e-6 *`` mean column variance, or the smallest positive normal float
-    when that is smaller, so that rows that are all alike still get a ridge).
+    renormalized. With ``s`` the summed column variance of ``data`` (which
+    rows with the same distances share) over ``dim``, every component starts
+    from the column variances plus ``reg_epsilon`` on the diagonal in full
+    mode, or ``s + reg_epsilon`` in spherical mode. ``reg_epsilon`` defaults
+    to ``1e-6 * s``, or the smallest positive normal float when that is
+    smaller, so that rows that are all alike still get a ridge.
 
     Merging units is exact: components with one mean and one covariance stay
     proportional under EM, so the merged start fits the same density up to
@@ -432,16 +422,19 @@ def init_gmm_from_codebook(
     keep = match.priors > 0
     if not keep.any():
         raise DegenerateModel("every unit has prior zero")
+    dim = X.shape[1] if dim is None else dim
     if covariance_mode is None:
-        covariance_mode = default_covariance_mode(X.shape[1])
+        covariance_mode = default_covariance_mode(dim)
     base_var = X.var(axis=0)
+    scale = float(base_var.sum()) / dim
     if reg_epsilon is None:
-        reg_epsilon = max(1e-6 * float(base_var.mean()), np.finfo(float).tiny)
+        reg_epsilon = max(1e-6 * scale, np.finfo(float).tiny)
     if reg_epsilon <= 0:
         raise ConfigError("reg_epsilon must be positive")
-    start_var = base_var + reg_epsilon
     ids, priors = group_ids(match.matched_instance_ids[keep], match.priors[keep])
     weights = priors / priors.sum()
-    start_cov = start_var if covariance_mode == "diagonal" else np.diag(start_var)
-    covs = np.repeat(start_cov[None], weights.size, axis=0)
-    return GaussianMixture(weights, X[ids], covs, covariance_mode, float(reg_epsilon))
+    if covariance_mode == "spherical":
+        covs = np.full(weights.size, scale + reg_epsilon)
+    else:
+        covs = np.repeat(np.diag(base_var + reg_epsilon)[None], weights.size, axis=0)
+    return GaussianMixture(weights, X[ids], covs, covariance_mode, float(reg_epsilon), dim=dim)

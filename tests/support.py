@@ -1,9 +1,11 @@
 """Shared test fixtures: the Lloyd-restart corpus and the numeric oracles.
 
 The density oracle ``log_gauss_one`` evaluates one component at a time with
-the plain scipy triangular solve; the batched full-mode kernel in ``ppp.gmm``
-must equal it bit for bit, and the centred diagonal contraction must agree
-with it up to rounding. The single-vector helpers below it serve as test
+the plain scipy triangular solve, or from each row's own difference to the
+mean in spherical mode; the batched full-mode kernel in ``ppp.gmm`` must
+equal it bit for bit, and the centred spherical contraction must agree with
+it up to rounding. ``spherical_m_step_reference`` is the spherical M-step as
+a loop over components. The single-vector helpers below them serve as test
 oracles only.
 ``train_som_reference`` is the plain online SOM loop (two difference arrays
 and one ``exp`` per step) closed by a per-unit scan for the match, and
@@ -73,15 +75,18 @@ def brute_force_bipartition_objective(points: np.ndarray) -> float:
     return best
 
 
-def log_gauss_one(X: np.ndarray, mean: np.ndarray, cov: np.ndarray, mode: str) -> np.ndarray:
-    """Log density of one Gaussian over the rows of X."""
-    d = mean.shape[0]
+def log_gauss_one(
+    X: np.ndarray, mean: np.ndarray, cov, mode: str, dim: int | None = None
+) -> np.ndarray:
+    """Log density of one Gaussian of model dimension ``dim`` (default: the
+    width of X) over the rows of X; ``cov`` is a variance in spherical mode."""
+    d = mean.shape[0] if dim is None else dim
     diff = X - mean
-    if mode == "diagonal":
-        if np.any(cov <= 0) or not np.all(np.isfinite(cov)):
-            raise SingularCovariance("variance vector must be strictly positive")
-        maha = np.einsum("nd,nd->n", diff / cov, diff)
-        logdet = float(np.log(cov).sum())
+    if mode == "spherical":
+        if not (cov > 0 and np.isfinite(cov)):
+            raise SingularCovariance("variance must be strictly positive")
+        maha = np.einsum("nd,nd->n", diff, diff) / cov
+        logdet = d * float(np.log(cov))
     else:
         try:
             chol = np.linalg.cholesky(cov)
@@ -93,15 +98,27 @@ def log_gauss_one(X: np.ndarray, mean: np.ndarray, cov: np.ndarray, mode: str) -
     return -0.5 * (d * _LOG_2PI + logdet + maha)
 
 
+def spherical_m_step_reference(g: GaussianMixture, X: np.ndarray, r: np.ndarray):
+    """Weights, means and variances of the spherical M-step, one component at
+    a time: ``sum_i r_ik |x_i - mean_k|² / (D mass_k) + reg_epsilon``."""
+    mass = r.sum(axis=0)
+    means = (r.T @ X) / mass[:, None]
+    covs = np.empty(g.n_components)
+    for k in range(g.n_components):
+        diff = X - means[k]
+        covs[k] = (r[:, k] @ np.einsum("nd,nd->n", diff, diff)) / (g.dim * mass[k])
+    return mass / mass.sum(), means, covs + g.reg_epsilon
+
+
 def component_logpdf(mean, covariance, x) -> float:
     """Log density at the vector ``x`` of the Gaussian with this mean and a
-    (d, d) covariance matrix or a (d,) variance vector."""
+    (d, d) covariance matrix or a variance (times the identity)."""
     mean = np.asarray(mean, dtype=float)
     covariance = np.asarray(covariance, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.shape != mean.shape:
         raise DimensionError(f"x has shape {x.shape}, component dim is {mean.shape[0]}")
-    mode = "diagonal" if covariance.ndim == 1 else "full"
+    mode = "spherical" if covariance.ndim == 0 else "full"
     return float(log_gauss_one(x[None, :], mean, covariance, mode)[0])
 
 

@@ -761,10 +761,17 @@ class TestCut:
              {"path": "1", "status": "leaf_terminal", "feature_ids": [1]},
          ]}},
         _chain_tree_json(600),
+        {"n_instances": 1, "n_features": 2,
+         "root": {"path": "", "status": "internal", "feature_ids": [0, 1], "children": [
+             {"path": "0", "status": "leaf_terminal", "feature_ids": []},
+             {"path": "1", "status": "leaf_terminal", "feature_ids": [0, 1]},
+         ]}},
+        {"n_instances": 1, "n_features": 0,
+         "root": {"path": "", "status": "leaf_terminal", "feature_ids": []}},
     ], ids=["not-json", "out-of-range-id", "overlapping-children", "repeated-id",
             "unknown-status", "childless-internal", "leaf-with-children",
             "short-name-table", "string-name-table", "repeated-name", "huge-id",
-            "path-off-shape", "too-deep"])
+            "path-off-shape", "too-deep", "featureless-child", "featureless-root"])
     def test_malformed_tree_is_usage_error(self, tmp_path, capsys, doc):
         tree = tmp_path / "tree.json"
         tree.write_text(doc if isinstance(doc, str) else json.dumps(doc))

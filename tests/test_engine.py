@@ -36,6 +36,7 @@ from ppp.gmm import (
     default_covariance_mode,
     fit_em,
     init_gmm_from_codebook,
+    mixture_log_density,
     mixture_scores,
 )
 from ppp.som import CodebookMatchSet, default_grid, default_som_config, init_som, train_soms
@@ -134,16 +135,14 @@ class TestChildPosteriors:
     def test_identical_children_halve(self):
         vectors = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
         g = _isotropic([[0.0, 0.0], [1.0, 1.0]])
-        cols = [0, 1]
-        post_a, post_b = child_posteriors(_match_set([0.3, 0.3, 0.4]), vectors, g, g, cols, cols)
+        post_a, post_b = child_posteriors(_match_set([0.3, 0.3, 0.4]), g, g, vectors, vectors)
         np.testing.assert_allclose(post_a, 0.5, rtol=1e-12)
         np.testing.assert_allclose(post_b, 0.5, rtol=1e-12)
 
     def test_zero_prior_unit_gets_zero(self):
         vectors = np.zeros((3, 2))
         g = _isotropic([[0.0, 0.0]])
-        cols = [0, 1]
-        post_a, post_b = child_posteriors(_match_set([0.5, 0.0, 0.5]), vectors, g, g, cols, cols)
+        post_a, post_b = child_posteriors(_match_set([0.5, 0.0, 0.5]), g, g, vectors, vectors)
         assert post_a[1] == 0.0 and post_b[1] == 0.0
         assert post_a[0] == 0.5
 
@@ -153,29 +152,42 @@ class TestChildPosteriors:
         ga = _isotropic(rng.standard_normal((2, 3)))
         gb = _isotropic(rng.standard_normal((3, 3)))
         priors = rng.dirichlet(np.ones(8))
-        post_a, post_b = child_posteriors(_match_set(priors), vectors, ga, gb, [0, 1, 2], [0, 1, 2])
+        post_a, post_b = child_posteriors(_match_set(priors), ga, gb, vectors, vectors)
         np.testing.assert_allclose(post_a + post_b, 1.0, atol=1e-12)
 
     def test_competitive_favors_the_nearer_mixture(self):
         vectors = np.array([[0.0, 0.0], [10.0, 10.0]])
         ga = _isotropic([[0.0, 0.0]])
         gb = _isotropic([[10.0, 10.0]])
-        post_a, _ = child_posteriors(_match_set([0.5, 0.5]), vectors, ga, gb, [0, 1], [0, 1])
+        post_a, _ = child_posteriors(_match_set([0.5, 0.5]), ga, gb, vectors, vectors)
         assert post_a[0] > 0.999
         assert post_a[1] < 0.001
 
     def test_column_restriction(self):
-        """Each child mixture sees only its own feature columns."""
+        """Each child mixture sees only its own rows, here its feature columns."""
         rng = np.random.default_rng(3)
         vectors = rng.standard_normal((5, 4))
         ga = _isotropic(rng.standard_normal((2, 2)))
         gb = _isotropic(rng.standard_normal((2, 2)))
         priors = np.full(5, 0.2)
-        post_a, post_b = child_posteriors(_match_set(priors), vectors, ga, gb, [0, 2], [1, 3])
+        post_a, post_b = child_posteriors(
+            _match_set(priors), ga, gb, vectors[:, [0, 2]], vectors[:, [1, 3]]
+        )
         dens_a = np.array([mixture_pdf(ga, v) for v in vectors[:, [0, 2]]])
         dens_b = np.array([mixture_pdf(gb, v) for v in vectors[:, [1, 3]]])
         np.testing.assert_allclose(post_a, dens_a / (dens_a + dens_b), rtol=1e-12)
         np.testing.assert_allclose(post_b, dens_b / (dens_a + dens_b), rtol=1e-12)
+
+    def test_rows_at_the_match_ids(self):
+        """Each mixture scores its rows at the parent match's ids, unit by unit."""
+        rng = np.random.default_rng(4)
+        rows_a, rows_b = rng.standard_normal((6, 2)), rng.standard_normal((6, 3))
+        ga, gb = _isotropic(rng.standard_normal((2, 2))), _isotropic(rng.standard_normal((1, 3)))
+        match = CodebookMatchSet(np.array([4, 1, 4]), np.array([0.5, 0.25, 0.25]))
+        post_a, _ = child_posteriors(match, ga, gb, rows_a, rows_b)
+        dens_a = np.array([mixture_pdf(ga, rows_a[i]) for i in (4, 1, 4)])
+        dens_b = np.array([mixture_pdf(gb, rows_b[i]) for i in (4, 1, 4)])
+        np.testing.assert_allclose(post_a, dens_a / (dens_a + dens_b), rtol=1e-12)
 
 
 def _trained_shapes(monkeypatch):
@@ -244,30 +256,48 @@ class TestQuantize:
         X = np.random.default_rng(3).standard_normal((20, 20))
         assert engine_mod._frame(X) is X
 
-    def test_mixtures_start_from_the_matrix_rows(self, monkeypatch):
-        """Maps train on 12 x 12 frames; each mixture starts from its matrix's
-        rows at the matched ids, the parent's with 90 columns, a child's with
-        its side's."""
-        X = np.random.default_rng(4).standard_normal((12, 90))
+    @staticmethod
+    def _starts(monkeypatch, X):
+        """The (match, rows, start) of each mixture start of one attempt on X."""
         starts = []
         real = engine_mod.init_gmm_from_codebook
 
-        def init(match, data):
-            start = real(match, data)
+        def init(match, data, **kwargs):
+            start = real(match, data, **kwargs)
             starts.append((match, data, start))
             return start
 
         monkeypatch.setattr(engine_mod, "init_gmm_from_codebook", init)
-        node = PppNode(IndexSet.full(90), IndexSet.full(12))
+        node = PppNode(IndexSet.full(X.shape[1]), IndexSet.full(len(X)))
         evaluate_split(node, DesignMatrix.ingest(X), PppConfig(), 1)
         assert len(starts) == 3
-        assert np.array_equal(starts[0][1], X)
-        assert sum(data.shape[1] for _, data, _ in starts[1:]) == 90
         for match, data, start in starts:
             ids = match.matched_instance_ids[match.priors > 0]
             _, first = np.unique(ids, return_index=True)
             assert start.means.shape == (first.size, data.shape[1])
             assert np.array_equal(start.means, data[ids[np.sort(first)]])
+        return starts
+
+    def test_mixtures_start_from_the_matrix_rows(self, monkeypatch):
+        """Maps train on 12 x 12 frames; full mixtures (at most 50 columns)
+        start from their matrix's rows at the matched ids, the parent's with
+        40 columns, a child's with its side's."""
+        X = np.random.default_rng(4).standard_normal((12, 40))
+        starts = self._starts(monkeypatch, X)
+        assert np.array_equal(starts[0][1], X)
+        assert sum(data.shape[1] for _, data, _ in starts[1:]) == 40
+        assert all(start.covariance_mode == "full" for _, _, start in starts)
+
+    def test_spherical_mixtures_start_from_the_frame_rows(self, monkeypatch):
+        """Over 50 columns each mixture starts from its matrix's frame, 12 x 12,
+        and models the matrix's column count: 200 for the parent, a side's
+        for a child."""
+        X = np.random.default_rng(4).standard_normal((12, 200))
+        starts = self._starts(monkeypatch, X)
+        assert np.array_equal(starts[0][1], engine_mod._frame(X))
+        assert starts[0][2].dim == 200 and sum(start.dim for _, _, start in starts[1:]) == 200
+        assert all(data.shape == (12, 12) for _, data, _ in starts)
+        assert all(start.covariance_mode == "spherical" for _, _, start in starts)
 
     @staticmethod
     def _one_attempt(monkeypatch, shape):
@@ -297,7 +327,7 @@ class TestFit:
         match = engine_mod._quantize([X], [11])[0]
         ids = match.matched_instance_ids
         assert np.unique(ids).size < len(match)
-        got = engine_mod._fit(match, X)
+        got = engine_mod._fit(match, X, X.shape[1])
         keep = match.priors > 0
         start = init_gmm_from_codebook(match, X)
         unmerged = GaussianMixture(
@@ -317,7 +347,7 @@ class TestFit:
         ids = np.arange(0, 120, 3)
         seen = []
         monkeypatch.setattr(engine_mod, "fit_em", lambda g, data, **kw: seen.append((data, kw)))
-        engine_mod._fit(CodebookMatchSet(ids, np.full(ids.size, 1 / ids.size)), X)
+        engine_mod._fit(CodebookMatchSet(ids, np.full(ids.size, 1 / ids.size)), X, X.shape[1])
         (data, kw), = seen
         assert np.array_equal(data, X[ids])
         assert list(kw) == ["counts"] and np.array_equal(kw["counts"], np.ones(ids.size))
@@ -335,19 +365,43 @@ class TestFit:
         starts, seen = [], []
         real_init = engine_mod.init_gmm_from_codebook
 
-        def init(*args):
-            starts.append(real_init(*args))
+        def init(*args, **kwargs):
+            starts.append(real_init(*args, **kwargs))
             return starts[-1]
 
         monkeypatch.setattr(engine_mod, "init_gmm_from_codebook", init)
         monkeypatch.setattr(engine_mod, "fit_em", lambda g, data, **kw: seen.append((g, data, kw)))
-        engine_mod._fit(match, X)
+        engine_mod._fit(match, X, X.shape[1])
         (start,), ((g, data, kw),) = starts, seen
         assert g is start
         assert np.array_equal(start.means, X[[3, 5, 2]])
         np.testing.assert_allclose(start.weights, [0.5, 0.35, 0.15], rtol=1e-15)
         assert np.array_equal(data, X[[5, 3, 2]])
         assert list(kw) == ["counts"] and kw["counts"].tolist() == [3, 2, 1]
+
+    @pytest.mark.parametrize("shape", [(48, 640), (10, 320), "duplicate"])
+    def test_spherical_fit_on_the_frame_equals_the_fit_on_the_matrix(self, shape):
+        """A spherical mixture sees rows only through their distances, which
+        the frame keeps: its fit and log densities on the frame equal those on
+        the matrix. A matrix with a duplicate row is its own frame."""
+        rng = np.random.default_rng(9)
+        if shape == "duplicate":
+            X = rng.standard_normal((48, 640))
+            X[-1] = X[0]
+        else:
+            X = rng.standard_normal(shape) + rng.integers(0, 2, shape[0])[:, None] * 2.0
+        frame = engine_mod._frame(X)
+        assert (frame is X) == (shape == "duplicate")
+        match = engine_mod._quantize([frame], [5])[0]
+        on_frame = engine_mod._fit(match, frame, X.shape[1])
+        on_matrix = engine_mod._fit(match, X, X.shape[1])
+        assert on_frame.covariance_mode == "spherical" and on_frame.dim == X.shape[1]
+        assert on_frame.n_iterations == on_matrix.n_iterations
+        assert on_frame.n_components == on_matrix.n_components
+        np.testing.assert_allclose(on_frame.weights, on_matrix.weights, rtol=1e-9)
+        np.testing.assert_allclose(on_frame.covariances, on_matrix.covariances, rtol=1e-9)
+        np.testing.assert_allclose(mixture_log_density(on_frame, frame),
+                                   mixture_log_density(on_matrix, X), rtol=1e-9)
 
 
 class TestEvaluateSplit:
@@ -865,20 +919,31 @@ class TestBuildTree:
         assert tree.root.status == "leaf_unsplittable"
 
     def test_each_fit_picks_its_covariance_shape_from_its_columns(self, monkeypatch):
-        """Diagonal over more than 50 columns, full otherwise, per fit: a
-        48 x 120 planted tree fits mixtures on both sides of that line."""
+        """Spherical over more than 50 columns, on rows no wider than the
+        node's row count, and full otherwise, on the node's columns, per fit:
+        a 48 x 120 planted tree fits mixtures on both sides of that line."""
         seen = []
         real = engine_mod.fit_em
 
         def fit(g, data, **kwargs):
-            seen.append((g.covariance_mode, data.shape[1]))
+            seen.append((g.covariance_mode, g.dim, data.shape[1]))
             return real(g, data, **kwargs)
 
         monkeypatch.setattr(engine_mod, "fit_em", fit)
         spec = PlantedSpec.even(48, 120, (2, 2), gap=4.0, noise_sigma=1.0, seed=1)
         build_tree(generate_planted(spec).matrix, PppConfig(master_seed=0))
-        assert {d > 50 for _, d in seen} == {True, False}
-        assert all(mode == default_covariance_mode(d) for mode, d in seen)
+        assert {d > 50 for _, d, _ in seen} == {True, False}
+        assert all(mode == default_covariance_mode(d) for mode, d, _ in seen)
+        assert all(w <= 48 if d > 50 else w == d for _, d, w in seen)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_wide_planted_depth_one_cut_recovers_the_blocks(self, seed):
+        """The genes-as-features shape, 48 x 640, whose nodes fit spherical
+        mixtures on their frames: the depth-1 cut is the planted feature blocks."""
+        planted = generate_planted(PlantedSpec.even(48, 640, (2, 2), seed=seed))
+        tree = build_tree(planted.matrix, PppConfig(master_seed=seed))
+        labels = cluster_labels(cut_tree(tree, 1), 640)
+        assert adjusted_rand_index(labels, planted.feature_labels) == 1.0
 
     def test_planted_root_recovered(self, planted):
         tree = build_tree(planted.matrix, PppConfig(master_seed=3))

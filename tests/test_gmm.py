@@ -33,18 +33,19 @@ from ppp.gmm import (
 )
 from ppp.som import CodebookMatchSet
 
-from support import component_logpdf, log_gauss_one, mixture_pdf
+from support import component_logpdf, log_gauss_one, mixture_pdf, spherical_m_step_reference
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _mixture(weights, means, covs, mode="full"):
+def _mixture(weights, means, covs, mode="full", dim=None):
     return GaussianMixture(
         np.asarray(weights, dtype=float),
         np.asarray(means, dtype=float),
         np.asarray(covs, dtype=float),
         mode,
         1e-9,
+        dim=dim,
     )
 
 
@@ -53,8 +54,8 @@ def _random_mixture(rng, k, dim, mode="full"):
     means = rng.standard_normal((k, dim)) * 2
     covs = []
     for _ in range(k):
-        if mode == "diagonal":
-            covs.append(rng.uniform(0.2, 2.0, size=dim))
+        if mode == "spherical":
+            covs.append(rng.uniform(0.2, 2.0))
         else:
             a = rng.standard_normal((dim, dim))
             covs.append(a @ a.T + np.eye(dim) * 0.5)
@@ -78,9 +79,14 @@ class TestMixtureValidation:
         with pytest.raises(DegenerateModel):
             GaussianMixture(np.empty(0), np.empty((0, 2)), np.empty((0, 2, 2)), "full", 1e-9)
 
-    @pytest.mark.parametrize("mode,cov", [("diagonal", np.eye(3)), ("full", np.ones(3))])
+    @pytest.mark.parametrize(
+        "mode,cov",
+        [("diagonal", np.ones(3)), ("full", np.ones(3)), ("spherical", np.ones(3))],
+    )
     def test_covariance_shape_must_match_mode(self, mode, cov):
-        """Diagonal mode takes (K, d) variances, full mode (K, d, d) matrices."""
+        """Spherical mode takes (K,) variances, full mode (K, d, d) matrices;
+        (K, d) per-column variances are refused by both, and by the retired
+        diagonal mode that used to take them."""
         with pytest.raises(ConfigError):
             _mixture([0.5, 0.5], np.zeros((2, 3)), [cov] * 2, mode=mode)
 
@@ -92,11 +98,21 @@ class TestMixtureValidation:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
-            _mixture([1.0], np.zeros((1, 2)), [np.eye(2)], mode="spherical")
+            _mixture([1.0], np.zeros((1, 2)), [np.eye(2)], mode="diagonal")
 
     def test_default_mode_switches_on_width(self):
         assert default_covariance_mode(50) == "full"
-        assert default_covariance_mode(51) == "diagonal"
+        assert default_covariance_mode(51) == "spherical"
+
+    def test_model_dimension(self):
+        """``dim`` defaults to the means' width; a spherical mixture may model
+        more columns than its rows have, a full one may not."""
+        assert _mixture([1.0], np.zeros((1, 3)), [np.eye(3)]).dim == 3
+        assert _mixture([1.0], np.zeros((1, 3)), [1.0], "spherical").dim == 3
+        assert _mixture([1.0], np.zeros((1, 3)), [1.0], "spherical", dim=640).dim == 640
+        for mode, cov, dim in [("full", np.eye(3), 4), ("spherical", 1.0, 0)]:
+            with pytest.raises(ConfigError):
+                _mixture([1.0], np.zeros((1, 3)), [cov], mode, dim=dim)
 
 
 class TestComponentLogpdf:
@@ -112,13 +128,13 @@ class TestComponentLogpdf:
             -1.4189385332046727, rel=1e-14
         )
 
-    def test_diagonal_matches_full(self):
+    def test_spherical_matches_full(self):
         rng = np.random.default_rng(0)
-        var = rng.uniform(0.5, 2.0, size=4)
+        var = rng.uniform(0.5, 2.0)
         mean = rng.standard_normal(4)
         x = rng.standard_normal(4)
         assert component_logpdf(mean, var, x) == pytest.approx(
-            component_logpdf(mean, np.diag(var), x), rel=1e-12
+            component_logpdf(mean, var * np.eye(4), x), rel=1e-12
         )
 
     def test_scaled_covariance_quadratic(self):
@@ -200,7 +216,7 @@ class TestMixtureDensity:
 
 class TestBatchedDensity:
     """The one-pass kernel against the per-component oracle: bit for bit in full
-    mode, and within rounding in diagonal mode, whose contraction sums in
+    mode, and within rounding in spherical mode, whose contraction sums in
     another order."""
 
     @staticmethod
@@ -208,7 +224,7 @@ class TestBatchedDensity:
         expected = np.empty((X.shape[0], g.n_components))
         for k in range(g.n_components):
             expected[:, k] = np.log(g.weights[k]) + log_gauss_one(
-                X, g.means[k], g.covariances[k], g.covariance_mode
+                X, g.means[k], g.covariances[k], g.covariance_mode, g.dim
             )
         return expected
 
@@ -220,7 +236,7 @@ class TestBatchedDensity:
         else:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
 
-    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
     def test_equals_per_component_oracle(self, mode):
         rng = np.random.default_rng(20)
         g = _random_mixture(rng, 7, 5, mode)
@@ -228,7 +244,7 @@ class TestBatchedDensity:
         X = rng.standard_normal((40, 5)) * 2
         self._assert_matches_oracle(g, X)
 
-    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
     def test_output_is_c_contiguous(self, mode):
         """The row-wise log-sum adds in memory order, so the layout is part of the result."""
         rng = np.random.default_rng(21)
@@ -241,19 +257,18 @@ class TestBatchedDensity:
         g = _mixture([0.5, 0.3, 0.2], np.zeros((3, 2)), [good, good, singular])
         with pytest.raises(SingularCovariance):
             mixture_log_density(g, np.zeros((4, 2)))
-        g = _mixture([0.5, 0.3, 0.2], np.zeros((3, 2)),
-                     [np.ones(2), np.ones(2), np.array([1.0, 0.0])], mode="diagonal")
+        g = _mixture([0.5, 0.3, 0.2], np.zeros((3, 2)), [1.0, 1.0, 0.0], mode="spherical")
         with pytest.raises(SingularCovariance):
             mixture_log_density(g, np.zeros((4, 2)))
 
-    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
     def test_non_finite_data_rejected(self, mode):
-        g = _mixture([1.0], [np.zeros(2)], [np.eye(2) if mode == "full" else np.ones(2)], mode)
+        g = _mixture([1.0], [np.zeros(2)], [np.eye(2) if mode == "full" else 1.0], mode)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 mixture_log_density(g, np.array([[0.0, bad]]))
 
-    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
     def test_column_sliced_input_equals_oracle(self, mode):
         """A column selection, as a child mixture sees its parent's vectors, is not C-ordered."""
         rng = np.random.default_rng(22)
@@ -271,45 +286,59 @@ class TestBatchedDensity:
         X = rng.standard_normal((n, d)) * 2
         assert np.array_equal(_weighted_log_prob(g, X), self._oracle(g, X))
 
-    def test_diagonal_far_offset_columns_at_a_mean(self):
+    def test_spherical_model_dimension_sets_the_constant(self):
+        """Rows of width 5 modelled as 640 columns: the oracle with D = 640,
+        which differs from the width-5 density by the normalizing constant alone."""
+        rng = np.random.default_rng(31)
+        k, w, dim = 6, 5, 640
+        g = _mixture(rng.dirichlet(np.ones(k)), rng.standard_normal((k, w)),
+                     rng.uniform(0.5, 2.0, k), "spherical", dim=dim)
+        X = rng.standard_normal((20, w)) * 2
+        self._assert_matches_oracle(g, X)
+        narrow = _mixture(g.weights, g.means, g.covariances, "spherical")
+        shift = -0.5 * (dim - w) * (LOG_2PI + np.log(g.covariances))
+        np.testing.assert_allclose(_weighted_log_prob(g, X),
+                                   _weighted_log_prob(narrow, X) + shift, rtol=1e-12)
+
+    def test_spherical_far_offset_columns_at_a_mean(self):
         """Columns near 1e6 with unit spread and variances of 1e-6: uncentred,
-        x² / variance is about 1e18 and its rounding swamps the density; centred
+        |x|² / variance is about 1e19 and its rounding swamps the density; centred
         on the mixture, a row at a component's mean keeps the oracle's value."""
         rng = np.random.default_rng(24)
         k, d = 5, 8
         means = 1e6 + rng.standard_normal((k, d))
-        g = _mixture(rng.dirichlet(np.ones(k)), means, np.full((k, d), 1e-6), "diagonal")
+        g = _mixture(rng.dirichlet(np.ones(k)), means, np.full(k, 1e-6), "spherical")
         got = _weighted_log_prob(g, means)
         want = self._oracle(g, means)
         np.testing.assert_allclose(np.diagonal(got), np.diagonal(want), rtol=0, atol=1e-6)
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
-    def test_diagonal_row_at_a_far_mean_never_beats_the_peak(self):
-        """The Mahalanobis term of a row at a component's mean is 0 in exact
+    def test_spherical_row_at_a_far_mean_never_beats_the_peak(self):
+        """The distance of a row at a component's mean is 0 in exact
         arithmetic, and the clip keeps its rounding from lifting the density
         above the component's peak."""
         rng = np.random.default_rng(29)
         k, d = 40, 60
         means = rng.standard_normal((k, d)) * 30
-        covs = rng.uniform(0.5, 2.0, (k, d))
-        g = _mixture(np.full(k, 1 / k), means, covs, "diagonal")
-        peak = np.log(g.weights) - 0.5 * (d * LOG_2PI + np.log(covs).sum(axis=1))
+        covs = rng.uniform(0.5, 2.0, k)
+        g = _mixture(np.full(k, 1 / k), means, covs, "spherical")
+        peak = np.log(g.weights) - 0.5 * (d * LOG_2PI + d * np.log(covs))
         assert np.all(np.diagonal(_weighted_log_prob(g, means)) <= peak)
 
-    def test_diagonal_row_alone_gets_the_same_bits(self):
+    def test_spherical_row_alone_gets_the_same_bits(self):
         """A row's density does not depend on the rows scored with it."""
         rng = np.random.default_rng(25)
-        g = _random_mixture(rng, 9, 70, "diagonal")
+        g = _random_mixture(rng, 9, 70, "spherical")
         X = rng.standard_normal((33, 70)) * 2 + 3
         together = _weighted_log_prob(g, X)
         for i in range(len(X)):
             assert np.array_equal(_weighted_log_prob(g, X[i:i + 1])[0], together[i])
         assert np.array_equal(_weighted_log_prob(g, X[::-1]), together[::-1])
 
-    def test_diagonal_kernels_do_not_depend_on_blas_threads(self):
+    def test_spherical_kernels_do_not_depend_on_blas_threads(self):
         """A density pass and an M-step with 64 components at 200 x 2000, the
-        shape where a BLAS matrix-product form gave other bits on two threads
-        than on one."""
+        shape where a BLAS matrix-product form of the diagonal kernels once
+        gave other bits on two threads than on one."""
         code = (
             "import hashlib, numpy as np\n"
             "from ppp.gmm import GaussianMixture, _m_step, _weighted_log_prob, responsibilities\n"
@@ -318,7 +347,7 @@ class TestBatchedDensity:
             "w = rng.dirichlet(np.ones(k)); w /= sum(w.tolist())\n"
             "X = rng.standard_normal((n, d)) + 3\n"
             "g = GaussianMixture(w, X[rng.choice(n, k, replace=False)] + 0.1,\n"
-            "                    rng.uniform(50, 60, (k, d)), 'diagonal', 1e-6)\n"
+            "                    50 + rng.uniform(0, 0.01, k), 'spherical', 1e-6)\n"
             "h = hashlib.sha256(_weighted_log_prob(g, X).tobytes())\n"
             "u = _m_step(g, X, responsibilities(g, X), np.ones(n))\n"
             "for a in (u.weights, u.means, u.covariances): h.update(a.tobytes())\n"
@@ -427,7 +456,7 @@ class TestResponsibilities:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 6))
         dim = int(rng.integers(1, 4))
-        mode = "diagonal" if rng.random() < 0.5 else "full"
+        mode = "spherical" if rng.random() < 0.5 else "full"
         g = _random_mixture(rng, k, dim, mode)
         X = rng.standard_normal((int(rng.integers(1, 30)), dim))
         r = responsibilities(g, X)
@@ -462,16 +491,16 @@ class TestEmStep:
         np.testing.assert_allclose(updated.covariances[0], expected_cov, rtol=1e-10)
         assert ll == pytest.approx(log_likelihood(updated, X), rel=1e-14)
 
-    def test_diagonal_single_component(self):
+    def test_spherical_single_component(self):
+        """One component's variance is the summed column variance over D."""
         rng = np.random.default_rng(6)
         X = rng.standard_normal((30, 4)) * np.array([1.0, 2.0, 0.5, 3.0])
-        g = _mixture([1.0], [np.zeros(4)], [np.ones(4)], mode="diagonal")
-        updated, _ = em_step(g, X)
-        np.testing.assert_allclose(
-            updated.covariances[0],
-            X.var(axis=0) + g.reg_epsilon,
-            rtol=1e-10,
-        )
+        for dim in (4, 9):
+            g = _mixture([1.0], [np.zeros(4)], [1.0], mode="spherical", dim=dim)
+            updated, _ = em_step(g, X)
+            np.testing.assert_allclose(
+                updated.covariances[0], X.var(axis=0).sum() / dim + g.reg_epsilon, rtol=1e-10
+            )
 
     def test_identical_rows_collapse(self):
         v = np.array([1.0, -2.0])
@@ -553,18 +582,8 @@ class TestFullMStep:
         assert np.array_equal(_m_step(g, X, r, np.ones(len(X))).covariances, covs)
 
 
-class TestDiagonalMStep:
-    """The centred diagonal M-step against the per-component loop it replaces."""
-
-    @staticmethod
-    def _reference(g, X, r):
-        mass = r.sum(axis=0)
-        means = (r.T @ X) / mass[:, None]
-        covs = np.empty_like(means)
-        for k in range(g.n_components):
-            diff = X - means[k]
-            covs[k] = (r[:, k] @ (diff * diff)) / mass[k] + g.reg_epsilon
-        return mass / mass.sum(), means, covs
+class TestSphericalMStep:
+    """The centred spherical M-step against the per-component loop reference."""
 
     @pytest.mark.parametrize("offset", [0.0, 1e4])
     @pytest.mark.parametrize("counted", [False, True])
@@ -573,13 +592,13 @@ class TestDiagonalMStep:
         k, n, d = 6, 50, 80
         X = rng.standard_normal((n, d)) * 2 + offset
         g = GaussianMixture(
-            np.full(k, 1 / k), X[:k] + 0.5, rng.uniform(2.0, 8.0, (k, d)), "diagonal", 1e-6
+            np.full(k, 1 / k), X[:k] + 0.5, rng.uniform(2.0, 8.0, k), "spherical", 1e-6, dim=200
         )
         r = responsibilities(g, X)
         counts = rng.integers(1, 5, size=n).astype(float) if counted else np.ones(n)
         updated = _m_step(g, X, r, counts)
-        assert updated.n_components == k
-        weights, means, covs = self._reference(g, X, r * counts[:, None])
+        assert updated.n_components == k and updated.dim == 200
+        weights, means, covs = spherical_m_step_reference(g, X, r * counts[:, None])
         assert np.array_equal(updated.weights, weights)
         assert np.array_equal(updated.means, means)
         assert np.all(updated.covariances >= g.reg_epsilon)
@@ -587,8 +606,8 @@ class TestDiagonalMStep:
 
     def test_variance_of_repeated_rows_stays_at_the_ridge(self):
         """A component whose rows are one row repeated has variance 0 in exact
-        arithmetic. Far from the centre, ``x~²`` and ``mean~²`` are large and
-        their rounded difference can fall below 0; the clip keeps every
+        arithmetic. Far from the centre, ``|x~|²`` and ``|mean~|²`` are large
+        and their rounded difference can fall below 0; the clip keeps every
         variance at ``reg_epsilon`` or above."""
         rng = np.random.default_rng(28)
         d = 40
@@ -598,7 +617,7 @@ class TestDiagonalMStep:
         r[:3, 0] = rng.uniform(0.1, 0.9, 3)
         r[:, 1] = 1.0 - r[:, 0]
         g = GaussianMixture(
-            np.array([0.25, 0.75]), np.zeros((2, d)), np.ones((2, d)), "diagonal", 1e-14
+            np.array([0.25, 0.75]), np.zeros((2, d)), np.ones(2), "spherical", 1e-14
         )
         updated = _m_step(g, X, r, np.ones(6))
         assert updated.n_components == 2
@@ -649,7 +668,7 @@ class TestFitEm:
         assert means[0] == pytest.approx(0.0, abs=0.3)
         assert means[1] == pytest.approx(6.0, abs=0.3)
 
-    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
     def test_trace_equals_iterated_em_step(self, mode):
         rng = np.random.default_rng(22)
         g = _random_mixture(rng, 4, 3, mode)
@@ -663,7 +682,7 @@ class TestFitEm:
         assert np.array_equal(fitted.means, stepped.means)
         assert np.array_equal(fitted.covariances, stepped.covariances)
 
-    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
     def test_no_counts_is_unit_counts(self, mode):
         """EM has one weighted path: leaving out ``counts`` is passing ones, bit for bit."""
         rng = np.random.default_rng(29)
@@ -676,7 +695,7 @@ class TestFitEm:
         for name in ("weights", "means", "covariances"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
-    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
     def test_em_step_is_one_fit_em_iteration(self, mode):
         rng = np.random.default_rng(30)
         g = _random_mixture(rng, 4, 3, mode)
@@ -713,15 +732,16 @@ class TestFitEm:
 class TestCountedRows:
     """EM on distinct rows with their counts fits what EM on the repeated rows fits."""
 
-    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
     def test_counts_equal_repeated_rows(self, mode):
-        # 40 rows for 4 components in 3 dimensions: no component collapses to a
-        # spike, where the two fits' rounding would part ways
+        # 40 rows in 3 dimensions for 4 full or 2 spherical components: no
+        # component collapses to a spike, where the two fits' rounding would
+        # part ways (3 or 4 spherical ones put one on a single row)
         rng = np.random.default_rng(23)
         distinct = rng.standard_normal((40, 3)) * 2
         counts = rng.integers(1, 5, size=40)
         repeated = np.repeat(distinct, counts, axis=0)[rng.permutation(counts.sum())]
-        g = _random_mixture(rng, 4, 3, mode)
+        g = _random_mixture(rng, 4 if mode == "full" else 2, 3, mode)
         got = fit_em(g, distinct, counts=counts)
         want = fit_em(g, repeated)
         assert got.n_iterations == want.n_iterations > 1
@@ -825,7 +845,7 @@ class TestInitFromCodebook:
         assert np.array_equal(g.means, alone.means)
         assert np.array_equal(g.weights, alone.weights)
 
-    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
     def test_merged_start_has_the_unmerged_density(self, mode):
         rng = np.random.default_rng(21)
         X = rng.standard_normal((30, 3))
@@ -886,7 +906,20 @@ class TestInitFromCodebook:
         assert init_gmm_from_codebook(match, narrow).covariance_mode == "full"
         wide = rng.standard_normal((60, 51))
         match_w = self._match([1 / 3] * 3)
-        assert init_gmm_from_codebook(match_w, wide).covariance_mode == "diagonal"
+        assert init_gmm_from_codebook(match_w, wide).covariance_mode == "spherical"
+        assert init_gmm_from_codebook(match_w, wide[:, :40], dim=51).covariance_mode == "spherical"
+
+    @pytest.mark.parametrize("dim", [None, 200])
+    def test_spherical_start_is_the_summed_variance_over_dim(self, dim):
+        """Each component starts at (sum of column variances) / D plus the
+        ridge, 1e-6 of that: the full-mode ridge rule for D columns."""
+        X = np.random.default_rng(23).standard_normal((20, 60)) * 3
+        g = init_gmm_from_codebook(self._match([0.5, 0.5]), X, dim=dim)
+        d = X.shape[1] if dim is None else dim
+        scale = X.var(axis=0).sum() / d
+        assert g.covariance_mode == "spherical" and g.dim == d
+        assert g.reg_epsilon == pytest.approx(1e-6 * scale, rel=1e-14)
+        np.testing.assert_allclose(g.covariances, scale + g.reg_epsilon, rtol=1e-14)
 
     def test_nonpositive_reg_rejected(self):
         X = np.eye(3)
