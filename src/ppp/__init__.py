@@ -42,15 +42,13 @@ from .errors import (
 from .gmm import (
     GaussianMixture,
     MixtureScores,
-    em_step,
     fit_em,
     init_gmm_from_codebook,
-    log_likelihood,
     mixture_log_density,
     mixture_scores,
     responsibilities,
 )
-from .kmeans import KmeansResult, kmeans_bisect, kmeans_objective, lloyd_iterate
+from .kmeans import KmeansResult, kmeans_bisect, kmeans_objective
 from .som import (
     CodebookMatchSet,
     SomConfig,
@@ -58,7 +56,6 @@ from .som import (
     codebook_match,
     default_grid,
     default_som_config,
-    find_bmu,
     init_som,
     quantization_error,
     train_som,
@@ -82,11 +79,11 @@ __all__ = [
     "PppError", "ConfigError", "DimensionError", "DegenerateSelection", "IndexOutOfBounds",
     "DegenerateModel", "SingularCovariance", "DegenerateSplit", "ParseError", "FormatError",
     "ValidationError",
-    "GaussianMixture", "MixtureScores", "em_step", "fit_em", "init_gmm_from_codebook",
-    "log_likelihood", "mixture_log_density", "mixture_scores", "responsibilities",
-    "KmeansResult", "kmeans_bisect", "kmeans_objective", "lloyd_iterate",
+    "GaussianMixture", "MixtureScores", "fit_em", "init_gmm_from_codebook",
+    "mixture_log_density", "mixture_scores", "responsibilities",
+    "KmeansResult", "kmeans_bisect", "kmeans_objective",
     "CodebookMatchSet", "SomConfig", "SomModel", "codebook_match",
-    "default_grid", "default_som_config", "find_bmu", "init_som",
+    "default_grid", "default_som_config", "init_som",
     "quantization_error", "train_som",
     "PlantedData", "PlantedSpec", "StabilityReport", "adjusted_rand_index",
     "generate_planted", "repeatability_trial",

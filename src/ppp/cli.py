@@ -24,6 +24,7 @@ from .fileio import (
     export_diagnostics_csv,
     export_labels_csv,
     export_matrix_csv,
+    export_nodes_csv,
     export_report,
     export_tree_json,
     load_csv,
@@ -183,6 +184,7 @@ def run_cluster(args) -> int:
         "tree": out / "tree.json",
         "assignment": out / "assignment.csv",
         "diagnostics": out / "diagnostics.csv",
+        "nodes": out / "nodes.csv",
         "manifest": out / "manifest.json",
     }
     export_tree_json(tree, paths["tree"], feature_ids=matrix.feature_ids)
@@ -190,6 +192,7 @@ def run_cluster(args) -> int:
         tree, paths["assignment"], depth=cut_depth, feature_ids=matrix.feature_ids
     )
     export_diagnostics_csv(tree, paths["diagnostics"])
+    export_nodes_csv(tree, paths["nodes"])
     write_manifest(paths["manifest"], "cluster", paths, config.master_seed, asdict(config),
                    args.input)
 

@@ -7,8 +7,9 @@ bisect the feature columns with k-means, fit one mixture per candidate feature
 group the same way, and ask how the matched vectors split between the two
 child mixtures. A child set is the instances matched to units whose posterior
 clears the threshold; each child's overlap with the core set (a percentage)
-feeds the split score. Attempts are re-seeded and the best positive score
-wins; a node where no attempt produces a defined score is left unsplit.
+feeds the split score. Attempts are re-seeded, and the node's verdict says
+whether it splits and why: the best positive score wins, and a node too small
+to split, or whose attempts give no positive score, is left a leaf.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class PppNode:
     """One tree node; mutated in place while the tree grows.
 
     ``attempts`` holds every split attempt's ``SplitEvaluation``, in seed
-    order; they are the rows of ``diagnostics.csv``.
+    order; they are the rows of ``diagnostics.csv``. ``reason`` is its
+    :class:`Verdict`'s, empty while the node is open or when read from JSON.
     """
 
     feature_set: IndexSet
@@ -118,6 +120,7 @@ class PppNode:
     best_eval: SplitEvaluation | None = None
     children: tuple["PppNode", "PppNode"] | None = None
     attempts: list[SplitEvaluation] = field(default_factory=list)
+    reason: str = ""
 
     @property
     def depth(self) -> int:
@@ -131,6 +134,28 @@ class PppNode:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
+
+
+@dataclass(frozen=True, eq=False)
+class Verdict:
+    """What a node's attempts make of it, and why (:func:`_verdict`).
+
+    A ``too_few_*`` reason makes a terminal leaf; any other reason makes an
+    unsplittable leaf without ``feature_split`` and ``child_sets`` (the
+    children's features and instances), and an internal node with them.
+    ``best`` is the attempt with the best defined score, split or not.
+    """
+
+    reason: str
+    best: SplitEvaluation | None = None
+    feature_split: tuple[IndexSet, IndexSet] | None = None
+    child_sets: tuple[IndexSet, IndexSet] | None = None
+
+    @property
+    def status(self) -> str:
+        if self.reason.startswith("too_few_"):
+            return "leaf_terminal"
+        return "leaf_unsplittable" if self.feature_split is None else "internal"
 
 
 @dataclass(eq=False)
@@ -375,19 +400,23 @@ def evaluate_split(
     return evaluate_splits(node, data, config, [attempt_seed])[0]
 
 
-def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
-    """Resolve one node's status by running seeded split attempts.
+def _too_few(node: PppNode) -> str | None:
+    """The reason a node is too small to split, or None: features first, then rows."""
+    if len(node.feature_set) < 2:
+        return "too_few_features"
+    if len(node.instance_set) < 2:
+        return "too_few_rows"
+    return None
 
-    A node with fewer than two features or instances is a terminal leaf outright.
-    Otherwise up to ``max_split_attempts`` attempts run, each with a seed
-    derived from (master seed, node path, attempt). The best defined score is
-    kept; once some attempt has produced a defined score, ``patience``
-    consecutive attempts without improvement stop the search early. Each
-    attempt's ``SplitEvaluation`` is kept in ``node.attempts``; an attempt
-    whose model cannot be fit is one with an undefined score, and the search
-    goes on. With no defined score anywhere, or nothing better than zero, the node stays
-    unsplit; otherwise the winning feature split and child sets become the
-    two children.
+
+def _run_attempts(node: PppNode, data: DesignMatrix, config: PppConfig) -> list[SplitEvaluation]:
+    """The node's seeded split attempts, in seed order; none if it is too small to split.
+
+    Up to ``max_split_attempts`` attempts run, each with a seed derived from
+    (master seed, node path, attempt). Once some attempt has produced a
+    defined score, ``patience`` consecutive attempts without improving the
+    best score stop the search early. An attempt whose model cannot be fit
+    has an undefined score, and the search goes on.
 
     Attempts run in batches through :func:`evaluate_splits`. A batch holds
     only attempts that the patience rule runs whatever their scores: before
@@ -395,10 +424,8 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     attempts left before a stop. The results are consumed in seed order, so
     the outcome is the one-at-a-time outcome.
     """
-    if len(node.feature_set) < 2 or len(node.instance_set) < 2:
-        node.status = "leaf_terminal"
-        return node
-
+    if _too_few(node) is not None:
+        return []
     # A batch holds, per attempt, maps of K x min(n, d) elements, frames of at
     # most n x min(n, d) and full-mode rows of at most n x 50, never a copy with
     # the node's d columns (see _attempt); 2 * width * K * min(n, d) elements
@@ -407,33 +434,56 @@ def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
     n, d = len(node.instance_set), len(node.feature_set)
     n_units = default_som_config(n).n_units
     width = max(1, _BLOCK_ELEMENTS // (2 * n_units * min(n, d)))
-    best: SplitEvaluation | None = None
+    attempts: list[SplitEvaluation] = []
+    best: float | None = None
     stale = 0
-    attempt = 0
-    while attempt < config.max_split_attempts and stale < config.patience:
+    while len(attempts) < config.max_split_attempts and stale < config.patience:
         certain = config.patience + 1 if best is None else config.patience - stale
-        size = min(config.max_split_attempts - attempt, certain, width)
+        size = min(config.max_split_attempts - len(attempts), certain, width)
         seeds = [derive_seed(config.master_seed, node.path, a)
-                 for a in range(attempt, attempt + size)]
-        attempt += size
+                 for a in range(len(attempts), len(attempts) + size)]
         for r in evaluate_splits(node, data, config, seeds):
-            node.attempts.append(r)
-            if r.score is not None and (best is None or r.score > best.score):
-                best = r
+            attempts.append(r)
+            if r.score is not None and (best is None or r.score > best):
+                best = r.score
                 stale = 0
             elif best is not None:
                 stale += 1
+    return attempts
 
-    node.best_eval = best
-    if best is None or best.score <= 0.0:
-        node.status = "leaf_unsplittable"
-        return node
 
-    node.status = "internal"
-    node.children = (
-        PppNode(best.feature_split[0], best.child_sets[0], node.path + "0"),
-        PppNode(best.feature_split[1], best.child_sets[1], node.path + "1"),
-    )
+def _verdict(node: PppNode, attempts: list[SplitEvaluation]) -> Verdict:
+    """Whether and how a node splits, from the node and its attempts alone.
+
+    Too few features, then too few rows, make a terminal leaf. Otherwise the
+    best attempt is the first with the highest defined score; the node stays
+    unsplit when no attempt has a defined score or the best is not positive,
+    and else splits into the best attempt's feature split and child sets.
+    """
+    reason = _too_few(node)
+    if reason is not None:
+        return Verdict(reason)
+    scored = [a for a in attempts if a.score is not None]
+    if not scored:
+        return Verdict("no_defined_score")
+    best = max(scored, key=lambda a: a.score)  # max keeps the first of equal scores
+    if best.score <= 0.0:
+        return Verdict("score_not_positive", best)
+    return Verdict("best_score", best, best.feature_split, best.child_sets)
+
+
+def grow_node(node: PppNode, data: DesignMatrix, config: PppConfig) -> PppNode:
+    """Resolve one node: run its attempts, take their verdict and build its children.
+
+    ``node.attempts`` holds what :func:`_run_attempts` ran, and ``node.reason``,
+    ``node.status`` and ``node.best_eval`` come from :func:`_verdict`.
+    """
+    node.attempts = _run_attempts(node, data, config)
+    verdict = _verdict(node, node.attempts)
+    node.reason, node.status, node.best_eval = verdict.reason, verdict.status, verdict.best
+    if verdict.feature_split is not None:
+        node.children = tuple(PppNode(features, rows, node.path + side) for side, features, rows
+                              in zip("01", verdict.feature_split, verdict.child_sets))
     return node
 
 

@@ -271,6 +271,16 @@ def export_diagnostics_csv(tree: PppTree, path) -> None:
     _write_csv(path, rows())
 
 
+def export_nodes_csv(tree: PppTree, path) -> None:
+    """One row per node, in preorder: node_path,status,reason,instances,features,attempts,
+    the last three the node's instance, feature and attempt counts."""
+    _write_csv(path, [
+        ("node_path", "status", "reason", "instances", "features", "attempts"),
+        *((n.path, n.status, n.reason, len(n.instance_set), len(n.feature_set), len(n.attempts))
+          for n in tree.nodes()),
+    ])
+
+
 def report_to_dict(report) -> dict:
     """JSON-ready view of a stability report."""
     return {

@@ -1,6 +1,7 @@
 """The ppp command line tool, driven through main(argv)."""
 
 import argparse
+import csv
 import functools
 import hashlib
 import json
@@ -163,6 +164,24 @@ class TestCluster:
         assert rc == 0
         for name in ("tree.json", "assignment.csv", "diagnostics.csv", "manifest.json"):
             assert (out / name).exists(), name
+
+    def test_nodes_csv_has_a_row_per_node(self, run):
+        _, out = run
+        with open(out / "nodes.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["node_path", "status", "reason", "instances", "features", "attempts"]
+
+        def preorder(node):
+            yield node
+            for child in node["children"] or []:
+                yield from preorder(child)
+
+        nodes = list(preorder(json.loads((out / "tree.json").read_text())["root"]))
+        assert [(r[0], r[1], int(r[4])) for r in rows[1:]] == [
+            (n["path"], n["status"], len(n["feature_ids"])) for n in nodes
+        ]
+        assert [int(r[5]) for r in rows[1:]] == [len(n["phi_trace"]) for n in nodes]
+        assert rows[1][1:4] == ["internal", "best_score", "120"]
 
     def test_tree_has_root_split(self, run):
         _, out = run

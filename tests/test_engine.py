@@ -650,18 +650,28 @@ class TestGrowNodeControlFlow:
         node = PppNode(IndexSet(np.array([2]), 4), IndexSet.full(6))
         grow_node(node, tiny, PppConfig())
         assert node.status == "leaf_terminal"
+        assert node.reason == "too_few_features"
         assert node.attempts == []
 
     def test_one_instance_is_terminal(self, tiny):
         node = PppNode(IndexSet.full(4), IndexSet(np.array([3]), 6))
         grow_node(node, tiny, PppConfig())
         assert node.status == "leaf_terminal"
+        assert node.reason == "too_few_rows"
+        assert node.attempts == []
+
+    def test_too_few_features_is_the_reason_before_too_few_rows(self, tiny):
+        node = PppNode(IndexSet(np.array([2]), 4), IndexSet(np.array([3]), 6))
+        grow_node(node, tiny, PppConfig())
+        assert (node.status, node.reason) == ("leaf_terminal", "too_few_features")
 
     def test_no_score_runs_all_attempts(self, tiny, monkeypatch):
         monkeypatch.setattr(engine_mod, "evaluate_splits", _stub_batches(None))
         node = self._node()
         grow_node(node, tiny, PppConfig())
         assert node.status == "leaf_unsplittable"
+        assert node.reason == "no_defined_score"
+        assert node.best_eval is None
         assert len(node.attempts) == 20
         assert node.score_trace == [None] * 20
 
@@ -691,12 +701,15 @@ class TestGrowNodeControlFlow:
         grow_node(node, tiny, PppConfig(patience=5))
         assert len(node.attempts) == 8  # 3 improvements + 5 ties
         assert node.best_eval.score == 3.0
+        assert node.best_eval is node.attempts[2]  # the first of the equal best scores
 
     def test_zero_best_score_stays_leaf(self, tiny, monkeypatch):
         monkeypatch.setattr(engine_mod, "evaluate_splits", _stub_batches(0.0))
         node = self._node()
         grow_node(node, tiny, PppConfig(patience=4))
         assert node.status == "leaf_unsplittable"
+        assert node.reason == "score_not_positive"
+        assert node.best_eval is node.attempts[0]
         assert len(node.attempts) == 5  # armed by the present zero score
 
     def test_attempts_are_the_returned_evaluations(self, tiny, monkeypatch):
@@ -719,6 +732,7 @@ class TestGrowNodeControlFlow:
         monkeypatch.setattr(engine_mod, "evaluate_splits", _stub_batches(12.0))
         node = self._node()
         grow_node(node, tiny, PppConfig())
+        assert (node.status, node.reason) == ("internal", "best_score")
         a, b = node.children
         assert (a.path, b.path) == ("0", "1")
         assert a.feature_set.indices.tolist() == [0, 1]

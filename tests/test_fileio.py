@@ -484,7 +484,7 @@ class TestManifest:
         out = tmp_path / "run"
         assert main(["cluster", "--input", str(tmp_path / "in.csv"), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
-            "assignment.csv", "diagnostics.csv", "manifest.json", "tree.json"]
+            "assignment.csv", "diagnostics.csv", "manifest.json", "nodes.csv", "tree.json"]
 
 
 class TestWrite:
