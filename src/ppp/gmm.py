@@ -30,6 +30,15 @@ row once. Both fit the density of the repeated rows and units up to rounding.
 EM has one weighted path: ``counts=None`` means unit counts, which
 :func:`em_step`, :func:`log_likelihood` and :func:`responsibilities` use.
 
+EM iterates on the three arrays, not on mixtures: :func:`fit_em` checks the
+rows' width and finiteness once, loops over the array kernels
+:func:`_log_prob_arrays`, :func:`_estep_arrays` and :func:`_mstep_arrays`,
+and builds one ``GaussianMixture`` per fit, the one it returns. The
+mixture-level ``_weighted_log_prob``, ``_e_step`` and ``_m_step`` are thin
+adapters over the same kernels, so each expression exists once. Inside EM
+the log-sum over components runs without :func:`log_sum_exp`'s ``errstate``
+guard, which only rows holding ±inf or NaN need; EM's rows are checked finite.
+
 scipy is still required, for its compiled LAPACK wrapper: the triangular
 solve is the ``dtrtrs`` of ``scipy/linalg/_flapack``. Importing this module
 loads that one extension and none of scipy's Python packages (``scipy``,
@@ -46,7 +55,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,33 +161,48 @@ class MixtureScores:
     normalized: np.ndarray
 
 
+def _log_sum_exp(a: np.ndarray) -> np.ndarray:
+    """The arithmetic of :func:`log_sum_exp`, which EM calls on finite rows."""
+    a_max = a.max(axis=-1, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=-1, keepdims=True, dtype=float)
+    shifted = a - a_max
+    np.copyto(shifted, -np.inf, where=is_max)
+    s = np.exp(shifted).sum(axis=-1, keepdims=True)
+    return np.log1p(s / m) + np.log(m) + a_max
+
+
 def log_sum_exp(a: np.ndarray) -> np.ndarray:
     """Log-sum-exp over the last axis, keeping it as length one.
 
     Repeats the arithmetic of ``scipy.special.logsumexp(a, axis=-1,
     keepdims=True)`` in scipy 1.17, so real inputs agree bit for bit: the
     ``m`` entries equal to the maximum are left out of
-    ``s = sum(exp(a - max))``, ``s`` is divided by ``m``, and the result is
+    ``s = sum(exp(a - max))``, ``s`` is divided by ``m`` (scipy leaves a zero
+    ``s`` alone, which ``0 / m`` gives anyway), and the result is
     ``log1p(s) + log(m) + max``. A row of ``-inf`` gives ``-inf``, a row
     holding ``+inf`` but no NaN gives ``+inf``, and a row holding NaN gives NaN.
     """
-    a_max = a.max(axis=-1, keepdims=True)
-    is_max = a == a_max
-    m = is_max.sum(axis=-1, keepdims=True, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        shifted = a - a_max
-        shifted[is_max] = -np.inf
-        s = np.exp(shifted).sum(axis=-1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        return np.log1p(s) + np.log(m) + a_max
+        return _log_sum_exp(a)
 
 
-def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
+def _check_rows(g: GaussianMixture, X: np.ndarray) -> None:
+    """Reject rows of the wrong width, and non-finite rows or means."""
+    d, w = X.shape[1], g.means.shape[1]
+    if d != w:
+        raise DimensionError(f"data has {d} columns, mixture means have {w}")
+    if not (np.isfinite(X).all() and np.isfinite(g.means).all()):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _log_prob_arrays(X: np.ndarray, weights, means, covs, mode: str, dim: int) -> np.ndarray:
     """(n, K) matrix of log(weight_k) + log density_k(row), one pass over all components.
 
-    Full mode factorizes the covariances in one stacked Cholesky and writes
-    the component differences into one C-ordered (k, n, d) buffer, a block
-    of about ``_BLOCK_ELEMENTS`` elements at a time. Each component's
+    The rows and means are already checked (:func:`_check_rows`). Full mode
+    factorizes the covariances in one stacked Cholesky and writes the
+    component differences into one C-ordered (k, n, d) buffer, a block of
+    about ``_BLOCK_ELEMENTS`` elements at a time. Each component's
     triangular solve is the LAPACK call ``solve_triangular(chol, diff.T,
     lower=True)`` makes, run in place on the buffer's Fortran-ordered
     transpose (a copy would leave the buffer unsolved), and one einsum per
@@ -191,22 +215,16 @@ def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
     cancellation at the scale of the data's spread, and a C-ordered ``x~``
     makes einsum sum each row in one order for any layout of X.
 
-    Both modes reject non-finite data or means with ``ValueError``. The result
-    is C-contiguous: the row-wise log-sum over components adds in memory
-    order, so a transposed layout would change its last bits.
+    The result is C-contiguous: the row-wise log-sum over components adds in
+    memory order, so a transposed layout would change its last bits.
     """
     n, d = X.shape
-    if d != g.means.shape[1]:
-        raise DimensionError(f"data has {d} columns, mixture means have {g.means.shape[1]}")
-    k_total = g.n_components
-    means, covs = g.means, g.covariances
-    if not (np.isfinite(X).all() and np.isfinite(means).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if g.covariance_mode == "spherical":
+    k_total = weights.size
+    if mode == "spherical":
         if not ((covs > 0).all() and np.isfinite(covs).all()):
             raise SingularCovariance("variances must be strictly positive")
-        logdet = g.dim * np.log(covs)
-        centre = np.einsum("k,kd->d", g.weights, means)
+        logdet = dim * np.log(covs)
+        centre = np.einsum("k,kd->d", weights, means)
         xt = np.empty((n, d))  # C-ordered whatever the layout of X
         np.subtract(X, centre, out=xt)
         mt = means - centre
@@ -235,70 +253,99 @@ def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
                     raise SingularCovariance("covariance factor is singular")
             np.einsum("knd,knd->kn", diff, diff, out=maha.T[start:stop])
     out = np.empty((n, k_total))
-    np.add(np.log(g.weights), -0.5 * ((g.dim * _LOG_2PI + logdet) + maha), out=out)
+    np.add(np.log(weights), -0.5 * ((dim * _LOG_2PI + logdet) + maha), out=out)
     return out
 
 
-def _e_step(g: GaussianMixture, X: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Responsibilities and total log-likelihood of ``g`` from one density pass.
+def _estep_arrays(X: np.ndarray, counts: np.ndarray, params: tuple, mode: str, dim: int):
+    """Responsibilities and total log-likelihood of the mixture ``params``
+    (weights, means, covariances) from one density pass over checked rows.
 
     ``counts`` (one per row) weights each row's log-likelihood, as if the row
     appeared that many times.
     """
-    wlp = _weighted_log_prob(g, X)
-    lse = log_sum_exp(wlp)
+    wlp = _log_prob_arrays(X, *params, mode, dim)
+    lse = _log_sum_exp(wlp)
     r = np.exp(wlp - lse)
     r /= r.sum(axis=1, keepdims=True)
     return r, float(counts @ lse[:, 0])
 
 
-def _m_step(
-    g: GaussianMixture, X: np.ndarray, r: np.ndarray, counts: np.ndarray
-) -> GaussianMixture:
-    """Re-estimate ``g`` from its responsibilities ``r``, dropping dead components.
+def _mstep_arrays(
+    X: np.ndarray, r: np.ndarray, counts: np.ndarray, params: tuple, mode: str, dim: int,
+    reg_epsilon: float,
+) -> tuple:
+    """Re-estimate the mixture ``params`` from its responsibilities ``r``,
+    dropping dead components; returns the new (weights, means, covariances).
 
     Row i's responsibilities weigh ``counts[i]`` times. A spherical variance
     is ``(r.T @ |x~|²) / mass - |mean~|²``, clipped at 0, over D, with ``~``
-    the offset from the updated centre (see :func:`_weighted_log_prob`). Every
+    the offset from the updated centre (see :func:`_log_prob_arrays`). Every
     variance then gets ``reg_epsilon``, so none falls below the ridge.
     """
     r = r * counts[:, None]
     mass = r.sum(axis=0)
     dead = mass < _DROP_MASS
     if dead.any():
+        weights, means, covs = params
         log.info(
             "dropping %d of %d components with responsibility mass below %g",
-            int(dead.sum()), g.n_components, _DROP_MASS,
+            int(dead.sum()), weights.size, _DROP_MASS,
         )
-        keep = g.weights[~dead]
+        keep = weights[~dead]
+        if keep.size == 0:
+            raise DegenerateModel("mixture needs at least one component")
         # Python's left-to-right sum: np.sum adds pairwise once K >= 8, which
         # moves the last bits of the renormalized weights
-        g = replace(g, weights=keep / sum(keep.tolist()), means=g.means[~dead],
-                    covariances=g.covariances[~dead])
-        r = _e_step(g, X, counts)[0] * counts[:, None]
+        params = keep / sum(keep.tolist()), means[~dead], covs[~dead]
+        r = _estep_arrays(X, counts, params, mode, dim)[0] * counts[:, None]
         mass = r.sum(axis=0)
 
     weights = mass / mass.sum()
     means = (r.T @ X) / mass[:, None]
-    if g.covariance_mode == "spherical":
+    if mode == "spherical":
         centre = np.einsum("k,kd->d", weights, means)
         xt = np.empty(X.shape)
         np.subtract(X, centre, out=xt)
         mt = means - centre
         covs = np.einsum("nk,n->k", r, np.einsum("nd,nd->n", xt, xt)) / mass
-        covs = np.maximum(covs - np.einsum("kd,kd->k", mt, mt), 0.0) / g.dim + g.reg_epsilon
+        covs = np.maximum(covs - np.einsum("kd,kd->k", mt, mt), 0.0) / dim + reg_epsilon
     else:
         # (K, n, d) differences and weighted differences, freed as soon as they are used
-        diff = np.empty((g.n_components,) + X.shape)
-        np.copyto(diff, X)  # in place, as in _weighted_log_prob
+        diff = np.empty((weights.size,) + X.shape)
+        np.copyto(diff, X)  # in place, as in _log_prob_arrays
         np.subtract(diff, means[:, None, :], out=diff)
         weighted = np.multiply(r.T[:, :, None], diff, out=np.empty_like(diff))
         covs = weighted.transpose(0, 2, 1) @ diff
         del diff, weighted
         covs /= mass[:, None, None]
-        diag = np.arange(g.dim)
-        covs[:, diag, diag] += g.reg_epsilon
-    return GaussianMixture(weights, means, covs, g.covariance_mode, g.reg_epsilon, dim=g.dim)
+        diag = np.arange(dim)
+        covs[:, diag, diag] += reg_epsilon
+    return weights, means, covs
+
+
+def _params(g: GaussianMixture) -> tuple:
+    return g.weights, g.means, g.covariances
+
+
+def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
+    """:func:`_log_prob_arrays` of ``g`` on X, after :func:`_check_rows`."""
+    _check_rows(g, X)
+    return _log_prob_arrays(X, *_params(g), g.covariance_mode, g.dim)
+
+
+def _e_step(g: GaussianMixture, X: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`_estep_arrays` of ``g`` on X, after :func:`_check_rows`."""
+    _check_rows(g, X)
+    return _estep_arrays(X, counts, _params(g), g.covariance_mode, g.dim)
+
+
+def _m_step(
+    g: GaussianMixture, X: np.ndarray, r: np.ndarray, counts: np.ndarray
+) -> GaussianMixture:
+    """The mixture :func:`_mstep_arrays` re-estimates from ``g`` on checked rows X."""
+    params = _mstep_arrays(X, r, counts, _params(g), g.covariance_mode, g.dim, g.reg_epsilon)
+    return GaussianMixture(*params, g.covariance_mode, g.reg_epsilon, dim=g.dim)
 
 
 def mixture_log_density(g: GaussianMixture, data) -> np.ndarray:
@@ -352,18 +399,24 @@ def fit_em(
     fits, with one density pass per distinct row. Its log-likelihood is
     ``counts @ log_density`` and the M-step weighs each row's
     responsibilities by its count. ``counts=None`` counts every row once.
+
+    The rows are checked once; the iterations run on the mixture's arrays,
+    and the only ``GaussianMixture`` built is the one returned, whose
+    construction checks the fitted weights.
     """
     X = as_matrix(data)
+    _check_rows(g, X)
     counts = np.ones(len(X)) if counts is None else np.asarray(counts, dtype=float)
-    r, ll = _e_step(g, X, counts)
+    mode, dim, params = g.covariance_mode, g.dim, _params(g)
+    r, ll = _estep_arrays(X, counts, params, mode, dim)
     trace = [ll]
     for _ in range(max_iter):
-        g = _m_step(g, X, r, counts)
-        r, ll = _e_step(g, X, counts)
+        params = _mstep_arrays(X, r, counts, params, mode, dim, g.reg_epsilon)
+        r, ll = _estep_arrays(X, counts, params, mode, dim)
         trace.append(ll)
         if abs(ll - trace[-2]) < tol * (1.0 + abs(ll)):
             break
-    return replace(g, ll_trace=tuple(trace))
+    return GaussianMixture(*params, mode, g.reg_epsilon, tuple(trace), dim)
 
 
 def mixture_scores(g: GaussianMixture, data) -> MixtureScores:

@@ -2,6 +2,17 @@
 
 Initialization is deliberately plain: two distinct points drawn at seeded
 random.
+
+A Lloyd step reads the points as a C-contiguous (dim, m) array, one column
+per point (the engine's core rows, with no copy), and assigns them all with
+one projection: point p takes label 1 when ``(c0 - c1) · p < (|c0|² -
+|c1|²) / 2``, that is when it is strictly nearer c1, else 0, so an exact tie
+goes to label 0. The projection, the center norms and the two cluster sums
+are einsum contractions, not BLAS products, so their bits do not depend on
+how many threads BLAS runs. Only a step that empties one side computes the
+squared distances to both centers, to hand that side the point farthest from
+its own center. The returned centers are the group means of the final
+labels and the objective is :func:`kmeans_objective` of them.
 """
 
 from __future__ import annotations
@@ -33,25 +44,41 @@ def kmeans_objective(centers, points) -> float:
     return float(sq_distances(points, centers).min(axis=1).sum())
 
 
-def _lloyd_step(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = sq_distances(points, centers)
-    labels = np.argmin(d, axis=1)  # the first minimum, so exact ties fall to label 0
-    for label in (0, 1):
-        if not np.any(labels == label):  # hand it the point farthest from its own center
-            labels[int(np.argmax(d[np.arange(len(points)), labels]))] = label
-    return labels, np.stack([points[labels == 0].mean(axis=0), points[labels == 1].mean(axis=0)])
+def _lloyd_step(columns: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels of the (dim, m) points ``columns`` and the centers they update to.
+
+    The labels are bools, True for label 1. A side left empty gets the point
+    farthest from its own center. The new centers are each side's einsum sum
+    over its size.
+    """
+    sq = np.einsum("kd,kd->k", centers, centers)
+    labels = np.einsum("d,dm->m", centers[0] - centers[1], columns) < (sq[0] - sq[1]) / 2
+    ones = np.count_nonzero(labels)
+    if ones in (0, labels.size):
+        full = ones > 0  # the label every point holds
+        d = sq_distances(columns.T, centers)
+        labels[int(np.argmax(d[:, int(full)]))] = not full
+        ones += -1 if full else 1
+    sums = np.stack([np.einsum("dm,m->d", columns, ~labels),
+                     np.einsum("dm,m->d", columns, labels)])
+    return labels, sums / np.array([[labels.size - ones], [ones]])
+
+
+def _group_means(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return np.stack([points[~labels].mean(axis=0), points[labels].mean(axis=0)])
 
 
 def lloyd_iterate(centers, points) -> tuple[np.ndarray, np.ndarray, float]:
     """One assignment pass plus one center update.
 
     An empty cluster is repaired by handing it the point farthest from its
-    current center. The returned objective is evaluated after the update.
+    current center. The returned centers are the group means of the new
+    labels, and the objective is evaluated at them.
     """
     points = np.asarray(points, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    labels, new_centers = _lloyd_step(points, centers)
-    return labels, new_centers, kmeans_objective(new_centers, points)
+    labels, _ = _lloyd_step(np.ascontiguousarray(points.T), np.asarray(centers, dtype=float))
+    new_centers = _group_means(points, labels)
+    return labels.astype(np.int64), new_centers, kmeans_objective(new_centers, points)
 
 
 def _init_random(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -72,16 +99,17 @@ def kmeans_bisect(points, seed: int) -> KmeansResult:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or len(points) < 2:
         raise DegenerateSplit("need at least two points to bisect")
+    columns = np.ascontiguousarray(points.T)  # a view when points is a transposed C array
     centers = _init_random(points, np.random.default_rng(seed))
 
     labels = None
     converged = False
     for iterations in range(1, _MAX_ITER + 1):
-        new_labels, centers = _lloyd_step(points, centers)
+        new_labels, centers = _lloyd_step(columns, centers)
         if labels is not None and np.array_equal(new_labels, labels):
             converged = True
             break
         labels = new_labels
-    return KmeansResult(
-        labels, centers, kmeans_objective(centers, points), iterations, converged, seed
-    )
+    centers = _group_means(points, labels)
+    return KmeansResult(labels.astype(np.int64), centers, kmeans_objective(centers, points),
+                        iterations, converged, seed)

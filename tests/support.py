@@ -7,6 +7,11 @@ equal it bit for bit, and the centred spherical contraction must agree with
 it up to rounding. ``spherical_m_step_reference`` is the spherical M-step as
 a loop over components. The single-vector helpers below them serve as test
 oracles only.
+``fit_em_reference`` is the EM loop one ``GaussianMixture`` per step, with
+the row checks and the guarded log-sum-exp of every step, and
+``kmeans_bisect_reference`` the Lloyd loop by squared distances, ``argmin``
+and masked group means; ``fit_em`` and ``kmeans_bisect`` must equal them bit
+for bit (Lloyd wherever rounding leaves no point within reach of a tie).
 ``train_som_reference`` is the plain online SOM loop (two difference arrays
 and one ``exp`` per step) closed by a per-unit scan for the match, and
 ``sq_distances_reference`` the one-shot broadcast distance kernel; the fused
@@ -24,14 +29,17 @@ reports.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from ppp.data import as_matrix, derive_seed
 from ppp.errors import DimensionError, SingularCovariance
-from ppp.gmm import GaussianMixture, mixture_log_density
-from ppp.kmeans import kmeans_objective
+from ppp.gmm import _DROP_MASS, GaussianMixture, _weighted_log_prob, mixture_log_density
+from ppp import kmeans
+from ppp.data import sq_distances
+from ppp.kmeans import _init_random, kmeans_objective
 from ppp.som import CodebookMatchSet, SomModel, _grid_sqdist, _neighborhood
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -171,3 +179,108 @@ def train_som_reference(som: SomModel, data) -> SomModel:
                 ids[k] = i
     match = CodebookMatchSet(ids, hits / n)
     return SomModel(config, codebook, hits, float(sq[np.arange(n), bmu].mean()), match)
+
+
+def lloyd_step_reference(points: np.ndarray, centers: np.ndarray):
+    """One Lloyd step on the (m, dim) points by squared distances.
+
+    ``argmin`` takes the first minimum, so an exact tie goes to label 0; a
+    side left empty gets the point farthest from its own center; the new
+    centers are the masked group means.
+    """
+    d = sq_distances(points, centers)
+    labels = np.argmin(d, axis=1)
+    for label in (0, 1):
+        if not np.any(labels == label):
+            labels[int(np.argmax(d[np.arange(len(points)), labels]))] = label
+    return labels, np.stack([points[labels == 0].mean(axis=0), points[labels == 1].mean(axis=0)])
+
+
+def kmeans_bisect_reference(points, seed: int):
+    """``kmeans_bisect``'s loop on :func:`lloyd_step_reference`, from the same start.
+
+    Returns the labels, centers, objective, iteration count and convergence flag.
+    """
+    points = np.asarray(points, dtype=float)
+    centers = _init_random(points, np.random.default_rng(seed))
+    labels = None
+    converged = False
+    for iterations in range(1, kmeans._MAX_ITER + 1):
+        new_labels, centers = lloyd_step_reference(points, centers)
+        if labels is not None and np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
+    return labels, centers, kmeans_objective(centers, points), iterations, converged
+
+
+def log_sum_exp_reference(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the last axis as EM ran it per step: under ``errstate``,
+    with a boolean-index write and ``np.where(s == 0, s, s / m)``."""
+    a_max = a.max(axis=-1, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=-1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = a - a_max
+        shifted[is_max] = -np.inf
+        s = np.exp(shifted).sum(axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        return np.log1p(s) + np.log(m) + a_max
+
+
+def e_step_reference(g: GaussianMixture, X: np.ndarray, counts: np.ndarray):
+    """Responsibilities and weighted log-likelihood of ``g``, checking X and
+    the means on every call, as each EM step did."""
+    wlp = _weighted_log_prob(g, X)
+    lse = log_sum_exp_reference(wlp)
+    r = np.exp(wlp - lse)
+    r /= r.sum(axis=1, keepdims=True)
+    return r, float(counts @ lse[:, 0])
+
+
+def m_step_reference(g: GaussianMixture, X: np.ndarray, r: np.ndarray, counts: np.ndarray):
+    """The M-step as a new ``GaussianMixture`` per step, a trimmed one first
+    when a component's mass falls below ``_DROP_MASS``."""
+    r = r * counts[:, None]
+    mass = r.sum(axis=0)
+    dead = mass < _DROP_MASS
+    if dead.any():
+        keep = g.weights[~dead]
+        g = replace(g, weights=keep / sum(keep.tolist()), means=g.means[~dead],
+                    covariances=g.covariances[~dead])
+        r = e_step_reference(g, X, counts)[0] * counts[:, None]
+        mass = r.sum(axis=0)
+    weights = mass / mass.sum()
+    means = (r.T @ X) / mass[:, None]
+    if g.covariance_mode == "spherical":
+        centre = np.einsum("k,kd->d", weights, means)
+        xt = np.empty(X.shape)
+        np.subtract(X, centre, out=xt)
+        mt = means - centre
+        covs = np.einsum("nk,n->k", r, np.einsum("nd,nd->n", xt, xt)) / mass
+        covs = np.maximum(covs - np.einsum("kd,kd->k", mt, mt), 0.0) / g.dim + g.reg_epsilon
+    else:
+        diff = np.empty((g.n_components,) + X.shape)
+        np.copyto(diff, X)
+        np.subtract(diff, means[:, None, :], out=diff)
+        weighted = np.multiply(r.T[:, :, None], diff, out=np.empty_like(diff))
+        covs = weighted.transpose(0, 2, 1) @ diff
+        covs /= mass[:, None, None]
+        diag = np.arange(g.dim)
+        covs[:, diag, diag] += g.reg_epsilon
+    return GaussianMixture(weights, means, covs, g.covariance_mode, g.reg_epsilon, dim=g.dim)
+
+
+def fit_em_reference(g: GaussianMixture, data, tol=1e-6, max_iter=100, counts=None):
+    """``fit_em``'s loop over :func:`e_step_reference` and :func:`m_step_reference`."""
+    X = as_matrix(data)
+    counts = np.ones(len(X)) if counts is None else np.asarray(counts, dtype=float)
+    r, ll = e_step_reference(g, X, counts)
+    trace = [ll]
+    for _ in range(max_iter):
+        g = m_step_reference(g, X, r, counts)
+        r, ll = e_step_reference(g, X, counts)
+        trace.append(ll)
+        if abs(ll - trace[-2]) < tol * (1.0 + abs(ll)):
+            break
+    return replace(g, ll_trace=tuple(trace))

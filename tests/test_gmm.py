@@ -33,7 +33,14 @@ from ppp.gmm import (
 )
 from ppp.som import CodebookMatchSet
 
-from support import component_logpdf, log_gauss_one, mixture_pdf, spherical_m_step_reference
+from support import (
+    component_logpdf,
+    fit_em_reference,
+    log_gauss_one,
+    log_sum_exp_reference,
+    mixture_pdf,
+    spherical_m_step_reference,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -389,6 +396,17 @@ class TestLogSumExp:
     def test_single_column(self):
         self._same(np.array([[0.3], [-np.inf], [-7.25]]))
 
+    def test_equals_the_guarded_form(self):
+        """No ``np.where``, no boolean-index write: the same bits, ±inf and NaN rows too."""
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((50, 6)) * 100
+        a[3] = -np.inf
+        a[4, 2] = np.inf
+        a[5, 1] = np.nan
+        a[6] = 7.0
+        a[7, :3] = -np.inf
+        assert np.array_equal(log_sum_exp(a), log_sum_exp_reference(a), equal_nan=True)
+
     def test_vector_is_one_sum(self):
         """A 1-D input is one row: a length-one result, equal to scipy's."""
         v = np.random.default_rng(31).standard_normal(40) * 25
@@ -727,6 +745,95 @@ class TestFitEm:
         assert fitted.n_components == 2
         assert fitted.ll_trace == tuple(trace)
         assert np.all(np.diff(fitted.ll_trace) >= -1e-8)
+
+
+def _assert_same_fit(got, want):
+    assert got.ll_trace == want.ll_trace
+    assert (got.covariance_mode, got.reg_epsilon, got.dim) == (
+        want.covariance_mode, want.reg_epsilon, want.dim)
+    for name in ("weights", "means", "covariances"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestFitEmMatchesReference:
+    """fit_em on arrays equals the loop that builds one mixture per step, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
+    @pytest.mark.parametrize("counted", [False, True])
+    def test_random_fits(self, mode, counted):
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(3, 40)), int(rng.integers(1, 6))
+            X = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0)
+            counts = rng.integers(1, 6, size=n) if counted else None
+            g = _random_mixture(rng, int(rng.integers(1, 6)), d, mode)
+            if mode == "spherical":
+                g = GaussianMixture(g.weights, g.means, g.covariances, mode, 1e-9, dim=d + seed)
+            _assert_same_fit(fit_em(g, X, counts=counts), fit_em_reference(g, X, counts=counts))
+
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
+    @pytest.mark.parametrize("counts", [None, np.array([1, 2, 1, 2, 1, 2])])
+    def test_dead_component_drop(self, mode, counts, caplog):
+        X = np.array([[0, 0], [0.1, 0], [0, 0.1], [5, 5], [5.1, 5], [5, 5.1]])
+        covs = [np.eye(2), np.eye(2), 4 * np.eye(2)] if mode == "full" else [1.0, 1.0, 4.0]
+        g = _mixture([0.4, 0.4, 0.2], [np.zeros(2), np.full(2, 5.0), np.full(2, 2.5)], covs,
+                     mode)
+        with caplog.at_level("INFO", logger="ppp.gmm"):
+            got = fit_em(g, X, tol=0.0, max_iter=20, counts=counts)
+        assert "dropping" in caplog.text and got.n_components < 3
+        _assert_same_fit(got, fit_em_reference(g, X, tol=0.0, max_iter=20, counts=counts))
+
+    def test_a_single_row(self):
+        g = _mixture([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0], "spherical", dim=7)
+        X = np.array([[0.3, -0.2]])
+        _assert_same_fit(fit_em(g, X), fit_em_reference(g, X))
+
+    @pytest.mark.parametrize("case", [
+        "width", "nan_row", "inf_mean", "zero_variance", "not_positive_definite",
+        "nan_covariance", "collapsed_spherical", "collapsed_full", "all_dead",
+    ])
+    def test_error_paths(self, case):
+        X = np.random.default_rng(3).standard_normal((6, 2))
+        counts = None
+        mode, covs, means, reg = "full", [np.eye(2), np.eye(2)], [[0.0, 0.0], [1.0, 1.0]], 1e-9
+        if case == "width":
+            X = X[:, :1]
+        elif case == "nan_row":
+            X[2, 1] = np.nan
+        elif case == "inf_mean":
+            means[1][0] = np.inf
+        elif case == "zero_variance":
+            mode, covs = "spherical", [1.0, 0.0]
+        elif case == "not_positive_definite":
+            covs = [np.eye(2), -np.eye(2)]
+        elif case == "nan_covariance":
+            covs = [np.eye(2), np.full((2, 2), np.nan)]
+        elif case in ("collapsed_spherical", "collapsed_full"):
+            # identical rows and no ridge: the first M-step leaves a zero covariance
+            X = np.ones((6, 2))
+            reg = 0.0
+            if case == "collapsed_spherical":
+                mode, covs = "spherical", [1.0, 1.0]
+        elif case == "all_dead":
+            counts = np.full(6, 1e-14)
+        g = GaussianMixture(np.array([0.5, 0.5]), np.array(means), np.array(covs), mode, reg)
+        with pytest.raises(Exception) as want:
+            fit_em_reference(g, X, counts=counts)
+        with pytest.raises(type(want.value)) as got:
+            fit_em(g, X, counts=counts)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("mode", ["full", "spherical"])
+    def test_one_mixture_per_fit(self, mode, monkeypatch):
+        rng = np.random.default_rng(5)
+        g = _random_mixture(rng, 3, 2, mode)
+        X = rng.standard_normal((20, 2))
+        built = []
+        real = GaussianMixture.__post_init__
+        monkeypatch.setattr(GaussianMixture, "__post_init__",
+                            lambda self: built.append(1) or real(self))
+        fitted = fit_em(g, X, tol=0.0, max_iter=5)
+        assert fitted.n_iterations == 5 and len(built) == 1
 
 
 class TestCountedRows:

@@ -217,3 +217,61 @@ class TestKmeansBisect:
                 result = kmeans_bisect(points, seed=s)
                 assert result.objective == pytest.approx(best, rel=1e-9)
                 assert result.assignment[:n_a].min() == result.assignment[:n_a].max()
+
+
+def _assert_matches_reference(points, seed):
+    result = kmeans_bisect(points, seed)
+    labels, centers, objective, iterations, converged = support.kmeans_bisect_reference(
+        points, seed)
+    assert np.array_equal(result.assignment, labels)
+    assert (result.iterations, result.converged) == (iterations, converged)
+    assert np.array_equal(result.centers, centers)
+    assert result.objective == objective
+
+
+class TestMatchesReference:
+    """The projection step gives the labels of the squared-distance step."""
+
+    @given(st.integers(1, 12), st.integers(2, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_gaussian_columns(self, dim, m, seed):
+        rng = np.random.default_rng(seed)
+        # the engine's layout: points are the columns of a C-ordered (dim, m) block
+        core = rng.standard_normal((dim, m)) * rng.uniform(0.1, 10.0) + rng.normal(0, 5, (dim, 1))
+        _assert_matches_reference(core.T, seed)
+        _assert_matches_reference(np.ascontiguousarray(core.T), seed)
+
+    @given(st.integers(1, 4), st.integers(2, 30), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_points_from_integer_centers(self, dim, m, high, seed):
+        """From two integer points every term of both steps is exact, so the
+        many exact ties of small integers go to label 0 in both. (Later
+        centers are group means, rounded off an exact tie when a group's size
+        is not a power of two; there the two steps may part ways, as in 2 of
+        19965 random small-integer bisections.)"""
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-high, high + 1, size=(m, dim)).astype(float)
+        centers = points[rng.choice(m, size=2, replace=False)]
+        labels, new_centers, objective = lloyd_iterate(centers, points)
+        want_labels, want_centers = support.lloyd_step_reference(points, centers)
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(new_centers, want_centers)
+        assert objective == kmeans_objective(want_centers, points)
+
+    def test_integer_ties_in_a_bisection(self):
+        """Points on a line at unit steps: the midpoint of the start is an
+        exact tie, and every group mean stays a dyadic rational."""
+        points = np.arange(8.0)[:, None]
+        for seed in range(20):
+            _assert_matches_reference(points, seed)
+
+    @pytest.mark.parametrize("centers", [[[0.0, 0.0], [50.0, 50.0]], [[50.0, 50.0], [0.0, 0.0]],
+                                         [[1.0, 1.0], [1.0, 1.0]]])
+    def test_repair_path(self, centers):
+        """Both sides empty in turn, and coincident centers, which tie every point."""
+        rng = np.random.default_rng(7)
+        points = rng.standard_normal((9, 2))
+        labels, new_centers, _ = lloyd_iterate(np.array(centers), points)
+        want_labels, want_centers = support.lloyd_step_reference(points, np.array(centers))
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(new_centers, want_centers)
