@@ -209,16 +209,13 @@ def child_posteriors(
     """Posterior that each parent matched vector belongs to child a vs child b.
 
     Each child mixture scores its own rows (see :func:`_frame_and_rows`) at the
-    match's ids. A spherical mixture scores each distinct matched row once,
-    as a row's spherical density has the same bits whichever rows are scored
-    with it; a full one scores all K, since its triangular solves are not
-    row-independent in the last bits. The two densities are normalized
-    against each other per vector in log space, so the pair sums to one
-    wherever the unit prior is positive and is zero where it is not.
+    match's ids. The two densities are normalized against each other per
+    vector in log space, so the pair sums to one wherever the unit prior is
+    positive and is zero where it is not.
     """
     ids = parent_match.matched_instance_ids
-    log_a = _log_density_at(mixture_a, rows_a, ids)
-    log_b = _log_density_at(mixture_b, rows_b, ids)
+    log_a = mixture_log_density(mixture_a, rows_a[ids])
+    log_b = mixture_log_density(mixture_b, rows_b[ids])
     positive = parent_match.priors > 0
     shift = np.maximum(log_a, log_b)
     ea = np.exp(log_a - shift)
@@ -226,14 +223,6 @@ def child_posteriors(
     post_a = np.where(positive, ea / (ea + eb), 0.0)
     post_b = np.where(positive, eb / (ea + eb), 0.0)
     return post_a, post_b
-
-
-def _log_density_at(g: GaussianMixture, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The mixture's log density at ``rows[ids]``, scoring repeated ids once when spherical."""
-    if g.covariance_mode == "full":
-        return mixture_log_density(g, rows[ids])
-    distinct, inverse = np.unique(ids, return_inverse=True)
-    return mixture_log_density(g, rows[distinct])[inverse]
 
 
 def _units_to_instances(

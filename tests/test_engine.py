@@ -190,25 +190,6 @@ class TestChildPosteriors:
         np.testing.assert_allclose(post_a, dens_a / (dens_a + dens_b), rtol=1e-12)
 
 
-    @pytest.mark.parametrize("mode", ["spherical", "full"])
-    def test_repeated_ids_get_the_bits_of_all_k_rows(self, mode):
-        """A spherical mixture scores each distinct id once; the posteriors
-        equal those from scoring every unit's row, bit for bit."""
-        rng = np.random.default_rng(6)
-        rows_a, rows_b = rng.standard_normal((9, 3)), rng.standard_normal((9, 3))
-        covs = np.ones(3) if mode == "spherical" else np.repeat(np.eye(3)[None], 3, axis=0)
-        ga, gb = (GaussianMixture(np.full(3, 1 / 3), rng.standard_normal((3, 3)), covs, mode,
-                                  1e-9, dim=3) for _ in range(2))
-        ids = np.array([4, 1, 4, 8, 1, 1, 0, 8])
-        match = CodebookMatchSet(ids, np.full(8, 0.125))
-        post_a, post_b = child_posteriors(match, ga, gb, rows_a, rows_b)
-        log_a = mixture_log_density(ga, rows_a[ids])
-        log_b = mixture_log_density(gb, rows_b[ids])
-        shift = np.maximum(log_a, log_b)
-        ea, eb = np.exp(log_a - shift), np.exp(log_b - shift)
-        assert np.array_equal(post_a, ea / (ea + eb))
-        assert np.array_equal(post_b, eb / (ea + eb))
-
 def _trained_shapes(monkeypatch):
     """Record the matrix shapes of every ``train_soms`` call an attempt makes."""
     calls = []

@@ -1,10 +1,11 @@
 """Two-way k-means: assignment, Lloyd updates, restarts."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ppp.kmeans as kmeans
@@ -219,7 +220,48 @@ class TestKmeansBisect:
                 assert result.assignment[:n_a].min() == result.assignment[:n_a].max()
 
 
+def _within_rounding_of_a_tie(point, centers) -> bool:
+    """|p - c0|² - |p - c1|², in exact arithmetic on the float inputs, is
+    within the rounding of either step's arithmetic."""
+    p = [Fraction(x) for x in point]
+    d0, d1 = (sum((a - Fraction(b)) ** 2 for a, b in zip(p, c)) for c in centers)
+    scale = float(point @ point + centers[0] @ centers[0] + centers[1] @ centers[1])
+    return abs(d0 - d1) <= 8 * (len(point) + 2) * np.finfo(float).eps * scale
+
+
+def _first_parting(points, seed):
+    """Run ``kmeans_bisect``'s steps and the reference's side by side from the
+    same start, each on its own centers. Return the first step at which their
+    labels differ, the points they differ on and each loop's centers going
+    into that step, or None if the loops converge together."""
+    columns = np.ascontiguousarray(points.T)
+    ours = theirs = kmeans._init_random(points, np.random.default_rng(seed))
+    labels = None
+    for step in range(1, kmeans._MAX_ITER + 1):
+        new_labels, next_ours = kmeans._lloyd_step(columns, ours)
+        want, next_theirs = support.lloyd_step_reference(points, theirs)
+        parted = np.flatnonzero(new_labels != want)
+        if parted.size:
+            return step, parted.tolist(), ours, theirs
+        if labels is not None and np.array_equal(want, labels):
+            return None
+        labels, ours, theirs = want, next_ours, next_theirs
+    return None
+
+
 def _assert_matches_reference(points, seed):
+    """``kmeans_bisect`` gives the reference's labels, iteration count, centers
+    and objective, unless the two loops part ways; they may do so only at
+    points within rounding of equidistant from both loops' centers. Returns
+    where they parted, or None."""
+    points = np.asarray(points, dtype=float)
+    parting = _first_parting(points, seed)
+    if parting is not None:
+        _, parted, ours, theirs = parting
+        for i in parted:
+            assert _within_rounding_of_a_tie(points[i], ours)
+            assert _within_rounding_of_a_tie(points[i], theirs)
+        return parting
     result = kmeans_bisect(points, seed)
     labels, centers, objective, iterations, converged = support.kmeans_bisect_reference(
         points, seed)
@@ -227,10 +269,12 @@ def _assert_matches_reference(points, seed):
     assert (result.iterations, result.converged) == (iterations, converged)
     assert np.array_equal(result.centers, centers)
     assert result.objective == objective
+    return None
 
 
 class TestMatchesReference:
-    """The projection step gives the labels of the squared-distance step."""
+    """The projection step gives the labels of the squared-distance step,
+    except at points within rounding of a tie."""
 
     @given(st.integers(1, 12), st.integers(2, 60), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -245,10 +289,7 @@ class TestMatchesReference:
     @settings(max_examples=100, deadline=None)
     def test_integer_points_from_integer_centers(self, dim, m, high, seed):
         """From two integer points every term of both steps is exact, so the
-        many exact ties of small integers go to label 0 in both. (Later
-        centers are group means, rounded off an exact tie when a group's size
-        is not a power of two; there the two steps may part ways, as in 2 of
-        19965 random small-integer bisections.)"""
+        many exact ties of small integers go to label 0 in both."""
         rng = np.random.default_rng(seed)
         points = rng.integers(-high, high + 1, size=(m, dim)).astype(float)
         centers = points[rng.choice(m, size=2, replace=False)]
@@ -258,12 +299,42 @@ class TestMatchesReference:
         assert np.array_equal(new_centers, want_centers)
         assert objective == kmeans_objective(want_centers, points)
 
+    @given(st.integers(1, 4), st.integers(2, 40), st.integers(1, 5), st.integers(0, 999))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_bisections(self, dim, m, high, seed):
+        """Whole bisections of small integers, whose later centers are group
+        means of any size: many points lie within rounding of a tie."""
+        points = np.random.default_rng(seed).integers(-high, high + 1, size=(m, dim)).astype(float)
+        assume(len(np.unique(points, axis=0)) > 1)
+        _assert_matches_reference(points, seed)
+
+    # Three of the 7 bisections in which the loops parted ways, out of about
+    # 30000 random small-integer ones. In each, the parted point is equidistant
+    # in exact arithmetic from two group means whose sizes are not powers of
+    # two, and the rounded centers leave it about 1e-16 nearer one of them.
+    @pytest.mark.parametrize("points, seed, step, point", [
+        ([[0, 0], [-3, -1], [-3, 0], [-3, 1], [1, -2], [-3, -3]], 397, 2, 1),
+        ([[-4], [-2], [-2], [-1], [3], [0], [-4], [1], [3], [-3], [-4], [1]], 183, 3, 3),
+        ([[0, 1, -1, -1], [1, 1, -1, 0], [0, 0, -1, 0], [1, 1, 0, 0], [0, 0, -1, 0],
+          [-1, 0, 0, 1], [0, 1, 0, -1], [-1, 1, 1, 1], [0, 0, -1, 1], [-1, 0, 0, -1],
+          [-1, -1, -1, 0], [-1, -1, 0, -1]], 571, 3, 9),
+    ])
+    def test_integer_bisections_that_part_at_a_near_tie(self, points, seed, step, point):
+        """The loops part at one point within rounding of a tie and end at
+        different splits, one with the other's labels but for that point's
+        side, or further moves after it."""
+        points = np.array(points, dtype=float)
+        parted_step, parted, _, _ = _assert_matches_reference(points, seed)
+        assert (parted_step, parted) == (step, [point])
+        want_labels = support.kmeans_bisect_reference(points, seed)[0]
+        assert not np.array_equal(kmeans_bisect(points, seed).assignment, want_labels)
+
     def test_integer_ties_in_a_bisection(self):
         """Points on a line at unit steps: the midpoint of the start is an
         exact tie, and every group mean stays a dyadic rational."""
         points = np.arange(8.0)[:, None]
         for seed in range(20):
-            _assert_matches_reference(points, seed)
+            assert _assert_matches_reference(points, seed) is None
 
     @pytest.mark.parametrize("centers", [[[0.0, 0.0], [50.0, 50.0]], [[50.0, 50.0], [0.0, 0.0]],
                                          [[1.0, 1.0], [1.0, 1.0]]])
