@@ -33,20 +33,19 @@ EM has one weighted path: ``counts=None`` means unit counts, which
 EM iterates on the three arrays, not on mixtures: :func:`fit_em` checks the
 rows' width and finiteness once, loops over the array kernels
 :func:`_log_prob_arrays`, :func:`_estep_arrays` and :func:`_mstep_arrays`,
-and builds one ``GaussianMixture`` per fit, the one it returns. The
-mixture-level ``_weighted_log_prob``, ``_e_step`` and ``_m_step`` are thin
-adapters over the same kernels, so each expression exists once. Inside EM
-the log-sum over components runs without :func:`log_sum_exp`'s ``errstate``
-guard, which only rows holding ±inf or NaN need; EM's rows are checked finite.
+and builds one ``GaussianMixture`` per fit, the one it returns. Every
+density, E-step and M-step of the module runs through these three kernels.
 
 scipy is still required, for its compiled LAPACK wrapper: the triangular
 solve is the ``dtrtrs`` of ``scipy/linalg/_flapack``. Importing this module
 loads that one extension and none of scipy's Python packages (``scipy``,
 ``scipy.linalg`` and ``scipy.special`` stay out of ``sys.modules``); a later
-``import scipy.linalg`` reuses the same ``dtrtrs``. The log-sum over
-components is :func:`log_sum_exp`, which repeats the arithmetic of scipy
-1.17's ``logsumexp`` in plain numpy, so its bits do not depend on the
-installed scipy release (earlier releases summed differently).
+``import scipy.linalg`` reuses the same ``dtrtrs``. The one log-sum over
+components, :func:`log_sum_exp`, repeats the arithmetic of scipy 1.17's
+``logsumexp`` in plain numpy on finite rows, so its bits do not depend on
+the installed scipy release (earlier releases summed differently). Like
+numpy, it warns on a row whose maximum is ±inf or NaN; the ridge keeps every
+log density of the mixtures the program builds finite.
 """
 
 from __future__ import annotations
@@ -161,17 +160,6 @@ class MixtureScores:
     normalized: np.ndarray
 
 
-def _log_sum_exp(a: np.ndarray) -> np.ndarray:
-    """The arithmetic of :func:`log_sum_exp`, which EM calls on finite rows."""
-    a_max = a.max(axis=-1, keepdims=True)
-    is_max = a == a_max
-    m = is_max.sum(axis=-1, keepdims=True, dtype=float)
-    shifted = a - a_max
-    np.copyto(shifted, -np.inf, where=is_max)
-    s = np.exp(shifted).sum(axis=-1, keepdims=True)
-    return np.log1p(s / m) + np.log(m) + a_max
-
-
 def log_sum_exp(a: np.ndarray) -> np.ndarray:
     """Log-sum-exp over the last axis, keeping it as length one.
 
@@ -181,10 +169,17 @@ def log_sum_exp(a: np.ndarray) -> np.ndarray:
     ``s = sum(exp(a - max))``, ``s`` is divided by ``m`` (scipy leaves a zero
     ``s`` alone, which ``0 / m`` gives anyway), and the result is
     ``log1p(s) + log(m) + max``. A row of ``-inf`` gives ``-inf``, a row
-    holding ``+inf`` but no NaN gives ``+inf``, and a row holding NaN gives NaN.
+    holding ``+inf`` but no NaN gives ``+inf``, and a row holding NaN gives
+    NaN. Such a row (its maximum not finite) also makes numpy warn, where
+    scipy's ``errstate`` guard keeps quiet.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _log_sum_exp(a)
+    a_max = a.max(axis=-1, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=-1, keepdims=True, dtype=float)
+    shifted = a - a_max
+    np.copyto(shifted, -np.inf, where=is_max)
+    s = np.exp(shifted).sum(axis=-1, keepdims=True)
+    return np.log1p(s / m) + np.log(m) + a_max
 
 
 def _check_rows(g: GaussianMixture, X: np.ndarray) -> None:
@@ -265,7 +260,7 @@ def _estep_arrays(X: np.ndarray, counts: np.ndarray, params: tuple, mode: str, d
     appeared that many times.
     """
     wlp = _log_prob_arrays(X, *params, mode, dim)
-    lse = _log_sum_exp(wlp)
+    lse = log_sum_exp(wlp)
     r = np.exp(wlp - lse)
     r /= r.sum(axis=1, keepdims=True)
     return r, float(counts @ lse[:, 0])
@@ -324,46 +319,28 @@ def _mstep_arrays(
     return weights, means, covs
 
 
-def _params(g: GaussianMixture) -> tuple:
-    return g.weights, g.means, g.covariances
-
-
-def _weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
-    """:func:`_log_prob_arrays` of ``g`` on X, after :func:`_check_rows`."""
-    _check_rows(g, X)
-    return _log_prob_arrays(X, *_params(g), g.covariance_mode, g.dim)
-
-
-def _e_step(g: GaussianMixture, X: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`_estep_arrays` of ``g`` on X, after :func:`_check_rows`."""
-    _check_rows(g, X)
-    return _estep_arrays(X, counts, _params(g), g.covariance_mode, g.dim)
-
-
-def _m_step(
-    g: GaussianMixture, X: np.ndarray, r: np.ndarray, counts: np.ndarray
-) -> GaussianMixture:
-    """The mixture :func:`_mstep_arrays` re-estimates from ``g`` on checked rows X."""
-    params = _mstep_arrays(X, r, counts, _params(g), g.covariance_mode, g.dim, g.reg_epsilon)
-    return GaussianMixture(*params, g.covariance_mode, g.reg_epsilon, dim=g.dim)
-
-
 def mixture_log_density(g: GaussianMixture, data) -> np.ndarray:
     """Per-row log density under the mixture (max-shifted log-sum over components)."""
     X = as_matrix(data)
-    return log_sum_exp(_weighted_log_prob(g, X))[:, 0]
+    _check_rows(g, X)
+    wlp = _log_prob_arrays(X, g.weights, g.means, g.covariances, g.covariance_mode, g.dim)
+    return log_sum_exp(wlp)[:, 0]
 
 
 def log_likelihood(g: GaussianMixture, data) -> float:
     """Total log-likelihood of the data rows under the mixture."""
     X = as_matrix(data)
-    return _e_step(g, X, np.ones(len(X)))[1]
+    _check_rows(g, X)
+    params = g.weights, g.means, g.covariances
+    return _estep_arrays(X, np.ones(len(X)), params, g.covariance_mode, g.dim)[1]
 
 
 def responsibilities(g: GaussianMixture, data) -> np.ndarray:
     """(n, K) posterior component memberships; every row sums to one."""
     X = as_matrix(data)
-    return _e_step(g, X, np.ones(len(X)))[0]
+    _check_rows(g, X)
+    params = g.weights, g.means, g.covariances
+    return _estep_arrays(X, np.ones(len(X)), params, g.covariance_mode, g.dim)[0]
 
 
 def em_step(g: GaussianMixture, data) -> tuple[GaussianMixture, float]:
@@ -407,7 +384,7 @@ def fit_em(
     X = as_matrix(data)
     _check_rows(g, X)
     counts = np.ones(len(X)) if counts is None else np.asarray(counts, dtype=float)
-    mode, dim, params = g.covariance_mode, g.dim, _params(g)
+    mode, dim, params = g.covariance_mode, g.dim, (g.weights, g.means, g.covariances)
     r, ll = _estep_arrays(X, counts, params, mode, dim)
     trace = [ll]
     for _ in range(max_iter):

@@ -6,7 +6,8 @@ mean in spherical mode; the batched full-mode kernel in ``ppp.gmm`` must
 equal it bit for bit, and the centred spherical contraction must agree with
 it up to rounding. ``spherical_m_step_reference`` is the spherical M-step as
 a loop over components. The single-vector helpers below them serve as test
-oracles only.
+oracles only. ``weighted_log_prob`` and ``m_step`` run the mixture kernels
+of ``ppp.gmm`` on a ``GaussianMixture``, for the tests of those kernels.
 ``fit_em_reference`` is the EM loop one ``GaussianMixture`` per step, with
 the row checks and the guarded log-sum-exp of every step, and
 ``kmeans_bisect_reference`` the Lloyd loop by squared distances, ``argmin``
@@ -36,7 +37,14 @@ from scipy.linalg import solve_triangular
 
 from ppp.data import as_matrix, derive_seed
 from ppp.errors import DimensionError, SingularCovariance
-from ppp.gmm import _DROP_MASS, GaussianMixture, _weighted_log_prob, mixture_log_density
+from ppp.gmm import (
+    _DROP_MASS,
+    GaussianMixture,
+    _check_rows,
+    _log_prob_arrays,
+    _mstep_arrays,
+    mixture_log_density,
+)
 from ppp import kmeans
 from ppp.data import sq_distances
 from ppp.kmeans import _init_random, kmeans_objective
@@ -214,6 +222,20 @@ def kmeans_bisect_reference(points, seed: int):
     return labels, centers, kmeans_objective(centers, points), iterations, converged
 
 
+def weighted_log_prob(g: GaussianMixture, X: np.ndarray) -> np.ndarray:
+    """The (n, K) weighted log densities of ``g`` on checked rows X, from the
+    kernel every density pass runs."""
+    _check_rows(g, X)
+    return _log_prob_arrays(X, g.weights, g.means, g.covariances, g.covariance_mode, g.dim)
+
+
+def m_step(g: GaussianMixture, X: np.ndarray, r: np.ndarray, counts: np.ndarray):
+    """The mixture the M-step kernel re-estimates from ``g`` on rows X."""
+    params = _mstep_arrays(X, r, counts, (g.weights, g.means, g.covariances),
+                           g.covariance_mode, g.dim, g.reg_epsilon)
+    return GaussianMixture(*params, g.covariance_mode, g.reg_epsilon, dim=g.dim)
+
+
 def log_sum_exp_reference(a: np.ndarray) -> np.ndarray:
     """Log-sum-exp over the last axis as EM ran it per step: under ``errstate``,
     with a boolean-index write and ``np.where(s == 0, s, s / m)``."""
@@ -231,7 +253,7 @@ def log_sum_exp_reference(a: np.ndarray) -> np.ndarray:
 def e_step_reference(g: GaussianMixture, X: np.ndarray, counts: np.ndarray):
     """Responsibilities and weighted log-likelihood of ``g``, checking X and
     the means on every call, as each EM step did."""
-    wlp = _weighted_log_prob(g, X)
+    wlp = weighted_log_prob(g, X)
     lse = log_sum_exp_reference(wlp)
     r = np.exp(wlp - lse)
     r /= r.sum(axis=1, keepdims=True)

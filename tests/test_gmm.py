@@ -18,8 +18,6 @@ from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCov
 from ppp.gmm import (
     GaussianMixture,
     _load_dtrtrs,
-    _m_step,
-    _weighted_log_prob,
     default_covariance_mode,
     em_step,
     fit_em,
@@ -38,8 +36,10 @@ from support import (
     fit_em_reference,
     log_gauss_one,
     log_sum_exp_reference,
+    m_step,
     mixture_pdf,
     spherical_m_step_reference,
+    weighted_log_prob,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -237,7 +237,7 @@ class TestBatchedDensity:
 
     @classmethod
     def _assert_matches_oracle(cls, g, X):
-        got, want = _weighted_log_prob(g, X), cls._oracle(g, X)
+        got, want = weighted_log_prob(g, X), cls._oracle(g, X)
         if g.covariance_mode == "full":
             assert np.array_equal(got, want)
         else:
@@ -256,7 +256,7 @@ class TestBatchedDensity:
         """The row-wise log-sum adds in memory order, so the layout is part of the result."""
         rng = np.random.default_rng(21)
         g = _random_mixture(rng, 4, 3, mode)
-        assert _weighted_log_prob(g, rng.standard_normal((9, 3))).flags.c_contiguous
+        assert weighted_log_prob(g, rng.standard_normal((9, 3))).flags.c_contiguous
 
     def test_singular_component_after_the_first_rejected(self):
         good = np.eye(2)
@@ -291,7 +291,7 @@ class TestBatchedDensity:
         assert k > 2 * (_BLOCK_ELEMENTS // (n * d))
         g = _random_mixture(rng, k, d)
         X = rng.standard_normal((n, d)) * 2
-        assert np.array_equal(_weighted_log_prob(g, X), self._oracle(g, X))
+        assert np.array_equal(weighted_log_prob(g, X), self._oracle(g, X))
 
     def test_spherical_model_dimension_sets_the_constant(self):
         """Rows of width 5 modelled as 640 columns: the oracle with D = 640,
@@ -304,8 +304,8 @@ class TestBatchedDensity:
         self._assert_matches_oracle(g, X)
         narrow = _mixture(g.weights, g.means, g.covariances, "spherical")
         shift = -0.5 * (dim - w) * (LOG_2PI + np.log(g.covariances))
-        np.testing.assert_allclose(_weighted_log_prob(g, X),
-                                   _weighted_log_prob(narrow, X) + shift, rtol=1e-12)
+        np.testing.assert_allclose(weighted_log_prob(g, X),
+                                   weighted_log_prob(narrow, X) + shift, rtol=1e-12)
 
     def test_spherical_far_offset_columns_at_a_mean(self):
         """Columns near 1e6 with unit spread and variances of 1e-6: uncentred,
@@ -315,7 +315,7 @@ class TestBatchedDensity:
         k, d = 5, 8
         means = 1e6 + rng.standard_normal((k, d))
         g = _mixture(rng.dirichlet(np.ones(k)), means, np.full(k, 1e-6), "spherical")
-        got = _weighted_log_prob(g, means)
+        got = weighted_log_prob(g, means)
         want = self._oracle(g, means)
         np.testing.assert_allclose(np.diagonal(got), np.diagonal(want), rtol=0, atol=1e-6)
         np.testing.assert_allclose(got, want, rtol=1e-9)
@@ -330,17 +330,17 @@ class TestBatchedDensity:
         covs = rng.uniform(0.5, 2.0, k)
         g = _mixture(np.full(k, 1 / k), means, covs, "spherical")
         peak = np.log(g.weights) - 0.5 * (d * LOG_2PI + d * np.log(covs))
-        assert np.all(np.diagonal(_weighted_log_prob(g, means)) <= peak)
+        assert np.all(np.diagonal(weighted_log_prob(g, means)) <= peak)
 
     def test_spherical_row_alone_gets_the_same_bits(self):
         """A row's density does not depend on the rows scored with it."""
         rng = np.random.default_rng(25)
         g = _random_mixture(rng, 9, 70, "spherical")
         X = rng.standard_normal((33, 70)) * 2 + 3
-        together = _weighted_log_prob(g, X)
+        together = weighted_log_prob(g, X)
         for i in range(len(X)):
-            assert np.array_equal(_weighted_log_prob(g, X[i:i + 1])[0], together[i])
-        assert np.array_equal(_weighted_log_prob(g, X[::-1]), together[::-1])
+            assert np.array_equal(weighted_log_prob(g, X[i:i + 1])[0], together[i])
+        assert np.array_equal(weighted_log_prob(g, X[::-1]), together[::-1])
 
     def test_spherical_kernels_do_not_depend_on_blas_threads(self):
         """A density pass and an M-step with 64 components at 200 x 2000, the
@@ -348,17 +348,20 @@ class TestBatchedDensity:
         gave other bits on two threads than on one."""
         code = (
             "import hashlib, numpy as np\n"
-            "from ppp.gmm import GaussianMixture, _m_step, _weighted_log_prob, responsibilities\n"
+            "from ppp.gmm import GaussianMixture, _log_prob_arrays, _mstep_arrays\n"
+            "from ppp.gmm import responsibilities\n"
             "rng = np.random.default_rng(26)\n"
             "k, n, d = 64, 200, 2000\n"
             "w = rng.dirichlet(np.ones(k)); w /= sum(w.tolist())\n"
             "X = rng.standard_normal((n, d)) + 3\n"
             "g = GaussianMixture(w, X[rng.choice(n, k, replace=False)] + 0.1,\n"
             "                    50 + rng.uniform(0, 0.01, k), 'spherical', 1e-6)\n"
-            "h = hashlib.sha256(_weighted_log_prob(g, X).tobytes())\n"
-            "u = _m_step(g, X, responsibilities(g, X), np.ones(n))\n"
-            "for a in (u.weights, u.means, u.covariances): h.update(a.tobytes())\n"
-            "print(u.n_components, h.hexdigest())\n"
+            "params = g.weights, g.means, g.covariances\n"
+            "h = hashlib.sha256(_log_prob_arrays(X, *params, 'spherical', d).tobytes())\n"
+            "r = responsibilities(g, X)\n"
+            "u = _mstep_arrays(X, r, np.ones(n), params, 'spherical', d, 1e-6)\n"
+            "for a in u: h.update(a.tobytes())\n"
+            "print(u[0].size, h.hexdigest())\n"
         )
         one = _fresh_python(code, OPENBLAS_NUM_THREADS="1")
         two = _fresh_python(code, OPENBLAS_NUM_THREADS="2")
@@ -390,11 +393,13 @@ class TestLogSumExp:
 
     def test_all_minus_infinity_row_is_minus_infinity(self):
         a = np.full((2, 3), -np.inf)
-        self._same(a)
-        assert np.all(log_sum_exp(a) == -np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._same(a)
+            assert np.all(log_sum_exp(a) == -np.inf)
 
     def test_single_column(self):
-        self._same(np.array([[0.3], [-np.inf], [-7.25]]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._same(np.array([[0.3], [-np.inf], [-7.25]]))
 
     def test_equals_the_guarded_form(self):
         """No ``np.where``, no boolean-index write: the same bits, ±inf and NaN rows too."""
@@ -405,7 +410,8 @@ class TestLogSumExp:
         a[5, 1] = np.nan
         a[6] = 7.0
         a[7, :3] = -np.inf
-        assert np.array_equal(log_sum_exp(a), log_sum_exp_reference(a), equal_nan=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.array_equal(log_sum_exp(a), log_sum_exp_reference(a), equal_nan=True)
 
     def test_vector_is_one_sum(self):
         """A 1-D input is one row: a length-one result, equal to scipy's."""
@@ -585,7 +591,7 @@ class TestFullMStep:
         g = _random_mixture(rng, k, d)
         X = rng.standard_normal((n, d)) * 2
         r = responsibilities(g, X)
-        updated = _m_step(g, X, r, np.ones(n))
+        updated = m_step(g, X, r, np.ones(n))
         weights, means, covs = self._reference(g, X, r)
         assert np.array_equal(updated.weights, weights)
         assert np.array_equal(updated.means, means)
@@ -597,7 +603,7 @@ class TestFullMStep:
         X = rng.standard_normal((40, 7))[:, ::2][:, :3]
         r = responsibilities(g, X)
         _, _, covs = self._reference(g, X, r)
-        assert np.array_equal(_m_step(g, X, r, np.ones(len(X))).covariances, covs)
+        assert np.array_equal(m_step(g, X, r, np.ones(len(X))).covariances, covs)
 
 
 class TestSphericalMStep:
@@ -614,7 +620,7 @@ class TestSphericalMStep:
         )
         r = responsibilities(g, X)
         counts = rng.integers(1, 5, size=n).astype(float) if counted else np.ones(n)
-        updated = _m_step(g, X, r, counts)
+        updated = m_step(g, X, r, counts)
         assert updated.n_components == k and updated.dim == 200
         weights, means, covs = spherical_m_step_reference(g, X, r * counts[:, None])
         assert np.array_equal(updated.weights, weights)
@@ -637,7 +643,7 @@ class TestSphericalMStep:
         g = GaussianMixture(
             np.array([0.25, 0.75]), np.zeros((2, d)), np.ones(2), "spherical", 1e-14
         )
-        updated = _m_step(g, X, r, np.ones(6))
+        updated = m_step(g, X, r, np.ones(6))
         assert updated.n_components == 2
         assert np.all(updated.covariances >= 1e-14)
         np.testing.assert_allclose(updated.covariances[0], 1e-14, rtol=0, atol=1e-11)
@@ -649,7 +655,7 @@ class TestFitEm:
         g = _random_mixture(rng, 2, 2)
         X = rng.standard_normal((20, 2))
         fitted = fit_em(g, X, tol=1e-6, max_iter=10)
-        assert fitted.ll_trace[0] == pytest.approx(log_likelihood(g, X), rel=1e-14)
+        assert fitted.ll_trace[0] == log_likelihood(g, X)
         assert fitted.n_iterations == len(fitted.ll_trace) - 1
 
     def test_fixed_point_returns_after_one_iteration(self):
