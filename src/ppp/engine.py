@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -165,15 +164,13 @@ class PppTree:
     n_features: int
     config: PppConfig | None = None
 
-    def nodes(self) -> Iterator[PppNode]:
-        """Depth-first preorder walk, left child first."""
-        stack = [self.root]
+    def nodes(self) -> list[PppNode]:
+        """Every node, in depth-first preorder, left child first."""
+        order, stack = [], [self.root]
         while stack:
-            node = stack.pop()
-            yield node
-            if node.children is not None:
-                stack.append(node.children[1])
-                stack.append(node.children[0])
+            order.append(stack.pop())
+            stack.extend(reversed(order[-1].children or ()))
+        return order
 
 
 def gamma_set(values, threshold: float) -> IndexSet:
@@ -306,29 +303,13 @@ def _ended(seed: int, core_set: IndexSet, outcome: str) -> SplitEvaluation:
     )
 
 
-def _attempt(node: PppNode, X: np.ndarray, frame, rows, config: PppConfig, seed: int):
-    """One seeded split attempt on the node matrix X, as a generator.
+def _core_and_split(node: PppNode, X: np.ndarray, rows, parent: CodebookMatchSet,
+                    config: PppConfig, seed: int) -> tuple | SplitEvaluation:
+    """Round 1 of an attempt: ``(core set, each side's columns of X)``, or its ended result.
 
-    It yields its map requests, a list of ``(frame, map seed)`` pairs, is sent
-    their codebook matches in order, and returns its :class:`SplitEvaluation`:
-
-    1. its parent map, on ``frame``, and mixture, on ``rows`` (:func:`_frame_and_rows`);
-    2. the parent's core set and the k-means bisection of the feature columns;
-    3. its two child maps, each on the frame of one side's columns of X;
-    4. the child mixtures, on each side's mixture rows, posteriors and overlaps.
-
-    A failed model fit (``SingularCovariance``, ``DegenerateModel``) or
-    bisection (``DegenerateSplit``) ends the attempt with its outcome, at the
-    first of: parent fit, bisection, child side 0, side 1. Other errors
-    propagate.
-
-    Suspended at step 3, an attempt holds only its parent match (matched row
-    ids and unit priors), its core set, its column split and each side's
-    frame and mixture rows, besides the X, ``frame`` and ``rows`` that all
-    attempts on the node share: no array with the node's d columns. All
-    randomness (three maps, the k-means init) derives from ``seed``.
+    The parent mixture fits ``rows`` from the ``parent`` match's units; its
+    core is the node rows it rates above the threshold.
     """
-    (parent,) = yield [(frame, derive_seed(seed, "parent"))]
     try:
         scores = mixture_scores(_fit(parent, rows, X.shape[1]), rows)
     except _FIT_ERRORS as exc:
@@ -342,12 +323,13 @@ def _attempt(node: PppNode, X: np.ndarray, frame, rows, config: PppConfig, seed:
         km = kmeans_bisect(core_rows.T, derive_seed(seed, "bisect"))  # a point per feature column
     except DegenerateSplit:
         return _ended(seed, core_set, "degenerate_split")
-    columns = (np.flatnonzero(km.assignment == 0), np.flatnonzero(km.assignment == 1))
-    del scores, core_local, core_rows, km  # the core rows must not wait out the child maps
+    return core_set, (np.flatnonzero(km.assignment == 0), np.flatnonzero(km.assignment == 1))
 
-    # each side's columns are sliced from X only to make its frame and mixture rows
-    frames, side_rows = zip(*(_frame_and_rows(X[:, cols]) for cols in columns))
-    matches = yield [(f, derive_seed(seed, "child", side)) for side, f in enumerate(frames)]
+
+def _children(node: PppNode, parent: CodebookMatchSet, core_set: IndexSet, columns, matches,
+              side_rows, config: PppConfig, seed: int) -> SplitEvaluation:
+    """Round 2 of an attempt: side i's mixture fits ``side_rows[i]`` from
+    ``matches[i]``, and the posteriors give child sets, overlaps and score."""
     try:
         mixtures = [_fit(m, r, len(cols)) for m, r, cols in zip(matches, side_rows, columns)]
         posteriors = child_posteriors(parent, *mixtures, *side_rows)
@@ -366,30 +348,40 @@ def _attempt(node: PppNode, X: np.ndarray, frame, rows, config: PppConfig, seed:
 def evaluate_splits(
     node: PppNode, data: DesignMatrix, config: PppConfig, seeds: list[int]
 ) -> list[SplitEvaluation]:
-    """Run one :func:`_attempt` per seed on a node, their maps trained in lockstep.
+    """One seeded split attempt per seed on a node, in two rounds of lockstep maps.
 
-    Result ``i`` is what attempt ``seeds[i]`` gives alone. The node matrix and
-    its frame are made once and shared. Each round gathers the map requests
-    of every running attempt in seed order, trains them in one
-    :func:`_quantize` call, drops the frames and sends each attempt its
-    matches, until every attempt has returned.
+    Result ``i`` is what attempt ``seeds[i]`` gives alone. The node matrix X,
+    its frame and its mixture rows (:func:`_frame_and_rows`) are made once
+    and shared. Each round trains its maps in one :func:`_quantize` call:
+
+    1. every attempt's parent map, on the node frame; then, per attempt in
+       seed order, the parent mixture, its core set and the k-means
+       bisection of the feature columns (:func:`_core_and_split`);
+    2. the two child maps of every attempt still running, each on the frame
+       of one side's columns of X; then, per attempt, the child mixtures on
+       each side's mixture rows, posteriors and overlaps (:func:`_children`).
+
+    A failed model fit (``SingularCovariance``, ``DegenerateModel``) or
+    bisection (``DegenerateSplit``) ends the attempt with its outcome, at the
+    first of: parent fit, bisection, child side 0, side 1; an ended attempt
+    trains no child maps. Other errors propagate. Between the rounds an
+    attempt keeps only its parent match (matched row ids and unit priors),
+    its core set and its column split: no array with the node's d columns.
+    All randomness (three maps, the k-means init) derives from the seed.
     """
     X = submatrix(data, node.instance_set, node.feature_set).values
     frame, rows = _frame_and_rows(X)
-    attempts = [_attempt(node, X, frame, rows, config, seed) for seed in seeds]
-    results: list[SplitEvaluation | None] = [None] * len(seeds)
-    asked = {i: next(a) for i, a in enumerate(attempts)}  # attempt -> its map requests
-    while asked:
-        frames, map_seeds = zip(*(r for rs in asked.values() for r in rs))
-        matches = iter(_quantize(list(frames), list(map_seeds)))
-        sizes = {i: len(rs) for i, rs in asked.items()}
-        del frames, asked  # the attempts alone keep the frames they still use
-        asked = {}
-        for i, size in sizes.items():
-            try:
-                asked[i] = attempts[i].send([next(matches) for _ in range(size)])
-            except StopIteration as done:
-                results[i] = done.value
+    parents = _quantize([frame] * len(seeds), [derive_seed(s, "parent") for s in seeds])
+    results = [_core_and_split(node, X, rows, p, config, s) for p, s in zip(parents, seeds)]
+    running = [i for i, r in enumerate(results) if not isinstance(r, SplitEvaluation)]
+    # each side's columns are sliced from X only to make its frame and mixture rows
+    sides = {i: [_frame_and_rows(X[:, cols]) for cols in results[i][1]] for i in running}
+    child_seeds = [derive_seed(seeds[i], "child", side) for i in running for side in (0, 1)]
+    matches = iter(_quantize([f for i in running for f, _ in sides[i]], child_seeds))
+    for i in running:
+        side_rows = [r for _, r in sides.pop(i)]
+        results[i] = _children(node, parents[i], *results[i], [next(matches), next(matches)],
+                               side_rows, config, seeds[i])
     return results
 
 
@@ -428,7 +420,7 @@ def _run_attempts(node: PppNode, data: DesignMatrix, config: PppConfig) -> list[
         return []
     # A batch holds, per attempt, maps of K x min(n, d) elements, frames of at
     # most n x min(n, d) and full-mode rows of at most n x 50, never a copy with
-    # the node's d columns (see _attempt); 2 * width * K * min(n, d) elements
+    # the node's d columns (see evaluate_splits); 2 * width * K * min(n, d) elements
     # fill one block. So a 48 x 640 node (K = 48) runs up to 14 attempts at a
     # time, a 300 x 300 node (K = 64) one.
     n, d = len(node.instance_set), len(node.feature_set)

@@ -423,25 +423,20 @@ def group_ids(ids: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
     return ids[first[order]], np.bincount(inverse, weights=weights)[order]
 
 
-def init_gmm_from_codebook(
-    match,
-    data,
-    covariance_mode: str | None = None,
-    reg_epsilon: float | None = None,
-    dim: int | None = None,
-) -> GaussianMixture:
+def init_gmm_from_codebook(match, data, dim: int | None = None) -> GaussianMixture:
     """Seed a mixture of model dimension ``dim`` (default: the width of ``data``).
 
     ``match`` indexes the rows of ``data``. Units with prior zero are
     dropped. The rest give one component per distinct matched instance, in
     order of first occurrence: its mean is that instance's row of ``data``
     and its weight the summed prior of the units that matched it,
-    renormalized. With ``s`` the summed column variance of ``data`` (which
-    rows with the same distances share) over ``dim``, every component starts
-    from the column variances plus ``reg_epsilon`` on the diagonal in full
-    mode, or ``s + reg_epsilon`` in spherical mode. ``reg_epsilon`` defaults
-    to ``1e-6 * s``, or the smallest positive normal float when that is
-    smaller, so that rows that are all alike still get a ridge.
+    renormalized. The covariance mode is :func:`default_covariance_mode` of
+    ``dim``. With ``s`` the summed column variance of ``data`` (which rows
+    with the same distances share) over ``dim``, the ridge is ``1e-6 * s``,
+    or the smallest positive normal float when that is smaller, so that rows
+    that are all alike still get one. Every component starts from the column
+    variances plus the ridge on the diagonal in full mode, or ``s`` plus the
+    ridge in spherical mode; EM adds the same ridge.
 
     Merging units is exact: components with one mean and one covariance stay
     proportional under EM, so the merged start fits the same density up to
@@ -453,14 +448,10 @@ def init_gmm_from_codebook(
     if not keep.any():
         raise DegenerateModel("every unit has prior zero")
     dim = X.shape[1] if dim is None else dim
-    if covariance_mode is None:
-        covariance_mode = default_covariance_mode(dim)
+    covariance_mode = default_covariance_mode(dim)
     base_var = X.var(axis=0)
     scale = float(base_var.sum()) / dim
-    if reg_epsilon is None:
-        reg_epsilon = max(1e-6 * scale, np.finfo(float).tiny)
-    if reg_epsilon <= 0:
-        raise ConfigError("reg_epsilon must be positive")
+    reg_epsilon = max(1e-6 * scale, np.finfo(float).tiny)
     ids, priors = group_ids(match.matched_instance_ids[keep], match.priors[keep])
     weights = priors / priors.sum()
     if covariance_mode == "spherical":

@@ -2,14 +2,13 @@
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -211,7 +210,15 @@ class TestCluster:
     def test_failed_model_fits_do_not_abort_the_run(self, tmp_path, monkeypatch):
         """Rounded data with a vanishing ridge makes covariances singular;
         the failing attempts are recorded and the run still writes its tree."""
-        vanishing_ridge = functools.partial(engine_mod.init_gmm_from_codebook, reg_epsilon=1e-300)
+        real_init = engine_mod.init_gmm_from_codebook
+
+        def vanishing_ridge(match, data, dim=None):
+            """The default start with a ridge of 1e-300, in its covariances and in EM;
+            16 columns or fewer make every start full."""
+            g = real_init(match, data, dim=dim)
+            covs = np.repeat(np.diag(data.var(axis=0) + 1e-300)[None], g.n_components, axis=0)
+            return replace(g, covariances=covs, reg_epsilon=1e-300)
+
         monkeypatch.setattr(engine_mod, "init_gmm_from_codebook", vanishing_ridge)
         src = _make_planted(tmp_path, instances=200, features=16)
         rounded = tmp_path / "rounded.csv"

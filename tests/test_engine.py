@@ -553,11 +553,14 @@ class TestEvaluateSplits:
         assert min(cores) < 2 <= max(cores)
         assert handed == [c if c >= 2 else 120 for c in cores]
 
-    def test_degenerate_attempts_in_a_batch(self):
+    def test_degenerate_attempts_in_a_batch(self, monkeypatch):
+        """Attempts that end at their bisection train their parent maps and no child maps."""
         const = DesignMatrix.ingest(np.full((10, 4), 2.0))
         node = PppNode(IndexSet.full(4), IndexSet.full(10))
+        calls = _trained_shapes(monkeypatch)
         results = evaluate_splits(node, const, PppConfig(), [1, 2, 3])
         assert [r.outcome for r in results] == ["degenerate_split"] * 3
+        assert calls == [[(10, 4)] * 3]
 
     @staticmethod
     def _fail_second_parent_and_first_child_fit(monkeypatch):
@@ -585,7 +588,11 @@ class TestEvaluateSplits:
         seeds = [derive_seed(3, "", a) for a in range(4)]
         clean = evaluate_splits(node, planted.matrix, config, seeds)
         calls = self._fail_second_parent_and_first_child_fit(monkeypatch)
+        trained = _trained_shapes(monkeypatch)
         got = evaluate_splits(node, planted.matrix, config, seeds)
+        # four parent maps; attempt 1 ends at its parent fit, so 3 attempts train child maps
+        assert trained[0] == [(120, 8)] * 4
+        assert sum(map(len, trained[1:])) == 6
         assert got[1].outcome == "singular_cov"
         assert got[0].outcome == "degenerate_model"  # the first child fit is attempt 0's side 0
         for failed in got[:2]:

@@ -960,14 +960,18 @@ class TestInitFromCodebook:
 
     @pytest.mark.parametrize("mode", ["full", "spherical"])
     def test_merged_start_has_the_unmerged_density(self, mode):
+        """Model dimension 51 makes the 3-column start spherical."""
         rng = np.random.default_rng(21)
         X = rng.standard_normal((30, 3))
         ids = rng.integers(0, 8, size=20)
         priors = rng.dirichlet(np.ones(20))
-        g = init_gmm_from_codebook(self._match(priors, ids), X, covariance_mode=mode)
+        g = init_gmm_from_codebook(self._match(priors, ids), X,
+                                   dim=51 if mode == "spherical" else None)
+        assert g.covariance_mode == mode
         assert g.n_components == np.unique(ids).size < ids.size
         unmerged = GaussianMixture(
-            priors, X[ids], np.repeat(g.covariances[:1], ids.size, axis=0), mode, g.reg_epsilon
+            priors, X[ids], np.repeat(g.covariances[:1], ids.size, axis=0), mode, g.reg_epsilon,
+            dim=g.dim,
         )
         rows = rng.standard_normal((15, 3)) * 2
         np.testing.assert_allclose(
@@ -997,18 +1001,16 @@ class TestInitFromCodebook:
         with pytest.raises(DegenerateModel):
             init_gmm_from_codebook(match, X)
 
-    def test_unknown_mode_rejected(self):
-        """The mixture the start would build rejects the mode, as every mixture does."""
-        X = np.eye(3)
-        with pytest.raises(ConfigError, match="covariance_mode must be one of"):
-            init_gmm_from_codebook(self._match([0.5, 0.5]), X, covariance_mode="diag")
-
     def test_initial_covariance_is_global_diagonal(self):
+        """Each full-mode component starts at the column variances plus the
+        default ridge, 1e-6 of their mean."""
         rng = np.random.default_rng(17)
         X = rng.standard_normal((20, 2)) * np.array([1.0, 3.0])
         match = self._match([0.5, 0.5])
-        g = init_gmm_from_codebook(match, X, covariance_mode="full", reg_epsilon=1e-8)
-        expected = np.diag(X.var(axis=0) + 1e-8)
+        g = init_gmm_from_codebook(match, X)
+        assert g.covariance_mode == "full"
+        assert g.reg_epsilon == pytest.approx(1e-6 * X.var(axis=0).sum() / 2, rel=1e-14)
+        expected = np.diag(X.var(axis=0) + g.reg_epsilon)
         for cov in g.covariances:
             np.testing.assert_allclose(cov, expected, rtol=1e-12)
 
@@ -1033,9 +1035,3 @@ class TestInitFromCodebook:
         assert g.covariance_mode == "spherical" and g.dim == d
         assert g.reg_epsilon == pytest.approx(1e-6 * scale, rel=1e-14)
         np.testing.assert_allclose(g.covariances, scale + g.reg_epsilon, rtol=1e-14)
-
-    def test_nonpositive_reg_rejected(self):
-        X = np.eye(3)
-        match = self._match([0.5, 0.5])
-        with pytest.raises(ConfigError):
-            init_gmm_from_codebook(match, X, reg_epsilon=0.0)
