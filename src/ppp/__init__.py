@@ -5,7 +5,10 @@ Gaussian mixture on the codebook-matched rows, bisect the feature columns
 with two-cluster k-means, fit one mixture per candidate feature group, and
 keep the split whose child posteriors best agree with the parent's
 high-density instances. Applied recursively this yields a binary tree of
-feature clusters whose shape is insensitive to the random initializations.
+feature clusters. On planted inputs its depth-1 split repeats across random
+initializations; its leaves mostly do not (the pairwise leaf ARI across
+master seeds has a median of about 0.42 on planted 200×16 inputs and 0.03
+on null ones).
 """
 
 from ._version import __version__
@@ -48,7 +51,7 @@ from .gmm import (
     mixture_scores,
     responsibilities,
 )
-from .kmeans import KmeansResult, kmeans_bisect, kmeans_objective
+from .kmeans import KmeansResult, kmeans_bisect
 from .som import (
     CodebookMatchSet,
     SomConfig,
@@ -57,7 +60,6 @@ from .som import (
     default_grid,
     default_som_config,
     init_som,
-    quantization_error,
     train_som,
 )
 from .synth import (
@@ -81,10 +83,9 @@ __all__ = [
     "ValidationError",
     "GaussianMixture", "MixtureScores", "fit_em", "init_gmm_from_codebook",
     "mixture_log_density", "mixture_scores", "responsibilities",
-    "KmeansResult", "kmeans_bisect", "kmeans_objective",
+    "KmeansResult", "kmeans_bisect",
     "CodebookMatchSet", "SomConfig", "SomModel", "codebook_match",
-    "default_grid", "default_som_config", "init_som",
-    "quantization_error", "train_som",
+    "default_grid", "default_som_config", "init_som", "train_som",
     "PlantedData", "PlantedSpec", "StabilityReport", "adjusted_rand_index",
     "generate_planted", "repeatability_trial",
 ]

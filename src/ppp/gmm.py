@@ -9,8 +9,9 @@ objects and every update builds a new one.
 One density pass serves each EM iteration: the E-step derives the
 responsibilities and the log-likelihood from the same (n, K) matrix of
 weighted log densities, which is built for all components at once (one
-stacked Cholesky factorization, one block of differences and one einsum in
-full mode). Full-mode M-step covariances are one stacked matrix product.
+stacked Cholesky factorization and its inverse, one block of differences, one
+matrix product and one einsum in full mode). Full-mode M-step covariances are
+one stacked matrix product.
 A spherical component (σ_k² times the identity, mclust's VII model) sees a
 row only through its distance to the mean, so a spherical mixture carries
 its model dimension D apart from the width of the rows it is fitted on: rows
@@ -36,24 +37,14 @@ rows' width and finiteness once, loops over the array kernels
 and builds one ``GaussianMixture`` per fit, the one it returns. Every
 density, E-step and M-step of the module runs through these three kernels.
 
-scipy is still required, for its compiled LAPACK wrapper: the triangular
-solve is the ``dtrtrs`` of ``scipy/linalg/_flapack``. Importing this module
-loads that one extension and none of scipy's Python packages (``scipy``,
-``scipy.linalg`` and ``scipy.special`` stay out of ``sys.modules``); a later
-``import scipy.linalg`` reuses the same ``dtrtrs``. The one log-sum over
-components, :func:`log_sum_exp`, repeats the arithmetic of scipy 1.17's
-``logsumexp`` in plain numpy on finite rows, so its bits do not depend on
-the installed scipy release (earlier releases summed differently). Like
-numpy, it warns on a row whose maximum is ±inf or NaN; the ridge keeps every
-log density of the mixtures the program builds finite.
+Every log-sum over components runs through :func:`log_sum_exp`. The ridge
+keeps every log density of the mixtures the program builds finite, so no
+row it sums has a maximum of ±inf or NaN.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,28 +54,6 @@ from .errors import ConfigError, DegenerateModel, DimensionError, SingularCovari
 
 log = logging.getLogger(__name__)
 
-
-def _load_dtrtrs():
-    """scipy's f2py ``dtrtrs``, loaded from ``scipy/linalg/_flapack`` alone.
-
-    ``find_spec`` of a top-level name does not run ``scipy/__init__.py``, and
-    building the module from its file runs only the extension's init. CPython
-    caches that init under the name ``scipy.linalg._flapack``, so a later
-    ``import scipy.linalg`` gets the same ``dtrtrs`` object.
-    """
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None:
-        raise ImportError("ppp needs scipy for its LAPACK wrapper")
-    base = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack")
-    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in paths if os.path.exists(p)), None)
-    if path is None:
-        raise ImportError(f"scipy's LAPACK wrapper is missing: {paths[0]}")
-    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-    return importlib.util.module_from_spec(spec).dtrtrs
-
-
-dtrtrs = _load_dtrtrs()
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -195,13 +164,12 @@ def _log_prob_arrays(X: np.ndarray, weights, means, covs, mode: str, dim: int) -
     """(n, K) matrix of log(weight_k) + log density_k(row), one pass over all components.
 
     The rows and means are already checked (:func:`_check_rows`). Full mode
-    factorizes the covariances in one stacked Cholesky and writes the
-    component differences into one C-ordered (k, n, d) buffer, a block of
-    about ``_BLOCK_ELEMENTS`` elements at a time. Each component's
-    triangular solve is the LAPACK call ``solve_triangular(chol, diff.T,
-    lower=True)`` makes, run in place on the buffer's Fortran-ordered
-    transpose (a copy would leave the buffer unsolved), and one einsum per
-    block gives the Mahalanobis terms.
+    factorizes the covariances in one stacked Cholesky, inverts the factors
+    in one stacked ``np.linalg.inv`` and writes the component differences into
+    one C-ordered (k, n, d) buffer, a block of about ``_BLOCK_ELEMENTS``
+    elements at a time. Each block is multiplied by its transposed inverse
+    factors, ``z = diff @ inv(L).T`` (one ``np.matmul``), and one einsum gives
+    the Mahalanobis terms ``|z|²``.
 
     Spherical mode gives component k the log density
     ``-(D log 2π + D log σ_k² + |x - mean_k|² / σ_k²) / 2``. With the centre
@@ -233,6 +201,10 @@ def _log_prob_arrays(X: np.ndarray, weights, means, covs, mode: str, dim: int) -
             raise SingularCovariance("covariance is not positive definite") from exc
         if not np.isfinite(chol).all():
             raise ValueError("array must not contain infs or NaNs")
+        try:
+            inv_t = np.linalg.inv(chol).transpose(0, 2, 1)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovariance("covariance factor is singular") from exc
         logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
         maha = np.empty((k_total, n)).T  # (n, K), written a block of components at a time
         per_block = max(1, _BLOCK_ELEMENTS // max(1, n * d))
@@ -242,11 +214,8 @@ def _log_prob_arrays(X: np.ndarray, weights, means, covs, mode: str, dim: int) -
             diff = buffer[:stop - start]
             np.copyto(diff, X)  # in place: faster than broadcasting X[None] - means
             np.subtract(diff, means[start:stop, None], out=diff)
-            for j in range(stop - start):
-                _, info = dtrtrs(chol[start + j].T, diff[j].T, lower=0, trans=1, overwrite_b=1)
-                if info != 0:
-                    raise SingularCovariance("covariance factor is singular")
-            np.einsum("knd,knd->kn", diff, diff, out=maha.T[start:stop])
+            z = np.matmul(diff, inv_t[start:stop])
+            np.einsum("knd,knd->kn", z, z, out=maha.T[start:stop])
     out = np.empty((n, k_total))
     np.add(np.log(weights), -0.5 * ((dim * _LOG_2PI + logdet) + maha), out=out)
     return out

@@ -1,13 +1,15 @@
 """Shared test fixtures: the Lloyd-restart corpus and the numeric oracles.
 
-The density oracle ``log_gauss_one`` evaluates one component at a time with
-the plain scipy triangular solve, or from each row's own difference to the
-mean in spherical mode; the batched full-mode kernel in ``ppp.gmm`` must
-equal it bit for bit, and the centred spherical contraction must agree with
-it up to rounding. ``spherical_m_step_reference`` is the spherical M-step as
-a loop over components. The single-vector helpers below them serve as test
-oracles only. ``weighted_log_prob`` and ``m_step`` run the mixture kernels
-of ``ppp.gmm`` on a ``GaussianMixture``, for the tests of those kernels.
+The density oracle ``log_gauss_one`` evaluates one component at a time: in
+full mode with the kernel's arithmetic on that component alone
+(``full_mahalanobis``: the differences times the transposed inverse factor,
+then an einsum), in spherical mode from each row's own difference to the
+mean. The batched full-mode kernel in ``ppp.gmm`` must equal it bit for bit,
+and the centred spherical contraction must agree with it up to rounding.
+``spherical_m_step_reference`` is the spherical M-step as a loop over
+components. The single-vector helpers below them serve as test oracles only.
+``weighted_log_prob`` and ``m_step`` run the mixture kernels of ``ppp.gmm``
+on a ``GaussianMixture``, for the tests of those kernels.
 ``fit_em_reference`` is the EM loop one ``GaussianMixture`` per step, with
 the row checks and the guarded log-sum-exp of every step, and
 ``kmeans_bisect_reference`` the Lloyd loop by squared distances, ``argmin``
@@ -33,7 +35,6 @@ import itertools
 from dataclasses import replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ppp.data import as_matrix, derive_seed
 from ppp.errors import DimensionError, SingularCovariance
@@ -91,6 +92,12 @@ def brute_force_bipartition_objective(points: np.ndarray) -> float:
     return best
 
 
+def full_mahalanobis(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """``|L⁻¹ x|²`` for each row x of ``diff``, with ``chol`` the lower factor L."""
+    z = diff @ np.linalg.inv(chol).T
+    return np.einsum("nd,nd->n", z, z)
+
+
 def log_gauss_one(
     X: np.ndarray, mean: np.ndarray, cov, mode: str, dim: int | None = None
 ) -> np.ndarray:
@@ -108,8 +115,7 @@ def log_gauss_one(
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise SingularCovariance("covariance is not positive definite") from exc
-        z = solve_triangular(chol, diff.T, lower=True)
-        maha = np.einsum("dn,dn->n", z, z)
+        maha = full_mahalanobis(diff, chol)
         logdet = 2.0 * float(np.log(np.diag(chol)).sum())
     return -0.5 * (d * _LOG_2PI + logdet + maha)
 
