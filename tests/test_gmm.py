@@ -465,8 +465,13 @@ def _fresh_python(code: str, **env: str) -> str:
     return proc.stdout.strip()
 
 
-def test_import_loads_no_scipy_module():
-    code = "import sys, ppp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+@pytest.mark.parametrize("module", ["scipy.special", "scipy.linalg", "scipy"])
+def test_import_does_not_load_scipy_special(module):
+    """``import ppp`` loads neither ``module`` nor any of its submodules."""
+    code = (
+        "import sys, ppp; "
+        f"print(sorted(m for m in sys.modules if m == {module!r} or m.startswith({module + '.'!r})))"
+    )
     assert _fresh_python(code) == "[]"
 
 
