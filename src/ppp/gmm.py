@@ -29,7 +29,7 @@ weights. The start has one component per distinct matched instance, and
 :func:`fit_em` weighs each row by its ``counts``, so EM sees each distinct
 row once. Both fit the density of the repeated rows and units up to rounding.
 EM has one weighted path: ``counts=None`` means unit counts, which
-:func:`em_step`, :func:`log_likelihood` and :func:`responsibilities` use.
+:func:`responsibilities` uses.
 
 EM iterates on the three arrays, not on mixtures: :func:`fit_em` checks the
 rows' width and finiteness once, loops over the array kernels
@@ -296,32 +296,12 @@ def mixture_log_density(g: GaussianMixture, data) -> np.ndarray:
     return log_sum_exp(wlp)[:, 0]
 
 
-def log_likelihood(g: GaussianMixture, data) -> float:
-    """Total log-likelihood of the data rows under the mixture."""
-    X = as_matrix(data)
-    _check_rows(g, X)
-    params = g.weights, g.means, g.covariances
-    return _estep_arrays(X, np.ones(len(X)), params, g.covariance_mode, g.dim)[1]
-
-
 def responsibilities(g: GaussianMixture, data) -> np.ndarray:
     """(n, K) posterior component memberships; every row sums to one."""
     X = as_matrix(data)
     _check_rows(g, X)
     params = g.weights, g.means, g.covariances
     return _estep_arrays(X, np.ones(len(X)), params, g.covariance_mode, g.dim)[0]
-
-
-def em_step(g: GaussianMixture, data) -> tuple[GaussianMixture, float]:
-    """One :func:`fit_em` iteration (``tol=0.0, max_iter=1``) and its log-likelihood.
-
-    A component whose responsibility mass falls below 1e-12 is dropped, the
-    surviving weights are renormalized, and the pass restarts from the trimmed
-    mixture (the drop is reported through logging). Covariances get
-    ``reg_epsilon`` added (on the diagonal in full mode) when re-estimated.
-    """
-    fitted = fit_em(g, data, tol=0.0, max_iter=1)
-    return fitted, fitted.ll_trace[1]
 
 
 def fit_em(
@@ -335,10 +315,13 @@ def fit_em(
 
     Each iteration makes one density pass: the E-step of the updated mixture
     gives both its log-likelihood, for the trace, and the responsibilities of
-    the next M-step, so the trace equals the one from iterating
-    :func:`em_step`. Convergence is ``|ll_new - ll_old| < tol * (1 + |ll_new|)``;
+    the next M-step. Convergence is ``|ll_new - ll_old| < tol * (1 + |ll_new|)``;
     a mixture that is already at a fixed point returns after a single
-    iteration. The returned mixture carries the full log-likelihood trace.
+    iteration, ``tol=0.0, max_iter=k`` runs exactly k iterations, and
+    ``max_iter=0`` returns the start's arrays with its log-likelihood as the
+    only trace entry. The returned mixture carries the full log-likelihood
+    trace. An M-step drops each component whose responsibility mass falls
+    below 1e-12, renormalizes the surviving weights and logs the drop.
 
     ``counts`` gives each row a multiplicity: EM on distinct rows with their
     counts fits, up to rounding, what EM on the rows repeated that many times

@@ -79,19 +79,6 @@ def _group_means(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.stack([points[~labels].mean(axis=0), points[labels].mean(axis=0)])
 
 
-def lloyd_iterate(centers, points) -> tuple[np.ndarray, np.ndarray, float]:
-    """One assignment pass plus one center update.
-
-    An empty cluster is repaired by handing it the point farthest from its
-    current center. The returned centers are the group means of the new
-    labels, and the objective is evaluated at them.
-    """
-    points = np.asarray(points, dtype=float)
-    labels, _ = _lloyd_step(np.ascontiguousarray(points.T), np.asarray(centers, dtype=float))
-    new_centers = _group_means(points, labels)
-    return labels.astype(np.int64), new_centers, kmeans_objective(new_centers, points)
-
-
 def _init_random(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     order = rng.permutation(len(points))
     first = points[order[0]]

@@ -188,21 +188,6 @@ def init_som(config: SomConfig, data) -> SomModel:
     return SomModel(config, X[idx], np.zeros(k, dtype=np.int64), None)
 
 
-def find_bmu(som: SomModel, x) -> tuple[int, float]:
-    """Index of the codebook vector nearest to ``x`` plus the squared distance.
-
-    Ties go to the lowest unit index.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (som.codebook.shape[1],):
-        raise DimensionError(
-            f"query has shape {x.shape}, codebook vectors have dim {som.codebook.shape[1]}"
-        )
-    sq = sq_distances(x[None, :], som.codebook)[0]
-    best = int(np.argmin(sq))
-    return best, float(sq[best])
-
-
 def train_som(som: SomModel, data) -> SomModel:
     """Run the online training loop, then one closing assignment pass.
 

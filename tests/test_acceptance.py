@@ -12,7 +12,7 @@ import pytest
 
 import support
 from ppp.cli import main
-from ppp.data import DesignMatrix
+from ppp.data import DesignMatrix, sq_distances
 from ppp.engine import (
     PppConfig,
     accepted_posterior_by_depth,
@@ -20,14 +20,9 @@ from ppp.engine import (
     cut_tree,
     split_objective,
 )
-from ppp.gmm import (
-    GaussianMixture,
-    em_step,
-    log_likelihood,
-    responsibilities,
-)
-from ppp.kmeans import kmeans_bisect, lloyd_iterate
-from ppp.som import SomConfig, find_bmu, init_som, quantization_error, train_som
+from ppp.gmm import GaussianMixture, fit_em, responsibilities
+from ppp.kmeans import _lloyd_step, kmeans_bisect, kmeans_objective
+from ppp.som import SomConfig, _assign, init_som, quantization_error, train_som
 from ppp.synth import PlantedSpec, adjusted_rand_index, generate_planted, repeatability_trial
 
 
@@ -73,11 +68,9 @@ class TestCriterion01EmMonotonicity:
             k = int(rng.integers(1, 9))
             X = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0)
             g = _data_mixture(X, min(k, n), rng)
-            ll = log_likelihood(g, X)
-            for _ in range(5):
-                g, new_ll = em_step(g, X)
-                worst = max(worst, ll - new_ll)
-                ll = new_ll
+            # tol=0.0 runs all five iterations, the loop every tree's fits run
+            trace = fit_em(g, X, tol=0.0, max_iter=5).ll_trace
+            worst = max([worst] + [ll - new_ll for ll, new_ll in zip(trace, trace[1:])])
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-8 and elapsed < 60.0
         assert _verdict(1, "EM monotone", ok,
@@ -110,10 +103,13 @@ class TestCriterion03Lloyd:
             idx = rng.choice(len(points), size=2, replace=False)
             if np.array_equal(points[idx[0]], points[idx[1]]):
                 continue
-            centers = points[idx]
-            _, centers, obj = lloyd_iterate(centers, points)
+            # the step kmeans_bisect loops, fed back its own centers
+            columns = np.ascontiguousarray(points.T)
+            _, centers = _lloyd_step(columns, points[idx])
+            obj = kmeans_objective(centers, points)
             for _ in range(8):
-                _, centers, new_obj = lloyd_iterate(centers, points)
+                _, centers = _lloyd_step(columns, centers)
+                new_obj = kmeans_objective(centers, points)
                 worst_rise = max(worst_rise, (new_obj - obj) / max(obj, 1e-300))
                 obj = new_obj
         monotone_ok = worst_rise <= 1e-12
@@ -282,14 +278,15 @@ class TestCriterion09SomSanity:
         queries = rng.standard_normal((10_000, 4)) * 2.0
         d2 = ((queries[:, None, :] - som.codebook[None, :, :]) ** 2).sum(axis=2)
         expected_unit = d2.argmin(axis=1)  # argmin takes the lowest tied index
-        bmu_ok = True
-        for q, e_unit, e_row in zip(queries, expected_unit, d2[np.arange(10_000), expected_unit]):
-            unit, dist = find_bmu(som, q)
-            # the scan accumulates in a different order, so the distance is
-            # compared to float precision while the unit must match exactly
-            if unit != e_unit or abs(dist - e_row) > 1e-12 * e_row:
-                bmu_ok = False
-                break
+        expected_row = d2[np.arange(10_000), expected_unit]
+        # the distances every closing pass of the map takes its BMUs from; the
+        # scan accumulates in a different order, so the distance is compared
+        # to float precision while the unit must match exactly
+        sq = sq_distances(queries, som.codebook)
+        bmu_ok = (np.array_equal(sq.argmin(axis=1), expected_unit)
+                  and bool(np.all(np.abs(sq.min(axis=1) - expected_row) <= 1e-12 * expected_row)))
+        hits = _assign(som.codebook, queries)[0]
+        bmu_ok &= np.array_equal(hits, np.bincount(expected_unit, minlength=len(som.codebook)))
 
         ok = drop_ok and bmu_ok
         assert _verdict(9, "SOM quantization sanity", ok,

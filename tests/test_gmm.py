@@ -19,11 +19,9 @@ from ppp.errors import ConfigError, DegenerateModel, DimensionError, SingularCov
 from ppp.gmm import (
     GaussianMixture,
     default_covariance_mode,
-    em_step,
     fit_em,
     group_ids,
     init_gmm_from_codebook,
-    log_likelihood,
     log_sum_exp,
     mixture_log_density,
     mixture_scores,
@@ -496,15 +494,15 @@ class TestLogLikelihood:
     def test_single_row_at_mean(self):
         f = 3
         g = _mixture([1.0], [np.zeros(f)], [np.eye(f)])
-        assert log_likelihood(g, np.zeros((1, f))) == pytest.approx(
+        assert fit_em(g, np.zeros((1, f)), max_iter=0).ll_trace[0] == pytest.approx(
             -(f / 2) * LOG_2PI, rel=1e-14
         )
 
     def test_duplicated_row_doubles(self):
         g = _mixture([0.4, 0.6], np.array([[0.0, 0.0], [2.0, 2.0]]), [np.eye(2)] * 2)
         row = np.array([[0.5, 1.0]])
-        single = log_likelihood(g, row)
-        assert log_likelihood(g, np.vstack([row, row])) == pytest.approx(
+        single = fit_em(g, row, max_iter=0).ll_trace[0]
+        assert fit_em(g, np.vstack([row, row]), max_iter=0).ll_trace[0] == pytest.approx(
             2 * single, rel=1e-14
         )
 
@@ -513,7 +511,7 @@ class TestLogLikelihood:
         g = _random_mixture(rng, 3, 2)
         X = rng.standard_normal((12, 2))
         per_row = sum(math.log(mixture_pdf(g, x)) for x in X)
-        assert log_likelihood(g, X) == pytest.approx(per_row, rel=1e-12)
+        assert fit_em(g, X, max_iter=0).ll_trace[0] == pytest.approx(per_row, rel=1e-12)
 
 
 class TestResponsibilities:
@@ -551,12 +549,14 @@ class TestEmStep:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((40, 3)) * 1.5 + 2.0
         g = _mixture([1.0], [np.zeros(3)], [np.eye(3)])
-        updated, ll = em_step(g, X)
+        updated = fit_em(g, X, tol=0.0, max_iter=1)
         np.testing.assert_allclose(updated.means[0], X.mean(axis=0), rtol=1e-12)
         centered = X - X.mean(axis=0)
         expected_cov = centered.T @ centered / len(X) + g.reg_epsilon * np.eye(3)
         np.testing.assert_allclose(updated.covariances[0], expected_cov, rtol=1e-10)
-        assert ll == pytest.approx(log_likelihood(updated, X), rel=1e-14)
+        assert updated.ll_trace[1] == pytest.approx(
+            fit_em(updated, X, max_iter=0).ll_trace[0], rel=1e-14
+        )
 
     def test_spherical_single_component(self):
         """One component's variance is the summed column variance over D."""
@@ -564,7 +564,7 @@ class TestEmStep:
         X = rng.standard_normal((30, 4)) * np.array([1.0, 2.0, 0.5, 3.0])
         for dim in (4, 9):
             g = _mixture([1.0], [np.zeros(4)], [1.0], mode="spherical", dim=dim)
-            updated, _ = em_step(g, X)
+            updated = fit_em(g, X, tol=0.0, max_iter=1)
             np.testing.assert_allclose(
                 updated.covariances[0], X.var(axis=0).sum() / dim + g.reg_epsilon, rtol=1e-10
             )
@@ -573,7 +573,7 @@ class TestEmStep:
         v = np.array([1.0, -2.0])
         X = np.tile(v, (10, 1))
         g = _mixture([0.5, 0.5], [np.zeros(2), np.ones(2)], [np.eye(2)] * 2)
-        updated, _ = em_step(g, X)
+        updated = fit_em(g, X, tol=0.0, max_iter=1)
         for mean, cov in zip(updated.means, updated.covariances):
             np.testing.assert_allclose(mean, v, atol=1e-9)
             np.testing.assert_allclose(cov, g.reg_epsilon * np.eye(2), atol=1e-12)
@@ -583,7 +583,7 @@ class TestEmStep:
         g = _random_mixture(rng, 4, 2)
         X = rng.standard_normal((25, 2))
         for _ in range(5):
-            g, _ = em_step(g, X)
+            g = fit_em(g, X, tol=0.0, max_iter=1)
             assert abs(sum(g.weights) - 1.0) < 1e-12
 
     def test_starved_component_is_dropped(self, caplog):
@@ -597,7 +597,7 @@ class TestEmStep:
             [np.eye(2), np.eye(2) * 1e-6],
         )
         with caplog.at_level("INFO", logger="ppp.gmm"):
-            updated, _ = em_step(g, X)
+            updated = fit_em(g, X, tol=0.0, max_iter=1)
         assert updated.n_components == 1
         assert "dropping" in caplog.text
         assert updated.weights[0] == pytest.approx(1.0)
@@ -607,9 +607,10 @@ class TestEmStep:
         for trial in range(10):
             g = _random_mixture(rng, 3, 2)
             X = rng.standard_normal((30, 2))
-            prev = log_likelihood(g, X)
+            prev = fit_em(g, X, max_iter=0).ll_trace[0]
             for _ in range(4):
-                g, ll = em_step(g, X)
+                g = fit_em(g, X, tol=0.0, max_iter=1)
+                ll = g.ll_trace[1]
                 assert ll >= prev - 1e-8
                 prev = ll
 
@@ -698,7 +699,7 @@ class TestFitEm:
         g = _random_mixture(rng, 2, 2)
         X = rng.standard_normal((20, 2))
         fitted = fit_em(g, X, tol=1e-6, max_iter=10)
-        assert fitted.ll_trace[0] == log_likelihood(g, X)
+        assert fitted.ll_trace[0] == fit_em(g, X, max_iter=0).ll_trace[0]
         assert fitted.n_iterations == len(fitted.ll_trace) - 1
 
     def test_fixed_point_returns_after_one_iteration(self):
@@ -715,7 +716,7 @@ class TestFitEm:
         X = rng.standard_normal((25, 2))
         fitted = fit_em(g, X, tol=1e-15, max_iter=1)
         assert fitted.n_iterations == 1
-        stepped, _ = em_step(g, X)
+        stepped = fit_em(g, X, tol=0.0, max_iter=1)
         np.testing.assert_allclose(fitted.means[0], stepped.means[0], rtol=1e-14)
 
     def test_trace_monotone_on_blobs(self):
@@ -740,10 +741,10 @@ class TestFitEm:
         rng = np.random.default_rng(22)
         g = _random_mixture(rng, 4, 3, mode)
         X = rng.standard_normal((30, 3))
-        stepped, trace = g, [log_likelihood(g, X)]
+        stepped, trace = g, [fit_em(g, X, max_iter=0).ll_trace[0]]
         for _ in range(6):
-            stepped, ll = em_step(stepped, X)
-            trace.append(ll)
+            stepped = fit_em(stepped, X, tol=0.0, max_iter=1)
+            trace.append(stepped.ll_trace[1])
         fitted = fit_em(g, X, tol=0.0, max_iter=6)
         assert fitted.ll_trace == tuple(trace)
         assert np.array_equal(fitted.means, stepped.means)
@@ -763,16 +764,14 @@ class TestFitEm:
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("mode", ["full", "spherical"])
-    def test_em_step_is_one_fit_em_iteration(self, mode):
+    def test_max_iter_zero_returns_the_start(self, mode):
         rng = np.random.default_rng(30)
         g = _random_mixture(rng, 4, 3, mode)
         X = rng.standard_normal((30, 3))
-        stepped, ll = em_step(g, X)
-        fitted = fit_em(g, X, tol=0.0, max_iter=1)
-        assert fitted.n_iterations == 1
-        assert ll == fitted.ll_trace[1]
+        fitted = fit_em(g, X, max_iter=0)
+        assert fitted.n_iterations == 0
         for name in ("weights", "means", "covariances"):
-            assert np.array_equal(getattr(stepped, name), getattr(fitted, name))
+            assert np.array_equal(getattr(fitted, name), getattr(g, name))
 
     def test_component_starved_mid_run_is_dropped(self, caplog):
         """Two sharpening components take over every row; the broad third one
@@ -783,11 +782,11 @@ class TestFitEm:
             [np.zeros(2), np.full(2, 5.0), np.full(2, 2.5)],
             [np.eye(2), np.eye(2), 4 * np.eye(2)],
         )
-        assert em_step(g, X)[0].n_components == 3
-        stepped, trace = g, [log_likelihood(g, X)]
+        assert fit_em(g, X, tol=0.0, max_iter=1).n_components == 3
+        stepped, trace = g, [fit_em(g, X, max_iter=0).ll_trace[0]]
         for _ in range(12):
-            stepped, ll = em_step(stepped, X)
-            trace.append(ll)
+            stepped = fit_em(stepped, X, tol=0.0, max_iter=1)
+            trace.append(stepped.ll_trace[1])
         with caplog.at_level("INFO", logger="ppp.gmm"):
             fitted = fit_em(g, X, tol=0.0, max_iter=12)
         assert "dropping" in caplog.text

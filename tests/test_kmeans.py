@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import ppp.kmeans as kmeans
 import support
 from ppp.errors import DegenerateSplit
-from ppp.kmeans import kmeans_bisect, kmeans_objective, lloyd_iterate
+from ppp.kmeans import kmeans_bisect, kmeans_objective
 
 
 def _brute_force_best(points):
@@ -63,48 +63,49 @@ class TestLloydIterate:
         blob_b = rng.normal(8.0, 0.3, size=(10, 2))
         points = np.vstack([blob_a, blob_b])
         centers = np.vstack([blob_a.mean(axis=0), blob_b.mean(axis=0)])
-        labels, new_centers, obj = lloyd_iterate(centers, points)
-        np.testing.assert_array_equal(labels[:10], 0)
-        np.testing.assert_array_equal(labels[10:], 1)
+        labels, new_centers = kmeans._lloyd_step(np.ascontiguousarray(points.T), centers)
+        np.testing.assert_array_equal(labels[:10], False)
+        np.testing.assert_array_equal(labels[10:], True)
         np.testing.assert_allclose(new_centers, centers, rtol=1e-12)
-        assert obj == pytest.approx(kmeans_objective(new_centers, points), rel=1e-12)
+        np.testing.assert_allclose(kmeans._group_means(points, labels), centers, rtol=1e-12)
 
     def test_ties_break_to_first_center(self):
         points = np.array([[0.0, 0.0], [3.0, 0.0], [-3.0, 0.0]])
         centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        labels, _, _ = lloyd_iterate(centers, points)
+        labels, _ = kmeans._lloyd_step(np.ascontiguousarray(points.T), centers)
         # the origin is equidistant from both centers; the others anchor a side
-        np.testing.assert_array_equal(labels, [0, 0, 1])
+        np.testing.assert_array_equal(labels, [False, False, True])
 
     def test_equal_centers_repair_keeps_two_groups(self):
         """Coincident centers would empty one side; the farthest point is
         split off instead."""
         points = np.array([[0.0, 0.0], [0.1, 0.0], [9.0, 9.0]])
         centers = np.zeros((2, 2))
-        labels, new_centers, _ = lloyd_iterate(centers, points)
-        assert set(labels.tolist()) == {0, 1}
-        assert sorted(np.bincount(labels, minlength=2).tolist()) == [1, 2]
+        labels, _ = kmeans._lloyd_step(np.ascontiguousarray(points.T), centers)
+        assert sorted([np.count_nonzero(~labels), np.count_nonzero(labels)]) == [1, 2]
 
     def test_repair_reuses_the_step_distances(self, monkeypatch):
-        """A step that repairs an empty side computes its distances once; the
-        second call is the objective after the update."""
+        """A step that repairs an empty side computes its distances once."""
         calls = []
         real = kmeans.sq_distances
         monkeypatch.setattr(kmeans, "sq_distances", lambda X, Y: calls.append(1) or real(X, Y))
         points = np.array([[0.0], [1.0], [2.0]])
-        labels, _, _ = lloyd_iterate(np.array([[0.0], [100.0]]), points)
-        assert labels.tolist() == [0, 0, 1]  # side 1 was empty; it gets the farthest point
-        assert len(calls) == 2
+        labels, _ = kmeans._lloyd_step(np.ascontiguousarray(points.T), np.array([[0.0], [100.0]]))
+        # side 1 was empty; it gets the farthest point
+        assert labels.tolist() == [False, False, True]
+        assert len(calls) == 1
 
     def test_objective_never_increases(self):
         rng = np.random.default_rng(2)
         for trial in range(10):
             points = rng.standard_normal((20, 3))
             idx = rng.choice(20, size=2, replace=False)
-            centers = points[idx]
-            labels, centers, obj = lloyd_iterate(centers, points)
+            columns = np.ascontiguousarray(points.T)
+            _, centers = kmeans._lloyd_step(columns, points[idx])
+            obj = kmeans_objective(centers, points)
             for _ in range(6):
-                labels, centers, new_obj = lloyd_iterate(centers, points)
+                _, centers = kmeans._lloyd_step(columns, centers)
+                new_obj = kmeans_objective(centers, points)
                 assert new_obj <= obj * (1 + 1e-12) + 1e-12
                 obj = new_obj
 
@@ -293,11 +294,11 @@ class TestMatchesReference:
         rng = np.random.default_rng(seed)
         points = rng.integers(-high, high + 1, size=(m, dim)).astype(float)
         centers = points[rng.choice(m, size=2, replace=False)]
-        labels, new_centers, objective = lloyd_iterate(centers, points)
+        labels, new_centers = kmeans._lloyd_step(np.ascontiguousarray(points.T), centers)
         want_labels, want_centers = support.lloyd_step_reference(points, centers)
         assert np.array_equal(labels, want_labels)
         assert np.array_equal(new_centers, want_centers)
-        assert objective == kmeans_objective(want_centers, points)
+        assert np.array_equal(kmeans._group_means(points, labels), want_centers)
 
     @given(st.integers(1, 4), st.integers(2, 40), st.integers(1, 5), st.integers(0, 999))
     @settings(max_examples=300, deadline=None)
@@ -342,7 +343,7 @@ class TestMatchesReference:
         """Both sides empty in turn, and coincident centers, which tie every point."""
         rng = np.random.default_rng(7)
         points = rng.standard_normal((9, 2))
-        labels, new_centers, _ = lloyd_iterate(np.array(centers), points)
+        labels, _ = kmeans._lloyd_step(np.ascontiguousarray(points.T), np.array(centers))
         want_labels, want_centers = support.lloyd_step_reference(points, np.array(centers))
         assert np.array_equal(labels, want_labels)
-        assert np.array_equal(new_centers, want_centers)
+        assert np.array_equal(kmeans._group_means(points, labels), want_centers)

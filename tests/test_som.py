@@ -10,18 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppp.som as som_mod
+from ppp.data import sq_distances
 from ppp.errors import ConfigError, DimensionError
 from ppp.som import (
     CodebookMatchSet,
     SomConfig,
     SomModel,
+    _assign,
     _grid_sqdist,
     _neighborhood,
     _schedule,
     codebook_match,
     default_grid,
     default_som_config,
-    find_bmu,
     init_som,
     quantization_error,
     train_som,
@@ -112,40 +113,34 @@ class TestInitSom:
 
 
 class TestFindBmu:
+    """The closing pass of every map, ``_assign``, on one row: its hit counts
+    mark the row's BMU and its error is the squared distance to it."""
+
     def test_exact_match_has_zero_distance(self):
         X = np.arange(12.0).reshape(4, 3)
-        som = SomModel(SomConfig(2, 2), X.copy(), np.zeros(4, dtype=np.int64))
-        unit, d2 = find_bmu(som, X[3])
-        assert unit == 3 and d2 == 0.0
+        hits, d2, _ = _assign(X, X[3:])
+        assert hits.tolist() == [0, 0, 0, 1] and d2 == 0.0
 
     def test_forced_nearest(self):
         codebook = np.array([[0.0, 0.0], [10.0, 10.0]])
-        som = SomModel(SomConfig(1, 2), codebook, np.zeros(2, dtype=np.int64))
-        unit, d2 = find_bmu(som, np.array([1.0, 1.0]))
-        assert unit == 0
+        hits, d2, _ = _assign(codebook, np.array([[1.0, 1.0]]))
+        assert hits.tolist() == [1, 0]
         assert d2 == pytest.approx(2.0)
 
     def test_tie_goes_to_lowest_unit(self):
         codebook = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        som = SomModel(SomConfig(1, 2), codebook, np.zeros(2, dtype=np.int64))
-        unit, _ = find_bmu(som, np.array([0.0, 0.0]))
-        assert unit == 0
-
-    def test_dimension_mismatch(self):
-        som = SomModel(SomConfig(1, 2), np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
-        with pytest.raises(DimensionError):
-            find_bmu(som, np.zeros(4))
+        hits, _, _ = _assign(codebook, np.array([[0.0, 0.0]]))
+        assert hits.tolist() == [1, 0]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_matches_linear_scan(self, seed):
         rng = np.random.default_rng(seed)
         codebook = rng.standard_normal((16, 3))
-        som = SomModel(SomConfig(4, 4), codebook, np.zeros(16, dtype=np.int64))
         x = rng.standard_normal(3)
-        unit, d2 = find_bmu(som, x)
+        hits, d2, _ = _assign(codebook, x[None])
         dists = [float(((x - v) ** 2).sum()) for v in codebook]
-        assert unit == int(np.argmin(dists))
+        assert np.flatnonzero(hits).tolist() == [int(np.argmin(dists))]
         assert d2 == pytest.approx(min(dists), rel=1e-12)
 
 
@@ -208,7 +203,7 @@ class TestTrainSom:
         codebook = rng.standard_normal((6, 3))
         som = SomModel(SomConfig(2, 3, epochs=1), codebook, np.zeros(6, dtype=np.int64))
         trained = train_som(som, x)  # one row for one epoch: a single step at t = 0
-        winner, _ = find_bmu(som, x[0])
+        winner = int(sq_distances(x, codebook).argmin())
         weights = _neighborhood(som.config, _grid_sqdist(som.config)[winner], 0, 1)
         assert len(set(weights)) > 1
         np.testing.assert_allclose(
@@ -481,7 +476,7 @@ class TestQuantizationError:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((20, 3))
         som = SomModel(SomConfig(2, 2), rng.standard_normal((4, 3)), np.zeros(4, dtype=np.int64))
-        per_row = [find_bmu(som, x)[1] for x in X]
+        per_row = sq_distances(X, som.codebook).min(axis=1)
         assert quantization_error(som, X) == pytest.approx(np.mean(per_row), rel=1e-12)
 
 
@@ -526,6 +521,14 @@ class TestCodebookMatch:
         som = SomModel(SomConfig(1, 2), codebook, np.array([2, 1], dtype=np.int64))
         match = codebook_match(som, X)
         assert match.matched_instance_ids[0] == 0
+
+    def test_rows_of_another_width_are_rejected(self):
+        """Both functions that take a trained map's rows check their width."""
+        som = SomModel(SomConfig(1, 2), np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
+        for func in (codebook_match, quantization_error):
+            for rows in (np.zeros((5, 4)), np.zeros(3)):
+                with pytest.raises(DimensionError):
+                    func(som, rows)
 
 
 class TestCodebookMatchSet:
