@@ -324,11 +324,11 @@ def write_manifest(path, command, outputs: dict, master_seed: int, config: dict,
     """Write everything needed to reproduce a run next to its outputs.
 
     The manifest records the input file's SHA-256 (null without an input),
-    hashed in 1 MiB chunks, the tool version and the UTC time.
+    hashed in 64 KiB chunks, the tool version and the UTC time.
     """
     sha = None
     if input_path is not None:
-        sha, chunk = hashlib.sha256(), memoryview(bytearray(1 << 20))
+        sha, chunk = hashlib.sha256(), memoryview(bytearray(1 << 16))
         with open(input_path, "rb") as fh:
             while size := fh.readinto(chunk):
                 sha.update(chunk[:size])

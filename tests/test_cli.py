@@ -157,6 +157,16 @@ def run(tmp_path_factory):
     return rc, out
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """(input csv, output directory) of one default cluster run on a 40 x 6 planted matrix."""
+    tmp_path = tmp_path_factory.mktemp("small")
+    data = _make_planted(tmp_path, instances=40, features=6)
+    out = tmp_path / "plain"
+    assert main(["cluster", "--input", str(data), "--out", str(out)]) == 0
+    return data, out
+
+
 class TestCluster:
     def test_exit_zero_and_files(self, run):
         rc, out = run
@@ -368,15 +378,13 @@ class TestCluster:
         pytest.param(lambda raw: b"\xef\xbb\xbf" + raw, id="byte-order-mark"),
         pytest.param(lambda raw: raw + b"\n", id="blank-line"),
     ])
-    def test_input_edits_that_change_no_artifact(self, tmp_path, edit):
-        data = _make_planted(tmp_path, instances=40, features=6)
+    def test_input_edits_that_change_no_artifact(self, tmp_path, edit, small_run):
+        data, plain = small_run
         edited = tmp_path / "edited.csv"
         edited.write_bytes(edit(data.read_bytes()))
-        for name, path in (("plain", data), ("edited", edited)):
-            assert main(["cluster", "--input", str(path), "--out", str(tmp_path / name)]) == 0
+        assert main(["cluster", "--input", str(edited), "--out", str(tmp_path / "edited")]) == 0
         for artifact in ("tree.json", "assignment.csv", "diagnostics.csv"):
-            plain = (tmp_path / "plain" / artifact).read_bytes()
-            assert (tmp_path / "edited" / artifact).read_bytes() == plain
+            assert (tmp_path / "edited" / artifact).read_bytes() == (plain / artifact).read_bytes()
 
     def test_single_feature_is_usage_error(self, tmp_path, capsys):
         thin = tmp_path / "thin.csv"
@@ -691,11 +699,9 @@ class TestManifest:
 
 
 class TestCut:
-    def test_recut_saved_tree(self, tmp_path):
-        data = _make_planted(tmp_path)
-        run_out = tmp_path / "run"
-        assert main(["cluster", "--input", str(data), "--out", str(run_out),
-                     "--seed", "3"]) == 0
+    def test_recut_saved_tree(self, tmp_path, run):
+        rc, run_out = run
+        assert rc == 0
         cut_csv = tmp_path / "recut.csv"
         rc = main(["cut", "--tree", str(run_out / "tree.json"),
                    "--cut-depth", "1", "--out", str(cut_csv)])
@@ -704,11 +710,9 @@ class TestCut:
         assert len(lines) == 8
         assert {int(l.split(",")[1]) for l in lines} == {0, 1}
 
-    def test_out_directory_gets_default_name(self, tmp_path):
-        data = _make_planted(tmp_path)
-        run_out = tmp_path / "run"
-        assert main(["cluster", "--input", str(data), "--out", str(run_out),
-                     "--seed", "3"]) == 0
+    def test_out_directory_gets_default_name(self, tmp_path, run):
+        rc, run_out = run
+        assert rc == 0
         cut_dir = tmp_path / "cutdir"
         rc = main(["cut", "--tree", str(run_out / "tree.json"),
                    "--out", str(cut_dir)])

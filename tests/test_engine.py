@@ -41,15 +41,8 @@ from ppp.gmm import (
 )
 from ppp.som import CodebookMatchSet, default_grid, default_som_config, init_som, train_soms
 from ppp.synth import PlantedSpec, adjusted_rand_index, generate_planted
+import golden
 from support import mixture_pdf
-
-
-@pytest.fixture(scope="module")
-def planted():
-    """120 x 8 two-block matrix, features 0-3 vs 4-7, noisy enough that the
-    density threshold keeps a usable core set."""
-    spec = PlantedSpec.even(120, 8, (2, 2), gap=4.0, noise_sigma=1.0, seed=5)
-    return generate_planted(spec)
 
 
 def _blocks(node):
@@ -319,11 +312,11 @@ class TestQuantize:
 
 
 class TestFit:
-    def test_distinct_rows_score_like_every_unit(self, planted):
+    def test_distinct_rows_score_like_every_unit(self, planted120):
         """A node whose map matches instances to several units: the fit on the
         distinct matched rows scores the node rows as a fit of one component per
         positive-prior unit on every unit's matched vector does."""
-        X = planted.matrix.values
+        X = planted120.matrix.values
         match = engine_mod._quantize([X], [11])[0]
         ids = match.matched_instance_ids
         assert np.unique(ids).size < len(match)
@@ -341,9 +334,9 @@ class TestFit:
         np.testing.assert_allclose(got_scores.log_density, want_scores.log_density, rtol=1e-8)
         np.testing.assert_allclose(got_scores.normalized, want_scores.normalized, atol=1e-12)
 
-    def test_distinct_matched_rows_fit_every_unit(self, planted, monkeypatch):
+    def test_distinct_matched_rows_fit_every_unit(self, planted120, monkeypatch):
         """A match with no repeated instance hands EM every matched vector, each counted once."""
-        X = planted.matrix.values
+        X = planted120.matrix.values
         ids = np.arange(0, 120, 3)
         seen = []
         monkeypatch.setattr(engine_mod, "fit_em", lambda g, data, **kw: seen.append((data, kw)))
@@ -352,14 +345,14 @@ class TestFit:
         assert np.array_equal(data, X[ids])
         assert list(kw) == ["counts"] and np.array_equal(kw["counts"], np.ones(ids.size))
 
-    def test_start_and_em_rows_group_the_units_apart(self, planted, monkeypatch):
+    def test_start_and_em_rows_group_the_units_apart(self, planted120, monkeypatch):
         """A zero-prior unit matches instance 5 before its first positive-prior
         unit, with instance 3 in between. The start, taken through this module's
         names as the benchmark tracer wraps them, orders its components by first
         positive-prior occurrence (3, 5, 2); EM gets the rows in first occurrence
         over all units (5, 3, 2), each with its unit count. One grouping for both
         would put instance 5 first in the start."""
-        X = planted.matrix.values
+        X = planted120.matrix.values
         match = CodebookMatchSet(np.array([5, 3, 5, 2, 3, 5]),
                                  np.array([0.0, 0.25, 0.35, 0.15, 0.25, 0.0]))
         starts, seen = [], []
@@ -405,21 +398,21 @@ class TestFit:
 
 
 class TestEvaluateSplit:
-    def test_planted_feature_split_recovered(self, planted):
+    def test_planted_feature_split_recovered(self, planted120):
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
-        ev = evaluate_split(node, planted.matrix, PppConfig(master_seed=3),
+        ev = evaluate_split(node, planted120.matrix, PppConfig(master_seed=3),
                             derive_seed(3, "", 0))
         got = frozenset(
             frozenset(side.indices.tolist()) for side in ev.feature_split
         )
         assert got == frozenset({frozenset(range(4)), frozenset(range(4, 8))})
 
-    def test_pure_function_of_seed(self, planted):
+    def test_pure_function_of_seed(self, planted120):
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
         cfg = PppConfig(master_seed=3)
         seed = derive_seed(3, "", 0)
-        ev1 = evaluate_split(node, planted.matrix, cfg, seed)
-        ev2 = evaluate_split(node, planted.matrix, cfg, seed)
+        ev1 = evaluate_split(node, planted120.matrix, cfg, seed)
+        ev2 = evaluate_split(node, planted120.matrix, cfg, seed)
         assert ev1.score == ev2.score
         assert ev1.overlaps == ev2.overlaps
         np.testing.assert_array_equal(
@@ -436,9 +429,9 @@ class TestEvaluateSplit:
         assert ev.overlaps == (0.0, 0.0)
         assert len(ev.child_sets[0]) == 0 and len(ev.child_sets[1]) == 0
 
-    def test_split_partitions_node_features(self, planted):
+    def test_split_partitions_node_features(self, planted120):
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
-        ev = evaluate_split(node, planted.matrix, PppConfig(master_seed=9), 404)
+        ev = evaluate_split(node, planted120.matrix, PppConfig(master_seed=9), 404)
         ids = np.concatenate([side.indices for side in ev.feature_split])
         assert sorted(ids.tolist()) == list(range(8))
 
@@ -462,14 +455,14 @@ def _same_evaluation(a, b):
 class TestEvaluateSplits:
     """A batch of attempts gives each attempt's result bit for bit."""
 
-    def test_batch_equals_one_attempt_at_a_time(self, planted):
+    def test_batch_equals_one_attempt_at_a_time(self, planted120):
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
         config = PppConfig(master_seed=3)
         seeds = [derive_seed(3, "", a) for a in range(6)]
-        batch = evaluate_splits(node, planted.matrix, config, seeds)
+        batch = evaluate_splits(node, planted120.matrix, config, seeds)
         assert len(batch) == len(seeds)
         for seed, got in zip(seeds, batch):
-            _same_evaluation(got, evaluate_split(node, planted.matrix, config, seed))
+            _same_evaluation(got, evaluate_split(node, planted120.matrix, config, seed))
 
     def test_wide_batch_equals_one_attempt_at_a_time(self, monkeypatch):
         """At 24 x 301, child sides of 151 and 150 columns both train on 24
@@ -528,14 +521,14 @@ class TestEvaluateSplits:
 
         assert peak(6) < 1.5 * peak(1)
 
-    def test_batch_on_an_inner_node(self, planted):
+    def test_batch_on_an_inner_node(self, planted120):
         node = PppNode(IndexSet(np.array([0, 1, 2, 5, 6]), 8), IndexSet(np.arange(0, 120, 3), 120))
         config = PppConfig(master_seed=4)
         seeds = [11, 12, 13]
-        for seed, got in zip(seeds, evaluate_splits(node, planted.matrix, config, seeds)):
-            _same_evaluation(got, evaluate_split(node, planted.matrix, config, seed))
+        for seed, got in zip(seeds, evaluate_splits(node, planted120.matrix, config, seeds)):
+            _same_evaluation(got, evaluate_split(node, planted120.matrix, config, seed))
 
-    def test_bisection_gets_the_core_rows_or_all_node_rows(self, planted, monkeypatch):
+    def test_bisection_gets_the_core_rows_or_all_node_rows(self, planted120, monkeypatch):
         """The k-means points are the core rows when the core holds at least
         two, else every node row; the high threshold yields both kinds of core."""
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
@@ -548,7 +541,7 @@ class TestEvaluateSplits:
 
         monkeypatch.setattr(engine_mod, "kmeans_bisect", kmeans_bisect)
         seeds = [derive_seed(3, "", a) for a in range(6)]
-        results = evaluate_splits(node, planted.matrix, PppConfig(score_threshold=0.9), seeds)
+        results = evaluate_splits(node, planted120.matrix, PppConfig(score_threshold=0.9), seeds)
         cores = [len(r.core_set) for r in results]
         assert min(cores) < 2 <= max(cores)
         assert handed == [c if c >= 2 else 120 for c in cores]
@@ -580,16 +573,16 @@ class TestEvaluateSplits:
         monkeypatch.setattr(engine_mod, "fit_em", fit)
         return calls
 
-    def test_fit_failures_are_caught_per_attempt(self, planted, monkeypatch):
+    def test_fit_failures_are_caught_per_attempt(self, planted120, monkeypatch):
         """In a real batch, a parent fit that raises fails only its own attempt,
         and so does a child fit; the other attempts keep their results."""
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
         config = PppConfig(master_seed=3)
         seeds = [derive_seed(3, "", a) for a in range(4)]
-        clean = evaluate_splits(node, planted.matrix, config, seeds)
+        clean = evaluate_splits(node, planted120.matrix, config, seeds)
         calls = self._fail_second_parent_and_first_child_fit(monkeypatch)
         trained = _trained_shapes(monkeypatch)
-        got = evaluate_splits(node, planted.matrix, config, seeds)
+        got = evaluate_splits(node, planted120.matrix, config, seeds)
         # four parent maps; attempt 1 ends at its parent fit, so 3 attempts train child maps
         assert trained[0] == [(120, 8)] * 4
         assert sum(map(len, trained[1:])) == 6
@@ -601,10 +594,10 @@ class TestEvaluateSplits:
         for i in (2, 3):
             _same_evaluation(got[i], clean[i])
         calls.update(parent=0, child=0)  # alone, attempt 1 fails at its side-0 child fit
-        alone = evaluate_split(node, planted.matrix, config, seeds[1])
+        alone = evaluate_split(node, planted120.matrix, config, seeds[1])
         assert (alone.attempt_seed, alone.outcome) == (seeds[1], "degenerate_model")
 
-    def test_result_i_carries_seed_i(self, planted, monkeypatch):
+    def test_result_i_carries_seed_i(self, planted120, monkeypatch):
         """Whatever the outcome, result ``i`` is attempt ``seeds[i]``'s: the seed
         column of diagnostics.csv reads ``attempt_seed``."""
         seeds = [derive_seed(3, "", a) for a in range(4)]
@@ -613,9 +606,9 @@ class TestEvaluateSplits:
             PppNode(IndexSet.full(4), IndexSet.full(10)), const, PppConfig(), seeds
         )
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
-        clean = evaluate_splits(node, planted.matrix, PppConfig(master_seed=3), seeds)
+        clean = evaluate_splits(node, planted120.matrix, PppConfig(master_seed=3), seeds)
         self._fail_second_parent_and_first_child_fit(monkeypatch)
-        failed = evaluate_splits(node, planted.matrix, PppConfig(master_seed=3), seeds)
+        failed = evaluate_splits(node, planted120.matrix, PppConfig(master_seed=3), seeds)
         outcomes = {r.outcome for r in degenerate + clean + failed}
         assert {"ok", "degenerate_split", "singular_cov", "degenerate_model"} <= outcomes
         for results in (degenerate, clean, failed):
@@ -833,9 +826,9 @@ class TestGrowNodeBatching:
 
 
 class TestGrowNodeOnData:
-    def test_planted_root_split(self, planted):
+    def test_planted_root_split(self, planted120):
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
-        grow_node(node, planted.matrix, PppConfig(master_seed=3))
+        grow_node(node, planted120.matrix, PppConfig(master_seed=3))
         assert node.status == "internal"
         assert _blocks(node) == frozenset(
             {frozenset(range(4)), frozenset(range(4, 8))}
@@ -865,9 +858,9 @@ class TestGrowNodeOnData:
         for exponent in (-30, -60):
             assert root(2.0 ** exponent) == want
 
-    def test_children_carry_gamma_sets(self, planted):
+    def test_children_carry_gamma_sets(self, planted120):
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
-        grow_node(node, planted.matrix, PppConfig(master_seed=3))
+        grow_node(node, planted120.matrix, PppConfig(master_seed=3))
         for child, gamma in zip(node.children, node.best_eval.child_sets):
             np.testing.assert_array_equal(child.instance_set.indices, gamma.indices)
 
@@ -901,16 +894,16 @@ class TestGrowNodeFaultIsolation:
         monkeypatch.setattr(engine_mod, "evaluate_splits", evaluate)
         monkeypatch.setattr(engine_mod, "fit_em", fit)
 
-    def test_failed_attempt_is_undefined_and_the_node_resolves(self, planted, monkeypatch):
+    def test_failed_attempt_is_undefined_and_the_node_resolves(self, planted120, monkeypatch):
         config = PppConfig(master_seed=3, max_split_attempts=6)
         clean = PppNode(IndexSet.full(8), IndexSet.full(120))
-        grow_node(clean, planted.matrix, config)
+        grow_node(clean, planted120.matrix, config)
         failing_seed = derive_seed(3, "", 0)
         self._failing_fit(
             monkeypatch, failing_seed, SingularCovariance("covariance is not positive definite")
         )
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
-        grow_node(node, planted.matrix, config)
+        grow_node(node, planted120.matrix, config)
         rows = [_attempt_row(a) for a in node.attempts]
         assert rows[0] == (failing_seed, 0.0, 0.0, None, "singular_cov", 0, 0, 0)
         assert rows[1:] == [_attempt_row(a) for a in clean.attempts[1:len(rows)]]
@@ -918,11 +911,11 @@ class TestGrowNodeFaultIsolation:
         assert node.best_eval.attempt_seed != failing_seed
         assert _blocks(node) == frozenset({frozenset(range(4)), frozenset(range(4, 8))})
 
-    def test_other_errors_propagate(self, planted, monkeypatch):
+    def test_other_errors_propagate(self, planted120, monkeypatch):
         self._failing_fit(monkeypatch, derive_seed(3, "", 0), DimensionError("bad shape"))
         node = PppNode(IndexSet.full(8), IndexSet.full(120))
         with pytest.raises(DimensionError):
-            grow_node(node, planted.matrix, PppConfig(master_seed=3))
+            grow_node(node, planted120.matrix, PppConfig(master_seed=3))
 
 
 class TestBuildTree:
@@ -958,17 +951,21 @@ class TestBuildTree:
         assert all(w <= 48 if d > 50 else w == d for _, d, w in seen)
 
     @pytest.mark.parametrize("seed", range(1, 9))
-    def test_wide_planted_depth_one_cut_recovers_the_blocks(self, seed):
+    def test_wide_planted_depth_one_cut_recovers_the_blocks(self, seed, golden_tree):
         """The genes-as-features shape, 48 x 640, whose nodes fit spherical
-        mixtures on their frames: the depth-1 cut is the planted feature blocks."""
+        mixtures on their frames: the depth-1 cut is the planted feature blocks.
+        Seeds 1 and 2 are golden cases, whose trees are grown once."""
         planted = generate_planted(PlantedSpec.even(48, 640, (2, 2), seed=seed))
-        tree = build_tree(planted.matrix, PppConfig(master_seed=seed))
+        case = f"wide_48x640_seed{seed}"
+        if case in golden.CASES:
+            tree = golden_tree(case)
+        else:
+            tree = build_tree(planted.matrix, PppConfig(master_seed=seed))
         labels = cluster_labels(cut_tree(tree, 1), 640)
         assert adjusted_rand_index(labels, planted.feature_labels) == 1.0
 
-    def test_planted_root_recovered(self, planted):
-        tree = build_tree(planted.matrix, PppConfig(master_seed=3))
-        assert _blocks(tree.root) == frozenset(
+    def test_planted_root_recovered(self, planted120_tree):
+        assert _blocks(planted120_tree.root) == frozenset(
             {frozenset(range(4)), frozenset(range(4, 8))}
         )
 
@@ -980,31 +977,28 @@ class TestBuildTree:
             for n in tree.nodes()
         ]
 
-    def test_deterministic_per_seed(self, planted):
-        cfg = PppConfig(master_seed=3)
-        t1 = build_tree(planted.matrix, cfg)
-        t2 = build_tree(planted.matrix, cfg)
-        assert self._snapshot(t1) == self._snapshot(t2)
+    def test_deterministic_per_seed(self, planted120, planted120_tree):
+        again = build_tree(planted120.matrix, PppConfig(master_seed=3))
+        assert self._snapshot(again) == self._snapshot(planted120_tree)
 
-    def test_numpy_integer_seed_grows_the_same_tree(self, planted):
+    def test_numpy_integer_seed_grows_the_same_tree(self, planted120, planted120_tree):
         """`PppConfig(master_seed=s) for s in np.arange(n)` reproduces `--seed s`."""
         config = PppConfig(master_seed=np.int64(3))
         assert type(config.master_seed) is int
-        a, b = (build_tree(planted.matrix, c) for c in (config, PppConfig(master_seed=3)))
+        a, b = build_tree(planted120.matrix, config), planted120_tree
         seeds = [[e.attempt_seed for n in t.nodes() for e in n.attempts] for t in (a, b)]
         assert seeds[0] == seeds[1]
         assert self._snapshot(a) == self._snapshot(b)
 
-    def test_thread_count_does_not_change_result(self, planted):
-        cfg = PppConfig(master_seed=3)
-        assert self._snapshot(build_tree(planted.matrix, cfg)) == self._snapshot(
-            build_tree(planted.matrix, cfg, threads=2)
+    def test_thread_count_does_not_change_result(self, planted120, planted120_tree):
+        assert self._snapshot(planted120_tree) == self._snapshot(
+            build_tree(planted120.matrix, PppConfig(master_seed=3), threads=2)
         )
 
     @pytest.mark.parametrize("threads", [0, -3])
-    def test_thread_count_below_one_rejected(self, planted, threads):
+    def test_thread_count_below_one_rejected(self, planted120, threads):
         with pytest.raises(ConfigError):
-            build_tree(planted.matrix, PppConfig(), threads=threads)
+            build_tree(planted120.matrix, PppConfig(), threads=threads)
 
     @pytest.mark.parametrize("n, d", [(200, 16), (48, 640)])
     def test_entries_whose_squares_overflow_are_rejected(self, n, d):
@@ -1039,39 +1033,34 @@ class TestBuildTree:
         assert 0.5 < by_depth[0] <= 1.0
 
 
-@pytest.fixture(scope="module")
-def tree(planted):
-    return build_tree(planted.matrix, PppConfig(master_seed=3))
-
-
 class TestCutTree:
-    def test_negative_depth_rejected(self, tree):
+    def test_negative_depth_rejected(self, planted120_tree):
         with pytest.raises(ConfigError):
-            cut_tree(tree, -1)
+            cut_tree(planted120_tree, -1)
 
-    def test_depth_zero_is_everything(self, tree):
-        clusters = cut_tree(tree, 0)
+    def test_depth_zero_is_everything(self, planted120_tree):
+        clusters = cut_tree(planted120_tree, 0)
         assert len(clusters) == 1
         assert clusters[0].indices.tolist() == list(range(8))
 
-    def test_depth_one_matches_root_children(self, tree):
-        got = frozenset(frozenset(c.indices.tolist()) for c in cut_tree(tree, 1))
-        assert got == _blocks(tree.root)
+    def test_depth_one_matches_root_children(self, planted120_tree):
+        got = frozenset(frozenset(c.indices.tolist()) for c in cut_tree(planted120_tree, 1))
+        assert got == _blocks(planted120_tree.root)
 
-    def test_none_returns_leaves(self, tree):
-        got = [c.indices.tolist() for c in cut_tree(tree)]
-        leaves = [n.feature_set.indices.tolist() for n in tree.nodes() if n.is_leaf]
+    def test_none_returns_leaves(self, planted120_tree):
+        got = [c.indices.tolist() for c in cut_tree(planted120_tree)]
+        leaves = [n.feature_set.indices.tolist() for n in planted120_tree.nodes() if n.is_leaf]
         assert got == leaves
 
-    def test_depth_beyond_tree_equals_leaves(self, tree):
-        deep = cut_tree(tree, max(n.depth for n in tree.nodes()) + 5)
+    def test_depth_beyond_tree_equals_leaves(self, planted120_tree):
+        deep = cut_tree(planted120_tree, max(n.depth for n in planted120_tree.nodes()) + 5)
         assert [c.indices.tolist() for c in deep] == [
-            c.indices.tolist() for c in cut_tree(tree)
+            c.indices.tolist() for c in cut_tree(planted120_tree)
         ]
 
-    def test_every_cut_partitions_features(self, tree):
-        for depth in [None] + list(range(max(n.depth for n in tree.nodes()) + 2)):
-            clusters = cut_tree(tree, depth)
+    def test_every_cut_partitions_features(self, planted120_tree):
+        for depth in [None] + list(range(max(n.depth for n in planted120_tree.nodes()) + 2)):
+            clusters = cut_tree(planted120_tree, depth)
             labels = cluster_labels(clusters, 8)
             assert np.all(labels >= 0)
             assert sum(len(c) for c in clusters) == 8

@@ -28,7 +28,7 @@ from ppp.fileio import (
     tree_to_dict,
     write_manifest,
 )
-from ppp.synth import PlantedSpec, generate_planted, repeatability_trial
+from ppp.synth import PlantedSpec, generate_planted
 
 
 def _write(path, text):
@@ -241,17 +241,9 @@ class TestMatrixRoundTrip:
         np.testing.assert_array_equal(load_csv(p).values, m.values)
 
 
-@pytest.fixture(scope="module")
-def small_tree():
-    data = generate_planted(
-        PlantedSpec.even(120, 8, (2, 2), gap=4.0, noise_sigma=1.0, seed=5)
-    )
-    return build_tree(data.matrix, PppConfig(master_seed=3))
-
-
 class TestTreeJson:
-    def test_dict_shape(self, small_tree):
-        doc = tree_to_dict(small_tree)
+    def test_dict_shape(self, planted120_tree):
+        doc = tree_to_dict(planted120_tree)
         assert doc["n_features"] == 8
         assert doc["n_instances"] == 120
         assert doc["feature_names"] is None
@@ -262,26 +254,26 @@ class TestTreeJson:
         assert root["phi"] > 0
         assert len(root["children"]) == 2
         assert root["gamma1_size"] >= 1 and root["gamma2_size"] >= 1
-        assert len(root["phi_trace"]) == len(small_tree.root.attempts)
+        assert len(root["phi_trace"]) == len(planted120_tree.root.attempts)
 
-    def test_round_trip_preserves_skeleton(self, small_tree, tmp_path):
+    def test_round_trip_preserves_skeleton(self, planted120_tree, tmp_path):
         p = tmp_path / "tree.json"
-        export_tree_json(small_tree, p, feature_ids=[f"g{i}" for i in range(8)])
+        export_tree_json(planted120_tree, p, feature_ids=[f"g{i}" for i in range(8)])
         back, names = load_tree_json(p)
         assert names == [f"g{i}" for i in range(8)]
         assert back.n_features == 8
         orig = [(n.path, n.status, tuple(n.feature_set.indices.tolist()))
-                for n in small_tree.nodes()]
+                for n in planted120_tree.nodes()]
         loaded = [(n.path, n.status, tuple(n.feature_set.indices.tolist()))
                   for n in back.nodes()]
         assert orig == loaded
 
-    def test_loaded_tree_cuts_identically(self, small_tree, tmp_path):
+    def test_loaded_tree_cuts_identically(self, planted120_tree, tmp_path):
         p = tmp_path / "tree.json"
-        export_tree_json(small_tree, p)
+        export_tree_json(planted120_tree, p)
         back, _ = load_tree_json(p)
         for depth in (None, 0, 1, 2):
-            a = [c.indices.tolist() for c in cut_tree(small_tree, depth)]
+            a = [c.indices.tolist() for c in cut_tree(planted120_tree, depth)]
             b = [c.indices.tolist() for c in cut_tree(back, depth)]
             assert a == b
 
@@ -340,17 +332,17 @@ class TestTreeJson:
             with pytest.raises(FormatError, match="must be an integer"):
                 load_tree_json(p)
 
-    def test_export_is_deterministic(self, small_tree, tmp_path):
+    def test_export_is_deterministic(self, planted120_tree, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        export_tree_json(small_tree, p1)
-        export_tree_json(small_tree, p2)
+        export_tree_json(planted120_tree, p1)
+        export_tree_json(planted120_tree, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestAssignmentCsv:
-    def test_rows_sorted_by_feature(self, small_tree, tmp_path):
+    def test_rows_sorted_by_feature(self, planted120_tree, tmp_path):
         p = tmp_path / "assign.csv"
-        export_assignment_csv(small_tree, p, depth=1)
+        export_assignment_csv(planted120_tree, p, depth=1)
         lines = p.read_text().strip().split("\n")
         assert lines[0] == "feature_id,cluster_id"
         ids = [int(line.split(",")[0]) for line in lines[1:]]
@@ -358,10 +350,10 @@ class TestAssignmentCsv:
         clusters = {int(line.split(",")[1]) for line in lines[1:]}
         assert clusters == {0, 1}
 
-    def test_feature_names_used_when_given(self, small_tree, tmp_path):
+    def test_feature_names_used_when_given(self, planted120_tree, tmp_path):
         p = tmp_path / "assign.csv"
         names = [f"gene{i}" for i in range(8)]
-        export_assignment_csv(small_tree, p, depth=1, feature_ids=names)
+        export_assignment_csv(planted120_tree, p, depth=1, feature_ids=names)
         first = p.read_text().strip().split("\n")[1]
         assert first.split(",")[0] == "gene0"
 
@@ -378,21 +370,21 @@ class TestAssignmentCsv:
 
 
 class TestDiagnosticsCsv:
-    def test_per_attempt_rows(self, small_tree, tmp_path):
+    def test_per_attempt_rows(self, planted120_tree, tmp_path):
         p = tmp_path / "diag.csv"
-        export_diagnostics_csv(small_tree, p)
+        export_diagnostics_csv(planted120_tree, p)
         lines = p.read_text().strip().split("\n")
         assert lines[0] == "node_path,attempt,seed,phi1,phi2,phi,outcome,core,child_a,child_b"
-        expected = sum(len(n.attempts) for n in small_tree.nodes())
+        expected = sum(len(n.attempts) for n in planted120_tree.nodes())
         assert len(lines) == 1 + expected
 
-    def test_seed_column_is_the_derived_attempt_seed(self, small_tree, tmp_path):
+    def test_seed_column_is_the_derived_attempt_seed(self, planted120_tree, tmp_path):
         p = tmp_path / "diag.csv"
-        export_diagnostics_csv(small_tree, p)
+        export_diagnostics_csv(planted120_tree, p)
         rows = [line.split(",") for line in p.read_text().strip().split("\n")[1:]]
         expected = [
             [node.path, str(attempt), str(derive_seed(3, node.path, attempt))]
-            for node in small_tree.nodes()
+            for node in planted120_tree.nodes()
             for attempt in range(len(node.attempts))
         ]
         assert [row[:3] for row in rows] == expected
@@ -409,38 +401,30 @@ class TestDiagnosticsCsv:
         assert all(line.split(",")[6:] == ["degenerate_split", "10", "0", "0"] for line in lines)
 
 
-@pytest.fixture(scope="module")
-def report():
-    data = generate_planted(
-        PlantedSpec.even(120, 8, (2, 2), gap=4.0, noise_sigma=1.0, seed=5)
-    )
-    return repeatability_trial(data.matrix, PppConfig(), [0, 1])
-
-
 class TestReportExport:
-    def test_json_fields(self, report, tmp_path):
+    def test_json_fields(self, planted120_report, tmp_path):
         jp, cp = tmp_path / "report.json", tmp_path / "report.csv"
-        export_report(report, jp, cp)
+        export_report(planted120_report, jp, cp)
         doc = json.loads(jp.read_text())
-        assert doc["seeds"] == [0, 1]
-        assert doc["modal_frequency"] == report.modal_frequency
-        assert len(doc["pairwise_ari"]) == 2
-        assert doc["split_frequencies"][0]["frequency"] == report.split_frequencies[0][1]
+        assert doc["seeds"] == [0, 1, 2]
+        assert doc["modal_frequency"] == planted120_report.modal_frequency
+        assert len(doc["pairwise_ari"]) == 3
+        assert doc["split_frequencies"][0]["frequency"] == planted120_report.split_frequencies[0][1]
         assert doc["score_min"] <= doc["score_mean"] <= doc["score_max"]
 
-    def test_csv_per_seed(self, report, tmp_path):
+    def test_csv_per_seed(self, planted120_report, tmp_path):
         jp, cp = tmp_path / "report.json", tmp_path / "report.csv"
-        export_report(report, jp, cp)
+        export_report(planted120_report, jp, cp)
         lines = cp.read_text().strip().split("\n")
         assert lines[0] == "seed,root_split_sizes,root_score,n_leaf_clusters,matches_modal"
-        assert len(lines) == 3
+        assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "0"
         assert first[1] == "4+4"
         assert first[4] == "True"
 
-    def test_dict_round_trips_through_json(self, report):
-        doc = report_to_dict(report)
+    def test_dict_round_trips_through_json(self, planted120_report):
+        doc = report_to_dict(planted120_report)
         assert json.loads(json.dumps(doc)) == doc
 
 
@@ -475,7 +459,7 @@ class TestManifest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 << 20
+        assert peak <= 256 << 10
         assert json.loads(p.read_text())["input_sha256"] == want
 
     def test_cluster_run_leaves_no_temporary_files(self, tmp_path):

@@ -2,7 +2,7 @@
 
 ``tests/data/golden.json`` is written by ``tests/golden.py``; a change that
 moves a tree on purpose reruns that script. Each case's tree is grown once
-and shared by the tests below.
+per session (``golden_tree`` in ``conftest.py``) and shared by the tests below.
 """
 
 import csv
@@ -28,10 +28,10 @@ def _read_csv(path) -> list[dict]:
 
 
 @pytest.fixture(scope="module", params=sorted(golden.CASES))
-def case(request, tmp_path_factory):
+def case(request, tmp_path_factory, golden_tree):
     """(name, tree, golden record of the tree, its nodes.csv rows)."""
     out = tmp_path_factory.mktemp(request.param)
-    tree = golden.grow(request.param)
+    tree = golden_tree(request.param)
     export_nodes_csv(tree, out / "nodes.csv")
     return request.param, tree, golden.record(tree, out / "tree.json"), _read_csv(out / "nodes.csv")
 

@@ -192,17 +192,6 @@ class TestCanonicalSplit:
         assert canonical_split(tree) == ((0, 2), (1, 3))
 
 
-@pytest.fixture(scope="module")
-def planted120():
-    spec = PlantedSpec.even(120, 8, (2, 2), gap=4.0, noise_sigma=1.0, seed=5)
-    return generate_planted(spec)
-
-
-@pytest.fixture(scope="module")
-def report012(planted120):
-    return repeatability_trial(planted120.matrix, PppConfig(), [0, 1, 2])
-
-
 class TestRepeatabilityTrial:
     def test_no_seeds_rejected(self, planted120):
         with pytest.raises(ConfigError):
@@ -219,16 +208,17 @@ class TestRepeatabilityTrial:
         assert report.root_splits[0] == report.root_splits[1]
         np.testing.assert_allclose(report.pairwise_ari, 1.0)
 
-    def test_planted_structure_is_stable(self, report012):
+    def test_planted_structure_is_stable(self, planted120_report):
+        report = planted120_report
         expected = (tuple(range(4)), tuple(range(4, 8)))
-        assert report012.root_splits == (expected,) * 3
-        assert report012.modal_frequency == 1.0
-        assert report012.score_min is not None and report012.score_min > 0
-        assert report012.score_min <= report012.score_mean <= report012.score_max
-        assert report012.split_frequencies[0] == (expected, 1.0)
+        assert report.root_splits == (expected,) * 3
+        assert report.modal_frequency == 1.0
+        assert report.score_min is not None and report.score_min > 0
+        assert report.score_min <= report.score_mean <= report.score_max
+        assert report.split_frequencies[0] == (expected, 1.0)
 
-    def test_split_labels_binary_view(self, report012):
-        assert report012.split_labels(0).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    def test_split_labels_binary_view(self, planted120_report):
+        assert planted120_report.split_labels(0).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
 
     def test_split_labels_raises_without_split(self):
         from ppp.data import DesignMatrix
@@ -240,5 +230,5 @@ class TestRepeatabilityTrial:
         with pytest.raises(ValidationError):
             report.split_labels(0)
 
-    def test_frequencies_sum_to_one(self, report012):
-        assert sum(f for _, f in report012.split_frequencies) == pytest.approx(1.0)
+    def test_frequencies_sum_to_one(self, planted120_report):
+        assert sum(f for _, f in planted120_report.split_frequencies) == pytest.approx(1.0)
