@@ -49,8 +49,8 @@ def main():
           f"{bool(np.allclose(r.sum(axis=1), 1.0, atol=1e-12))}")
 
     scores = mixture_scores(fitted, X)
-    print(f"normalized density: max {scores.normalized.max():.3f} "
-          f"(always exactly 1), median {np.median(scores.normalized):.3f}")
+    print(f"normalized density: max {scores.max():.3f} "
+          f"(always exactly 1), median {np.median(scores):.3f}")
 
 
 if __name__ == "__main__":

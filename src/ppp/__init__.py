@@ -44,7 +44,6 @@ from .errors import (
 )
 from .gmm import (
     GaussianMixture,
-    MixtureScores,
     fit_em,
     init_gmm_from_codebook,
     mixture_log_density,
@@ -81,7 +80,7 @@ __all__ = [
     "PppError", "ConfigError", "DimensionError", "DegenerateSelection", "IndexOutOfBounds",
     "DegenerateModel", "SingularCovariance", "DegenerateSplit", "ParseError", "FormatError",
     "ValidationError",
-    "GaussianMixture", "MixtureScores", "fit_em", "init_gmm_from_codebook",
+    "GaussianMixture", "fit_em", "init_gmm_from_codebook",
     "mixture_log_density", "mixture_scores", "responsibilities",
     "KmeansResult", "kmeans_bisect",
     "CodebookMatchSet", "SomConfig", "SomModel", "codebook_match",

@@ -187,12 +187,13 @@ def run_cluster(args) -> int:
         "nodes": out / "nodes.csv",
         "manifest": out / "manifest.json",
     }
-    export_tree_json(tree, paths["tree"], feature_ids=matrix.feature_ids)
+    # the flat files first: a tree too deep for tree.json still leaves its clustering
     clusters = export_assignment_csv(
         tree, paths["assignment"], depth=cut_depth, feature_ids=matrix.feature_ids
     )
     export_diagnostics_csv(tree, paths["diagnostics"])
     export_nodes_csv(tree, paths["nodes"])
+    export_tree_json(tree, paths["tree"], feature_ids=matrix.feature_ids)
     write_manifest(paths["manifest"], "cluster", paths, config.master_seed, asdict(config),
                    args.input)
 
@@ -241,7 +242,7 @@ def run_bench(args) -> int:
     matrix = _load_input(args)
     out = _out_dir(args.out)
 
-    report = repeatability_trial(matrix, config, args.seeds, threads=args.threads or 1)
+    report = repeatability_trial(matrix, config, args.seeds)
 
     paths = {"report": out / "report.json", "per_seed": out / "report.csv", "manifest": out / "manifest.json"}
     export_report(report, paths["report"], paths["per_seed"])
@@ -290,14 +291,14 @@ def _add_common_config_flags(sub) -> None:
                      help="non-improving attempts before giving up (default 5)")
     sub.add_argument("--threshold", dest="score_threshold", type=float, default=None,
                      help="score threshold for core and child sets (default 0.5)")
-    sub.add_argument("--threads", type=_at_least(1), default=None,
-                     help="worker threads for tree growth (default 1)")
 
 
 def _add_cluster_flags(sub) -> None:
     _add_common_input_flags(sub)
     _add_common_config_flags(sub)
     sub.add_argument("--out", required=True, help="output directory")
+    sub.add_argument("--threads", type=_at_least(1), default=None,
+                     help="worker threads for tree growth (default 1)")
     sub.add_argument("--cut-depth", type=_at_least(0), default=None,
                      help="flatten the tree at this depth (default: leaves)")
 

@@ -315,7 +315,7 @@ def _core_and_split(node: PppNode, X: np.ndarray, rows, parent: CodebookMatchSet
     except _FIT_ERRORS as exc:
         empty = IndexSet(np.array([], dtype=np.int64), node.instance_set.universe_size)
         return _ended(seed, empty, _FIT_FAILURES[type(exc)])
-    core_local = gamma_set(scores.normalized, config.score_threshold)
+    core_local = gamma_set(scores, config.score_threshold)
     core_set = node.instance_set.select(core_local)
     # the bisection sees the core rows, or all node rows when the core is too small
     core_rows = X[core_local.indices] if len(core_local) >= 2 else X

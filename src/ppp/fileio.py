@@ -21,7 +21,7 @@ import numpy as np
 from ._version import __version__
 from .data import DesignMatrix, IndexSet
 from .engine import RESOLVED_STATUSES, PppNode, PppTree, cluster_labels, cut_tree
-from .errors import FormatError, IndexOutOfBounds, ParseError, ValidationError
+from .errors import FormatError, IndexOutOfBounds, ParseError, PppError, ValidationError
 
 
 def load_csv(
@@ -164,7 +164,13 @@ def tree_to_dict(tree: PppTree, feature_ids=None) -> dict:
 
 
 def export_tree_json(tree: PppTree, path, feature_ids=None) -> None:
-    _write_json(tree_to_dict(tree, feature_ids), path)
+    """Write :func:`tree_to_dict` as JSON; a tree too deep for Python's recursion
+    limit (about 490 levels) raises ``PppError`` naming its depth and writes nothing."""
+    try:
+        _write_json(tree_to_dict(tree, feature_ids), path)
+    except RecursionError:
+        depth = max(node.depth for node in tree.nodes())
+        raise PppError(f"a tree of depth {depth} is too deep to write as JSON") from None
 
 
 def _json_int(value, what: str) -> int:

@@ -109,24 +109,8 @@ class GaussianMixture:
             raise ConfigError("component weights must be positive")
 
     @property
-    def n_components(self) -> int:
-        return self.weights.size
-
-    @property
     def n_iterations(self) -> int | None:
         return None if self.ll_trace is None else len(self.ll_trace) - 1
-
-
-@dataclass(frozen=True, eq=False)
-class MixtureScores:
-    """Per-row mixture evaluation.
-
-    ``normalized`` is density over max density, computed in log space, so it
-    always lands in (0, 1] with its maximum exactly 1.
-    """
-
-    log_density: np.ndarray
-    normalized: np.ndarray
 
 
 def log_sum_exp(a: np.ndarray) -> np.ndarray:
@@ -348,15 +332,15 @@ def fit_em(
     return GaussianMixture(*params, mode, g.reg_epsilon, tuple(trace), dim)
 
 
-def mixture_scores(g: GaussianMixture, data) -> MixtureScores:
-    """Evaluate the mixture on every row.
+def mixture_scores(g: GaussianMixture, data) -> np.ndarray:
+    """Each row's density over the rows' maximum density.
 
-    The normalized score (density over max density) is computed entirely in
-    log space, so it is meaningful even when the raw densities leave the
-    representable range.
+    The ratio is computed in log space, so it lands in (0, 1] with its
+    maximum exactly 1 even when the raw densities leave the representable
+    range.
     """
     lp = mixture_log_density(g, data)
-    return MixtureScores(lp, np.exp(lp - lp.max()))
+    return np.exp(lp - lp.max())
 
 
 def default_covariance_mode(dim: int) -> str:

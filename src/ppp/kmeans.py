@@ -43,7 +43,6 @@ class KmeansResult:
     objective: float  # sum of squared distances to the nearest center
     iterations: int
     converged: bool
-    seed: int
 
 
 def kmeans_objective(centers, points) -> float:
@@ -110,4 +109,4 @@ def kmeans_bisect(points, seed: int) -> KmeansResult:
         labels = new_labels
     centers = _group_means(points, labels)
     return KmeansResult(labels.astype(np.int64), centers, kmeans_objective(centers, points),
-                        iterations, converged, seed)
+                        iterations, converged)

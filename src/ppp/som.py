@@ -11,7 +11,6 @@ downstream mixture models are seeded from those rows and the priors.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -100,9 +99,6 @@ class CodebookMatchSet:
             raise ConfigError(f"priors must sum to 1, got {total!r}")
         object.__setattr__(self, "priors", priors)
 
-    def __len__(self) -> int:
-        return int(self.priors.size)
-
 
 def default_grid(n_instances: int) -> tuple[int, int]:
     """Pick a grid for ``n_instances`` rows.
@@ -168,22 +164,15 @@ def _neighborhood(config: SomConfig, grid_sq, t, total_steps: int):
 def init_som(config: SomConfig, data) -> SomModel:
     """Seeded codebook initialization from the data rows themselves.
 
-    Rows are sampled uniformly without replacement. A grid with more units than
-    rows is allowed but warned about: every row is used once and the remainder
-    is filled by seeded resampling.
+    Rows are sampled uniformly without replacement, so a grid with more units
+    than rows is a ``ConfigError``; :func:`default_grid` never makes one.
     """
     X = as_matrix(data)
     n = X.shape[0]
     k = config.n_units
-    rng = np.random.default_rng(derive_seed(config.seed, "init"))
-    if k <= n:
-        idx = rng.choice(n, size=k, replace=False)
-    else:
-        warnings.warn(
-            f"grid has {k} units for only {n} rows; consider a smaller grid",
-            stacklevel=2,
-        )
-        idx = np.concatenate([rng.permutation(n), rng.integers(0, n, size=k - n)])
+    if k > n:
+        raise ConfigError(f"grid has {k} units for only {n} rows")
+    idx = np.random.default_rng(derive_seed(config.seed, "init")).choice(n, size=k, replace=False)
     # fancy indexing of the float matrix is already a fresh float64 copy
     return SomModel(config, X[idx], np.zeros(k, dtype=np.int64), None)
 

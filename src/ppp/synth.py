@@ -172,15 +172,12 @@ class StabilityReport:
         return labels
 
 
-def repeatability_trial(
-    data: DesignMatrix, config: PppConfig, seeds, threads: int = 1
-) -> StabilityReport:
-    """Build one tree per master seed (each with ``threads`` workers) and
-    summarize cross-seed agreement."""
+def repeatability_trial(data: DesignMatrix, config: PppConfig, seeds) -> StabilityReport:
+    """Build one tree per master seed and summarize cross-seed agreement."""
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
-    trees = [build_tree(data, replace(config, master_seed=s), threads=threads) for s in seeds]
+    trees = [build_tree(data, replace(config, master_seed=s)) for s in seeds]
 
     root_splits = tuple(canonical_split(t) for t in trees)
     counts = Counter(root_splits)

@@ -125,8 +125,8 @@ def spherical_m_step_reference(g: GaussianMixture, X: np.ndarray, r: np.ndarray)
     a time: ``sum_i r_ik |x_i - mean_k|² / (D mass_k) + reg_epsilon``."""
     mass = r.sum(axis=0)
     means = (r.T @ X) / mass[:, None]
-    covs = np.empty(g.n_components)
-    for k in range(g.n_components):
+    covs = np.empty(g.weights.size)
+    for k in range(g.weights.size):
         diff = X - means[k]
         covs[k] = (r[:, k] @ np.einsum("nd,nd->n", diff, diff)) / (g.dim * mass[k])
     return mass / mass.sum(), means, covs + g.reg_epsilon
@@ -288,7 +288,7 @@ def m_step_reference(g: GaussianMixture, X: np.ndarray, r: np.ndarray, counts: n
         covs = np.einsum("nk,n->k", r, np.einsum("nd,nd->n", xt, xt)) / mass
         covs = np.maximum(covs - np.einsum("kd,kd->k", mt, mt), 0.0) / g.dim + g.reg_epsilon
     else:
-        diff = np.empty((g.n_components,) + X.shape)
+        diff = np.empty((g.weights.size,) + X.shape)
         np.copyto(diff, X)
         np.subtract(diff, means[:, None, :], out=diff)
         weighted = np.multiply(r.T[:, :, None], diff, out=np.empty_like(diff))

@@ -25,7 +25,8 @@ from ppp.cli import (
     build_parser,
     main,
 )
-from ppp.engine import PppConfig
+from ppp.data import IndexSet
+from ppp.engine import PppConfig, PppNode, PppTree
 from ppp.fileio import load_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -226,7 +227,7 @@ class TestCluster:
             """The default start with a ridge of 1e-300, in its covariances and in EM;
             16 columns or fewer make every start full."""
             g = real_init(match, data, dim=dim)
-            covs = np.repeat(np.diag(data.var(axis=0) + 1e-300)[None], g.n_components, axis=0)
+            covs = np.repeat(np.diag(data.var(axis=0) + 1e-300)[None], g.weights.size, axis=0)
             return replace(g, covariances=covs, reg_epsilon=1e-300)
 
         monkeypatch.setattr(engine_mod, "init_gmm_from_codebook", vanishing_ridge)
@@ -263,6 +264,48 @@ class TestCluster:
                 assert core > 0 and child_a + child_b > 0
             elif r[6] != "no_overlap":
                 assert child_a == child_b == 0
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_threads_reach_build_tree(self, tmp_path, monkeypatch, source):
+        seen = []
+        real_build_tree = cli_mod.build_tree
+
+        def build_tree(data, config, threads=1):
+            seen.append(threads)
+            return real_build_tree(data, config, threads=threads)
+
+        monkeypatch.setattr(cli_mod, "build_tree", build_tree)
+        data = _make_planted(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 2\n")
+        extra = ["--threads", "2"] if source == "flag" else ["--config", str(cfg)]
+        rc = main(["cluster", "--input", str(data), "--out", str(tmp_path / "o"),
+                   "--max-split-attempts", "2", *extra])
+        assert rc == 0
+        assert seen == [2]
+
+    def test_tree_too_deep_for_json_keeps_the_flat_files(self, tmp_path, capsys, monkeypatch):
+        """A 600-level chain cannot be written as tree.json: the run fails
+        (exit 1) naming the depth, after the flat clustering is written."""
+        depth = 600
+        n = depth + 1
+        rows = IndexSet.full(1)
+        node = PppNode(IndexSet.from_iterable([depth], n), rows, "1" * depth, "leaf_terminal")
+        for k in reversed(range(depth)):
+            leaf = PppNode(IndexSet.from_iterable([k], n), rows, "1" * k + "0", "leaf_terminal")
+            node = PppNode(IndexSet.from_iterable(range(k, n), n), rows, "1" * k, "internal",
+                           children=(leaf, node))
+        monkeypatch.setattr(cli_mod, "build_tree", lambda *a, **kw: PppTree(node, 1, n))
+        data = _make_planted(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["cluster", "--input", str(data), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "run failed: a tree of depth 600 is too deep" in err and "Traceback" not in err
+        assert len((out / "assignment.csv").read_text().splitlines()) == n + 1
+        assert (out / "nodes.csv").exists() and (out / "diagnostics.csv").exists()
+        assert not (out / "tree.json").exists() and not (out / "tree.json.tmp").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         ghost = tmp_path / "ghost.csv"
@@ -460,7 +503,7 @@ class TestConfigFile:
         """Every tree setting flag lands in a PppConfig field and every field has a flag."""
         parser = argparse.ArgumentParser(add_help=False)
         _add_common_config_flags(parser)
-        dests = {a.dest for a in parser._actions} - {"config", "threads"}
+        dests = {a.dest for a in parser._actions} - {"config"}
         assert dests == {f.name for f in fields(PppConfig)}
 
     def test_readme_example_lists_every_setting(self, tmp_path):
@@ -639,36 +682,23 @@ class TestBench:
         assert "argument --seeds: must look like" in err and "Traceback" not in err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("source", ["flag", "file"])
-    def test_threads_reach_build_tree(self, tmp_path, monkeypatch, source):
-        import ppp.synth as synth_mod
-
-        seen = []
-        real_build_tree = synth_mod.build_tree
-
-        def build_tree(data, config, threads=1):
-            seen.append(threads)
-            return real_build_tree(data, config, threads=threads)
-
-        monkeypatch.setattr(synth_mod, "build_tree", build_tree)
-        data = _make_planted(tmp_path)
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("threads = 2\n")
-        extra = ["--threads", "2"] if source == "flag" else ["--config", str(cfg)]
-        rc = main(["bench", "--input", str(data), "--out", str(tmp_path / "o"),
-                   "--seeds", "0,1", "--max-split-attempts", "2", *extra])
-        assert rc == 0
-        assert seen == [2, 2]
-
     def test_cluster_only_key_is_usage_error(self, tmp_path, capsys):
+        """``cut-depth`` and ``threads`` are ``ppp cluster`` settings: bench
+        refuses them from a config file, naming the line, and as flags."""
         data = _make_planted(tmp_path)
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("seed = 1\ncut-depth = 3\n")
         out = tmp_path / "o"
-        rc = main(["bench", "--input", str(data), "--out", str(out), "--config", str(cfg)])
-        assert rc == 2
-        assert f"{cfg}:2: 'cut-depth'" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        for key in ("cut-depth = 3", "threads = 2"):
+            cfg = tmp_path / "bench.cfg"
+            cfg.write_text(f"seed = 1\n{key}\n")
+            rc = main(["bench", "--input", str(data), "--out", str(out), "--config", str(cfg)])
+            assert rc == 2
+            assert f"{cfg}:2: {key.split()[0]!r} is not a setting" in capsys.readouterr().err
+        for flag in ("--cut-depth", "--threads"):
+            with pytest.raises(SystemExit) as exc:
+                main(["bench", "--input", str(data), "--out", str(out), flag, "2"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestManifest:

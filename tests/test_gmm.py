@@ -227,8 +227,8 @@ class TestBatchedDensity:
 
     @staticmethod
     def _oracle(g, X):
-        expected = np.empty((X.shape[0], g.n_components))
-        for k in range(g.n_components):
+        expected = np.empty((X.shape[0], g.weights.size))
+        for k in range(g.weights.size):
             expected[:, k] = np.log(g.weights[k]) + log_gauss_one(
                 X, g.means[k], g.covariances[k], g.covariance_mode, g.dim
             )
@@ -246,7 +246,7 @@ class TestBatchedDensity:
     def test_equals_per_component_oracle(self, mode):
         rng = np.random.default_rng(20)
         g = _random_mixture(rng, 7, 5, mode)
-        assert len(set(g.weights)) == g.n_components
+        assert len(set(g.weights)) == g.weights.size
         X = rng.standard_normal((40, 5)) * 2
         self._assert_matches_oracle(g, X)
 
@@ -598,7 +598,7 @@ class TestEmStep:
         )
         with caplog.at_level("INFO", logger="ppp.gmm"):
             updated = fit_em(g, X, tol=0.0, max_iter=1)
-        assert updated.n_components == 1
+        assert updated.weights.size == 1
         assert "dropping" in caplog.text
         assert updated.weights[0] == pytest.approx(1.0)
 
@@ -665,7 +665,7 @@ class TestSphericalMStep:
         r = responsibilities(g, X)
         counts = rng.integers(1, 5, size=n).astype(float) if counted else np.ones(n)
         updated = m_step(g, X, r, counts)
-        assert updated.n_components == k and updated.dim == 200
+        assert updated.weights.size == k and updated.dim == 200
         weights, means, covs = spherical_m_step_reference(g, X, r * counts[:, None])
         assert np.array_equal(updated.weights, weights)
         assert np.array_equal(updated.means, means)
@@ -688,7 +688,7 @@ class TestSphericalMStep:
             np.array([0.25, 0.75]), np.zeros((2, d)), np.ones(2), "spherical", 1e-14
         )
         updated = m_step(g, X, r, np.ones(6))
-        assert updated.n_components == 2
+        assert updated.weights.size == 2
         assert np.all(updated.covariances >= 1e-14)
         np.testing.assert_allclose(updated.covariances[0], 1e-14, rtol=0, atol=1e-11)
 
@@ -782,7 +782,7 @@ class TestFitEm:
             [np.zeros(2), np.full(2, 5.0), np.full(2, 2.5)],
             [np.eye(2), np.eye(2), 4 * np.eye(2)],
         )
-        assert fit_em(g, X, tol=0.0, max_iter=1).n_components == 3
+        assert fit_em(g, X, tol=0.0, max_iter=1).weights.size == 3
         stepped, trace = g, [fit_em(g, X, max_iter=0).ll_trace[0]]
         for _ in range(12):
             stepped = fit_em(stepped, X, tol=0.0, max_iter=1)
@@ -790,7 +790,7 @@ class TestFitEm:
         with caplog.at_level("INFO", logger="ppp.gmm"):
             fitted = fit_em(g, X, tol=0.0, max_iter=12)
         assert "dropping" in caplog.text
-        assert fitted.n_components == 2
+        assert fitted.weights.size == 2
         assert fitted.ll_trace == tuple(trace)
         assert np.all(np.diff(fitted.ll_trace) >= -1e-8)
 
@@ -828,7 +828,7 @@ class TestFitEmMatchesReference:
                      mode)
         with caplog.at_level("INFO", logger="ppp.gmm"):
             got = fit_em(g, X, tol=0.0, max_iter=20, counts=counts)
-        assert "dropping" in caplog.text and got.n_components < 3
+        assert "dropping" in caplog.text and got.weights.size < 3
         _assert_same_fit(got, fit_em_reference(g, X, tol=0.0, max_iter=20, counts=counts))
 
     def test_a_single_row(self):
@@ -918,7 +918,7 @@ class TestCountedRows:
         with caplog.at_level("INFO", logger="ppp.gmm"):
             got = fit_em(g, X, tol=0.0, max_iter=12, counts=counts)
         assert "dropping" in caplog.text
-        assert got.n_components == want.n_components == 2
+        assert got.weights.size == want.weights.size == 2
         np.testing.assert_allclose(got.ll_trace, want.ll_trace, rtol=1e-9)
         np.testing.assert_allclose(got.means, want.means, rtol=1e-9)
 
@@ -927,31 +927,30 @@ class TestMixtureScores:
     def test_single_row_normalizes_to_one(self):
         g = _mixture([1.0], [np.zeros(2)], [np.eye(2)])
         s = mixture_scores(g, np.array([[5.0, 5.0]]))
-        assert s.normalized[0] == 1.0
+        assert s[0] == 1.0
 
     def test_ordering_follows_density(self):
         g = _mixture([1.0], [np.zeros(2)], [np.eye(2)])
         s = mixture_scores(g, np.array([[0.0, 0.0], [10.0, 0.0]]))
-        assert s.normalized[0] > s.normalized[1]
-        assert s.normalized[0] == 1.0
+        assert s[0] > s[1]
+        assert s[0] == 1.0
 
     def test_matches_direct_normalization(self):
         rng = np.random.default_rng(14)
         g = _random_mixture(rng, 3, 2)
         X = rng.standard_normal((15, 2))
-        s = mixture_scores(g, X)
         densities = np.array([mixture_pdf(g, x) for x in X])
-        np.testing.assert_allclose(np.exp(s.log_density), densities, rtol=1e-12)
-        np.testing.assert_allclose(s.normalized, densities / densities.max(), rtol=1e-12)
+        np.testing.assert_allclose(np.exp(mixture_log_density(g, X)), densities, rtol=1e-12)
+        np.testing.assert_allclose(mixture_scores(g, X), densities / densities.max(), rtol=1e-12)
 
     def test_normalized_defined_when_densities_underflow(self):
         """Raw densities can hit zero; the normalized score must not."""
         g = _mixture([1.0], [np.zeros(2)], [np.eye(2)])
         X = np.array([[0.0, 0.0], [60.0, 0.0]])
         s = mixture_scores(g, X)
-        assert np.exp(s.log_density[1]) == 0.0  # underflows as a raw density
-        assert 0.0 < s.normalized[1] < 1e-300 or s.normalized[1] == 0.0
-        assert s.normalized[0] == 1.0
+        assert np.exp(mixture_log_density(g, X)[1]) == 0.0  # underflows as a raw density
+        assert 0.0 < s[1] < 1e-300 or s[1] == 0.0
+        assert s[0] == 1.0
 
 
 class TestGroupIds:
@@ -1010,7 +1009,7 @@ class TestInitFromCodebook:
         g = init_gmm_from_codebook(self._match(priors, ids), X,
                                    dim=51 if mode == "spherical" else None)
         assert g.covariance_mode == mode
-        assert g.n_components == np.unique(ids).size < ids.size
+        assert g.weights.size == np.unique(ids).size < ids.size
         unmerged = GaussianMixture(
             priors, X[ids], np.repeat(g.covariances[:1], ids.size, axis=0), mode, g.reg_epsilon,
             dim=g.dim,
@@ -1034,7 +1033,7 @@ class TestInitFromCodebook:
         X = rng.standard_normal((10, 3))
         match = self._match([0.5, 0.0, 0.5])
         g = init_gmm_from_codebook(match, X)
-        assert g.n_components == 2
+        assert g.weights.size == 2
         np.testing.assert_allclose(g.weights, 0.5)
 
     def test_all_zero_priors_rejected(self):

@@ -145,10 +145,6 @@ class TestKmeansBisect:
         assert a.objective == b.objective
         assert a.iterations == b.iterations
 
-    def test_seed_recorded(self):
-        points = np.array([[0.0], [1.0], [2.0]])
-        assert kmeans_bisect(points, seed=123).seed == 123
-
     def test_both_labels_always_occupied(self):
         rng = np.random.default_rng(5)
         for trial in range(20):

@@ -97,14 +97,9 @@ class TestInitSom:
         b = init_som(SomConfig(3, 3, seed=2), X)
         np.testing.assert_array_equal(a.codebook, b.codebook)
 
-    def test_more_units_than_rows_warns(self):
-        X = np.eye(3)
-        with pytest.warns(UserWarning, match="units"):
-            som = init_som(SomConfig(2, 3, seed=0), X)
-        assert som.codebook.shape == (6, 3)
-        # all rows used at least once
-        for row in X:
-            assert any(np.array_equal(row, v) for v in som.codebook)
+    def test_more_units_than_rows_rejected(self):
+        with pytest.raises(ConfigError, match="6 units for only 3 rows"):
+            init_som(SomConfig(2, 3, seed=0), np.eye(3))
 
     def test_hit_counts_start_at_zero(self):
         som = init_som(SomConfig(2, 2, seed=0), np.eye(4))
@@ -291,12 +286,6 @@ class TestTrainSomMatchesReference:
         X = _structured_rows(n + d, n, d)
         self._assert_same_training(init_som(SomConfig(*grid, seed=n, **kw), X), X)
 
-    def test_more_units_than_rows(self):
-        X = _structured_rows(5, 5, 3)
-        with pytest.warns(UserWarning, match="units for only 5 rows"):
-            som = init_som(SomConfig(3, 3, seed=5), X)
-        self._assert_same_training(som, X)
-
     def test_kernel_table_blocks_split_mid_epoch(self, monkeypatch):
         """7-step chunks split the 30-step epochs; each chunk's kernel rows
         must follow the schedule at its steps' numbers within the run."""
@@ -344,7 +333,7 @@ class TestTrainSoms:
         (60, 5, (3, 4), {}),
         (40, 1, (2, 3), {}),
         (50, 4, (2, 2), {"epochs": 2}),  # radius at its floor, 1.0 -> 0.5
-        (5, 3, (3, 3), {}),  # more units than rows
+        (5, 3, (1, 5), {}),  # as many units as rows
     ]
 
     @staticmethod
@@ -353,9 +342,7 @@ class TestTrainSoms:
         n_data = 1 if shared else n_maps
         data = [_structured_rows(100 * n + d + j, n, d) for j in range(n_data)]
         data = data * n_maps if shared else data
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the more-units-than-rows warning
-            soms = [init_som(SomConfig(*grid, seed=j, **kw), X) for j, X in enumerate(data)]
+        soms = [init_som(SomConfig(*grid, seed=j, **kw), X) for j, X in enumerate(data)]
         return soms, data
 
     @pytest.mark.parametrize("n_maps", [1, 2, 5])
@@ -377,13 +364,6 @@ class TestTrainSoms:
                     assert np.array_equal(got.hit_counts, want.hit_counts)
                     assert got.final_qe == want.final_qe
                 assert got.config == som.config
-
-    def test_more_units_than_rows_warns_at_init(self):
-        X = _structured_rows(5, 5, 3)
-        with pytest.warns(UserWarning, match="units for only 5 rows"):
-            soms = [init_som(SomConfig(3, 3, seed=j), X) for j in range(2)]
-        for som, got in zip(soms, train_soms(soms, [X, X])):
-            assert np.array_equal(got.codebook, train_som_reference(som, X).codebook)
 
     def test_match_is_the_codebook_match_of_the_training_rows(self):
         """Each unit's matched row is the reference scan's nearest row, and

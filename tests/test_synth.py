@@ -197,11 +197,6 @@ class TestRepeatabilityTrial:
         with pytest.raises(ConfigError):
             repeatability_trial(planted120.matrix, PppConfig(), [])
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_thread_count_below_one_rejected(self, planted120, threads):
-        with pytest.raises(ConfigError):
-            repeatability_trial(planted120.matrix, PppConfig(), [0], threads=threads)
-
     def test_repeated_seed_agrees_with_itself(self, planted120):
         report = repeatability_trial(planted120.matrix, PppConfig(), [5, 5])
         assert report.modal_frequency == 1.0
