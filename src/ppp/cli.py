@@ -187,7 +187,10 @@ def run_cluster(args) -> int:
         "nodes": out / "nodes.csv",
         "manifest": out / "manifest.json",
     }
-    # the flat files first: a tree too deep for tree.json still leaves its clustering
+    # the flat files first: a tree too deep for tree.json still leaves its clustering,
+    # and no tree.json or manifest.json of an earlier run into this directory
+    for stale in (paths["tree"], paths["manifest"]):
+        stale.unlink(missing_ok=True)
     clusters = export_assignment_csv(
         tree, paths["assignment"], depth=cut_depth, feature_ids=matrix.feature_ids
     )

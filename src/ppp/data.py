@@ -121,9 +121,13 @@ class IndexSet:
     def from_iterable(cls, indices, universe_size: int) -> "IndexSet":
         """Sort, deduplicate and wrap an arbitrary index collection.
 
-        No cast: floats, and ints past int64 (object dtype), fail the integer check.
+        No cast: floats, and ints past int64 (object dtype), fail the integer
+        check. A sort and a drop of adjacent repeats, not ``np.unique``, whose
+        plain form imports ``numpy.ma`` (about 1 MiB).
         """
-        return cls(np.unique(np.asarray(list(indices))), universe_size)
+        values = np.sort(np.asarray(list(indices)), axis=None)
+        return cls(np.concatenate((values[:1], values[1:][values[1:] != values[:-1]])),
+                   universe_size)
 
     @classmethod
     def full(cls, universe_size: int) -> "IndexSet":
@@ -159,15 +163,16 @@ def as_matrix(data) -> np.ndarray:
     return values
 
 
-# difference elements per row block of sq_distances (512 KB of float64)
-_BLOCK_ELEMENTS = 65536
+# elements of one transient block (128 KiB of float64): the row blocks of
+# sq_distances and the component blocks of the full-mode density pass
+_BLOCK_ELEMENTS = 16384
 
 
 def sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """(n, m) exact squared Euclidean distances from each row of X to each row of Y.
 
-    The output is filled in row blocks of ``max(1, 65536 // (m * d))`` rows,
-    so the difference temporary holds about 64k elements (one row's m x d when
+    The output is filled in row blocks of ``max(1, 16384 // (m * d))`` rows,
+    so the difference temporary holds about 16k elements (one row's m x d when
     that alone is larger) instead of n x m x d. Each block runs the same
     ``einsum`` over the same differences, so the result equals the
     one-shot broadcast kernel bit for bit.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _BLOCK_ELEMENTS, DesignMatrix, IndexSet, derive_seed, submatrix
+from .data import DesignMatrix, IndexSet, derive_seed, submatrix
 from .errors import (
     ConfigError,
     DegenerateModel,
@@ -48,6 +48,9 @@ RESOLVED_STATUSES = ("internal", "leaf_terminal", "leaf_unsplittable")
 # model-fit failures that end one split attempt, not the whole run, by outcome
 _FIT_FAILURES = {SingularCovariance: "singular_cov", DegenerateModel: "degenerate_model"}
 _FIT_ERRORS = tuple(_FIT_FAILURES)
+
+# map elements one batch of split attempts may hold (see _run_attempts)
+_BATCH_ELEMENTS = 65536
 
 
 @dataclass(frozen=True)
@@ -226,8 +229,9 @@ def _units_to_instances(
     posterior: np.ndarray, threshold: float, match: CodebookMatchSet, members: IndexSet
 ) -> IndexSet:
     units = np.flatnonzero(posterior > threshold)
-    local_rows = np.unique(match.matched_instance_ids[units])
-    return members.select(IndexSet(local_rows, len(members)))
+    # the sorted distinct rows those units matched; plain np.unique imports numpy.ma
+    hits = np.bincount(match.matched_instance_ids[units], minlength=len(members))
+    return members.select(IndexSet(np.flatnonzero(hits), len(members)))
 
 
 def _frame(X: np.ndarray) -> np.ndarray:
@@ -420,12 +424,13 @@ def _run_attempts(node: PppNode, data: DesignMatrix, config: PppConfig) -> list[
         return []
     # A batch holds, per attempt, maps of K x min(n, d) elements, frames of at
     # most n x min(n, d) and full-mode rows of at most n x 50, never a copy with
-    # the node's d columns (see evaluate_splits); 2 * width * K * min(n, d) elements
-    # fill one block. So a 48 x 640 node (K = 48) runs up to 14 attempts at a
-    # time, a 300 x 300 node (K = 64) one.
+    # the node's d columns (see evaluate_splits); 2 * width * K * min(n, d)
+    # elements fill _BATCH_ELEMENTS. So a 48 x 640 node (K = 48) runs up to 14
+    # attempts at a time, a 300 x 300 node (K = 64) one. This bounds the maps
+    # the batch keeps, not a transient block (data._BLOCK_ELEMENTS).
     n, d = len(node.instance_set), len(node.feature_set)
     n_units = default_som_config(n).n_units
-    width = max(1, _BLOCK_ELEMENTS // (2 * n_units * min(n, d)))
+    width = max(1, _BATCH_ELEMENTS // (2 * n_units * min(n, d)))
     attempts: list[SplitEvaluation] = []
     best: float | None = None
     stale = 0

@@ -8,10 +8,13 @@ objects and every update builds a new one.
 
 One density pass serves each EM iteration: the E-step derives the
 responsibilities and the log-likelihood from the same (n, K) matrix of
-weighted log densities, which is built for all components at once (one
-stacked Cholesky factorization and its inverse, one block of differences, one
-matrix product and one einsum in full mode). Full-mode M-step covariances are
-one stacked matrix product.
+weighted log densities, which is built for all components at once. In full
+mode that is one stacked Cholesky factorization and its inverse, then one
+matrix product and one einsum per block of components whose differences fill
+about 16384 float64 elements (128 KiB, ``ppp.data._BLOCK_ELEMENTS``, the
+budget ``sq_distances`` shares), so the pass holds its (n, K) outputs and a
+few blocks, not K x n x d temporaries. Full-mode M-step covariances are one
+stacked matrix product.
 A spherical component (σ_k² times the identity, mclust's VII model) sees a
 row only through its distance to the mean, so a spherical mixture carries
 its model dimension D apart from the width of the rows it is fitted on: rows
@@ -150,8 +153,9 @@ def _log_prob_arrays(X: np.ndarray, weights, means, covs, mode: str, dim: int) -
     The rows and means are already checked (:func:`_check_rows`). Full mode
     factorizes the covariances in one stacked Cholesky, inverts the factors
     in one stacked ``np.linalg.inv`` and writes the component differences into
-    one C-ordered (k, n, d) buffer, a block of about ``_BLOCK_ELEMENTS``
-    elements at a time. Each block is multiplied by its transposed inverse
+    one C-ordered (k, n, d) buffer of ``max(1, 16384 // (n * d))`` components
+    (``_BLOCK_ELEMENTS``, 128 KiB of float64, or one component's n x d when
+    that alone is larger). Each block is multiplied by its transposed inverse
     factors, ``z = diff @ inv(L).T`` (one ``np.matmul``), and one einsum gives
     the Mahalanobis terms ``|z|²``.
 
@@ -200,8 +204,11 @@ def _log_prob_arrays(X: np.ndarray, weights, means, covs, mode: str, dim: int) -
             np.subtract(diff, means[start:stop, None], out=diff)
             z = np.matmul(diff, inv_t[start:stop])
             np.einsum("knd,knd->kn", z, z, out=maha.T[start:stop])
+    # in place, the same bits as log(w) + -0.5 * ((D log 2π + logdet) + maha)
+    maha += dim * _LOG_2PI + logdet
+    maha *= -0.5
     out = np.empty((n, k_total))
-    np.add(np.log(weights), -0.5 * ((dim * _LOG_2PI + logdet) + maha), out=out)
+    np.add(np.log(weights), maha, out=out)
     return out
 
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -284,9 +285,12 @@ class TestCluster:
         assert rc == 0
         assert seen == [2]
 
-    def test_tree_too_deep_for_json_keeps_the_flat_files(self, tmp_path, capsys, monkeypatch):
+    def test_tree_too_deep_for_json_keeps_the_flat_files(self, tmp_path, capsys, monkeypatch,
+                                                         small_run):
         """A 600-level chain cannot be written as tree.json: the run fails
-        (exit 1) naming the depth, after the flat clustering is written."""
+        (exit 1) naming the depth, after the flat clustering is written. In a
+        directory an earlier run filled, that run's tree.json and
+        manifest.json go too, so none of them is left beside the new files."""
         depth = 600
         n = depth + 1
         rows = IndexSet.full(1)
@@ -297,15 +301,17 @@ class TestCluster:
                            children=(leaf, node))
         monkeypatch.setattr(cli_mod, "build_tree", lambda *a, **kw: PppTree(node, 1, n))
         data = _make_planted(tmp_path)
-        out = tmp_path / "o"
-        rc = main(["cluster", "--input", str(data), "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "run failed: a tree of depth 600 is too deep" in err and "Traceback" not in err
-        assert len((out / "assignment.csv").read_text().splitlines()) == n + 1
-        assert (out / "nodes.csv").exists() and (out / "diagnostics.csv").exists()
-        assert not (out / "tree.json").exists() and not (out / "tree.json.tmp").exists()
-        assert not (out / "manifest.json").exists()
+        used = shutil.copytree(small_run[1], tmp_path / "used")
+        assert (used / "tree.json").exists() and (used / "manifest.json").exists()
+        for out in (tmp_path / "o", used):
+            rc = main(["cluster", "--input", str(data), "--out", str(out)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "run failed: a tree of depth 600 is too deep" in err and "Traceback" not in err
+            assert len((out / "assignment.csv").read_text().splitlines()) == n + 1
+            assert (out / "nodes.csv").exists() and (out / "diagnostics.csv").exists()
+            assert not (out / "tree.json").exists() and not (out / "tree.json.tmp").exists()
+            assert not (out / "manifest.json").exists()
 
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         ghost = tmp_path / "ghost.csv"
@@ -857,18 +863,61 @@ UTF8_MODE = {"PYTHONUTF8": "1"}
 C_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
 
 
-def _ppp_process(environment: dict, *argv) -> None:
-    """Run ``python -m ppp.cli`` in a child process in which a text ``open``
-    without an encoding is an error; assert that it exits 0."""
+def _child_env(environment: dict) -> dict:
+    """This environment plus ``environment``, with this checkout's ppp importable."""
     env = dict(os.environ, **environment)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def _ppp_process(environment: dict, *argv) -> None:
+    """Run ``python -m ppp.cli`` in a child process in which a text ``open``
+    without an encoding is an error; assert that it exits 0."""
     done = subprocess.run(
         [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
          "-m", "ppp.cli", *map(str, argv)],
-        env=env, capture_output=True,
+        env=_child_env(environment), capture_output=True,
     )
     assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+
+
+class TestNoMaskedArrays:
+    # runs one subcommand, then reports whether numpy.ma was loaded after
+    # `import numpy` alone and after the run
+    PROBE = (
+        "import sys\n"
+        "import numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from ppp.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, before, 'numpy.ma' in sys.modules)\n"
+    )
+
+    def test_no_subcommand_imports_numpy_ma(self, tmp_path):
+        """Plain ``np.unique`` imports ``numpy.ma`` (about 1 MiB of resident
+        memory in numpy 2.x); no subcommand needs it, each in a fresh interpreter."""
+        data = tmp_path / "data" / "planted.csv"
+        runs = [
+            ["synth", "--out", tmp_path / "data", "--instances", "40", "--features", "6",
+             "--seed", "1"],
+            ["cluster", "--input", data, "--out", tmp_path / "run"],
+            ["cut", "--tree", tmp_path / "run" / "tree.json", "--cut-depth", "1",
+             "--out", tmp_path / "cut.csv"],
+            ["bench", "--input", data, "--out", tmp_path / "bench", "--seeds", "0..1"],
+        ]
+        loaded = []
+        for argv in runs:
+            done = subprocess.run([sys.executable, "-c", self.PROBE, *map(str, argv)],
+                                  env=_child_env({}), capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            rc, before, after = done.stdout.split()[-3:]
+            if before == "True":
+                pytest.skip("import numpy alone loads numpy.ma in this numpy")
+            assert rc == "0", done.stderr
+            if after == "True":
+                loaded.append(argv[0])
+        assert loaded == []
 
 
 class TestLocale:

@@ -159,6 +159,21 @@ class TestIndexSet:
         s = IndexSet.from_iterable([4, 1, 4, 2], 5)
         assert s.indices.tolist() == [1, 2, 4]
 
+    @pytest.mark.parametrize("indices", [
+        [], [3], [2, 2, 2], [4, 1, 4, 2], [9, 0, 5, 0, 9, 3], range(5), np.array([[3, 1], [1, 0]]),
+    ])
+    def test_from_iterable_equals_np_unique(self, indices):
+        """Sorting and dropping adjacent repeats gives what plain np.unique gave."""
+        got = IndexSet.from_iterable(indices, 10).indices
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(np.asarray(list(indices))))
+
+    @given(st.lists(st.integers(0, 30), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_from_iterable_equals_np_unique_on_any_list(self, indices):
+        assert IndexSet.from_iterable(indices, 31).indices.tolist() == np.unique(
+            np.asarray(indices, dtype=np.int64)).tolist()
+
     def test_from_iterable_rejects_what_a_cast_would_change(self):
         """Floats would truncate and ints past int64 would overflow; both are
         refused with the constructor's error, not cast."""

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,26 @@ class TestBatchedDensity:
         g = _random_mixture(rng, k, d)
         X = rng.standard_normal((n, d)) * 2
         assert np.array_equal(weighted_log_prob(g, X), self._oracle(g, X))
+
+    def test_full_pass_holds_its_outputs_and_a_few_blocks(self):
+        """Peak traced memory of one full-mode pass of 64 components on 200 x 16
+        rows: its two (n, K) arrays plus six 128 KiB arrays (the 64 stacked 16 x
+        16 factors and their inverses, a block of differences, two products, as
+        the next is made before the last is freed, and one of slack), not the
+        K x n x d differences (1.6 MB, about 3.9 MB at peak unblocked)."""
+        rng = np.random.default_rng(24)
+        k, n, d = 64, 200, 16
+        g = _random_mixture(rng, k, d)
+        X = rng.standard_normal((n, d)) * 2
+        weighted_log_prob(g, X)  # lazy imports and caches first
+        tracemalloc.start()
+        try:
+            out = weighted_log_prob(g, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, k)
+        assert peak < 2 * out.nbytes + 6 * 128 * 1024
 
     def test_spike_fits_stay_within_1e12_of_the_triangular_solve(self):
         """Fits as EM ends them (F3 in ROADMAP.md): each component's
